@@ -87,8 +87,8 @@ void BM_MaskInstallation(benchmark::State& state) {
   machine.RunFor(1);
   bool narrow = true;
   for (auto _ : state) {
-    machine.scheduler().SetAllowedMask(narrow ? ossim::CpuMask::FirstN(2)
-                                              : ossim::CpuMask::FirstN(16));
+    machine.scheduler().SetAllowedMask(narrow ? platform::CpuMask::FirstN(2)
+                                              : platform::CpuMask::FirstN(16));
     narrow = !narrow;
   }
 }

@@ -1,12 +1,14 @@
 #ifndef ELASTICORE_CORE_ARBITER_H_
 #define ELASTICORE_CORE_ARBITER_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/allocation_mode.h"
+#include "core/entitlement_policy.h"
 #include "core/mechanism.h"
 #include "core/node_priority_queue.h"
 #include "core/telemetry.h"
@@ -14,54 +16,6 @@
 #include "simcore/rng.h"
 
 namespace elastic::core {
-
-/// How the arbiter resolves competing grow demands (and picks preemption
-/// victims) when tenants contend for the same sockets. Every policy defines
-/// a per-tenant *entitlement* — the share of the machine the tenant is
-/// notionally owed — and grants/reclaims cores towards those entitlements.
-enum class ArbitrationPolicy {
-  /// Equal entitlement: N / num_tenants cores each, regardless of weight or
-  /// measured demand.
-  kFairShare,
-  /// Entitlement proportional to the tenant's configured weight:
-  /// N * w_i / sum(w).
-  kPriorityWeighted,
-  /// Entitlement proportional to measured demand (busy-core equivalents,
-  /// u_i * nalloc_i, from the last monitoring window). Assumes the tenants
-  /// run the kCpuLoad transition strategy.
-  kDemandProportional,
-  /// Tail-latency feedback: tenants with an SLO (slo_p99_s >= 0 and tail
-  /// telemetry) are entitled to headroom proportional to how far
-  /// their recent p99 sits above the target, and shed one core of slack
-  /// when comfortably below it; best-effort tenants split whatever remains.
-  /// An SLO tenant past the boost threshold (recent p99 above 3/4 of its
-  /// target) may preempt a best-effort tenant even if that tenant is
-  /// overloaded (the one policy that relaxes never-preempt-overloaded —
-  /// see docs/POLICIES.md). SLO-vs-SLO contention breaks ties by
-  /// proportional violation magnitude: a tenant in actual violation
-  /// (ratio > 1) may take one core from an SLO tenant suffering
-  /// proportionally less, so two violating tenants no longer starve each
-  /// other forever.
-  kSloAware,
-  /// Contention feedback: tenants whose telemetry reports the contention
-  /// signal pair (windowed abort fraction + recent goodput, e.g. from
-  /// TxnEngine::RecentAbortFraction / RecentCommitRate) are driven by a
-  /// per-tenant hill-climbing controller that *shrinks* the entitlement
-  /// when the abort fraction is high and the last added core bought no
-  /// goodput, holds at the goodput-maximizing core count with hysteresis
-  /// (settle rounds between moves, a direction that cost goodput is
-  /// reverted and blocked for a while), and releases the freed cores to
-  /// the other tenants — the one policy where taking cores away from a
-  /// busy tenant is the optimizing move, not a penalty: under skewed
-  /// contention the tenant's "load" is abort churn, and added parallelism
-  /// widens the set of overlapping transactions instead of committing
-  /// more of them. Tenants without probes are best-effort here and split
-  /// whatever the controlled tenants leave.
-  kContentionAware,
-};
-
-const char* ArbitrationPolicyName(ArbitrationPolicy policy);
-ArbitrationPolicy ArbitrationPolicyFromName(const std::string& name);
 
 /// One tenant registered with the arbiter.
 struct ArbiterTenantConfig {
@@ -81,9 +35,9 @@ struct ArbiterTenantConfig {
   double slo_p99_s = -1.0;
 
   /// Unified pull-based telemetry: evaluated at most once per round (only
-  /// under kSloAware / kContentionAware), returning every feedback signal
-  /// the tenant can report in one TelemetrySnapshot. How the fields steer
-  /// arbitration:
+  /// when the policy or the island-affinity term reads it), returning every
+  /// feedback signal the tenant can report in one TelemetrySnapshot. How
+  /// the fields steer arbitration:
   ///   - p99_s (kTail): required for SLO tenants under kSloAware; the
   ///     recent-p99 / target ratio drives entitlement boost/shed/hold.
   ///   - shed_rate (kShed): reshapes the kSloAware latency signal — below
@@ -99,6 +53,10 @@ struct ArbiterTenantConfig {
   /// and classifies best-effort tenants from this mask without invoking the
   /// source; a round's valid_mask is intersected with it.
   uint32_t telemetry_caps = 0;
+
+  /// Cores no arbitration action takes the tenant below: initial_cores,
+  /// and never less than one.
+  int floor_cores() const { return std::max(1, mechanism.initial_cores); }
 };
 
 struct ArbiterConfig {
@@ -128,39 +86,16 @@ struct ArbiterConfig {
 
   // -- Cpuset install failure handling. A failed SetCpusetMask freezes the
   // tenant's mask (the OS still runs the old one) and retries with
-  // exponential backoff plus seeded jitter; after quarantine_after_failures
-  // consecutive failures the cpuset is quarantined — the arbiter stops
-  // touching it except for one probe write every quarantine_probe_rounds,
-  // and keeps arbitrating the remaining tenants. --
-  int install_retry_base_rounds = 1;
-  int install_max_backoff_rounds = 8;
+  // exponential backoff (doubling from one round, capped at eight) plus
+  // seeded jitter; after quarantine_after_failures consecutive failures the
+  // cpuset is quarantined — the arbiter stops touching it except for one
+  // probe write every quarantine_probe_rounds, and keeps arbitrating the
+  // remaining tenants. --
   int quarantine_after_failures = 4;
   int quarantine_probe_rounds = 16;
   /// Seed of the backoff-jitter stream. Drawn only on failures, so a
   /// fault-free run never consumes it (determinism of the healthy path).
   uint64_t fault_seed = 0x5EEDULL;
-
-  // -- kContentionAware hill-climbing controller (see docs/POLICIES.md).
-  // The controller evaluates once every contention_settle_rounds + 1
-  // rounds, so every evaluation sees a probe window measured mostly at the
-  // current allocation. --
-
-  /// Abort fraction at or above which a shrink probe is allowed: the
-  /// marginal core is presumed to be burning in conflict churn.
-  double contention_high_abort = 0.5;
-  /// Abort fraction at or below which the mechanism's grow demand passes
-  /// through: conflicts are rare, parallelism still buys commits.
-  double contention_low_abort = 0.2;
-  /// Rounds the controller holds after each target move before judging it
-  /// (the hysteresis that keeps a noisy goodput reading from thrashing the
-  /// allocation).
-  int contention_settle_rounds = 2;
-  /// Evaluations a direction stays blocked after a move in it was reverted
-  /// for costing goodput.
-  int contention_backoff_evals = 8;
-  /// Relative goodput drop below which a move is judged harmless (noise
-  /// band of the accept/revert decision).
-  double contention_goodput_tolerance = 0.05;
 
   // -- Island-affinity term (NUMA memory as an arbitrated resource). --
 
@@ -233,14 +168,17 @@ struct ArbiterRound {
 ///      nalloc-1, nalloc or nalloc+1 cores;
 ///   2. shrinks release cores into the free pool (the shrinking tenant's
 ///      allocation mode picks which core);
-///   3. grows are granted from the pool in order of entitlement deficit,
+///   3. the EntitlementPolicy plans one Claim per tenant (entitlement,
+///      ceiling, urgency); stale tenants decay towards their entitlement
+///      and tenants above their ceiling walk down one core;
+///   4. grows are granted from the pool in order of entitlement deficit,
 ///      NUMA-aware: a NodePriorityQueue keyed by the tenant's per-node core
 ///      counts (ties towards free capacity) keeps each tenant's cpuset
 ///      clustered on as few sockets as possible;
-///   4. unmet grows may preempt one core from the tenant furthest above its
+///   5. unmet grows may preempt one core from the tenant furthest above its
 ///      entitlement, provided that tenant is not itself overloaded and
 ///      stays at or above its initial_cores floor;
-///   5. the resulting masks are installed as platform cpusets (simulated
+///   6. the resulting masks are installed as platform cpusets (simulated
 ///      scheduler groups or real cgroups) and committed back into each
 ///      tenant's net.
 ///
@@ -335,8 +273,6 @@ class CoreArbiter {
     bool active = true;
     /// Consecutive rounds of implausible telemetry; 0 = fresh signal.
     int stale_rounds = 0;
-    /// Tick of the last plausible window.
-    simcore::Tick last_good_tick = 0;
     /// Consecutive failed SetCpusetMask attempts; > 0 freezes the mask.
     int install_failures = 0;
     /// First round index a backed-off retry may run.
@@ -344,23 +280,6 @@ class CoreArbiter {
     bool quarantined = false;
     /// Round index of the next quarantine probe write.
     int64_t probe_round = 0;
-
-    // -- kContentionAware hill-climb controller state (see
-    // UpdateContentionControllers). --
-
-    /// Core count the controller wants the tenant at; 0 = uninitialised
-    /// (seeded from the current holding on the first round with probes).
-    int hc_target = 0;
-    /// Goodput and holding at the last evaluation; the delta between
-    /// readings is the measured marginal goodput of the last move.
-    double hc_last_goodput = -1.0;
-    int hc_last_cores = 0;
-    /// Rounds left before the next evaluation (settle hysteresis).
-    int hc_settle = 0;
-    /// Evaluations left during which shrink / grow probes stay blocked
-    /// (the direction was tried and cost goodput).
-    int hc_shrink_block = 0;
-    int hc_grow_block = 0;
 
     /// Share of the tenant's resident pages per NUMA node (sums to 1 when
     /// any page is resident), cached from the last kMemory snapshot. Empty
@@ -380,21 +299,12 @@ class CoreArbiter {
   /// (backoff scheduling, quarantine entry/exit).
   void TryInstall(int index, Tenant& tenant, TenantRound& tr);
 
-  /// Entitlements of every tenant under the configured policy; `decisions`
-  /// supplies the demand signal for kDemandProportional, `slo_ratios` the
-  /// per-tenant p99/target ratios for kSloAware (< 0 = best-effort or no
-  /// signal yet; all -1 outside kSloAware).
-  std::vector<double> Entitlements(
-      const std::vector<ElasticMechanism::Decision>& decisions,
-      const std::vector<double>& slo_ratios) const;
-
   /// Evaluates every active tenant's TelemetrySource once for this round
-  /// (only under the feedback policies — kSloAware / kContentionAware — or
-  /// when the island-affinity term needs the kMemory signal; the static
-  /// policies at affinity weight 0 never pull telemetry). Each snapshot's
-  /// valid_mask is intersected with the tenant's declared caps and
-  /// sanitised (NaN/inf readings drop their valid bit — the centralised
-  /// plausibility check).
+  /// (only when the policy reads telemetry or the island-affinity term
+  /// needs the kMemory signal; the static policies at affinity weight 0
+  /// never pull telemetry). Each snapshot's valid_mask is intersected with
+  /// the tenant's declared caps and sanitised (NaN/inf readings drop their
+  /// valid bit — the centralised plausibility check).
   std::vector<TelemetrySnapshot> CollectTelemetry(simcore::Tick now) const;
 
   /// Caches each tenant's per-node resident-page share from this round's
@@ -405,41 +315,6 @@ class CoreArbiter {
   /// tenant's resident pages homed on the core's node, in [0, 1]. 0 when
   /// the term is off or the tenant has no memory signal.
   double MemAffinity(const Tenant& tenant, numasim::CoreId core) const;
-
-  /// Recent shed rate per tenant under kSloAware; 0 for tenants without a
-  /// shed signal, and everywhere outside kSloAware.
-  std::vector<double> ShedRates(
-      const std::vector<TelemetrySnapshot>& snapshots) const;
-
-  /// Recent-p99 / target ratio per tenant under kSloAware; < 0 for
-  /// best-effort tenants and SLO tenants without a signal. `shed_rates`
-  /// reshapes the ratio: a shedding tenant below its max_cores reads as
-  /// violating, a shedding tenant at max_cores as holding (see the
-  /// telemetry field comment on ArbiterTenantConfig).
-  std::vector<double> SloRatios(
-      const std::vector<TelemetrySnapshot>& snapshots,
-      const std::vector<double>& shed_rates) const;
-
-  /// Whether the tenant declares the kContentionAware signal pair.
-  static bool HasContentionCaps(const ArbiterTenantConfig& config) {
-    return (config.telemetry_caps & TelemetrySnapshot::kAbort) != 0 &&
-           (config.telemetry_caps & TelemetrySnapshot::kGoodput) != 0;
-  }
-
-  /// Windowed abort fraction per tenant under kContentionAware; < 0 for
-  /// tenants without the signal pair or without traffic, and everywhere
-  /// outside kContentionAware.
-  std::vector<double> ContentionFractions(
-      const std::vector<TelemetrySnapshot>& snapshots) const;
-
-  /// One round of every tenant's hill-climbing controller (kContentionAware
-  /// only): updates Tenant::hc_* so Entitlements() can read the targets.
-  /// See the policy comment on ArbitrationPolicy::kContentionAware for the
-  /// climb/hold/revert rules.
-  void UpdateContentionControllers(
-      const std::vector<ElasticMechanism::Decision>& decisions,
-      const std::vector<double>& abort_fractions,
-      const std::vector<TelemetrySnapshot>& snapshots);
 
   /// Trace event kind namespaced by instance_label ("shard3:kind"); the
   /// bare kind in flat mode.
@@ -453,6 +328,8 @@ class CoreArbiter {
 
   platform::Platform* platform_;
   ArbiterConfig config_;
+  /// Everything that depends on config_.policy.
+  std::unique_ptr<EntitlementPolicy> policy_;
   /// Cores this arbiter may hand out (the whole machine in flat mode).
   platform::CpuMask domain_;
   std::vector<Tenant> tenants_;

@@ -7,6 +7,10 @@
 
 namespace elastic::core {
 
+/// Machine-level rebalance cadence, in full sweeps (one sweep = every shard
+/// polled once).
+constexpr int64_t kRebalancePeriodSweeps = 4;
+
 ShardedArbiter::ShardedArbiter(platform::Platform* platform,
                                const ShardedArbiterConfig& config)
     : platform_(platform), config_(config) {
@@ -92,12 +96,7 @@ void ShardedArbiter::Poll(simcore::Tick now) {
   const int s = static_cast<int>(fires_ % num_shards());
   shards_[static_cast<size_t>(s)]->Poll(now);
   fires_++;
-  if (config_.rebalance_period_sweeps > 0 &&
-      fires_ % (static_cast<int64_t>(num_shards()) *
-                config_.rebalance_period_sweeps) ==
-          0) {
-    Rebalance();
-  }
+  if (fires_ % (num_shards() * kRebalancePeriodSweeps) == 0) Rebalance();
 }
 
 void ShardedArbiter::Rebalance() {

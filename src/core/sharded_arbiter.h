@@ -17,9 +17,6 @@ struct ShardedArbiterConfig {
   ArbiterConfig arbiter;
   /// Shard-level arbiters under the one machine-level coordinator.
   int num_shards = 4;
-  /// Machine-level rebalance cadence, in full sweeps (one sweep = every
-  /// shard polled once). <= 0 disables rebalancing.
-  int rebalance_period_sweeps = 4;
 };
 
 /// Two-level core arbitration: tenants are assigned round-robin into
@@ -56,9 +53,9 @@ class ShardedArbiter {
   void Install();
 
   /// One machine round: polls the next shard (round-robin) and, every
-  /// rebalance_period_sweeps full sweeps, rebalances free cores between
-  /// shard domains. Runs automatically every monitor_period_ticks once
-  /// installed; public for benches and unit tests.
+  /// four full sweeps, rebalances free cores between shard domains. Runs
+  /// automatically every monitor_period_ticks once installed; public for
+  /// benches and unit tests.
   void Poll(simcore::Tick now);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }

@@ -19,11 +19,11 @@ DbmsEngine::DbmsEngine(ossim::Machine* machine, const BaseCatalog* catalog,
 
   auto on_job_done = [this](ossim::ThreadId worker) { OnJobDone(worker); };
   for (int w = 0; w < pool; ++w) {
-    std::optional<ossim::CpuMask> pin;
+    std::optional<platform::CpuMask> pin;
     int node = -1;
     if (options_.model == ThreadModel::kNumaPinned) {
       node = w % topo.num_nodes();
-      pin = ossim::CpuMask::NodeCores(topo, node);
+      pin = platform::CpuMask::NodeCores(topo, node);
     }
     const ossim::ThreadId id =
         machine_->scheduler().SpawnWorker(pin, on_job_done, options_.cpuset);

@@ -48,35 +48,40 @@ const std::vector<int>& Topology::Route(NodeId from, NodeId to) const {
 
 void Topology::BuildLinks() {
   const int n = num_nodes();
-  adjacency_.assign(n, std::vector<bool>(n, false));
+  link_index_.assign(static_cast<size_t>(n) * n, -1);
+  // Mark adjacent pairs first; indices are assigned below in row-major
+  // order, so link i is the i-th adjacent (src, dst) pair.
+  const auto connect = [this, n](int a, int b) {
+    link_index_[static_cast<size_t>(a) * n + b] = 0;
+    link_index_[static_cast<size_t>(b) * n + a] = 0;
+  };
   if (n == 4) {
     // The paper's square: S0-S1, S0-S2, S1-S3, S2-S3 (Figure 2); the
     // diagonals are not directly connected.
     const int pairs[4][2] = {{0, 1}, {0, 2}, {1, 3}, {2, 3}};
-    for (const auto& p : pairs) {
-      adjacency_[p[0]][p[1]] = adjacency_[p[1]][p[0]] = true;
-    }
+    for (const auto& p : pairs) connect(p[0], p[1]);
   } else {
     // Generic machines: ring topology keeps the remote/local asymmetry.
     for (int i = 0; i < n; ++i) {
       const int next = (i + 1) % n;
-      if (next != i) adjacency_[i][next] = adjacency_[next][i] = true;
+      if (next != i) connect(i, next);
     }
   }
   links_.clear();
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
-      if (adjacency_[i][j]) links_.push_back(Link{i, j});
+      int& index = link_index_[static_cast<size_t>(i) * n + j];
+      if (index < 0) continue;
+      index = static_cast<int>(links_.size());
+      links_.push_back(Link{i, j});
     }
   }
 }
 
 int Topology::LinkIndex(NodeId src, NodeId dst) const {
-  for (int i = 0; i < static_cast<int>(links_.size()); ++i) {
-    if (links_[i].src == src && links_[i].dst == dst) return i;
-  }
-  ELASTIC_CHECK(false, "no direct link between nodes");
-  return -1;
+  const int index = link_index_[static_cast<size_t>(src) * num_nodes() + dst];
+  ELASTIC_CHECK(index >= 0, "no direct link between nodes");
+  return index;
 }
 
 void Topology::BuildRoutes() {
@@ -95,7 +100,8 @@ void Topology::BuildRoutes() {
       const int cur = queue.front();
       queue.pop();
       for (int next = 0; next < n; ++next) {
-        if (adjacency_[cur][next] && dist[next] < 0) {
+        if (link_index_[static_cast<size_t>(cur) * n + next] >= 0 &&
+            dist[next] < 0) {
           dist[next] = dist[cur] + 1;
           parent[next] = cur;
           queue.push(next);

@@ -100,8 +100,9 @@ class Topology {
 
   MachineConfig config_;
   std::vector<Link> links_;
-  // adjacency[i][j] true when i and j share a direct HT link.
-  std::vector<std::vector<bool>> adjacency_;
+  // link_index_[src * num_nodes + dst] = index into links_ of the directed
+  // link src -> dst, or -1 when the nodes share no direct HT link.
+  std::vector<int> link_index_;
   // routes_[from * num_nodes + to] = directed link indices traversed.
   std::vector<std::vector<int>> routes_;
   std::vector<std::vector<int>> hops_;

@@ -29,14 +29,14 @@ Scheduler::Scheduler(const numasim::Topology* topology,
       clock_(clock),
       trace_(trace),
       config_(config),
-      allowed_(CpuMask::AllOf(*topology)),
+      allowed_(platform::CpuMask::AllOf(*topology)),
       cycles_per_tick_(static_cast<int64_t>(topology->config().cycles_per_second *
                                             simcore::Clock::kSecondsPerTick)) {
   run_queue_.resize(static_cast<size_t>(topology_->total_cores()));
   running_.assign(static_cast<size_t>(topology_->total_cores()), kInvalidThread);
 }
 
-ThreadId Scheduler::SpawnWorker(std::optional<CpuMask> pin,
+ThreadId Scheduler::SpawnWorker(std::optional<platform::CpuMask> pin,
                                 std::function<void(ThreadId)> on_job_done,
                                 CpusetId cpuset) {
   ELASTIC_CHECK(cpuset == kGlobalCpuset || (cpuset >= 0 && cpuset < num_cpusets()),
@@ -51,7 +51,7 @@ ThreadId Scheduler::SpawnWorker(std::optional<CpuMask> pin,
   return threads_.back().id;
 }
 
-ThreadId Scheduler::SpawnOneShot(Job job, std::optional<CpuMask> pin,
+ThreadId Scheduler::SpawnOneShot(Job job, std::optional<platform::CpuMask> pin,
                                  std::function<void(ThreadId)> on_exit,
                                  CpusetId cpuset) {
   ELASTIC_CHECK(cpuset == kGlobalCpuset || (cpuset >= 0 && cpuset < num_cpusets()),
@@ -68,23 +68,23 @@ ThreadId Scheduler::SpawnOneShot(Job job, std::optional<CpuMask> pin,
   return threads_.back().id;
 }
 
-CpusetId Scheduler::CreateCpuset(CpuMask mask) {
+CpusetId Scheduler::CreateCpuset(platform::CpuMask mask) {
   ELASTIC_CHECK(!mask.Empty(), "cpuset must hold at least one core");
-  ELASTIC_CHECK(mask.IsSubsetOf(CpuMask::AllOf(*topology_)),
+  ELASTIC_CHECK(mask.IsSubsetOf(platform::CpuMask::AllOf(*topology_)),
                 "cpuset exceeds machine cores");
   cpusets_.push_back(mask);
   return static_cast<CpusetId>(cpusets_.size()) - 1;
 }
 
-CpuMask Scheduler::cpuset_mask(CpusetId cpuset) const {
+platform::CpuMask Scheduler::cpuset_mask(CpusetId cpuset) const {
   ELASTIC_CHECK(cpuset >= 0 && cpuset < num_cpusets(), "unknown cpuset");
   return cpusets_[static_cast<size_t>(cpuset)];
 }
 
-void Scheduler::SetCpusetMask(CpusetId cpuset, CpuMask mask) {
+void Scheduler::SetCpusetMask(CpusetId cpuset, platform::CpuMask mask) {
   ELASTIC_CHECK(cpuset >= 0 && cpuset < num_cpusets(), "unknown cpuset");
   ELASTIC_CHECK(!mask.Empty(), "cpuset must keep at least one core");
-  ELASTIC_CHECK(mask.IsSubsetOf(CpuMask::AllOf(*topology_)),
+  ELASTIC_CHECK(mask.IsSubsetOf(platform::CpuMask::AllOf(*topology_)),
                 "cpuset exceeds machine cores");
   if (mask == cpusets_[static_cast<size_t>(cpuset)]) return;
   cpusets_[static_cast<size_t>(cpuset)] = mask;
@@ -107,9 +107,9 @@ void Scheduler::AssignJob(ThreadId id, Job job) {
   }
 }
 
-void Scheduler::SetAllowedMask(CpuMask mask) {
+void Scheduler::SetAllowedMask(platform::CpuMask mask) {
   ELASTIC_CHECK(!mask.Empty(), "cpuset must keep at least one core");
-  ELASTIC_CHECK(mask.IsSubsetOf(CpuMask::AllOf(*topology_)),
+  ELASTIC_CHECK(mask.IsSubsetOf(platform::CpuMask::AllOf(*topology_)),
                 "cpuset exceeds machine cores");
   if (mask == allowed_) return;
   allowed_ = mask;
@@ -154,15 +154,15 @@ void Scheduler::ReconfineThreads() {
   }
 }
 
-CpuMask Scheduler::EffectiveMask(const Thread& thread) const {
-  CpuMask world = allowed_;
+platform::CpuMask Scheduler::EffectiveMask(const Thread& thread) const {
+  platform::CpuMask world = allowed_;
   if (thread.cpuset != kGlobalCpuset) {
-    const CpuMask scoped =
+    const platform::CpuMask scoped =
         cpusets_[static_cast<size_t>(thread.cpuset)].Intersect(allowed_);
     if (!scoped.Empty()) world = scoped;
   }
   if (thread.pin.has_value()) {
-    const CpuMask effective = thread.pin->Intersect(world);
+    const platform::CpuMask effective = thread.pin->Intersect(world);
     if (!effective.Empty()) return effective;
   }
   return world;
@@ -174,7 +174,7 @@ int Scheduler::CoreLoad(numasim::CoreId core) const {
 }
 
 numasim::CoreId Scheduler::PickCoreForPlacement(const Thread& thread) {
-  const CpuMask mask = EffectiveMask(thread);
+  const platform::CpuMask mask = EffectiveMask(thread);
   const std::vector<numasim::CoreId> cores = mask.ToCores();
   ELASTIC_CHECK(!cores.empty(), "no core available for placement");
 

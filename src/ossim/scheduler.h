@@ -8,7 +8,7 @@
 
 #include "numasim/memory_system.h"
 #include "numasim/topology.h"
-#include "ossim/cpu_mask.h"
+#include "platform/cpu_mask.h"
 #include "ossim/thread.h"
 #include "perf/counters.h"
 #include "simcore/clock.h"
@@ -52,26 +52,26 @@ class Scheduler {
   /// time the worker finishes a job; the engine uses it to hand the worker
   /// its next job or leave it parked. `cpuset` confines the worker to a
   /// cpuset group for its whole lifetime.
-  ThreadId SpawnWorker(std::optional<CpuMask> pin,
+  ThreadId SpawnWorker(std::optional<platform::CpuMask> pin,
                        std::function<void(ThreadId)> on_job_done,
                        CpusetId cpuset = kGlobalCpuset);
 
   /// Creates a one-shot thread that executes `job` and exits (the hand-coded
   /// C microbenchmark model: one pthread per work unit).
-  ThreadId SpawnOneShot(Job job, std::optional<CpuMask> pin,
+  ThreadId SpawnOneShot(Job job, std::optional<platform::CpuMask> pin,
                         std::function<void(ThreadId)> on_exit,
                         CpusetId cpuset = kGlobalCpuset);
 
   /// Creates a cpuset group (simulated cgroup cpuset). Threads attached to
   /// the group run only on `mask ∩ allowed_mask()`; work stealing and load
   /// balancing never cross group boundaries.
-  CpusetId CreateCpuset(CpuMask mask);
+  CpusetId CreateCpuset(platform::CpuMask mask);
 
   /// Rewrites a group's mask. Threads of the group sitting on cores that
   /// left the mask are migrated immediately, exactly like SetAllowedMask.
-  void SetCpusetMask(CpusetId cpuset, CpuMask mask);
+  void SetCpusetMask(CpusetId cpuset, platform::CpuMask mask);
 
-  CpuMask cpuset_mask(CpusetId cpuset) const;
+  platform::CpuMask cpuset_mask(CpusetId cpuset) const;
   int num_cpusets() const { return static_cast<int>(cpusets_.size()); }
 
   /// Queues a job on a worker. Wakes the worker if it was idle.
@@ -79,8 +79,8 @@ class Scheduler {
 
   /// Installs the cores the OS may use (cgroup cpuset). Threads sitting on
   /// now-forbidden cores are migrated immediately.
-  void SetAllowedMask(CpuMask mask);
-  CpuMask allowed_mask() const { return allowed_; }
+  void SetAllowedMask(platform::CpuMask mask);
+  platform::CpuMask allowed_mask() const { return allowed_; }
 
   /// Runs one scheduler quantum on every allowed core.
   void Tick();
@@ -108,7 +108,7 @@ class Scheduler {
 
   /// Effective mask of a thread: world = cpuset ∩ allowed (falling back to
   /// allowed when empty), then pin ∩ world (falling back to world).
-  CpuMask EffectiveMask(const Thread& thread) const;
+  platform::CpuMask EffectiveMask(const Thread& thread) const;
 
   /// Re-places a thread that lost its core (mask shrank under it).
   void MigrateThread(ThreadId id);
@@ -131,8 +131,8 @@ class Scheduler {
   simcore::Trace* trace_;
   SchedulerConfig config_;
 
-  CpuMask allowed_;
-  std::vector<CpuMask> cpusets_;
+  platform::CpuMask allowed_;
+  std::vector<platform::CpuMask> cpusets_;
   int64_t cycles_per_tick_;
   std::deque<Thread> threads_;
   std::vector<std::deque<ThreadId>> run_queue_;  // per core, ready threads

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "numasim/page_table.h"
-#include "ossim/cpu_mask.h"
+#include "platform/cpu_mask.h"
 #include "perf/counters.h"
 
 namespace elastic::ossim {
@@ -77,7 +77,7 @@ struct Thread {
   /// Optional hard pin (SQL Server soft-NUMA): scheduler intersects it with
   /// the thread's world (cpuset ∩ global allowed mask); if the intersection
   /// is empty the world wins (the OS cannot run a thread nowhere).
-  std::optional<CpuMask> pin;
+  std::optional<platform::CpuMask> pin;
   /// Cpuset group the thread belongs to (multi-tenant isolation); the
   /// scheduler confines the thread to the group's mask and never steals it
   /// onto a core outside that mask.

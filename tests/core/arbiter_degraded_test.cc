@@ -33,7 +33,7 @@ ArbiterTenantConfig Tenant(const std::string& name, int initial_cores) {
 
 /// Makes the cores of `mask` look `percent` busy over `ticks` ticks by
 /// writing counters directly; the caller advances the clock once per batch.
-void FakeLoad(ossim::Machine* machine, const ossim::CpuMask& mask,
+void FakeLoad(ossim::Machine* machine, const platform::CpuMask& mask,
               double percent, int ticks) {
   const int64_t cycles_per_tick = machine->scheduler().cycles_per_tick();
   for (numasim::CoreId core : mask.ToCores()) {

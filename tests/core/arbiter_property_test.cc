@@ -12,14 +12,17 @@
 //   4. a quarantined tenant's mask is frozen for as long as it stays
 //      quarantined;
 //   5. the whole trajectory is a pure function of the seed (replaying the
-//      sequence reproduces every per-round allocation bit for bit).
+//      sequence reproduces every per-round allocation bit for bit);
+//   6. the trajectory matches a recorded digest per policy, so a change
+//      to any arbitration decision fails here even when it keeps 1-5.
 //
 // The random walk is intentionally adversarial: probe values include
 // no-signal readings and saturated abort fractions, cpuset writes fail in
 // seeded windows (driving tenants through backoff into quarantine and out
 // again), and samplers drop out or return garbage (driving the stale-decay
 // path). ARBITER_PROPERTY_ROUNDS overrides the per-policy round count (the
-// TSan CI step runs a reduced count).
+// TSan CI step runs a reduced count); the digest check (6) runs only at the
+// default count.
 
 #include "core/arbiter.h"
 
@@ -27,6 +30,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -43,11 +47,44 @@ namespace {
 constexpr int kNumTenants = 4;
 constexpr int kMonitorTicks = 20;
 
+constexpr int kDefaultRounds = 250;
+
 int RoundsPerPolicy() {
   const char* env = std::getenv("ARBITER_PROPERTY_ROUNDS");
-  if (env == nullptr) return 250;
+  if (env == nullptr) return kDefaultRounds;
   return std::max(10, std::atoi(env));
 }
+
+/// 64-bit FNV-1a over whole words, fed byte by byte (little-endian).
+class Fnv1a {
+ public:
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xFFu;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+/// Digest of the seed-0xC0FFEE trajectory at kDefaultRounds, per policy.
+/// Any change to an arbitration decision under this fault schedule changes
+/// its policy's digest; re-record one only for a deliberate change of
+/// behaviour.
+struct GoldenDigest {
+  ArbitrationPolicy policy;
+  uint64_t digest;
+};
+constexpr GoldenDigest kGoldenDigests[] = {
+    {ArbitrationPolicy::kFairShare, 0x3D606FA34B02BC00ULL},
+    {ArbitrationPolicy::kPriorityWeighted, 0x0F1F4472A2CA635FULL},
+    {ArbitrationPolicy::kDemandProportional, 0xB681BD88F78B69BFULL},
+    {ArbitrationPolicy::kSloAware, 0x276CD33539E8E53FULL},
+    {ArbitrationPolicy::kContentionAware, 0x8F7D9E25DBA49268ULL},
+};
 
 /// Probe readings the tenant lambdas report; rewritten every round by the
 /// random walk. Heap-allocated by the harness so the lambdas captured at
@@ -78,7 +115,7 @@ const std::array<TenantShape, kNumTenants>& Shapes() {
   return kShapes;
 }
 
-void FakeLoad(ossim::Machine* machine, const ossim::CpuMask& mask,
+void FakeLoad(ossim::Machine* machine, const platform::CpuMask& mask,
               double percent, int ticks) {
   const int64_t cycles_per_tick = machine->scheduler().cycles_per_tick();
   for (numasim::CoreId core : mask.ToCores()) {
@@ -118,10 +155,16 @@ struct RoundSnapshot {
   std::array<uint64_t, kNumTenants> mask_bits;
 };
 
+struct Trajectory {
+  std::vector<RoundSnapshot> rounds;
+  /// FNV-1a over every round's masks, the final stats() and the handoff,
+  /// preemption and starved-round counters.
+  uint64_t digest = 0;
+};
+
 /// Runs `rounds` random rounds of one policy and returns the per-round
 /// allocation trajectory; checks every invariant after every round.
-std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
-                                       uint64_t seed, int rounds) {
+Trajectory RunSequence(ArbitrationPolicy policy, uint64_t seed, int rounds) {
   ossim::MachineOptions machine_options;
   machine_options.config.num_nodes = 4;
   machine_options.config.cores_per_node = 4;
@@ -178,8 +221,9 @@ std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
   arbiter.Install();
 
   simcore::Rng rng(seed);
-  std::vector<RoundSnapshot> history;
-  history.reserve(static_cast<size_t>(rounds));
+  Trajectory trajectory;
+  trajectory.rounds.reserve(static_cast<size_t>(rounds));
+  Fnv1a digest;
   for (int round = 0; round < rounds; ++round) {
     std::array<int, kNumTenants> before{};
     std::array<uint64_t, kNumTenants> before_bits{};
@@ -215,7 +259,7 @@ std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
     const ArbiterRound& last = arbiter.log().back();
     uint64_t seen = 0;
     for (int t = 0; t < kNumTenants; ++t) {
-      const ossim::CpuMask& mask = arbiter.tenant_mask(t);
+      const platform::CpuMask& mask = arbiter.tenant_mask(t);
       const TenantShape& shape = Shapes()[static_cast<size_t>(t)];
       const int after = mask.Count();
       const int floor = std::max(1, shape.initial_cores);
@@ -260,11 +304,22 @@ std::vector<RoundSnapshot> RunSequence(ArbitrationPolicy policy,
     for (int t = 0; t < kNumTenants; ++t) {
       snapshot.mask_bits[static_cast<size_t>(t)] =
           arbiter.tenant_mask(t).bits();
+      digest.Add(snapshot.mask_bits[static_cast<size_t>(t)]);
     }
-    history.push_back(snapshot);
+    trajectory.rounds.push_back(snapshot);
     if (::testing::Test::HasFatalFailure()) break;
   }
-  return history;
+  const ArbiterStats& stats = arbiter.stats();
+  for (const int64_t counter :
+       {stats.stale_rounds, stats.held_rounds, stats.decayed_cores,
+        stats.failed_installs, stats.quarantine_entries,
+        stats.quarantined_rounds, stats.detached_tenants,
+        arbiter.core_handoffs(), arbiter.preemptions(),
+        arbiter.starved_rounds()}) {
+    digest.Add(static_cast<uint64_t>(counter));
+  }
+  trajectory.digest = digest.value();
+  return trajectory;
 }
 
 class ArbiterPropertyTest
@@ -280,15 +335,29 @@ TEST_P(ArbiterPropertyTest, InvariantsHoldUnderRandomWalk) {
 
 TEST_P(ArbiterPropertyTest, TrajectoryIsDeterministicPerSeed) {
   const int rounds = RoundsPerPolicy();
-  const std::vector<RoundSnapshot> first =
-      RunSequence(GetParam(), /*seed=*/0xC0FFEE, rounds);
-  const std::vector<RoundSnapshot> second =
-      RunSequence(GetParam(), /*seed=*/0xC0FFEE, rounds);
-  ASSERT_EQ(first.size(), second.size());
-  for (size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].mask_bits, second[i].mask_bits)
+  const Trajectory first = RunSequence(GetParam(), /*seed=*/0xC0FFEE, rounds);
+  const Trajectory second = RunSequence(GetParam(), /*seed=*/0xC0FFEE, rounds);
+  ASSERT_EQ(first.rounds.size(), second.rounds.size());
+  for (size_t i = 0; i < first.rounds.size(); ++i) {
+    EXPECT_EQ(first.rounds[i].mask_bits, second.rounds[i].mask_bits)
         << "round " << i << " diverged between identical seeded runs";
   }
+  EXPECT_EQ(first.digest, second.digest);
+}
+
+TEST_P(ArbiterPropertyTest, TrajectoryMatchesRecordedDigest) {
+  if (RoundsPerPolicy() != kDefaultRounds) {
+    GTEST_SKIP() << "digests are recorded at " << kDefaultRounds << " rounds";
+  }
+  const Trajectory trajectory =
+      RunSequence(GetParam(), /*seed=*/0xC0FFEE, kDefaultRounds);
+  const GoldenDigest* golden = nullptr;
+  for (const GoldenDigest& entry : kGoldenDigests) {
+    if (entry.policy == GetParam()) golden = &entry;
+  }
+  ASSERT_NE(golden, nullptr);
+  EXPECT_EQ(trajectory.digest, golden->digest)
+      << std::hex << "0x" << trajectory.digest << " != 0x" << golden->digest;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -28,7 +28,7 @@ ArbiterTenantConfig Tenant(const std::string& name, int initial_cores,
 
 /// Makes the cores of `mask` look `percent` busy over `ticks` ticks by
 /// writing counters directly; the caller advances the clock once per batch.
-void FakeLoad(ossim::Machine* machine, const ossim::CpuMask& mask,
+void FakeLoad(ossim::Machine* machine, const platform::CpuMask& mask,
               double percent, int ticks) {
   const int64_t cycles_per_tick = machine->scheduler().cycles_per_tick();
   for (numasim::CoreId core : mask.ToCores()) {
@@ -40,7 +40,7 @@ void FakeLoad(ossim::Machine* machine, const ossim::CpuMask& mask,
 void ExpectDisjointCover(const CoreArbiter& arbiter, int total_cores) {
   uint64_t seen = 0;
   for (int t = 0; t < arbiter.num_tenants(); ++t) {
-    const ossim::CpuMask& mask = arbiter.tenant_mask(t);
+    const platform::CpuMask& mask = arbiter.tenant_mask(t);
     EXPECT_GE(mask.Count(), 1) << "tenant " << t << " lost its last core";
     EXPECT_EQ(seen & mask.bits(), 0u) << "tenant masks overlap";
     seen |= mask.bits();
@@ -58,9 +58,9 @@ TEST(ArbiterTest, InstallAssignsDisjointSpreadMasks) {
   arbiter.Install();
   // Tenant a clusters on node 0; the fresh tenant b prefers the emptier
   // node 1.
-  EXPECT_EQ(arbiter.tenant_mask(0), ossim::CpuMask::Of({0, 1}));
-  EXPECT_EQ(arbiter.tenant_mask(1), ossim::CpuMask::Of({2}));
-  EXPECT_EQ(arbiter.FreePool(), ossim::CpuMask::Of({3}));
+  EXPECT_EQ(arbiter.tenant_mask(0), platform::CpuMask::Of({0, 1}));
+  EXPECT_EQ(arbiter.tenant_mask(1), platform::CpuMask::Of({2}));
+  EXPECT_EQ(arbiter.FreePool(), platform::CpuMask::Of({3}));
   ExpectDisjointCover(arbiter, 4);
   // Scheduler cpusets mirror the masks.
   EXPECT_EQ(machine->scheduler().cpuset_mask(arbiter.tenant_cpuset(0)),
@@ -768,13 +768,17 @@ ArbiterTenantConfig ProbeTenant(const std::string& name, int initial_cores,
   return config;
 }
 
-/// settle_rounds = 0 so the climber evaluates every round — the pacing knob
-/// is exercised by the bench and the property harness; here each Poll is
-/// one controller step and the arithmetic stays legible.
+/// The climber's pacing (core/entitlement_policy.cc): after every move it
+/// settles for kSettleRounds rounds, so it evaluates once every
+/// kEvalPeriod rounds, and a direction that cost goodput stays blocked for
+/// kBackoffEvals evaluations.
+constexpr int kSettleRounds = 2;
+constexpr int kEvalPeriod = kSettleRounds + 1;
+constexpr int kBackoffEvals = 8;
+
 ArbiterConfig ContentionConfig() {
   ArbiterConfig config;
   config.policy = ArbitrationPolicy::kContentionAware;
-  config.contention_settle_rounds = 0;
   return config;
 }
 
@@ -782,18 +786,19 @@ TEST(ArbiterTest, ContentionAwareGrowsWhileAbortFractionLow) {
   auto machine = SmallMachine();
   platform::SimPlatform platform(machine.get());
   CoreArbiter arbiter(&platform, ContentionConfig());
-  double fraction = 0.05;  // below contention_low_abort
+  double fraction = 0.05;  // below the climber's low-abort threshold
   double goodput = 100.0;
   arbiter.AddTenant(ProbeTenant("hot", 1, &fraction, &goodput));
   arbiter.Install();
 
   // Overloaded and conflict-free: the climber raises its target one core
-  // per evaluation and the grower follows out of the free pool.
-  for (int expected = 2; expected <= 4; ++expected) {
+  // per evaluation and the grower follows out of the free pool; between
+  // evaluations the target is the tenant's ceiling, so it holds there.
+  for (int round = 0; round < 2 * kEvalPeriod + 1; ++round) {
     FakeLoad(machine.get(), arbiter.tenant_mask(0), 99.0, 20);
     machine->clock().Advance(20);
     arbiter.Poll(machine->clock().now());
-    EXPECT_EQ(arbiter.nalloc(0), expected);
+    EXPECT_EQ(arbiter.nalloc(0), 2 + round / kEvalPeriod) << "round " << round;
   }
   ExpectDisjointCover(arbiter, 4);
 }
@@ -808,28 +813,32 @@ TEST(ArbiterTest, ContentionAwareShrinksOnHighAbortAndNeighborAbsorbs) {
   arbiter.AddTenant(Tenant("cool", 1));  // probe-less, utilization-driven
   arbiter.Install();
 
-  // Grow the hot tenant to 3 cores while the probe-less tenant idles.
-  for (int round = 0; round < 2; ++round) {
+  auto poll = [&](double cool_load) {
     FakeLoad(machine.get(), arbiter.tenant_mask(0), 99.0, 20);
-    FakeLoad(machine.get(), arbiter.tenant_mask(1), 2.0, 20);
+    FakeLoad(machine.get(), arbiter.tenant_mask(1), cool_load, 20);
     machine->clock().Advance(20);
     arbiter.Poll(machine->clock().now());
-  }
+  };
+
+  // Grow the hot tenant to 3 cores (two evaluations) while the probe-less
+  // tenant idles.
+  for (int round = 0; round < kEvalPeriod + 1; ++round) poll(2.0);
   ASSERT_EQ(arbiter.nalloc(0), 3);
   ASSERT_EQ(arbiter.nalloc(1), 1);
 
-  // Contention sets in: the abort fraction crosses contention_high_abort
+  // Contention sets in: the abort fraction crosses the high-abort threshold
   // while the tenant still reads 99% busy — a utilization policy would call
-  // this "wants more cores". The climber shrinks one core per round down to
-  // the floor (initial_cores = 1), and each released core lands on the now
-  // overloaded probe-less neighbour the same round.
+  // this "wants more cores". From its next evaluation on, the climber
+  // shrinks one core per evaluation down to the floor (initial_cores = 1),
+  // and each released core lands on the now overloaded probe-less
+  // neighbour the same round.
   fraction = 0.9;
-  for (int round = 0; round < 2; ++round) {
-    FakeLoad(machine.get(), arbiter.tenant_mask(0), 99.0, 20);
-    FakeLoad(machine.get(), arbiter.tenant_mask(1), 99.0, 20);
-    machine->clock().Advance(20);
-    arbiter.Poll(machine->clock().now());
-  }
+  for (int round = 0; round < kSettleRounds; ++round) poll(99.0);
+  EXPECT_EQ(arbiter.nalloc(0), 3) << "moved before the settle rounds ran out";
+  poll(99.0);
+  EXPECT_EQ(arbiter.nalloc(0), 2);
+  EXPECT_EQ(arbiter.nalloc(1), 2);
+  for (int round = 0; round < kEvalPeriod; ++round) poll(99.0);
   EXPECT_EQ(arbiter.nalloc(0), 1);
   EXPECT_EQ(arbiter.nalloc(1), 3);
   ExpectDisjointCover(arbiter, 4);
@@ -837,10 +846,8 @@ TEST(ArbiterTest, ContentionAwareShrinksOnHighAbortAndNeighborAbsorbs) {
 
 TEST(ArbiterTest, ContentionAwareRevertsOnGoodputRegressionAndBlocksGrowth) {
   auto machine = SmallMachine();
-  ArbiterConfig config = ContentionConfig();
-  config.contention_backoff_evals = 2;
   platform::SimPlatform platform(machine.get());
-  CoreArbiter arbiter(&platform, config);
+  CoreArbiter arbiter(&platform, ContentionConfig());
   double fraction = 0.05;
   double goodput = 100.0;
   arbiter.AddTenant(ProbeTenant("hot", 1, &fraction, &goodput));
@@ -855,17 +862,22 @@ TEST(ArbiterTest, ContentionAwareRevertsOnGoodputRegressionAndBlocksGrowth) {
   poll();  // low abort + overload: grow 1 -> 2
   ASSERT_EQ(arbiter.nalloc(0), 2);
 
-  // The added core made things worse (goodput fell past the tolerance):
-  // revert to the previous operating point and block further growth.
+  // The added core made things worse (goodput fell past the tolerance).
+  // The next evaluation sees it: revert to the previous operating point
+  // and block further growth.
   goodput = 40.0;
+  for (int round = 0; round < kSettleRounds; ++round) poll();
+  EXPECT_EQ(arbiter.nalloc(0), 2);
   poll();
   EXPECT_EQ(arbiter.nalloc(0), 1);
 
   // Still overloaded with a low abort fraction — but growth stays blocked
   // while the backoff runs down, so the tenant holds at 1 core instead of
   // re-probing the move that just regressed.
-  poll();
-  EXPECT_EQ(arbiter.nalloc(0), 1);
+  for (int round = 0; round < kBackoffEvals * kEvalPeriod - 1; ++round) {
+    poll();
+    EXPECT_EQ(arbiter.nalloc(0), 1) << "round " << round;
+  }
 
   // Backoff expired: the climber may probe upward again.
   poll();
@@ -912,8 +924,8 @@ std::unique_ptr<ossim::Machine> TwoSocketMachine() {
 
 /// One overload round for a single-tenant arbiter on a two-socket machine;
 /// returns the tenant's mask after the grant.
-ossim::CpuMask GrowOnce(double affinity_weight,
-                        const ArbiterTenantConfig& tenant) {
+platform::CpuMask GrowOnce(double affinity_weight,
+                           const ArbiterTenantConfig& tenant) {
   auto machine = TwoSocketMachine();
   platform::SimPlatform platform(machine.get());
   ArbiterConfig config;
@@ -921,7 +933,7 @@ ossim::CpuMask GrowOnce(double affinity_weight,
   CoreArbiter arbiter(&platform, config);
   arbiter.AddTenant(tenant);
   arbiter.Install();
-  EXPECT_EQ(arbiter.tenant_mask(0), ossim::CpuMask::Of({0}));
+  EXPECT_EQ(arbiter.tenant_mask(0), platform::CpuMask::Of({0}));
   FakeLoad(machine.get(), arbiter.tenant_mask(0), 99.0, 20);
   machine->clock().Advance(20);
   arbiter.Poll(machine->clock().now());
@@ -931,19 +943,19 @@ ossim::CpuMask GrowOnce(double affinity_weight,
 TEST(ArbiterTest, AffinityWeightZeroReproducesObliviousHandout) {
   // At weight 0 the kMemory signal must be inert: the grower clusters next
   // to its own core on node 0, exactly like a tenant with no telemetry.
-  const ossim::CpuMask with_signal = GrowOnce(0.0, MemTenant("m", 1, 1));
-  const ossim::CpuMask without = GrowOnce(0.0, Tenant("m", 1));
+  const platform::CpuMask with_signal = GrowOnce(0.0, MemTenant("m", 1, 1));
+  const platform::CpuMask without = GrowOnce(0.0, Tenant("m", 1));
   EXPECT_EQ(with_signal, without);
-  EXPECT_EQ(with_signal, ossim::CpuMask::Of({0, 1}));
+  EXPECT_EQ(with_signal, platform::CpuMask::Of({0, 1}));
 }
 
 TEST(ArbiterTest, AffinityWeightSteersGrowthToPageNode) {
   // With the term on, the node holding the tenant's pages outscores the
   // own-core clustering bonus and growth lands on node 1.
-  const ossim::CpuMask mask = GrowOnce(4.0, MemTenant("m", 1, 1));
-  EXPECT_EQ(mask, ossim::CpuMask::Of({0, 4}));
+  const platform::CpuMask mask = GrowOnce(4.0, MemTenant("m", 1, 1));
+  EXPECT_EQ(mask, platform::CpuMask::Of({0, 4}));
   // Pages on node 0 reinforce the cluster instead: no behaviour change.
-  EXPECT_EQ(GrowOnce(4.0, MemTenant("m", 1, 0)), ossim::CpuMask::Of({0, 1}));
+  EXPECT_EQ(GrowOnce(4.0, MemTenant("m", 1, 0)), platform::CpuMask::Of({0, 1}));
 }
 
 TEST(ArbiterTest, AffinityIgnoresImplausibleResidencyVector) {
@@ -959,7 +971,7 @@ TEST(ArbiterTest, AffinityIgnoresImplausibleResidencyVector) {
     snap.valid_mask = TelemetrySnapshot::kMemory;
     return snap;
   };
-  EXPECT_EQ(GrowOnce(8.0, config), ossim::CpuMask::Of({0, 1}));
+  EXPECT_EQ(GrowOnce(8.0, config), platform::CpuMask::Of({0, 1}));
 }
 
 TEST(ArbiterTest, AffinityMultiRoundTraceMatchesAtWeightZero) {

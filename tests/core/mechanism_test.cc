@@ -31,7 +31,7 @@ RiggedMechanism MakeMechanism(ossim::Machine* machine, const std::string& mode,
 
 /// Makes the allocated cores look `percent` busy over `ticks` ticks by
 /// writing counters directly; then advances the clock.
-void FakeLoad(ossim::Machine* machine, const ossim::CpuMask& mask,
+void FakeLoad(ossim::Machine* machine, const platform::CpuMask& mask,
               double percent, int ticks) {
   const int64_t cycles_per_tick = machine->scheduler().cycles_per_tick();
   for (numasim::CoreId core : mask.ToCores()) {
@@ -49,7 +49,7 @@ TEST(MechanismTest, InstallsInitialCores) {
   mech->Install();
   EXPECT_EQ(mech->nalloc(), 3);
   EXPECT_EQ(machine->scheduler().allowed_mask(), mech->allocated_mask());
-  EXPECT_EQ(mech->allocated_mask(), ossim::CpuMask::Of({0, 1, 2}));
+  EXPECT_EQ(mech->allocated_mask(), platform::CpuMask::Of({0, 1, 2}));
 }
 
 TEST(MechanismTest, OverloadAllocatesOneCore) {
@@ -137,7 +137,7 @@ TEST(MechanismTest, SparseModeSpreadsAllocations) {
     mech->Poll(machine->clock().now());
   }
   // 4 cores after 3 allocations: one per node under sparse.
-  EXPECT_EQ(mech->allocated_mask(), ossim::CpuMask::Of({0, 4, 8, 12}));
+  EXPECT_EQ(mech->allocated_mask(), platform::CpuMask::Of({0, 4, 8, 12}));
 }
 
 TEST(MechanismTest, ThresholdBoundariesAreInclusive) {

@@ -71,7 +71,7 @@ TEST_F(DbmsEngineTest, CompletionCanResubmit) {
 }
 
 TEST_F(DbmsEngineTest, WorksUnderNarrowCpuMask) {
-  machine_.scheduler().SetAllowedMask(ossim::CpuMask::Of({0}));
+  machine_.scheduler().SetAllowedMask(platform::CpuMask::Of({0}));
   DbmsEngine engine(&machine_, &catalog_, EngineOptions{});
   bool done = false;
   engine.Submit(&trace_, [&done] { done = true; });

@@ -113,7 +113,7 @@ TEST(MultiTenantTest, EngineWorkersStayInsideTenantCpuset) {
   const ossim::CpusetId alpha = experiment.arbiter().tenant_cpuset(0);
   for (int64_t tick = 0; tick < 5000; ++tick) {
     experiment.machine().Step();
-    const ossim::CpuMask alpha_mask = scheduler.cpuset_mask(alpha);
+    const platform::CpuMask alpha_mask = scheduler.cpuset_mask(alpha);
     for (int64_t id = 0; id < scheduler.num_threads(); ++id) {
       const ossim::Thread& thread = scheduler.thread(id);
       if (thread.cpuset != alpha) continue;

@@ -1,10 +1,10 @@
-#include "ossim/cpu_mask.h"
+#include "platform/cpu_mask.h"
 
 #include <gtest/gtest.h>
 
 #include "numasim/topology.h"
 
-namespace elastic::ossim {
+namespace elastic::platform {
 namespace {
 
 TEST(CpuMaskTest, FirstNSetsPrefix) {
@@ -119,4 +119,4 @@ TEST(CpuMaskTest, EqualityOperators) {
 }
 
 }  // namespace
-}  // namespace elastic::ossim
+}  // namespace elastic::platform
