@@ -384,29 +384,51 @@ void CoreArbiter::Poll(simcore::Tick now) {
   // above its entitlement — never from an overloaded tenant (unless the
   // grower is urgent and the victim yields, or the core sits above the
   // victim's ceiling) and never below the victim's initial_cores floor.
+  //
+  // The overload shield is only honoured while the victim's signal is
+  // fresh: a stale tenant's "overload" is a replay of its last good
+  // window, and holding cores on its strength would let a dead probe pin
+  // capacity indefinitely.
+  auto shielded = [&](int v) {
+    return decisions[static_cast<size_t>(v)].state == PerfState::kOverload &&
+           tenants_[static_cast<size_t>(v)].stale_rounds <=
+               config_.stale_ttl_rounds &&
+           !AboveCeiling(tenants_[static_cast<size_t>(v)].mask,
+                         claims[static_cast<size_t>(v)]);
+  };
+  // The victim candidates, in index order: the tenants that pass every test
+  // no grower changes (active, not frozen, above floor and entitlement) and
+  // are not shielded against every grower (a shielded tenant counts only
+  // if it yields to urgent growers). The affinity penalty below never
+  // raises the excess (Sanitize rejects negative residency, so shares lie
+  // in [0, 1]), so no tenant left out could win. Only a preemption changes
+  // the masks these tests read, so only a preemption rebuilds the list.
+  std::vector<int> candidates;
+  bool candidates_stale = true;
   for (int grower : unmet) {
+    if (candidates_stale) {
+      candidates.clear();
+      for (int v = 0; v < count; ++v) {
+        const Tenant& candidate = tenants_[static_cast<size_t>(v)];
+        const Claim& claim = claims[static_cast<size_t>(v)];
+        if (!candidate.active || Frozen(candidate)) continue;
+        if (shielded(v) && !claim.yields) continue;
+        const int held = candidate.mask.Count();
+        if (held <= candidate.config.floor_cores()) continue;
+        if (held - claim.entitlement <= 0.0) continue;
+        candidates.push_back(v);
+      }
+      candidates_stale = false;
+    }
     const bool urgent = claims[static_cast<size_t>(grower)].urgent;
     int victim = -1;
     double worst_excess = 0.0;
-    for (int v = 0; v < count; ++v) {
+    for (int v : candidates) {
       if (v == grower) continue;
       const Tenant& candidate = tenants_[static_cast<size_t>(v)];
       const Claim& claim = claims[static_cast<size_t>(v)];
-      if (!candidate.active || Frozen(candidate)) continue;
-      // The overload shield is only honoured while the victim's signal is
-      // fresh: a stale tenant's "overload" is a replay of its last good
-      // window, and holding cores on its strength would let a dead probe
-      // pin capacity indefinitely.
-      const bool shield =
-          decisions[static_cast<size_t>(v)].state == PerfState::kOverload &&
-          candidate.stale_rounds <= config_.stale_ttl_rounds;
-      if (shield && !(urgent && claim.yields) &&
-          !AboveCeiling(candidate.mask, claim)) {
-        continue;
-      }
-      const int held = candidate.mask.Count();
-      if (held <= candidate.config.floor_cores()) continue;
-      double excess = held - claim.entitlement;
+      if (shielded(v) && !(urgent && claim.yields)) continue;
+      double excess = candidate.mask.Count() - claim.entitlement;
       // Cross-island migration penalty: preempting a core on a node that
       // holds none of the grower's pages must clear numa_affinity_weight
       // extra excess — moving onto a remote island trades arbitration
@@ -439,6 +461,7 @@ void CoreArbiter::Poll(simcore::Tick now) {
         ReleaseOne(loser.mechanism->mode(), loser.mask));
     round.handoffs++;
     round.preemptions++;
+    candidates_stale = true;
   }
 
   // Phase 4: install the rebalanced cpusets and commit the grants into the

@@ -2,6 +2,7 @@
 #define ELASTICORE_PERF_SAMPLER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "perf/counters.h"
@@ -62,20 +63,57 @@ class UtilizationSampler {
   virtual void Reset() = 0;
 };
 
-/// Takes periodic snapshots of a CounterSet and yields deltas (the
+/// One immutable reading of a CounterSet and the tick it was taken at.
+struct CounterSnapshot {
+  simcore::Tick tick = 0;
+  CounterSet counters;
+};
+
+/// The snapshots every Sampler of one CounterSet shares. A monitoring
+/// round polls many tenants at one tick; through the cache they read the
+/// counters once and difference them once, instead of each sampler copying
+/// and differencing the whole set (1024 cores' worth at the scale bench's
+/// width). The platform owning the counters owns one cache.
+class SnapshotCache {
+ public:
+  SnapshotCache(const CounterSet* counters, const simcore::Clock* clock);
+
+  /// A snapshot equal to the live counters now. The latest snapshot is
+  /// reused only when both its tick and its contents still match: a
+  /// counter bumped within the tick gets a fresh snapshot.
+  std::shared_ptr<const CounterSnapshot> Latest();
+
+  /// Deltas from `from` to `to`. Computed once for the latest pair asked
+  /// for; every further caller with the same pair gets a copy.
+  WindowStats Window(const std::shared_ptr<const CounterSnapshot>& from,
+                     const std::shared_ptr<const CounterSnapshot>& to);
+
+ private:
+  const CounterSet* counters_;
+  const simcore::Clock* clock_;
+  std::shared_ptr<const CounterSnapshot> latest_;
+  /// The pair window_ spans. Holding them keeps their addresses from being
+  /// reused by later snapshots, so comparing pointers identifies the pair.
+  std::shared_ptr<const CounterSnapshot> window_from_;
+  std::shared_ptr<const CounterSnapshot> window_to_;
+  WindowStats window_;
+};
+
+/// Yields the deltas of a CounterSet since its baseline snapshot (the
 /// simulator-backed UtilizationSampler).
 class Sampler : public UtilizationSampler {
  public:
+  /// A sampler with a private cache.
   Sampler(const CounterSet* counters, const simcore::Clock* clock);
+  /// A sampler sharing `cache` with the other samplers of its CounterSet.
+  explicit Sampler(std::shared_ptr<SnapshotCache> cache);
 
   WindowStats Sample() override;
   void Reset() override;
 
  private:
-  const CounterSet* counters_;
-  const simcore::Clock* clock_;
-  CounterSet baseline_;
-  simcore::Tick baseline_tick_;
+  std::shared_ptr<SnapshotCache> cache_;
+  std::shared_ptr<const CounterSnapshot> baseline_;
 };
 
 }  // namespace elastic::perf

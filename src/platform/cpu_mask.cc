@@ -64,14 +64,7 @@ CpuMask CpuMask::FromCpuList(const std::string& list) {
 
 std::vector<numasim::CoreId> CpuMask::ToCores() const {
   std::vector<numasim::CoreId> cores;
-  for (size_t w = 0; w < words_.size(); ++w) {
-    uint64_t bits = words_[w];
-    while (bits != 0) {
-      const int c = __builtin_ctzll(bits);
-      cores.push_back(static_cast<int>(w) * 64 + c);
-      bits &= bits - 1;
-    }
-  }
+  ForEachCore([&cores](numasim::CoreId core) { cores.push_back(core); });
   return cores;
 }
 

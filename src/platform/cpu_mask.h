@@ -67,8 +67,12 @@ class CpuMask {
   }
 
   int Count() const {
+    // Most masks fill a word or two of the sixteen; skipping the empty ones
+    // matters where popcount is a library call (no -mpopcnt).
     int count = 0;
-    for (uint64_t word : words_) count += __builtin_popcountll(word);
+    for (uint64_t word : words_) {
+      if (word != 0) count += __builtin_popcountll(word);
+    }
     return count;
   }
   bool Empty() const {
@@ -120,6 +124,17 @@ class CpuMask {
 
   /// Cores in ascending id order.
   std::vector<numasim::CoreId> ToCores() const;
+
+  /// Calls fn(core) for each core in ascending id order, word by word,
+  /// without allocating: ToCores() for per-round hot paths.
+  template <typename Fn>
+  void ForEachCore(Fn&& fn) const {
+    for (size_t w = 0; w < words_.size(); ++w) {
+      for (uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<numasim::CoreId>(w) * 64 + __builtin_ctzll(bits));
+      }
+    }
+  }
 
   /// Lowest core id in the mask (kInvalidCore when empty).
   numasim::CoreId First() const;

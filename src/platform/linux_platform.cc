@@ -30,7 +30,7 @@ std::string FirstLine(const std::string& text) {
 }
 
 /// Number of CPUs a cpulist ("0-3,8") names; -1 on a parse error. Counts
-/// without building a CpuMask so >64-CPU hosts do not trip the mask bound
+/// without building a CpuMask so hosts past the mask bound do not trip it
 /// during discovery.
 int CountCpuList(const std::string& list) {
   int count = 0;
@@ -55,14 +55,14 @@ int CountCpuList(const std::string& list) {
 
 /// Discovers the NUMA layout from sysfs: one node per
 /// /sys/devices/system/node/node<i> directory, cores from its cpulist.
-/// Falls back to one flat node of min(online, 64) CPUs when the node tree
-/// is absent (non-NUMA machines, containers without sysfs), nodes are
-/// heterogeneous, or the grid exceeds the 64-core mask bound.
+/// Falls back to one flat node of min(online, CpuMask::kMaxCores) CPUs when
+/// the node tree is absent (non-NUMA machines, containers without sysfs),
+/// nodes are heterogeneous, or the grid exceeds the mask bound.
 numasim::MachineConfig DiscoverTopology(const LinuxPlatformOptions& options) {
   numasim::MachineConfig config;
   int nodes = 0;
   int cores = 0;
-  for (int node = 0; node < 64; ++node) {
+  for (int node = 0; node < CpuMask::kMaxCores; ++node) {
     const std::string cpulist = FirstLine(ReadFileOrEmpty(
         options.sysfs_node_root + "/node" + std::to_string(node) +
         "/cpulist"));
@@ -82,14 +82,14 @@ numasim::MachineConfig DiscoverTopology(const LinuxPlatformOptions& options) {
     }
     nodes++;
   }
-  if (nodes >= 1 && cores >= 1 && nodes * cores <= 64) {
+  if (nodes >= 1 && cores >= 1 && nodes * cores <= CpuMask::kMaxCores) {
     config.num_nodes = nodes;
     config.cores_per_node = cores;
     return config;
   }
   long online = sysconf(_SC_NPROCESSORS_ONLN);
   if (online < 1) online = 1;
-  if (online > 64) online = 64;
+  if (online > CpuMask::kMaxCores) online = CpuMask::kMaxCores;
   config.num_nodes = 1;
   config.cores_per_node = static_cast<int>(online);
   return config;
@@ -216,7 +216,8 @@ LinuxPlatform::LinuxPlatform(const LinuxPlatformOptions& options)
   } else {
     config = DiscoverTopology(options_);
   }
-  ELASTIC_CHECK(config.total_cores() <= 64, "mask supports up to 64 cores");
+  ELASTIC_CHECK(config.total_cores() <= CpuMask::kMaxCores,
+                "mask supports up to CpuMask::kMaxCores cores");
   topology_ = std::make_unique<numasim::Topology>(config);
   const long tck = sysconf(_SC_CLK_TCK);
   if (tck > 0) clk_tck_ = tck;

@@ -20,7 +20,10 @@ namespace elastic::platform {
 /// Non-owning: the machine must outlive the SimPlatform.
 class SimPlatform : public Platform {
  public:
-  explicit SimPlatform(ossim::Machine* machine) : machine_(machine) {}
+  explicit SimPlatform(ossim::Machine* machine)
+      : machine_(machine),
+        snapshots_(std::make_shared<perf::SnapshotCache>(
+            &machine->counters(), &machine->clock())) {}
 
   const numasim::Topology& topology() const override {
     return machine_->topology();
@@ -44,8 +47,7 @@ class SimPlatform : public Platform {
     machine_->scheduler().SetAllowedMask(mask);
   }
   std::unique_ptr<perf::UtilizationSampler> CreateSampler() override {
-    return std::make_unique<perf::Sampler>(&machine_->counters(),
-                                           &machine_->clock());
+    return std::make_unique<perf::Sampler>(snapshots_);
   }
   void AddTickHook(std::function<void(simcore::Tick)> hook) override {
     machine_->AddTickHook(std::move(hook));
@@ -56,6 +58,8 @@ class SimPlatform : public Platform {
 
  private:
   ossim::Machine* machine_;
+  /// Shared by every sampler this platform creates.
+  std::shared_ptr<perf::SnapshotCache> snapshots_;
 };
 
 }  // namespace elastic::platform

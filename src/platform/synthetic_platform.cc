@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "perf/sampler.h"
 #include "simcore/check.h"
 
 namespace elastic::platform {
@@ -11,6 +10,7 @@ SyntheticPlatform::SyntheticPlatform(const numasim::MachineConfig& config)
     : topology_(config),
       counters_(topology_.num_nodes(), topology_.num_links(),
                 topology_.total_cores()),
+      snapshots_(std::make_shared<perf::SnapshotCache>(&counters_, &clock_)),
       cycles_per_tick_(static_cast<int64_t>(config.cycles_per_second *
                                             simcore::Clock::kSecondsPerTick)),
       busy_fraction_(static_cast<size_t>(topology_.total_cores()), 0.0),
@@ -37,7 +37,7 @@ CpuMask SyntheticPlatform::cpuset_mask(CpusetId cpuset) const {
 }
 
 std::unique_ptr<perf::UtilizationSampler> SyntheticPlatform::CreateSampler() {
-  return std::make_unique<perf::Sampler>(&counters_, &clock_);
+  return std::make_unique<perf::Sampler>(snapshots_);
 }
 
 void SyntheticPlatform::AddTickHook(

@@ -8,6 +8,7 @@
 
 #include "numasim/topology.h"
 #include "perf/counters.h"
+#include "perf/sampler.h"
 #include "platform/platform.h"
 #include "simcore/clock.h"
 #include "simcore/trace.h"
@@ -52,6 +53,8 @@ class SyntheticPlatform : public Platform {
   numasim::Topology topology_;
   simcore::Clock clock_;
   perf::CounterSet counters_;
+  /// Shared by every sampler this platform creates.
+  std::shared_ptr<perf::SnapshotCache> snapshots_;
   simcore::Trace trace_;
   int64_t cycles_per_tick_;
 

@@ -88,6 +88,19 @@ TEST(CpuMaskTest, OfRoundTripsAcrossWordBoundary) {
   EXPECT_EQ(mask, CpuMask::FromCpuList(mask.ToCpuList()));
 }
 
+TEST(CpuMaskTest, CountAndForEachCoreSkipEmptyWords) {
+  // Set bits only in a middle word and at the last core; every other word
+  // is empty.
+  const CpuMask mask = CpuMask::Of({520, 521, 575, 1023});
+  EXPECT_EQ(mask.Count(), 4);
+  std::vector<numasim::CoreId> visited;
+  mask.ForEachCore([&visited](numasim::CoreId core) { visited.push_back(core); });
+  EXPECT_EQ(visited, (std::vector<numasim::CoreId>{520, 521, 575, 1023}));
+  EXPECT_EQ(CpuMask::Of({1023}).Count(), 1);
+  EXPECT_EQ(CpuMask::FirstN(CpuMask::kMaxCores).Count(), CpuMask::kMaxCores);
+  EXPECT_EQ(CpuMask::None().Count(), 0);
+}
+
 TEST(CpuMaskTest, IntersectAndUnion) {
   const CpuMask a = CpuMask::Of({0, 1, 2});
   const CpuMask b = CpuMask::Of({2, 3});

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "perf/counters.h"
 #include "simcore/clock.h"
 
@@ -83,6 +85,96 @@ TEST(SamplerTest, BandwidthUsesSimulatedSeconds) {
   const WindowStats stats = sampler.Sample();
   EXPECT_NEAR(stats.HtBytesPerSecond(), 1e6, 1.0);
   EXPECT_NEAR(stats.ImcBytesPerSecond(3), 2e6, 1.0);
+}
+
+TEST(SamplerTest, CpuLoadPercentOverWideMask) {
+  // Cores in a middle word and the last core of the widest mask.
+  CounterSet counters(16, 32, platform::CpuMask::kMaxCores);
+  simcore::Clock clock;
+  Sampler sampler(&counters, &clock);
+  const int64_t cycles_per_tick = 1000;
+  counters.core_busy_cycles[600] = 10 * cycles_per_tick;
+  counters.core_busy_cycles[1023] = 5 * cycles_per_tick;
+  clock.Advance(10);
+  const WindowStats stats = sampler.Sample();
+  const platform::CpuMask mask = platform::CpuMask::Of({600, 601, 1023});
+  EXPECT_NEAR(stats.CpuLoadPercent(mask, cycles_per_tick), 50.0, 1e-9);
+}
+
+void ExpectSameWindow(const WindowStats& a, const WindowStats& b) {
+  EXPECT_EQ(a.ticks, b.ticks);
+  EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(a.l3_hits, b.l3_hits);
+  EXPECT_EQ(a.l3_misses, b.l3_misses);
+  EXPECT_EQ(a.imc_bytes, b.imc_bytes);
+  EXPECT_EQ(a.node_access_pages, b.node_access_pages);
+  EXPECT_EQ(a.core_busy_cycles, b.core_busy_cycles);
+  EXPECT_EQ(a.ht_bytes, b.ht_bytes);
+  EXPECT_EQ(a.minor_faults, b.minor_faults);
+  EXPECT_EQ(a.stolen_tasks, b.stolen_tasks);
+  EXPECT_EQ(a.thread_migrations, b.thread_migrations);
+  EXPECT_EQ(a.tasks_spawned, b.tasks_spawned);
+}
+
+TEST(SamplerTest, SamplersOfOneCounterSetShareWindows) {
+  CounterSet counters(4, 8, 16);
+  simcore::Clock clock;
+  auto cache = std::make_shared<SnapshotCache>(&counters, &clock);
+  Sampler first(cache);
+  Sampler second(cache);
+  Sampler private_cache(&counters, &clock);
+  counters.l3_misses[1] += 3;
+  counters.imc_bytes[2] += 4096;
+  counters.core_busy_cycles[7] += 500;
+  counters.minor_faults += 2;
+  clock.Advance(4);
+  const WindowStats a = first.Sample();
+  const WindowStats b = second.Sample();
+  ExpectSameWindow(a, b);
+  ExpectSameWindow(a, private_cache.Sample());
+  EXPECT_EQ(a.ticks, 4);
+  EXPECT_EQ(a.core_busy_cycles[7], 500);
+}
+
+TEST(SamplerTest, CounterBumpedWithinATickIsSeen) {
+  // Two samplers read at the same tick, a counter moving in between: the
+  // second must see the move, so a shared snapshot cannot be keyed on the
+  // tick alone.
+  CounterSet counters(4, 8, 16);
+  simcore::Clock clock;
+  auto cache = std::make_shared<SnapshotCache>(&counters, &clock);
+  Sampler first(cache);
+  Sampler second(cache);
+  counters.core_busy_cycles[0] += 100;
+  clock.Advance(2);
+  EXPECT_EQ(first.Sample().core_busy_cycles[0], 100);
+  counters.core_busy_cycles[0] += 50;
+  EXPECT_EQ(second.Sample().core_busy_cycles[0], 150);
+  // The first sampler's next window carries the bump it missed.
+  clock.Advance(1);
+  const WindowStats next = first.Sample();
+  EXPECT_EQ(next.ticks, 1);
+  EXPECT_EQ(next.core_busy_cycles[0], 50);
+}
+
+TEST(SamplerTest, SkippedRoundsYieldOneWindowOverTheGap) {
+  // A sampler that missed rounds (a telemetry dropout) gets a single window
+  // from its last sample to now, while its neighbour sampled every round.
+  CounterSet counters(4, 8, 16);
+  simcore::Clock clock;
+  auto cache = std::make_shared<SnapshotCache>(&counters, &clock);
+  Sampler every_round(cache);
+  Sampler skipper(cache);
+  for (int round = 0; round < 4; ++round) {
+    counters.core_busy_cycles[1] += 10;
+    counters.ht_bytes_total += 64;
+    clock.Advance(5);
+    EXPECT_EQ(every_round.Sample().core_busy_cycles[1], 10);
+  }
+  const WindowStats gap = skipper.Sample();
+  EXPECT_EQ(gap.ticks, 20);
+  EXPECT_EQ(gap.core_busy_cycles[1], 40);
+  EXPECT_EQ(gap.ht_bytes, 256);
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -57,6 +60,49 @@ TEST(LinuxPlatformTest, TopologyOverrideSkipsDiscovery) {
   LinuxPlatform platform(DryRunOptions(4, 2));
   EXPECT_EQ(platform.topology().num_nodes(), 4);
   EXPECT_EQ(platform.topology().total_cores(), 8);
+}
+
+// Past the historical 64-CPU bound: a sysfs node tree of 4 nodes x 32 CPUs
+// is discovered as that grid, and a dry-run Install hands the third and
+// fourth tenants cpusets beyond CPU 63.
+TEST(LinuxPlatformTest, DiscoversAndManagesMoreThan64Cpus) {
+  std::string root = ::testing::TempDir() + "elasticore-sysfs-XXXXXX";
+  ASSERT_NE(mkdtemp(root.data()), nullptr);
+  for (int node = 0; node < 4; ++node) {
+    const std::string dir = root + "/node" + std::to_string(node);
+    std::filesystem::create_directory(dir);
+    std::ofstream(dir + "/cpulist")
+        << node * 32 << "-" << node * 32 + 31 << "\n";
+  }
+  LinuxPlatformOptions options;
+  options.dry_run = true;
+  options.sysfs_node_root = root;
+  LinuxPlatform platform(options);
+  std::filesystem::remove_all(root);
+  EXPECT_EQ(platform.topology().num_nodes(), 4);
+  EXPECT_EQ(platform.topology().total_cores(), 128);
+
+  core::ArbiterConfig config;
+  config.register_tick_hook = false;
+  core::CoreArbiter arbiter(&platform, config);
+  for (int t = 0; t < 4; ++t) {
+    core::ArbiterTenantConfig tenant;
+    tenant.name = "t" + std::to_string(t);
+    tenant.mode = "dense";
+    tenant.mechanism.initial_cores = 2;
+    arbiter.AddTenant(tenant);
+  }
+  arbiter.Install();
+  // Each fresh tenant takes the emptiest node.
+  const std::vector<std::string> installs(platform.op_log().end() - 4,
+                                          platform.op_log().end());
+  const std::vector<std::string> expected = {
+      "write /sys/fs/cgroup/elasticore/t0/cpuset.cpus = 0-1",
+      "write /sys/fs/cgroup/elasticore/t1/cpuset.cpus = 32-33",
+      "write /sys/fs/cgroup/elasticore/t2/cpuset.cpus = 64-65",
+      "write /sys/fs/cgroup/elasticore/t3/cpuset.cpus = 96-97",
+  };
+  EXPECT_EQ(installs, expected);
 }
 
 TEST(LinuxPlatformTest, CreateCpusetEmitsParentSetupThenGroupWrites) {
