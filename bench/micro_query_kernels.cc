@@ -212,29 +212,31 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
     const auto& c_nationkey = database.customer.i64("c_nationkey");
     const auto& s_nationkey = database.supplier.i64("s_nationkey");
     const auto& n_name = database.nation.str("n_name");
+    // Nation row ids per lineitem, as Q7 builds them; the baseline gets the
+    // names themselves.
+    db::SelVec supp_nation_rows(static_cast<size_t>(L.num_rows()));
+    db::SelVec cust_nation_rows(static_cast<size_t>(L.num_rows()));
     std::vector<std::string> supp_nation(static_cast<size_t>(L.num_rows()));
     std::vector<std::string> cust_nation(static_cast<size_t>(L.num_rows()));
     std::vector<int64_t> year(static_cast<size_t>(L.num_rows()));
     for (size_t i = 0; i < supp_nation.size(); ++i) {
-      supp_nation[i] =
-          n_name[static_cast<size_t>(s_nationkey[static_cast<size_t>(
-              l_suppkey[i] - 1)])];
+      supp_nation_rows[i] = s_nationkey[static_cast<size_t>(l_suppkey[i] - 1)];
       const size_t orow = static_cast<size_t>(l_orderkey[i] - 1);
-      cust_nation[i] =
-          n_name[static_cast<size_t>(c_nationkey[static_cast<size_t>(
-              o_custkey[orow] - 1)])];
+      cust_nation_rows[i] =
+          c_nationkey[static_cast<size_t>(o_custkey[orow] - 1)];
+      supp_nation[i] = n_name[static_cast<size_t>(supp_nation_rows[i])];
+      cust_nation[i] = n_name[static_cast<size_t>(cust_nation_rows[i])];
       year[i] = db::YearOf(l_shipdate[i]);
     }
     r.baseline_s = BestSeconds(reps, &sink, [&] {
       return BaselineGroupBy(supp_nation, cust_nation, year);
     });
-    // Key-column copies happen outside the timed region (the query code
-    // hands the Grouper freshly gathered vectors, moved in at O(1)).
+    // The Grouper reads the nation names in place through the row-id
+    // candidate lists, as the query code does. Only the year column is
+    // copied per rep, outside the timed region, and moved in at O(1).
     r.kernel_s = 1e18;
     int64_t first_rep_groups = 0;
     for (int rep = 0; rep < reps; ++rep) {
-      std::vector<std::string> c1 = supp_nation;
-      std::vector<std::string> c2 = cust_nation;
       std::vector<int64_t> c3 = year;
       const auto t0 = std::chrono::steady_clock::now();
       db::Grouper g;
@@ -242,13 +244,18 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
       // (as a repeated query would), which must eliminate every doubling
       // rehash of the group-key table.
       if (rep > 0) g.set_expected_groups(first_rep_groups);
-      g.AddStrKey(std::move(c1));
-      g.AddStrKey(std::move(c2));
+      g.AddStrKey(n_name, supp_nation_rows);
+      g.AddStrKey(n_name, cust_nation_rows);
       g.AddI64Key(std::move(c3));
       g.Finish();
       const double s = SecondsSince(t0);
       if (rep == 0) {
         first_rep_groups = g.num_groups();
+        // Same first-occurrence groups as the string-encoding baseline.
+        ELASTIC_CHECK((static_cast<uint64_t>(g.num_groups()) ^
+                       static_cast<uint64_t>(g.group_of().back())) ==
+                          BaselineGroupBy(supp_nation, cust_nation, year),
+                      "group-by results diverge");
       } else {
         ELASTIC_CHECK(g.table_rehashes() == 0, "hinted group build rehashed");
       }

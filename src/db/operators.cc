@@ -60,16 +60,16 @@ HashJoin::Pairs HashJoin::Probe(const std::vector<int64_t>& keys,
 void Grouper::AddI64Key(std::vector<int64_t> values) {
   ELASTIC_CHECK(!finished_, "Grouper already finished");
   KeyCol key;
-  key.is_str = false;
   key.i64 = std::move(values);
   keys_.push_back(std::move(key));
 }
 
-void Grouper::AddStrKey(std::vector<std::string> values) {
+void Grouper::AddStrKey(const std::vector<std::string>& column,
+                        const SelVec& rows) {
   ELASTIC_CHECK(!finished_, "Grouper already finished");
   KeyCol key;
-  key.is_str = true;
-  key.str = std::move(values);
+  key.column = &column;
+  key.rows = &rows;
   keys_.push_back(std::move(key));
 }
 
@@ -77,12 +77,10 @@ void Grouper::Finish() {
   ELASTIC_CHECK(!finished_, "Grouper already finished");
   ELASTIC_CHECK(!keys_.empty(), "Grouper needs at least one key");
   finished_ = true;
-  num_rows_ = keys_[0].is_str ? static_cast<int64_t>(keys_[0].str.size())
-                              : static_cast<int64_t>(keys_[0].i64.size());
+  num_rows_ = keys_[0].size();
   for (const KeyCol& key : keys_) {
-    const int64_t n = key.is_str ? static_cast<int64_t>(key.str.size())
-                                 : static_cast<int64_t>(key.i64.size());
-    ELASTIC_CHECK(n == num_rows_, "group key columns have unequal lengths");
+    ELASTIC_CHECK(key.size() == num_rows_,
+                  "group key columns have unequal lengths");
   }
 
   // Each row's keys fold into a 16-byte hashed key and group through the
@@ -106,7 +104,7 @@ bool Grouper::FinishPacked() {
   const size_t num_cols = keys_.size();
   if (num_cols > kMaxCols) return false;
   size_t stride = 0;  // packed words per row
-  for (const KeyCol& key : keys_) stride += key.is_str ? 2 : 1;
+  for (const KeyCol& key : keys_) stride += key.is_str() ? 2 : 1;
   kernels::GroupKeyTable table(static_cast<size_t>(expected_groups_), arena_);
   std::vector<uint64_t> group_words;  // `stride` packed words per group
   group_words.reserve(static_cast<size_t>(expected_groups_) * stride);
@@ -118,8 +116,8 @@ bool Grouper::FinishPacked() {
     uint64_t h = kernels::kFnvOffset;
     for (size_t c = 0; c < num_cols; ++c) {
       const KeyCol& key = keys_[c];
-      if (key.is_str) {
-        if (!kernels::PackString15(key.str[r], &words[w], &words[w + 1])) {
+      if (key.is_str()) {
+        if (!kernels::PackString15(key.str_at(r), &words[w], &words[w + 1])) {
           // Abandon mid-stream: reset and let the generic path redo it.
           group_of_.clear();
           rep_rows_.clear();
@@ -165,8 +163,9 @@ void Grouper::FinishGeneric() {
     kernels::Hash128 h;
     for (size_t c = 0; c < num_cols; ++c) {
       const KeyCol& key = keys_[c];
-      if (key.is_str) {
-        h.UpdateBytes(key.str[r].data(), key.str[r].size());
+      if (key.is_str()) {
+        const std::string& value = key.str_at(r);
+        h.UpdateBytes(value.data(), value.size());
       } else {
         h.Update(static_cast<uint64_t>(key.i64[r]));
       }
@@ -176,8 +175,8 @@ void Grouper::FinishGeneric() {
           static_cast<size_t>(rep_rows_[static_cast<size_t>(g)]);
       for (size_t c = 0; c < num_cols; ++c) {
         const KeyCol& key = keys_[c];
-        if (key.is_str ? key.str[r] != key.str[rep]
-                       : key.i64[r] != key.i64[rep]) {
+        if (key.is_str() ? key.str_at(r) != key.str_at(rep)
+                         : key.i64[r] != key.i64[rep]) {
           return false;
         }
       }
@@ -195,15 +194,15 @@ void Grouper::FinishGeneric() {
 int64_t Grouper::I64KeyOfGroup(int key_index, int64_t group) const {
   ELASTIC_CHECK(finished_, "Grouper not finished");
   const KeyCol& key = keys_[static_cast<size_t>(key_index)];
-  ELASTIC_CHECK(!key.is_str, "key is a string");
+  ELASTIC_CHECK(!key.is_str(), "key is a string");
   return key.i64[static_cast<size_t>(rep_rows_[static_cast<size_t>(group)])];
 }
 
 const std::string& Grouper::StrKeyOfGroup(int key_index, int64_t group) const {
   ELASTIC_CHECK(finished_, "Grouper not finished");
   const KeyCol& key = keys_[static_cast<size_t>(key_index)];
-  ELASTIC_CHECK(key.is_str, "key is not a string");
-  return key.str[static_cast<size_t>(rep_rows_[static_cast<size_t>(group)])];
+  ELASTIC_CHECK(key.is_str(), "key is not a string");
+  return key.str_at(static_cast<size_t>(rep_rows_[static_cast<size_t>(group)]));
 }
 
 std::vector<double> SumPerGroup(const std::vector<double>& values,
@@ -221,17 +220,6 @@ std::vector<int64_t> CountPerGroup(const std::vector<int64_t>& group_of,
   std::vector<int64_t> out(static_cast<size_t>(num_groups), 0);
   for (int64_t g : group_of) out[static_cast<size_t>(g)]++;
   return out;
-}
-
-std::vector<double> AvgPerGroup(const std::vector<double>& values,
-                                const std::vector<int64_t>& group_of,
-                                int64_t num_groups) {
-  std::vector<double> sums = SumPerGroup(values, group_of, num_groups);
-  const std::vector<int64_t> counts = CountPerGroup(group_of, num_groups);
-  for (size_t g = 0; g < sums.size(); ++g) {
-    if (counts[g] > 0) sums[g] /= static_cast<double>(counts[g]);
-  }
-  return sums;
 }
 
 std::vector<double> MinPerGroup(const std::vector<double>& values,

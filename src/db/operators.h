@@ -88,8 +88,8 @@ class HashJoin {
   kernels::JoinHashTable table_;
 };
 
-/// Multi-column group-by: feed gathered key columns (all aligned to the same
-/// row set), Finish() assigns dense group ids in first-occurrence order.
+/// Multi-column group-by: feed key columns (all aligned to the same row
+/// set), Finish() assigns dense group ids in first-occurrence order.
 ///
 /// Finish() folds each row's keys into a hashed key over fixed-width words
 /// — int64 keys verbatim, strings up to 15 bytes as two packed words
@@ -104,7 +104,10 @@ class Grouper {
   explicit Grouper(mem::NumaArena* arena) : arena_(arena) {}
 
   void AddI64Key(std::vector<int64_t> values);
-  void AddStrKey(std::vector<std::string> values);
+  /// String key read through a candidate list: row r's key is
+  /// column[rows[r]], and no string is copied. The Grouper keeps references
+  /// to both vectors, so they must outlive it.
+  void AddStrKey(const std::vector<std::string>& column, const SelVec& rows);
 
   /// Cardinality hint: Finish() sizes its group-key table for this many
   /// groups up front, so an accurate hint means zero doubling rehashes.
@@ -130,9 +133,18 @@ class Grouper {
 
  private:
   struct KeyCol {
-    bool is_str = false;
     std::vector<int64_t> i64;
-    std::vector<std::string> str;
+    // String keys: column[rows[r]]; null for an int64 key.
+    const std::vector<std::string>* column = nullptr;
+    const SelVec* rows = nullptr;
+
+    bool is_str() const { return column != nullptr; }
+    int64_t size() const {
+      return static_cast<int64_t>(is_str() ? rows->size() : i64.size());
+    }
+    const std::string& str_at(size_t r) const {
+      return (*column)[static_cast<size_t>((*rows)[r])];
+    }
   };
 
   /// Packed-words fast path (all strings <= 15 bytes); false when
@@ -158,9 +170,6 @@ std::vector<double> SumPerGroup(const std::vector<double>& values,
                                 int64_t num_groups);
 std::vector<int64_t> CountPerGroup(const std::vector<int64_t>& group_of,
                                    int64_t num_groups);
-std::vector<double> AvgPerGroup(const std::vector<double>& values,
-                                const std::vector<int64_t>& group_of,
-                                int64_t num_groups);
 std::vector<double> MinPerGroup(const std::vector<double>& values,
                                 const std::vector<int64_t>& group_of,
                                 int64_t num_groups);

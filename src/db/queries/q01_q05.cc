@@ -19,12 +19,10 @@ QueryOutput Q1(const Database& db) {
                                  static_cast<int64_t>(ship.size()),
                                  static_cast<int64_t>(sel.size()));
 
-  auto returnflag = Gather(L.str("l_returnflag"), sel);
-  auto linestatus = Gather(L.str("l_linestatus"), sel);
-  auto quantity = Gather(L.f64("l_quantity"), sel);
-  auto extprice = Gather(L.f64("l_extendedprice"), sel);
-  auto discount = Gather(L.f64("l_discount"), sel);
-  auto tax = Gather(L.f64("l_tax"), sel);
+  // The projections stay in the plan (the simulator replays them), but the
+  // executor reads the base columns through `sel` instead of gathering them:
+  // the group keys go to the Grouper as a candidate list, and one fused
+  // pass below computes every aggregate.
   const int64_t n = static_cast<int64_t>(sel.size());
   int last = s_sel;
   for (const char* col :
@@ -34,28 +32,36 @@ QueryOutput Q1(const Database& db) {
   }
 
   Grouper grouper;
-  grouper.AddStrKey(returnflag);
-  grouper.AddStrKey(linestatus);
+  grouper.AddStrKey(L.str("l_returnflag"), sel);
+  grouper.AddStrKey(L.str("l_linestatus"), sel);
   grouper.Finish();
   const int64_t groups = grouper.num_groups();
   RecordGroup(&rec, {PlanRecorder::Inter(last, n)}, n, groups);
 
-  std::vector<double> disc_price(static_cast<size_t>(n));
-  std::vector<double> charge(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const size_t k = static_cast<size_t>(i);
-    disc_price[k] = extprice[k] * (1.0 - discount[k]);
-    charge[k] = disc_price[k] * (1.0 + tax[k]);
-  }
+  // Each group's sums accumulate in row order from 0.0, exactly as
+  // SumPerGroup does over gathered vectors, so every f64 bit is the same;
+  // each average divides its sum by the group's count.
+  struct Agg {
+    double qty = 0.0, base = 0.0, disc_price = 0.0, charge = 0.0, disc = 0.0;
+    int64_t count = 0;
+  };
+  std::vector<Agg> aggs(static_cast<size_t>(groups));
+  const auto& quantity = L.f64("l_quantity");
+  const auto& extprice = L.f64("l_extendedprice");
+  const auto& discount = L.f64("l_discount");
+  const auto& tax = L.f64("l_tax");
   const auto& gof = grouper.group_of();
-  auto sum_qty = SumPerGroup(quantity, gof, groups);
-  auto sum_base = SumPerGroup(extprice, gof, groups);
-  auto sum_disc = SumPerGroup(disc_price, gof, groups);
-  auto sum_charge = SumPerGroup(charge, gof, groups);
-  auto avg_qty = AvgPerGroup(quantity, gof, groups);
-  auto avg_price = AvgPerGroup(extprice, gof, groups);
-  auto avg_disc = AvgPerGroup(discount, gof, groups);
-  auto counts = CountPerGroup(gof, groups);
+  for (int64_t i = 0; i < n; ++i) {
+    const size_t row = static_cast<size_t>(sel[static_cast<size_t>(i)]);
+    Agg& a = aggs[static_cast<size_t>(gof[static_cast<size_t>(i)])];
+    const double disc_price = extprice[row] * (1.0 - discount[row]);
+    a.qty += quantity[row];
+    a.base += extprice[row];
+    a.disc_price += disc_price;
+    a.charge += disc_price * (1.0 + tax[row]);
+    a.disc += discount[row];
+    a.count++;
+  }
 
   QueryResult result;
   result.query = "Q1";
@@ -63,13 +69,15 @@ QueryOutput Q1(const Database& db) {
                          "sum_base_price", "sum_disc_price", "sum_charge",
                          "avg_qty", "avg_price", "avg_disc", "count_order"};
   for (int64_t g = 0; g < groups; ++g) {
-    const size_t k = static_cast<size_t>(g);
+    const Agg& a = aggs[static_cast<size_t>(g)];
+    const double count = static_cast<double>(a.count);
     result.rows.push_back({Value::Str(grouper.StrKeyOfGroup(0, g)),
                            Value::Str(grouper.StrKeyOfGroup(1, g)),
-                           Value::F64(sum_qty[k]), Value::F64(sum_base[k]),
-                           Value::F64(sum_disc[k]), Value::F64(sum_charge[k]),
-                           Value::F64(avg_qty[k]), Value::F64(avg_price[k]),
-                           Value::F64(avg_disc[k]), Value::I64(counts[k])});
+                           Value::F64(a.qty), Value::F64(a.base),
+                           Value::F64(a.disc_price), Value::F64(a.charge),
+                           Value::F64(a.qty / count),
+                           Value::F64(a.base / count),
+                           Value::F64(a.disc / count), Value::I64(a.count)});
   }
   result.Sort({{0, true}, {1, true}});
   return QueryOutput{std::move(result), rec.Take()};
@@ -299,7 +307,7 @@ QueryOutput Q4(const Database& db) {
                   static_cast<int64_t>(matched.size()));
 
   Grouper grouper;
-  grouper.AddStrKey(Gather(O.str("o_orderpriority"), matched));
+  grouper.AddStrKey(O.str("o_orderpriority"), matched);
   grouper.Finish();
   auto counts = CountPerGroup(grouper.group_of(), grouper.num_groups());
   RecordGroup(&rec,

@@ -119,8 +119,9 @@ QueryOutput Q7(const Database& db) {
   const auto& ext = L.f64("l_extendedprice");
   const auto& disc = L.f64("l_discount");
 
-  std::vector<std::string> supp_nation_key;
-  std::vector<std::string> cust_nation_key;
+  // Nation keys are nation row ids; the Grouper reads the names in place.
+  SelVec supp_nation_rows;
+  SelVec cust_nation_rows;
   std::vector<int64_t> year_key;
   std::vector<double> volume;
   int64_t probed = 0;
@@ -135,8 +136,8 @@ QueryOutput Q7(const Database& db) {
     const bool pair_ok = (sn == france && cn == germany) ||
                          (sn == germany && cn == france);
     if (!pair_ok) continue;
-    supp_nation_key.push_back(N.str("n_name")[static_cast<size_t>(sn)]);
-    cust_nation_key.push_back(N.str("n_name")[static_cast<size_t>(cn)]);
+    supp_nation_rows.push_back(sn);
+    cust_nation_rows.push_back(cn);
     year_key.push_back(YearOf(ship[k]));
     volume.push_back(ext[k] * (1.0 - disc[k]));
   }
@@ -147,8 +148,8 @@ QueryOutput Q7(const Database& db) {
                   probed);
 
   Grouper grouper;
-  grouper.AddStrKey(supp_nation_key);
-  grouper.AddStrKey(cust_nation_key);
+  grouper.AddStrKey(N.str("n_name"), supp_nation_rows);
+  grouper.AddStrKey(N.str("n_name"), cust_nation_rows);
   grouper.AddI64Key(year_key);
   grouper.Finish();
   auto sums = SumPerGroup(volume, grouper.group_of(), grouper.num_groups());
@@ -299,7 +300,7 @@ QueryOutput Q9(const Database& db) {
   const auto& s_nation = S.i64("s_nationkey");
   const auto& o_date = O.i64("o_orderdate");
 
-  std::vector<std::string> nation_key;
+  SelVec nation_rows;  // nation row ids; the Grouper reads the names
   std::vector<int64_t> year_key;
   std::vector<double> amount;
   for (size_t i = 0; i < pairs.size(); ++i) {
@@ -315,12 +316,12 @@ QueryOutput Q9(const Database& db) {
     }
     const int64_t sn = s_nation[static_cast<size_t>(suppkey - 1)];
     const size_t orow = static_cast<size_t>(l_order[lrow] - 1);
-    nation_key.push_back(N.str("n_name")[static_cast<size_t>(sn)]);
+    nation_rows.push_back(sn);
     year_key.push_back(YearOf(o_date[orow]));
     amount.push_back(ext[lrow] * (1.0 - disc[lrow]) - cost * l_qty[lrow]);
   }
   Grouper grouper;
-  grouper.AddStrKey(nation_key);
+  grouper.AddStrKey(N.str("n_name"), nation_rows);
   grouper.AddI64Key(year_key);
   grouper.Finish();
   auto sums = SumPerGroup(amount, grouper.group_of(), grouper.num_groups());

@@ -108,7 +108,6 @@ QueryOutput Q12(const Database& db) {
 
   const auto& l_order = L.i64("l_orderkey");
   const auto& prio = O.str("o_orderpriority");
-  std::vector<std::string> mode_key;
   std::vector<double> high;
   std::vector<double> low;
   for (int64_t row : final_sel) {
@@ -116,7 +115,6 @@ QueryOutput Q12(const Database& db) {
     const size_t orow = static_cast<size_t>(l_order[k] - 1);
     const std::string& p = prio[orow];
     const bool is_high = (p == "1-URGENT" || p == "2-HIGH");
-    mode_key.push_back(mode[k]);
     high.push_back(is_high ? 1.0 : 0.0);
     low.push_back(is_high ? 0.0 : 1.0);
   }
@@ -127,14 +125,14 @@ QueryOutput Q12(const Database& db) {
                   static_cast<int64_t>(final_sel.size()));
 
   Grouper grouper;
-  grouper.AddStrKey(mode_key);
+  grouper.AddStrKey(mode, final_sel);
   grouper.Finish();
   auto high_counts = SumPerGroup(high, grouper.group_of(), grouper.num_groups());
   auto low_counts = SumPerGroup(low, grouper.group_of(), grouper.num_groups());
   RecordGroup(&rec,
               {PlanRecorder::Base("lineitem.l_shipmode",
-                                  static_cast<int64_t>(mode_key.size()), 8, false)},
-              static_cast<int64_t>(mode_key.size()), grouper.num_groups());
+                                  static_cast<int64_t>(final_sel.size()), 8, false)},
+              static_cast<int64_t>(final_sel.size()), grouper.num_groups());
 
   QueryResult result;
   result.query = "Q12";

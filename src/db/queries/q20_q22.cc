@@ -112,52 +112,74 @@ QueryOutput Q21(const Database& db) {
     if (N.str("n_name")[static_cast<size_t>(i)] == "SAUDI ARABIA") saudi = i;
   }
 
-  // Per order: the set of distinct suppliers, and the set of suppliers that
-  // delivered late (receiptdate > commitdate).
+  // Per order: its first supplier and its first late supplier
+  // (receiptdate > commitdate), plus whether a second distinct one of each
+  // showed up. That is all the predicates need ("another supplier exists",
+  // "exactly one supplier was late"), so the state is one flat array
+  // indexed by the dense orderkey; suppkey 0 means "none yet".
   const auto& l_order = L.i64("l_orderkey");
   const auto& l_supp = L.i64("l_suppkey");
   const auto& commit = L.i64("l_commitdate");
   const auto& receipt = L.i64("l_receiptdate");
-  struct OrderInfo {
-    std::unordered_set<int64_t> suppliers;
-    std::unordered_set<int64_t> late_suppliers;
+  struct OrderSuppliers {
+    int64_t first = 0;
+    int64_t first_late = 0;
+    bool second = false;
+    bool second_late = false;
   };
-  std::unordered_map<int64_t, OrderInfo> orders_info;
+  std::vector<OrderSuppliers> orders_info(
+      static_cast<size_t>(O.num_rows()) + 1);
+  int64_t distinct_orders = 0;
   for (int64_t i = 0; i < L.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
-    OrderInfo& info = orders_info[l_order[k]];
-    info.suppliers.insert(l_supp[k]);
-    if (receipt[k] > commit[k]) info.late_suppliers.insert(l_supp[k]);
+    OrderSuppliers& info = orders_info[static_cast<size_t>(l_order[k])];
+    const int64_t supp = l_supp[k];
+    if (info.first == 0) {
+      info.first = supp;
+      distinct_orders++;
+    } else if (info.first != supp) {
+      info.second = true;
+    }
+    if (receipt[k] > commit[k]) {
+      if (info.first_late == 0) {
+        info.first_late = supp;
+      } else if (info.first_late != supp) {
+        info.second_late = true;
+      }
+    }
   }
   RecordGroup(&rec, {PlanRecorder::Base("lineitem.l_orderkey", L.num_rows()),
                      PlanRecorder::Base("lineitem.l_suppkey", L.num_rows()),
                      PlanRecorder::Base("lineitem.l_receiptdate", L.num_rows()),
                      PlanRecorder::Base("lineitem.l_commitdate", L.num_rows())},
-              L.num_rows(), static_cast<int64_t>(orders_info.size()));
+              L.num_rows(), distinct_orders);
 
   const auto& status = O.str("o_orderstatus");
   const auto& s_nation = S.i64("s_nationkey");
-  std::unordered_map<int64_t, int64_t> waiting_count;  // suppkey -> numwait
+  std::vector<int64_t> waiting_count(static_cast<size_t>(S.num_rows()) + 1, 0);
   int64_t scanned = 0;
-  for (const auto& [orderkey, info] : orders_info) {
-    const size_t orow = static_cast<size_t>(orderkey - 1);
-    if (status[orow] != "F") continue;
-    if (info.suppliers.size() < 2) continue;  // exists another supplier
-    if (info.late_suppliers.size() != 1) continue;  // only one failed
+  for (int64_t orderkey = 1; orderkey <= O.num_rows(); ++orderkey) {
+    const OrderSuppliers& info = orders_info[static_cast<size_t>(orderkey)];
+    if (info.first == 0) continue;  // no lineitems
+    if (status[static_cast<size_t>(orderkey - 1)] != "F") continue;
+    if (!info.second) continue;  // exists another supplier
+    if (info.first_late == 0 || info.second_late) continue;  // only one failed
     scanned++;
-    const int64_t suppkey = *info.late_suppliers.begin();
+    const int64_t suppkey = info.first_late;
     if (s_nation[static_cast<size_t>(suppkey - 1)] != saudi) continue;
-    waiting_count[suppkey]++;
+    waiting_count[static_cast<size_t>(suppkey)]++;
   }
   RecordJoinProbe(&rec,
                   {PlanRecorder::Base("orders.o_orderstatus", O.num_rows()),
-                   PlanRecorder::Inter(0, static_cast<int64_t>(orders_info.size()))},
+                   PlanRecorder::Inter(0, distinct_orders)},
                   scanned);
 
   QueryResult result;
   result.query = "Q21";
   result.column_names = {"s_name", "numwait"};
-  for (const auto& [suppkey, count] : waiting_count) {
+  for (int64_t suppkey = 1; suppkey <= S.num_rows(); ++suppkey) {
+    const int64_t count = waiting_count[static_cast<size_t>(suppkey)];
+    if (count == 0) continue;
     result.rows.push_back(
         {Value::Str(S.str("s_name")[static_cast<size_t>(suppkey - 1)]),
          Value::I64(count)});

@@ -269,23 +269,24 @@ TEST(GrouperTest, ManyDistinctKeysMatchUnorderedMapReference) {
 TEST(GrouperTest, MixedStrI64KeysMatchStringEncodingReference) {
   std::mt19937_64 rng(11);
   const std::vector<std::string> names = {"ALPHA", "BETA", "GAMMA", "DELTA"};
-  std::vector<std::string> str_key(5000);
+  SelVec name_rows(5000);  // the string key is names[name_rows[i]]
   std::vector<int64_t> i64_key(5000);
-  for (size_t i = 0; i < str_key.size(); ++i) {
-    str_key[i] = names[rng() % names.size()];
+  for (size_t i = 0; i < name_rows.size(); ++i) {
+    name_rows[i] = static_cast<int64_t>(rng() % names.size());
     i64_key[i] = static_cast<int64_t>(rng() % 7);
   }
   Grouper g;
-  g.AddStrKey(str_key);
+  g.AddStrKey(names, name_rows);
   g.AddI64Key(i64_key);
   g.Finish();
 
   // Reference: the seed executor's per-row string encoding.
   std::unordered_map<std::string, int64_t> ref;
-  std::vector<int64_t> want(str_key.size());
+  std::vector<int64_t> want(name_rows.size());
   int64_t next = 0;
-  for (size_t i = 0; i < str_key.size(); ++i) {
-    std::string encoded = str_key[i] + '\x01' + std::to_string(i64_key[i]);
+  for (size_t i = 0; i < name_rows.size(); ++i) {
+    std::string encoded = names[static_cast<size_t>(name_rows[i])] + '\x01' +
+                          std::to_string(i64_key[i]);
     auto it = ref.emplace(encoded, next).first;
     if (it->second == next) next++;
     want[i] = it->second;

@@ -86,8 +86,10 @@ TEST(GrouperTest, SingleI64Key) {
 }
 
 TEST(GrouperTest, CompositeKeys) {
+  const std::vector<std::string> column = {"A", "A", "B", "A"};
+  const SelVec rows = {0, 1, 2, 3};
   Grouper g;
-  g.AddStrKey({"A", "A", "B", "A"});
+  g.AddStrKey(column, rows);
   g.AddI64Key({1, 2, 1, 1});
   g.Finish();
   EXPECT_EQ(g.num_groups(), 3);  // (A,1), (A,2), (B,1)
@@ -98,19 +100,76 @@ TEST(GrouperTest, CompositeKeys) {
 
 TEST(GrouperTest, StringKeysWithSeparatorCollisionsAreDistinct) {
   // "a" + "b" vs "ab" + "" must form different groups.
+  const std::vector<std::string> first = {"a", "ab"};
+  const std::vector<std::string> second = {"b", ""};
+  const SelVec rows = {0, 1};
   Grouper g;
-  g.AddStrKey({"a", "ab"});
-  g.AddStrKey({"b", ""});
+  g.AddStrKey(first, rows);
+  g.AddStrKey(second, rows);
   g.Finish();
   EXPECT_EQ(g.num_groups(), 2);
 }
 
-TEST(AggregatesTest, SumCountAvgPerGroup) {
+TEST(GrouperTest, StrKeyReadsThroughCandidateListWithRepeats) {
+  // Row r's key is column[rows[r]]: blue, red, blue, green. Reading
+  // column[r] instead would give red, green, blue, blue.
+  const std::vector<std::string> column = {"red", "green", "blue", "blue"};
+  const SelVec rows = {3, 0, 3, 1};
+  Grouper g;
+  g.AddStrKey(column, rows);
+  g.Finish();
+  EXPECT_EQ(g.num_rows(), 4);
+  EXPECT_EQ(g.num_groups(), 3);
+  EXPECT_EQ(g.group_of(), (std::vector<int64_t>{0, 1, 0, 2}));
+  EXPECT_EQ(g.representative_rows(), (std::vector<int64_t>{0, 1, 3}));
+  EXPECT_EQ(g.StrKeyOfGroup(0, 0), "blue");
+  EXPECT_EQ(g.StrKeyOfGroup(0, 1), "red");
+  EXPECT_EQ(g.StrKeyOfGroup(0, 2), "green");
+}
+
+TEST(GrouperTest, LongStrKeysReadThroughCandidateList) {
+  // Keys over 15 bytes take the generic path, which must hash and compare
+  // column[rows[r]] as well.
+  const std::vector<std::string> column = {
+      "short", "a key longer than fifteen bytes", "short",
+      "another key longer than fifteen"};
+  const SelVec rows = {3, 1, 3, 0, 1, 2};
+  const std::vector<int64_t> suffix = {7, 7, 8, 7, 7, 7};
+  Grouper g;
+  g.AddStrKey(column, rows);
+  g.AddI64Key(suffix);
+  g.Finish();
+  // (another, 7), (a key, 7), (another, 8), (short, 7); rows 0 and 2 of the
+  // column are equal strings, so candidates 3 and 5 share a group.
+  EXPECT_EQ(g.num_groups(), 4);
+  EXPECT_EQ(g.group_of(), (std::vector<int64_t>{0, 1, 2, 3, 1, 3}));
+  EXPECT_EQ(g.StrKeyOfGroup(0, 0), "another key longer than fifteen");
+  EXPECT_EQ(g.StrKeyOfGroup(0, 1), "a key longer than fifteen bytes");
+  EXPECT_EQ(g.StrKeyOfGroup(0, 3), "short");
+  EXPECT_EQ(g.I64KeyOfGroup(1, 2), 8);
+}
+
+TEST(GrouperTest, StrKeyOfGroupReturnsColumnEntryOfRepresentative) {
+  const std::vector<std::string> column = {"x", "y", "z", "y"};
+  const SelVec rows = {2, 1, 3, 2, 0};
+  Grouper g;
+  g.AddStrKey(column, rows);
+  g.Finish();
+  ASSERT_EQ(g.num_groups(), 3);  // z, y, x: rows 1 and 3 are equal strings
+  for (int64_t gid = 0; gid < g.num_groups(); ++gid) {
+    const int64_t rep =
+        g.representative_rows()[static_cast<size_t>(gid)];
+    // A reference into the column itself, not a copy.
+    EXPECT_EQ(&g.StrKeyOfGroup(0, gid),
+              &column[static_cast<size_t>(rows[static_cast<size_t>(rep)])]);
+  }
+}
+
+TEST(AggregatesTest, SumCountPerGroup) {
   const std::vector<int64_t> group_of = {0, 1, 0, 1, 0};
   const std::vector<double> values = {1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_EQ(SumPerGroup(values, group_of, 2), (std::vector<double>{9.0, 6.0}));
   EXPECT_EQ(CountPerGroup(group_of, 2), (std::vector<int64_t>{3, 2}));
-  EXPECT_EQ(AvgPerGroup(values, group_of, 2), (std::vector<double>{3.0, 3.0}));
 }
 
 TEST(AggregatesTest, MinMaxPerGroup) {

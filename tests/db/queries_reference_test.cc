@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <utility>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "db/date.h"
 #include "db/like.h"
@@ -620,6 +622,58 @@ TEST(QueriesReference, Q20SuppliersAreCanadian) {
   }
 }
 
+TEST(QueriesReference, Q21MatchesRowLoop) {
+  const Database& db = Db();
+  const auto& L = db.lineitem;
+  int64_t saudi = -1;
+  for (int64_t i = 0; i < db.nation.num_rows(); ++i) {
+    if (db.nation.str("n_name")[static_cast<size_t>(i)] == "SAUDI ARABIA") {
+      saudi = i;
+    }
+  }
+  // Per order: the set of distinct suppliers, and the set of suppliers that
+  // delivered late (receiptdate > commitdate).
+  struct OrderInfo {
+    std::unordered_set<int64_t> suppliers;
+    std::unordered_set<int64_t> late_suppliers;
+  };
+  std::unordered_map<int64_t, OrderInfo> orders_info;
+  for (int64_t i = 0; i < L.num_rows(); ++i) {
+    const size_t k = static_cast<size_t>(i);
+    OrderInfo& info = orders_info[L.i64("l_orderkey")[k]];
+    info.suppliers.insert(L.i64("l_suppkey")[k]);
+    if (L.i64("l_receiptdate")[k] > L.i64("l_commitdate")[k]) {
+      info.late_suppliers.insert(L.i64("l_suppkey")[k]);
+    }
+  }
+  std::map<std::string, int64_t> waiting;  // s_name -> numwait
+  for (const auto& [orderkey, info] : orders_info) {
+    const size_t orow = static_cast<size_t>(orderkey - 1);
+    if (db.orders.str("o_orderstatus")[orow] != "F") continue;
+    if (info.suppliers.size() < 2) continue;
+    if (info.late_suppliers.size() != 1) continue;
+    const size_t srow = static_cast<size_t>(*info.late_suppliers.begin() - 1);
+    if (db.supplier.i64("s_nationkey")[srow] != saudi) continue;
+    waiting[db.supplier.str("s_name")[srow]]++;
+  }
+  // numwait descending, s_name ascending, first 100.
+  std::vector<std::pair<std::string, int64_t>> expected(waiting.begin(),
+                                                        waiting.end());
+  std::stable_sort(
+      expected.begin(), expected.end(),
+      [](const auto& a, const auto& b) { return a.second > b.second; });
+  if (expected.size() > 100) expected.resize(100);
+
+  const QueryResult& r = Result(21);
+  ASSERT_GT(expected.size(), 0u);
+  ASSERT_EQ(r.num_rows(), static_cast<int64_t>(expected.size()));
+  for (int64_t row = 0; row < r.num_rows(); ++row) {
+    const auto& [name, count] = expected[static_cast<size_t>(row)];
+    EXPECT_EQ(r.at(row, 0).str(), name) << "row " << row;
+    EXPECT_EQ(r.at(row, 1).i64(), count) << "row " << row;
+  }
+}
+
 TEST(QueriesReference, Q21WaitCountsPositive) {
   const QueryResult& r = Result(21);
   for (int64_t row = 0; row < r.num_rows(); ++row) {
@@ -662,15 +716,6 @@ std::string SerializeResult(const QueryResult& result) {
   return blob;
 }
 
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 14695981039346656037ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 // Golden checksums captured from the pre-kernel scalar executor (SF 0.01,
 // seed 19920101). The batch-kernel rewrite must keep every query output
 // byte-identical; any intentional result change must re-capture these.
@@ -689,7 +734,7 @@ TEST(QueriesReference, AllQueriesMatchScalarExecutorGoldens) {
       {21, 0x1d4607305629b1fdULL}, {22, 0x714aea0099cc2972ULL},
   };
   for (const auto& [q, golden] : kGoldens) {
-    EXPECT_EQ(Fnv1a(SerializeResult(Result(q))), golden) << "Q" << q;
+    EXPECT_EQ(testutil::Fnv1a(SerializeResult(Result(q))), golden) << "Q" << q;
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+
 #include "db/queries.h"
 #include "tests/db/test_db.h"
 
@@ -77,6 +81,50 @@ TEST(QueryTraceTest, StageInputReferencesAreWellFormed) {
         EXPECT_GE(in.rows, 0);
       }
     }
+  }
+}
+
+// Deterministic serialization of every PlanTrace field the simulator
+// replays; cpu_weight goes in as its exact f64 bit pattern.
+std::string SerializeTrace(const PlanTrace& trace) {
+  std::string blob = trace.query + "#" + std::to_string(trace.stream) + "\n";
+  for (const TraceStage& s : trace.stages) {
+    uint64_t weight_bits;
+    memcpy(&weight_bits, &s.cpu_weight, sizeof weight_bits);
+    blob += s.op + "|" + std::to_string(s.rows_out) + "|" +
+            std::to_string(s.out_width) + "|" + std::to_string(weight_bits);
+    for (const StageInput& in : s.inputs) {
+      blob += "<" + in.base_column + "|" + std::to_string(in.stage) + "|" +
+              std::to_string(in.rows) + "|" + std::to_string(in.width) + "|" +
+              (in.dense ? "d" : "s");
+    }
+    blob += '\n';
+  }
+  return blob;
+}
+
+// Plan-trace digests of all 22 queries (SF 0.01, seed 19920101). The
+// simulator replays these plans, so an executor change must keep every
+// stage's cardinalities, widths, weights and inputs; any intentional plan
+// change must re-capture these.
+TEST(QueryTraceTest, AllQueryTracesMatchRecordedDigests) {
+  static const std::pair<int, uint64_t> kDigests[] = {
+      {1, 0x16fc38b23fc3cf58ULL},  {2, 0xcc450ae3d69f83c2ULL},
+      {3, 0x974797d2c392732aULL},  {4, 0xfda8655c1686ed94ULL},
+      {5, 0xa54f8428310e220eULL},  {6, 0x5dcc744ce944f621ULL},
+      {7, 0x4b7b31c47c5596d3ULL},  {8, 0x0562a69c7d6baabdULL},
+      {9, 0x1724d2c39f025b9cULL},  {10, 0x4f269dd9a7872178ULL},
+      {11, 0x0c668572aae73a73ULL}, {12, 0x3b024291c7c30059ULL},
+      {13, 0xd63e1885031f9a01ULL}, {14, 0xfafb32c2d3187306ULL},
+      {15, 0xb642bad5046b21d1ULL}, {16, 0xf31fc7b681257defULL},
+      {17, 0xb809c6f93fc6e766ULL}, {18, 0xb8c1e54310245973ULL},
+      {19, 0x5c7d5c9208b3d15dULL}, {20, 0xbc5be432bac5f287ULL},
+      {21, 0x2bdd087205963475ULL}, {22, 0x2153eb1ecfc05503ULL},
+  };
+  for (const auto& [q, digest] : kDigests) {
+    const uint64_t got =
+        testutil::Fnv1a(SerializeTrace(RunTpchQuery(Db(), q).trace));
+    EXPECT_EQ(got, digest) << "Q" << q << " trace digest 0x" << std::hex << got;
   }
 }
 

@@ -1,10 +1,23 @@
 #ifndef ELASTICORE_TESTS_DB_TEST_DB_H_
 #define ELASTICORE_TESTS_DB_TEST_DB_H_
 
+#include <cstdint>
+#include <string>
+
 #include "db/column.h"
 #include "tpch/dbgen.h"
 
 namespace elastic::testutil {
+
+/// 64-bit FNV-1a over a serialized result or plan (golden digests).
+inline uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 14695981039346656037ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
 
 /// Shared TPC-H instance at SF 0.01, generated once per test binary.
 inline const db::Database& TestDb() {

@@ -51,6 +51,16 @@ TEST(DbgenTest, KeysAreDense) {
   for (int64_t i = 0; i < db.orders.num_rows(); ++i) {
     ASSERT_EQ(orderkey[static_cast<size_t>(i)], i + 1);
   }
+  // Queries index per-order and per-supplier arrays by these foreign keys
+  // directly (Q5, Q7, Q8, Q12, Q18, Q21); Q21 also uses suppkey 0 as "none".
+  for (int64_t key : db.lineitem.i64("l_orderkey")) {
+    ASSERT_GE(key, 1);
+    ASSERT_LE(key, db.orders.num_rows());
+  }
+  for (int64_t key : db.lineitem.i64("l_suppkey")) {
+    ASSERT_GE(key, 1);
+    ASSERT_LE(key, db.supplier.num_rows());
+  }
 }
 
 TEST(DbgenTest, OneThirdOfCustomersHaveNoOrders) {
