@@ -6,38 +6,118 @@ namespace elastic::numasim {
 
 L3Cache::L3Cache(int capacity_pages) : capacity_(capacity_pages) {
   ELASTIC_CHECK(capacity_pages >= 1, "cache needs at least one frame");
-  map_.reserve(static_cast<size_t>(capacity_pages) * 2);
+  int bits = 1;
+  while ((int64_t{1} << bits) < int64_t{2} * capacity_pages) ++bits;
+  hash_shift_ = 64 - bits;
+  slot_mask_ = (size_t{1} << bits) - 1;
+  frames_.resize(static_cast<size_t>(capacity_pages));
+  free_.reserve(static_cast<size_t>(capacity_pages));
+  index_.resize(slot_mask_ + 1);
+  Clear();
+}
+
+size_t L3Cache::HomeSlot(PageId page) const {
+  // Fibonacci hashing: the top bits of the product depend on every bit of
+  // the page id, so consecutive pages of one buffer spread over the index.
+  return static_cast<size_t>((page * 0x9E3779B97F4A7C15ULL) >> hash_shift_);
+}
+
+size_t L3Cache::FindSlot(PageId page) const {
+  size_t slot = HomeSlot(page);
+  while (index_[slot].frame != kNone && index_[slot].page != page) {
+    slot = (slot + 1) & slot_mask_;
+  }
+  return slot;
+}
+
+void L3Cache::EraseSlot(size_t hole) {
+  for (size_t slot = (hole + 1) & slot_mask_; index_[slot].frame != kNone;
+       slot = (slot + 1) & slot_mask_) {
+    // An entry may move back into the hole only when the hole lies between
+    // its home slot and its current slot; otherwise lookups would miss it.
+    const size_t home = HomeSlot(index_[slot].page);
+    if (((slot - home) & slot_mask_) >= ((slot - hole) & slot_mask_)) {
+      index_[hole] = index_[slot];
+      hole = slot;
+    }
+  }
+  index_[hole].frame = kNone;
+}
+
+void L3Cache::Unlink(int32_t frame) {
+  const Frame& f = frames_[frame];
+  if (f.prev == kNone) {
+    head_ = f.next;
+  } else {
+    frames_[f.prev].next = f.next;
+  }
+  if (f.next == kNone) {
+    tail_ = f.prev;
+  } else {
+    frames_[f.next].prev = f.prev;
+  }
+}
+
+void L3Cache::PushFront(int32_t frame) {
+  Frame& f = frames_[frame];
+  f.prev = kNone;
+  f.next = head_;
+  if (head_ == kNone) {
+    tail_ = frame;
+  } else {
+    frames_[head_].prev = frame;
+  }
+  head_ = frame;
 }
 
 bool L3Cache::Access(PageId page) {
-  auto it = map_.find(page);
-  if (it != map_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
+  size_t slot = FindSlot(page);
+  int32_t frame = index_[slot].frame;
+  if (frame != kNone) {
+    if (frame != head_) {
+      Unlink(frame);
+      PushFront(frame);
+    }
     return true;
   }
-  if (static_cast<int>(map_.size()) >= capacity_) {
-    const PageId victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim);
+  if (free_.empty()) {
+    frame = tail_;
+    Unlink(frame);
+    EraseSlot(FindSlot(frames_[frame].page));
+    // The shift may have emptied a slot earlier on `page`'s probe sequence.
+    slot = FindSlot(page);
+  } else {
+    frame = free_.back();
+    free_.pop_back();
   }
-  lru_.push_front(page);
-  map_[page] = lru_.begin();
+  frames_[frame].page = page;
+  PushFront(frame);
+  index_[slot] = Slot{page, frame};
   return false;
 }
 
-bool L3Cache::Contains(PageId page) const { return map_.find(page) != map_.end(); }
+bool L3Cache::Contains(PageId page) const {
+  return index_[FindSlot(page)].frame != kNone;
+}
 
 bool L3Cache::Invalidate(PageId page) {
-  auto it = map_.find(page);
-  if (it == map_.end()) return false;
-  lru_.erase(it->second);
-  map_.erase(it);
+  const size_t slot = FindSlot(page);
+  const int32_t frame = index_[slot].frame;
+  if (frame == kNone) return false;
+  EraseSlot(slot);
+  Unlink(frame);
+  free_.push_back(frame);
   return true;
 }
 
 void L3Cache::Clear() {
-  lru_.clear();
-  map_.clear();
+  for (Slot& slot : index_) slot.frame = kNone;
+  free_.clear();
+  for (int32_t frame = capacity_ - 1; frame >= 0; --frame) {
+    free_.push_back(frame);
+  }
+  head_ = kNone;
+  tail_ = kNone;
 }
 
 }  // namespace elastic::numasim

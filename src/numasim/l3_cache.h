@@ -2,8 +2,7 @@
 #define ELASTICORE_NUMASIM_L3_CACHE_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "numasim/page_table.h"
 
@@ -17,6 +16,13 @@ namespace elastic::numasim {
 /// socket. All cores of a socket share the structure, so unrelated threads
 /// packed onto one node evict each other — exactly the "dense" failure mode
 /// the paper describes.
+///
+/// Every simulated page access goes through Access(), so the structure is
+/// flat and allocated once: `capacity` frames doubly linked by index in
+/// recency order, a stack of the frames not in use, and an open-addressing
+/// index from page to frame (power-of-two size of at least twice the
+/// capacity, linear probing with backward-shift deletion, so the constant
+/// eviction of a full cache leaves no tombstones behind).
 class L3Cache {
  public:
   explicit L3Cache(int capacity_pages);
@@ -33,16 +39,47 @@ class L3Cache {
   bool Invalidate(PageId page);
 
   /// Number of resident pages.
-  int64_t size() const { return static_cast<int64_t>(map_.size()); }
+  int64_t size() const {
+    return capacity_ - static_cast<int64_t>(free_.size());
+  }
   int capacity() const { return capacity_; }
 
   /// Drops all contents (e.g., between experiments).
   void Clear();
 
  private:
+  static constexpr int32_t kNone = -1;
+
+  /// A resident page, linked towards the more (prev) and less (next)
+  /// recently used frames.
+  struct Frame {
+    PageId page = 0;
+    int32_t prev = kNone;
+    int32_t next = kNone;
+  };
+  /// An index slot; empty when `frame` is kNone.
+  struct Slot {
+    PageId page = 0;
+    int32_t frame = kNone;
+  };
+
+  size_t HomeSlot(PageId page) const;
+  /// Slot holding `page`, or the empty slot that ends its probe sequence.
+  size_t FindSlot(PageId page) const;
+  /// Empties a slot and shifts the rest of its cluster back over the hole.
+  void EraseSlot(size_t slot);
+  void Unlink(int32_t frame);
+  void PushFront(int32_t frame);
+
   int capacity_;
-  std::list<PageId> lru_;  // front = most recent
-  std::unordered_map<PageId, std::list<PageId>::iterator> map_;
+  std::vector<Frame> frames_;
+  /// Frames holding no page; Invalidate pushes, a miss pops.
+  std::vector<int32_t> free_;
+  int32_t head_ = kNone;  // most recently used
+  int32_t tail_ = kNone;  // least recently used
+  std::vector<Slot> index_;
+  size_t slot_mask_ = 0;
+  int hash_shift_ = 0;
 };
 
 }  // namespace elastic::numasim

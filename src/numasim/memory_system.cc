@@ -13,7 +13,7 @@ MemorySystem::MemorySystem(const Topology* topology, PageTable* page_table,
   const MachineConfig& cfg = topology_->config();
   l3_.reserve(static_cast<size_t>(cfg.num_nodes));
   for (int n = 0; n < cfg.num_nodes; ++n) {
-    l3_.push_back(std::make_unique<L3Cache>(cfg.l3_pages_per_node));
+    l3_.emplace_back(cfg.l3_pages_per_node);
   }
   link_bytes_this_tick_.assign(static_cast<size_t>(topology_->num_links()), 0);
   link_capacity_per_tick_ = static_cast<int64_t>(
@@ -48,7 +48,7 @@ AccessResult MemorySystem::Access(CoreId core, PageId page, bool is_write,
   counters_->node_access_pages[home]++;
 
   // L3 lookup in the requesting socket.
-  const bool hit = l3_[node]->Access(page);
+  const bool hit = l3_[node].Access(page);
   if (hit && !touch.first_touch) {
     result.l3_hit = true;
     result.cycles = cfg.l3_hit_cycles;
@@ -98,14 +98,14 @@ AccessResult MemorySystem::Access(CoreId core, PageId page, bool is_write,
   if (is_write) {
     for (int n = 0; n < cfg.num_nodes; ++n) {
       if (n == node) continue;
-      if (l3_[n]->Invalidate(page)) counters_->l3_invalidations++;
+      if (l3_[n].Invalidate(page)) counters_->l3_invalidations++;
     }
   }
   return result;
 }
 
 void MemorySystem::ClearCaches() {
-  for (auto& cache : l3_) cache->Clear();
+  for (L3Cache& cache : l3_) cache.Clear();
 }
 
 }  // namespace elastic::numasim

@@ -2,7 +2,6 @@
 #define ELASTICORE_NUMASIM_MEMORY_SYSTEM_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "numasim/l3_cache.h"
@@ -49,7 +48,7 @@ class MemorySystem {
   /// Drops all cached contents (cold caches between experiments).
   void ClearCaches();
 
-  const L3Cache& l3(NodeId node) const { return *l3_[node]; }
+  const L3Cache& l3(NodeId node) const { return l3_[node]; }
 
   /// Bytes already pushed through a link in the current tick.
   int64_t LinkBytesThisTick(int link) const { return link_bytes_this_tick_[link]; }
@@ -61,7 +60,7 @@ class MemorySystem {
   const Topology* topology_;
   PageTable* page_table_;
   perf::CounterSet* counters_;
-  std::vector<std::unique_ptr<L3Cache>> l3_;
+  std::vector<L3Cache> l3_;
   std::vector<int64_t> link_bytes_this_tick_;
   int64_t link_capacity_per_tick_;
   /// Hoisted `ht_congestion_penalty * remote_hop_cycles`: constant for the

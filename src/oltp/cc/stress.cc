@@ -1,10 +1,30 @@
 #include "oltp/cc/stress.h"
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <thread>
 
 namespace elastic::oltp::cc {
 namespace {
+
+/// Aborts answered with a bare yield before the retry loop starts to sleep.
+constexpr int kYieldRetries = 8;
+constexpr std::chrono::microseconds kMaxBackoff{1000};
+
+/// Waits after the `aborts`-th abort of one transaction: a yield for the
+/// first few, then sleeps doubling from 1 us up to kMaxBackoff. Yields alone
+/// give up the CPU only to threads already runnable, so a lock holder that
+/// the host has descheduled may still hold its lock after thousands of them.
+void BackOff(int aborts) {
+  if (aborts <= kYieldRetries) {
+    std::this_thread::yield();  // no-wait livelock release valve
+    return;
+  }
+  const int doublings = std::min(aborts - kYieldRetries - 1, 10);
+  const std::chrono::microseconds wait(int64_t{1} << doublings);
+  std::this_thread::sleep_for(std::min(wait, kMaxBackoff));
+}
 
 struct ThreadOutcome {
   int64_t committed = 0;
@@ -27,32 +47,35 @@ void RunWorker(const StressConfig& config, Protocol* protocol, int tid,
                           : ycsb.Next();
     const uint64_t txn_id =
         static_cast<uint64_t>(tid) * config.txns_per_thread + i;
-    bool done = false;
-    for (int attempt = 0; attempt < config.max_attempts; ++attempt) {
-      protocol->Begin(ctx, txn_id);
-      if (!ExecuteCcTxn(*protocol, ctx, txn, nullptr)) {
-        protocol->Abort(ctx);
-        ++out->aborted;
-        std::this_thread::yield();  // no-wait livelock release valve
-        continue;
-      }
-      CommittedTxn committed;
-      if (!protocol->Commit(ctx, config.record_history ? &committed
-                                                       : nullptr)) {
-        ++out->aborted;
-        std::this_thread::yield();
-        continue;
-      }
-      ++out->committed;
-      if (config.record_history) out->history.push_back(std::move(committed));
-      done = true;
-      break;
+    CommittedTxn committed;
+    if (!CommitWithRetry(*protocol, ctx, txn, txn_id, config.max_attempts,
+                         config.record_history ? &committed : nullptr,
+                         &out->aborted)) {
+      ++out->gave_up;
+      continue;
     }
-    if (!done) ++out->gave_up;
+    ++out->committed;
+    if (config.record_history) out->history.push_back(std::move(committed));
   }
 }
 
 }  // namespace
+
+bool CommitWithRetry(Protocol& protocol, TxnCtx& ctx, const CcTxn& txn,
+                     uint64_t txn_id, int max_attempts,
+                     CommittedTxn* committed, int64_t* aborts) {
+  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+    protocol.Begin(ctx, txn_id);
+    if (ExecuteCcTxn(protocol, ctx, txn, nullptr)) {
+      if (protocol.Commit(ctx, committed)) return true;
+    } else {
+      protocol.Abort(ctx);
+    }
+    ++*aborts;
+    BackOff(attempt);
+  }
+  return false;
+}
 
 StressResult RunCcStress(const StressConfig& config) {
   const int64_t num_records = config.workload == WorkloadKind::kSmallBank

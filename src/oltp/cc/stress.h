@@ -26,7 +26,8 @@ struct StressConfig {
   int txns_per_thread = 1000;
   uint64_t seed = 42;
   /// Per-transaction attempt cap; a transaction still aborted after this
-  /// many tries is dropped (counted in gave_up, data left untouched).
+  /// many tries is dropped (counted in gave_up, data left untouched). With
+  /// CommitWithRetry's backoff the default spans about ten seconds.
   int max_attempts = 10000;
   bool record_history = true;
 };
@@ -44,6 +45,16 @@ struct StressResult {
 };
 
 StressResult RunCcStress(const StressConfig& config);
+
+/// Runs `txn` as transaction `txn_id` until it commits or `max_attempts`
+/// attempts have aborted, adding one to *aborts per abort. After an abort it
+/// yields for the first few attempts, then sleeps with exponentially growing
+/// waits capped at 1 ms, so the attempts span seconds of wall time and a
+/// descheduled lock holder gets to finish however loaded the host is. On
+/// commit fills `committed` (when non-null) and returns true.
+bool CommitWithRetry(Protocol& protocol, TxnCtx& ctx, const CcTxn& txn,
+                     uint64_t txn_id, int max_attempts,
+                     CommittedTxn* committed, int64_t* aborts);
 
 }  // namespace elastic::oltp::cc
 

@@ -2,10 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "perf/counters.h"
+#include "simcore/rng.h"
 
 namespace elastic::numasim {
 namespace {
+
+/// 64-bit FNV-1a over whole words, fed byte by byte (little-endian).
+class Fnv1a {
+ public:
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xFFu;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+  void Add(const std::vector<int64_t>& words) {
+    for (const int64_t word : words) Add(static_cast<uint64_t>(word));
+  }
+  template <size_t N>
+  void Add(const std::array<int64_t, N>& words) {
+    for (const int64_t word : words) Add(static_cast<uint64_t>(word));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
 
 class MemorySystemTest : public ::testing::Test {
  protected:
@@ -154,6 +181,110 @@ TEST_F(MemorySystemTest, ClearCachesForcesMisses) {
   mem_.ClearCaches();
   const AccessResult r = mem_.Access(0, PageTable::PageOf(buf, 0), false, 0);
   EXPECT_FALSE(r.l3_hit);
+}
+
+// A seeded trace through every path of Access(), digested: any change to
+// what the memory model charges or counts (L3 residency and eviction order,
+// first touch, remote fetches, congestion, write invalidation, stream
+// attribution) moves the digest. The trace comes from all 16 cores over
+// buffers of about 4x one socket's L3 placed three ways (one node,
+// chunked round-robin, first touch); about 30% of the accesses write, half
+// revisit a page the socket touched recently (so the L3 hits), and ticks
+// are long enough that links run past their per-tick capacity.
+TEST_F(MemorySystemTest, AccessTraceDigest) {
+  constexpr int kAccesses = 200'000;
+  constexpr int kRecent = 256;
+  constexpr uint64_t kMeanTickAccesses = 16'384;
+  constexpr uint64_t kRecordedDigest = 0x5f752f158fdcdefaULL;
+  const MachineConfig& cfg = topo_.config();
+  const int64_t l3 = cfg.l3_pages_per_node;
+
+  std::vector<BufferId> buffers;
+  std::vector<int64_t> buffer_start;  // first global index of each buffer
+  int64_t total_pages = 0;
+  auto add_buffer = [&](int64_t pages) {
+    const BufferId buf = pt_.CreateBuffer(pages);
+    buffers.push_back(buf);
+    buffer_start.push_back(total_pages);
+    total_pages += pages;
+    return buf;
+  };
+  pt_.PlaceAllOn(add_buffer(l3), 1);
+  pt_.PlaceAllOn(add_buffer(l3 / 2), 3);
+  pt_.PlaceChunkedRoundRobin(add_buffer(l3), /*chunk_pages=*/16);
+  pt_.PlaceChunkedRoundRobin(add_buffer(l3 / 2), /*chunk_pages=*/64,
+                             /*first_node=*/2);
+  add_buffer(l3 / 2);  // first touch
+  add_buffer(l3 / 2);  // first touch
+  auto page_at = [&](int64_t global) {
+    size_t b = buffers.size() - 1;
+    while (buffer_start[b] > global) --b;
+    return PageTable::PageOf(buffers[b], global - buffer_start[b]);
+  };
+
+  simcore::Rng rng(0xACCE55);
+  std::vector<std::vector<PageId>> recent(
+      static_cast<size_t>(topo_.num_nodes()),
+      std::vector<PageId>(kRecent, kInvalidPage));
+  Fnv1a digest;
+  int64_t hits = 0;
+  int64_t congested = 0;
+  mem_.BeginTick();
+  for (int i = 0; i < kAccesses; ++i) {
+    if (rng.NextBounded(kMeanTickAccesses) == 0) mem_.BeginTick();
+    const CoreId core =
+        static_cast<CoreId>(rng.NextBounded(topo_.total_cores()));
+    const NodeId node = topo_.NodeOfCore(core);
+    std::vector<PageId>& window = recent[static_cast<size_t>(node)];
+    PageId page = window[rng.NextBounded(kRecent)];
+    if (page == kInvalidPage || rng.NextBernoulli(0.5)) {
+      page = page_at(static_cast<int64_t>(
+          rng.NextBounded(static_cast<uint64_t>(total_pages))));
+    }
+    window[static_cast<size_t>(i) % kRecent] = page;
+    const bool is_write = rng.NextBernoulli(0.3);
+    const int stream = static_cast<int>(rng.NextBounded(perf::kMaxStreams));
+
+    const AccessResult r = mem_.Access(core, page, is_write, stream);
+    digest.Add(static_cast<uint64_t>(r.cycles));
+    digest.Add((r.l3_hit ? 1u : 0u) | (r.remote ? 2u : 0u) |
+               (r.first_touch ? 4u : 0u) | (r.minor_fault ? 8u : 0u));
+    if (r.l3_hit) hits++;
+    const int64_t uncongested =
+        cfg.local_dram_cycles +
+        topo_.Hops(node, pt_.HomeOf(page)) * cfg.remote_hop_cycles;
+    if (r.remote && r.cycles > uncongested) congested++;
+  }
+
+  digest.Add(counters_.l3_hits);
+  digest.Add(counters_.l3_misses);
+  digest.Add(counters_.imc_bytes);
+  digest.Add(counters_.local_bytes);
+  digest.Add(counters_.remote_in_bytes);
+  digest.Add(counters_.node_access_pages);
+  digest.Add(counters_.ht_link_bytes);
+  for (const int64_t counter :
+       {counters_.ht_bytes_total, counters_.l3_invalidations,
+        counters_.minor_faults, counters_.first_touch_faults,
+        counters_.thread_migrations, counters_.stolen_tasks,
+        counters_.tasks_spawned, counters_.load_balance_rounds}) {
+    digest.Add(static_cast<uint64_t>(counter));
+  }
+  digest.Add(counters_.core_busy_cycles);
+  digest.Add(counters_.stream_ht_bytes);
+  digest.Add(counters_.stream_imc_bytes);
+  digest.Add(counters_.stream_busy_cycles);
+
+  // The digest must not pin a trace that skips a path.
+  EXPECT_GT(hits, 0);
+  EXPECT_EQ(hits, counters_.total_l3_hits());
+  EXPECT_GT(counters_.l3_invalidations, 0);
+  EXPECT_GT(congested, 0);
+  EXPECT_GT(counters_.first_touch_faults, 0);
+  EXPECT_EQ(digest.value(), kRecordedDigest)
+      << "digest 0x" << std::hex << digest.value() << std::dec << ", "
+      << hits << " hits, " << counters_.l3_invalidations
+      << " invalidations, " << congested << " congested accesses";
 }
 
 }  // namespace

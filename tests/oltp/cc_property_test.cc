@@ -8,10 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/oltp_contention_experiment.h"
+#include "oltp/cc/protocol.h"
 #include "oltp/cc/stress.h"
+#include "oltp/cc/table.h"
 #include "simcore/rng.h"
 
 namespace elastic::oltp::cc {
@@ -73,6 +80,46 @@ TEST_P(SmallBankConservationTest, SimulatedRunConservesTotalBalance) {
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, SmallBankConservationTest,
                          ::testing::ValuesIn(kAllProtocols),
+                         [](const auto& info) {
+                           return std::string(ProtocolKindName(info.param));
+                         });
+
+// The retry loop behind the stress harness must outlast a lock holder that
+// keeps its lock for a long time, as one descheduled on a loaded host does:
+// another thread holds a write lock on the key for 100 ms, then commits.
+class RetryOutlastsLockHolderTest
+    : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(RetryOutlastsLockHolderTest, CommitsAfterHolderReleases) {
+  Table table(/*num_records=*/64, /*num_partitions=*/16);
+  std::unique_ptr<Protocol> protocol = MakeProtocol(GetParam(), &table);
+  std::atomic<bool> locked{false};
+  std::thread holder([&] {
+    TxnCtx ctx;
+    protocol->Begin(ctx, /*txn_id=*/1);
+    EXPECT_TRUE(protocol->Put(ctx, /*key=*/0, /*value=*/10));
+    locked.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_TRUE(protocol->Commit(ctx, nullptr));
+  });
+  while (!locked.load()) std::this_thread::yield();
+
+  CcTxn txn;
+  txn.ops = {{/*key=*/0, /*write=*/true}};
+  TxnCtx ctx;
+  int64_t aborts = 0;
+  const bool committed = CommitWithRetry(*protocol, ctx, txn, /*txn_id=*/2,
+                                         /*max_attempts=*/10000, nullptr,
+                                         &aborts);
+  holder.join();
+  EXPECT_TRUE(committed) << "gave up after " << aborts << " aborts";
+  EXPECT_GT(aborts, 0);
+  EXPECT_EQ(table.record(0).value.load(), 11);
+}
+
+INSTANTIATE_TEST_SUITE_P(LockProtocols, RetryOutlastsLockHolderTest,
+                         ::testing::Values(ProtocolKind::kPartitionLock,
+                                           ProtocolKind::kTwoPhaseLock),
                          [](const auto& info) {
                            return std::string(ProtocolKindName(info.param));
                          });
