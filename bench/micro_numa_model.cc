@@ -83,6 +83,25 @@ void BM_FirstTouch(benchmark::State& state) {
 }
 BENCHMARK(BM_FirstTouch);
 
+/// Writes to pages already homed and cached on the writer's socket: unlike
+/// a first touch, each one probes the other sockets' caches to invalidate.
+void BM_WriteRevisit(benchmark::State& state) {
+  Rig rig;
+  const int64_t pages = 64;
+  const BufferId buffer = rig.pt.CreateBuffer(pages);
+  rig.pt.PlaceAllOn(buffer, 0);
+  rig.mem.BeginTick();
+  for (int64_t p = 0; p < pages; ++p) {
+    rig.mem.Access(0, PageTable::PageOf(buffer, p), false, 0);
+  }
+  int64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        rig.mem.Access(0, PageTable::PageOf(buffer, i++ & (pages - 1)), true, 0));
+  }
+}
+BENCHMARK(BM_WriteRevisit);
+
 /// Simulated remote latency grows once the per-tick link budget is spent:
 /// report average simulated cycles per access at increasing pages-per-tick.
 void BM_CongestionCurve(benchmark::State& state) {

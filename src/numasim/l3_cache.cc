@@ -7,7 +7,7 @@ namespace elastic::numasim {
 L3Cache::L3Cache(int capacity_pages) : capacity_(capacity_pages) {
   ELASTIC_CHECK(capacity_pages >= 1, "cache needs at least one frame");
   int bits = 1;
-  while ((int64_t{1} << bits) < int64_t{2} * capacity_pages) ++bits;
+  while ((int64_t{1} << bits) <= int64_t{2} * capacity_pages) ++bits;
   hash_shift_ = 64 - bits;
   slot_mask_ = (size_t{1} << bits) - 1;
   frames_.resize(static_cast<size_t>(capacity_pages));
@@ -38,6 +38,7 @@ void L3Cache::EraseSlot(size_t hole) {
     const size_t home = HomeSlot(index_[slot].page);
     if (((slot - home) & slot_mask_) >= ((slot - hole) & slot_mask_)) {
       index_[hole] = index_[slot];
+      frames_[index_[hole].frame].slot = static_cast<int32_t>(hole);
       hole = slot;
     }
   }
@@ -71,7 +72,7 @@ void L3Cache::PushFront(int32_t frame) {
 }
 
 bool L3Cache::Access(PageId page) {
-  size_t slot = FindSlot(page);
+  const size_t slot = FindSlot(page);
   int32_t frame = index_[slot].frame;
   if (frame != kNone) {
     if (frame != head_) {
@@ -80,19 +81,24 @@ bool L3Cache::Access(PageId page) {
     }
     return true;
   }
+  // Enter the page in the empty slot that ended its probe, then erase the
+  // evicted page's entry: that backward shift keeps the new entry findable,
+  // whereas erasing first could empty a slot earlier on `page`'s probe
+  // sequence.
+  int32_t evicted_slot = kNone;
   if (free_.empty()) {
     frame = tail_;
     Unlink(frame);
-    EraseSlot(FindSlot(frames_[frame].page));
-    // The shift may have emptied a slot earlier on `page`'s probe sequence.
-    slot = FindSlot(page);
+    evicted_slot = frames_[frame].slot;
   } else {
     frame = free_.back();
     free_.pop_back();
   }
   frames_[frame].page = page;
-  PushFront(frame);
+  frames_[frame].slot = static_cast<int32_t>(slot);
   index_[slot] = Slot{page, frame};
+  if (evicted_slot != kNone) EraseSlot(static_cast<size_t>(evicted_slot));
+  PushFront(frame);
   return false;
 }
 

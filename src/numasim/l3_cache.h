@@ -20,9 +20,14 @@ namespace elastic::numasim {
 /// Every simulated page access goes through Access(), so the structure is
 /// flat and allocated once: `capacity` frames doubly linked by index in
 /// recency order, a stack of the frames not in use, and an open-addressing
-/// index from page to frame (power-of-two size of at least twice the
-/// capacity, linear probing with backward-shift deletion, so the constant
-/// eviction of a full cache leaves no tombstones behind).
+/// index from page to frame (linear probing with backward-shift deletion, so
+/// the constant eviction of a full cache leaves no tombstones behind). Each
+/// frame records its index slot, so a miss probes the index once: the new
+/// page takes the empty slot that ended its probe, and the evicted page's
+/// slot is known without a lookup. The new page is entered before the
+/// evicted one is erased, so for that moment the index holds capacity + 1
+/// pages; its size is the smallest power of two larger than twice the
+/// capacity, which always leaves an empty slot to end a probe or a shift.
 class L3Cache {
  public:
   explicit L3Cache(int capacity_pages);
@@ -51,11 +56,12 @@ class L3Cache {
   static constexpr int32_t kNone = -1;
 
   /// A resident page, linked towards the more (prev) and less (next)
-  /// recently used frames.
+  /// recently used frames, and the index slot that holds it.
   struct Frame {
     PageId page = 0;
     int32_t prev = kNone;
     int32_t next = kNone;
+    int32_t slot = kNone;
   };
   /// An index slot; empty when `frame` is kNone.
   struct Slot {
@@ -66,7 +72,8 @@ class L3Cache {
   size_t HomeSlot(PageId page) const;
   /// Slot holding `page`, or the empty slot that ends its probe sequence.
   size_t FindSlot(PageId page) const;
-  /// Empties a slot and shifts the rest of its cluster back over the hole.
+  /// Empties a slot and shifts the rest of its cluster back over the hole,
+  /// updating the slot each moved frame records.
   void EraseSlot(size_t slot);
   void Unlink(int32_t frame);
   void PushFront(int32_t frame);

@@ -94,8 +94,10 @@ AccessResult MemorySystem::Access(CoreId core, PageId page, bool is_write,
   }
 
   // Write-invalidate coherence at page granularity: a write removes copies
-  // cached by the other sockets.
-  if (is_write) {
+  // cached by the other sockets. A first touch has none to remove: only
+  // Access fills the caches, always after Touch has homed the page, and
+  // buffer ids are never reused, so a page without a home is cached nowhere.
+  if (is_write && !touch.first_touch) {
     for (int n = 0; n < cfg.num_nodes; ++n) {
       if (n == node) continue;
       if (l3_[n].Invalidate(page)) counters_->l3_invalidations++;

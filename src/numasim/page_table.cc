@@ -54,25 +54,6 @@ NodeId PageTable::HomeOf(PageId page) const {
   return buf.home[index];
 }
 
-PageTable::TouchResult PageTable::Touch(PageId page, NodeId node) {
-  ELASTIC_CHECK(node >= 0 && node < num_nodes_, "touching node out of range");
-  Buffer& buf = GetBuffer(BufferOf(page));
-  ELASTIC_CHECK(buf.live, "touching page of freed buffer");
-  const int64_t index = IndexOf(page);
-  ELASTIC_CHECK(index < static_cast<int64_t>(buf.home.size()), "page index out of range");
-  TouchResult result;
-  if (buf.home[index] == kInvalidNode) {
-    buf.home[index] = static_cast<int8_t>(node);
-    resident_pages_[node]++;
-    result.home = node;
-    result.first_touch = true;
-  } else {
-    result.home = buf.home[index];
-    result.first_touch = false;
-  }
-  return result;
-}
-
 void PageTable::PlaceAllOn(BufferId buffer, NodeId node) {
   const int64_t pages = NumPages(buffer);
   for (int64_t i = 0; i < pages; ++i) Touch(PageOf(buffer, i), node);
@@ -101,16 +82,6 @@ int64_t PageTable::ResidentPagesOfBuffer(BufferId buffer, NodeId node) const {
     if (home == node) count++;
   }
   return count;
-}
-
-const PageTable::Buffer& PageTable::GetBuffer(BufferId buffer) const {
-  ELASTIC_CHECK(buffer < buffers_.size(), "buffer id out of range");
-  return buffers_[buffer];
-}
-
-PageTable::Buffer& PageTable::GetBuffer(BufferId buffer) {
-  ELASTIC_CHECK(buffer < buffers_.size(), "buffer id out of range");
-  return buffers_[buffer];
 }
 
 }  // namespace elastic::numasim

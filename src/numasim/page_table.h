@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "numasim/topology.h"
+#include "simcore/check.h"
 
 namespace elastic::numasim {
 
@@ -64,7 +65,25 @@ class PageTable {
 
   /// Touches a page from `node`: allocates it there on first touch,
   /// otherwise returns the existing home.
-  TouchResult Touch(PageId page, NodeId node);
+  TouchResult Touch(PageId page, NodeId node) {
+    ELASTIC_CHECK(node >= 0 && node < num_nodes_, "touching node out of range");
+    Buffer& buf = GetBuffer(BufferOf(page));
+    ELASTIC_CHECK(buf.live, "touching page of freed buffer");
+    const int64_t index = IndexOf(page);
+    ELASTIC_CHECK(index < static_cast<int64_t>(buf.home.size()),
+                  "page index out of range");
+    TouchResult result;
+    if (buf.home[index] == kInvalidNode) {
+      buf.home[index] = static_cast<int8_t>(node);
+      resident_pages_[node]++;
+      result.home = node;
+      result.first_touch = true;
+    } else {
+      result.home = buf.home[index];
+      result.first_touch = false;
+    }
+    return result;
+  }
 
   /// Pre-touches every page of the buffer on a single node (a loader thread
   /// that ran entirely on that node).
@@ -92,8 +111,14 @@ class PageTable {
     bool live = false;
   };
 
-  const Buffer& GetBuffer(BufferId buffer) const;
-  Buffer& GetBuffer(BufferId buffer);
+  const Buffer& GetBuffer(BufferId buffer) const {
+    ELASTIC_CHECK(buffer < buffers_.size(), "buffer id out of range");
+    return buffers_[buffer];
+  }
+  Buffer& GetBuffer(BufferId buffer) {
+    ELASTIC_CHECK(buffer < buffers_.size(), "buffer id out of range");
+    return buffers_[buffer];
+  }
 
   int num_nodes_;
   std::vector<Buffer> buffers_;

@@ -13,11 +13,6 @@ Topology::Topology(const MachineConfig& config) : config_(config) {
   BuildRoutes();
 }
 
-NodeId Topology::NodeOfCore(CoreId core) const {
-  ELASTIC_CHECK(core >= 0 && core < total_cores(), "core id out of range");
-  return core / config_.cores_per_node;
-}
-
 std::vector<CoreId> Topology::CoresOfNode(NodeId node) const {
   ELASTIC_CHECK(node >= 0 && node < num_nodes(), "node id out of range");
   std::vector<CoreId> cores;

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "simcore/check.h"
+
 namespace elastic::numasim {
 
 /// Identifier of a processing core, 0-based across the whole machine.
@@ -69,7 +71,10 @@ class Topology {
   int total_cores() const { return config_.total_cores(); }
 
   /// Node that owns the given core.
-  NodeId NodeOfCore(CoreId core) const;
+  NodeId NodeOfCore(CoreId core) const {
+    ELASTIC_CHECK(core >= 0 && core < total_cores(), "core id out of range");
+    return core / config_.cores_per_node;
+  }
 
   /// Cores belonging to the given node, in ascending id order.
   std::vector<CoreId> CoresOfNode(NodeId node) const;

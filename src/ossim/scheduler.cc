@@ -311,8 +311,8 @@ int64_t Scheduler::RunThreadOnCore(ThreadId id, numasim::CoreId core,
     size_t scanned = 0;
     bool advanced = false;
     while (scanned < job.ranges.size()) {
-      const size_t r = thread.range_cursor % job.ranges.size();
-      thread.range_cursor++;
+      const size_t r = thread.range_cursor;
+      if (++thread.range_cursor == job.ranges.size()) thread.range_cursor = 0;
       scanned++;
       const PageRange& range = job.ranges[r];
       if (thread.range_pos[r] >= range.num_pages()) continue;

@@ -89,7 +89,7 @@ struct Thread {
   std::deque<Job> jobs;
   /// Progress inside jobs.front(): per-range next page offset.
   std::vector<int64_t> range_pos;
-  /// Round-robin cursor over ranges.
+  /// Round-robin cursor over ranges: the index of the next range to try.
   size_t range_cursor = 0;
 
   /// Called when the front job completes (engine assigns the next job).

@@ -124,9 +124,14 @@ TEST(L3CacheTest, MatchesReferenceLruOnRandomMix) {
   // Keys from several buffers (their page ids differ only in high bits),
   // indices up to 3x the capacity, half of them from a hot range so hits,
   // misses, evictions and invalidations of resident pages all occur often.
+  // A miss enters the new page before the evicted one leaves, so the index
+  // briefly holds capacity + 1 pages. At 4, 64 and 2048 twice the capacity
+  // is exactly a power of two, the edge of the index sizing rule; at
+  // capacity 1 an index of exactly twice the capacity would fill up and the
+  // eviction's shift would never find an empty slot.
   const BufferId kBuffers[] = {0, 1, 5, 4096};
   constexpr int kOps = 200'000;
-  for (const int capacity : {1, 2, 3, 7, 1536}) {
+  for (const int capacity : {1, 2, 3, 4, 7, 64, 1536, 2048}) {
     SCOPED_TRACE(testing::Message() << "capacity " << capacity);
     L3Cache cache(capacity);
     ReferenceLru reference(capacity);

@@ -130,6 +130,35 @@ TEST_F(MemorySystemTest, WriteInvalidatesRemoteCopies) {
   EXPECT_FALSE(r.l3_hit);  // node 1 must refetch
 }
 
+TEST_F(MemorySystemTest, FirstTouchWriteLeavesOtherSocketsAlone) {
+  const BufferId warm = pt_.CreateBuffer(8);
+  const BufferId fresh = pt_.CreateBuffer(4);
+  const PageId page = PageTable::PageOf(fresh, 0);
+  mem_.BeginTick();
+  // Give every socket some resident pages, so a stray eviction would show.
+  for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
+    mem_.Access(topo_.CoreAt(n, 0), PageTable::PageOf(warm, n), false, 0);
+  }
+  std::vector<int64_t> sizes;
+  for (NodeId n = 0; n < topo_.num_nodes(); ++n) {
+    sizes.push_back(mem_.l3(n).size());
+  }
+  const AccessResult first = mem_.Access(0, page, /*is_write=*/true, 0);
+  EXPECT_TRUE(first.first_touch);
+  EXPECT_EQ(counters_.l3_invalidations, 0);
+  EXPECT_TRUE(mem_.l3(0).Contains(page));
+  for (NodeId n = 1; n < topo_.num_nodes(); ++n) {
+    EXPECT_FALSE(mem_.l3(n).Contains(page)) << "node " << n;
+    EXPECT_EQ(mem_.l3(n).size(), sizes[static_cast<size_t>(n)]) << "node " << n;
+  }
+  // The page is homed now: a write from node 1 invalidates node 0's copy.
+  const AccessResult second = mem_.Access(4, page, /*is_write=*/true, 0);
+  EXPECT_FALSE(second.first_touch);
+  EXPECT_EQ(counters_.l3_invalidations, 1);
+  EXPECT_FALSE(mem_.l3(0).Contains(page));
+  EXPECT_TRUE(mem_.l3(1).Contains(page));
+}
+
 TEST_F(MemorySystemTest, CongestionAddsLatencyWhenLinkSaturates) {
   const MachineConfig& cfg = topo_.config();
   const int64_t pages_to_saturate =
@@ -229,6 +258,8 @@ TEST_F(MemorySystemTest, AccessTraceDigest) {
   Fnv1a digest;
   int64_t hits = 0;
   int64_t congested = 0;
+  int64_t first_touch_writes = 0;
+  int64_t invalidating_writes = 0;
   mem_.BeginTick();
   for (int i = 0; i < kAccesses; ++i) {
     if (rng.NextBounded(kMeanTickAccesses) == 0) mem_.BeginTick();
@@ -245,7 +276,10 @@ TEST_F(MemorySystemTest, AccessTraceDigest) {
     const bool is_write = rng.NextBernoulli(0.3);
     const int stream = static_cast<int>(rng.NextBounded(perf::kMaxStreams));
 
+    const int64_t invalidations = counters_.l3_invalidations;
     const AccessResult r = mem_.Access(core, page, is_write, stream);
+    if (is_write && r.first_touch) first_touch_writes++;
+    if (counters_.l3_invalidations > invalidations) invalidating_writes++;
     digest.Add(static_cast<uint64_t>(r.cycles));
     digest.Add((r.l3_hit ? 1u : 0u) | (r.remote ? 2u : 0u) |
                (r.first_touch ? 4u : 0u) | (r.minor_fault ? 8u : 0u));
@@ -279,12 +313,16 @@ TEST_F(MemorySystemTest, AccessTraceDigest) {
   EXPECT_GT(hits, 0);
   EXPECT_EQ(hits, counters_.total_l3_hits());
   EXPECT_GT(counters_.l3_invalidations, 0);
+  EXPECT_GT(invalidating_writes, 0);
+  EXPECT_GT(first_touch_writes, 0);
   EXPECT_GT(congested, 0);
   EXPECT_GT(counters_.first_touch_faults, 0);
   EXPECT_EQ(digest.value(), kRecordedDigest)
       << "digest 0x" << std::hex << digest.value() << std::dec << ", "
       << hits << " hits, " << counters_.l3_invalidations
-      << " invalidations, " << congested << " congested accesses";
+      << " invalidations by " << invalidating_writes << " writes, "
+      << first_touch_writes << " first-touch writes, " << congested
+      << " congested accesses";
 }
 
 }  // namespace

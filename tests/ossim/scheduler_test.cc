@@ -192,6 +192,35 @@ TEST_F(SchedulerTest, MultiRangeJobInterleavesAndCompletes) {
   EXPECT_EQ(machine_->scheduler().thread(0).pages_processed, 100);
 }
 
+TEST_F(SchedulerTest, RangesAdvanceRoundRobinSkippingExhaustedOnes) {
+  // A page costs the whole tick budget, so the thread advances one page per
+  // tick and the range that moved in each tick gives the visiting order.
+  Job job;
+  job.stream = 0;
+  for (const int64_t pages : {3, 1, 2}) {
+    const numasim::BufferId b = machine_->page_table().CreateBuffer(pages);
+    machine_->page_table().PlaceAllOn(b, 0);
+    job.ranges.push_back(PageRange{b, 0, pages, false});
+  }
+  job.cpu_cycles_per_page = machine_->scheduler().cycles_per_tick();
+  const ThreadId id =
+      machine_->scheduler().SpawnOneShot(std::move(job), std::nullopt, nullptr);
+  std::vector<int64_t> before(3, 0);
+  std::vector<size_t> order;
+  for (int tick = 0; tick < 6; ++tick) {
+    machine_->Step();
+    const std::vector<int64_t>& pos = machine_->scheduler().thread(id).range_pos;
+    ASSERT_EQ(pos.size(), 3u);
+    for (size_t r = 0; r < pos.size(); ++r) {
+      for (int64_t moved = before[r]; moved < pos[r]; ++moved) order.push_back(r);
+    }
+    ASSERT_EQ(order.size(), static_cast<size_t>(tick + 1)) << "tick " << tick;
+    before = pos;
+  }
+  // Range 1 is exhausted after its one page and skipped from then on.
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 0, 2, 0}));
+}
+
 TEST_F(SchedulerTest, CpusetConfinesThreads) {
   const CpusetId group = machine_->scheduler().CreateCpuset(CpuMask::Of({0, 1}));
   for (int i = 0; i < 6; ++i) {
