@@ -45,8 +45,9 @@ SeriesPoint RunRawKernel(exec::RawAffinity affinity, int users, int total) {
   }
   const perf::WindowStats window = sampler.Sample();
   SeriesPoint point;
-  point.throughput = static_cast<double>(total) / window.seconds;
-  point.faults_per_s = static_cast<double>(window.minor_faults) / window.seconds;
+  point.throughput = static_cast<double>(total) / window.seconds();
+  point.faults_per_s =
+      static_cast<double>(window.minor_faults()) / window.seconds();
   point.ht_mb_per_s = window.HtBytesPerSecond() / 1e6;
   return point;
 }
@@ -58,7 +59,7 @@ SeriesPoint RunMonetDb(int users, int total) {
   SeriesPoint point;
   point.throughput = run.throughput_qps;
   point.faults_per_s =
-      static_cast<double>(run.window.minor_faults) / run.window.seconds;
+      static_cast<double>(run.window.minor_faults()) / run.window.seconds();
   point.ht_mb_per_s = run.window.HtBytesPerSecond() / 1e6;
   return point;
 }

@@ -30,8 +30,8 @@ void Main() {
       point.throughput = run.throughput_qps;
       point.cpu_load = run.window.CpuLoadPercent(
           platform::CpuMask::FirstN(16), static_cast<int64_t>(2.8e6));
-      point.tasks_k = static_cast<double>(run.window.tasks_spawned) / 1e3;
-      point.stolen_h = static_cast<double>(run.window.stolen_tasks) / 1e2;
+      point.tasks_k = static_cast<double>(run.window.tasks_spawned()) / 1e3;
+      point.stolen_h = static_cast<double>(run.window.stolen_tasks()) / 1e2;
       series[policy].push_back(point);
     }
   }

@@ -25,7 +25,7 @@ void Main() {
     std::vector<std::string> miss_row = {label};
     for (int node = 0; node < 4; ++node) {
       miss_row.push_back(metrics::Table::Num(
-          static_cast<double>(run.window.l3_misses[node]) / 1e6, 3));
+          static_cast<double>(run.window.l3_misses(node)) / 1e6, 3));
     }
     miss_row.push_back(metrics::Table::Num(
         static_cast<double>(run.window.TotalL3Misses()) / 1e6, 3));

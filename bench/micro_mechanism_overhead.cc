@@ -5,12 +5,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "core/allocation_mode.h"
 #include "core/mechanism.h"
 #include "core/node_priority_queue.h"
 #include "ossim/machine.h"
 #include "petri/net.h"
 #include "platform/sim_platform.h"
+#include "platform/synthetic_platform.h"
 
 namespace elastic {
 namespace {
@@ -39,6 +44,42 @@ void BM_TokenFlowPerMode(benchmark::State& state, const std::string& mode) {
 BENCHMARK_CAPTURE(BM_TokenFlowPerMode, dense, "dense");
 BENCHMARK_CAPTURE(BM_TokenFlowPerMode, sparse, "sparse");
 BENCHMARK_CAPTURE(BM_TokenFlowPerMode, adaptive, "adaptive");
+
+// One managed monitoring round of 1000 tenants: Decide and CommitGrant per
+// tenant, as a CoreArbiter runs them, without the arbitration in between.
+// Dense tenants of one core each (cap 2, log off) on a 256x4 synthetic
+// machine; a third each idle, stable and overloaded. Time is per round;
+// divide by 1000 for the per-tenant cost.
+void BM_ManagedRound(benchmark::State& state) {
+  constexpr int kTenants = 1000;
+  constexpr int kPeriod = 20;
+  numasim::MachineConfig machine;
+  machine.num_nodes = 256;
+  machine.cores_per_node = 4;
+  platform::SyntheticPlatform platform(machine);
+  core::MechanismConfig config;
+  config.max_cores = 2;
+  config.log_transitions = false;
+  std::vector<std::unique_ptr<core::ElasticMechanism>> tenants;
+  for (int i = 0; i < kTenants; ++i) {
+    tenants.push_back(std::make_unique<core::ElasticMechanism>(
+        &platform, core::MakeMode("dense", &platform.topology()), config));
+    tenants.back()->InstallManaged(platform::CpuMask::Of({i}));
+    const double busy = i % 3 == 0 ? 0.05 : i % 3 == 1 ? 0.4 : 0.95;
+    platform.SetCoreBusyFraction(i, busy);
+  }
+  for (auto _ : state) {
+    platform.AdvanceTicks(kPeriod);
+    const simcore::Tick now = platform.Now();
+    for (const auto& tenant : tenants) {
+      const core::ElasticMechanism::Decision decision = tenant->Decide(now);
+      benchmark::DoNotOptimize(decision.desired);
+      tenant->CommitGrant(tenant->allocated_mask(), now, decision);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kTenants);
+}
+BENCHMARK(BM_ManagedRound)->Unit(benchmark::kMicrosecond);
 
 void BM_PetriFireCycle(benchmark::State& state) {
   petri::Net net;

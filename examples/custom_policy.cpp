@@ -34,8 +34,8 @@ class LeastMissesMode : public core::AllocationMode {
   const std::string& name() const override { return name_; }
 
   void Observe(const perf::WindowStats& window) override {
-    for (size_t n = 0; n < misses_.size(); ++n) {
-      misses_[n] = window.l3_misses[n];
+    for (int n = 0; n < window.num_nodes(); ++n) {
+      misses_[static_cast<size_t>(n)] = window.l3_misses(n);
     }
   }
 

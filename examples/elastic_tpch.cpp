@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
     table.AddRow({policy, metrics::Table::Num(driver.ThroughputQps(), 1),
                   metrics::Table::Num(driver.MeanLatencySeconds() * 1e3, 1),
                   metrics::Table::Num(window.HtImcRatio(), 3),
-                  metrics::Table::Int(window.stolen_tasks),
-                  metrics::Table::Int(window.thread_migrations)});
+                  metrics::Table::Int(window.stolen_tasks()),
+                  metrics::Table::Int(window.thread_migrations())});
   }
   table.Print("Elastic core allocation on a mixed TPC-H service");
   std::printf("\n(OS baseline throughput: %.1f q/s; the adaptive row should "

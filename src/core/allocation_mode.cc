@@ -73,7 +73,11 @@ AdaptivePriorityMode::AdaptivePriorityMode(const numasim::Topology* topology,
     : topology_(topology), queue_(topology->num_nodes(), decay) {}
 
 void AdaptivePriorityMode::Observe(const perf::WindowStats& window) {
-  queue_.Update(window.node_access_pages);
+  pages_.resize(static_cast<size_t>(window.num_nodes()));
+  for (int node = 0; node < window.num_nodes(); ++node) {
+    pages_[static_cast<size_t>(node)] = window.node_access_pages(node);
+  }
+  queue_.Update(pages_);
 }
 
 numasim::CoreId AdaptivePriorityMode::NextToAllocate(const platform::CpuMask& current) {

@@ -80,6 +80,8 @@ class AdaptivePriorityMode : public AllocationMode {
   std::string name_ = "adaptive";
   const numasim::Topology* topology_;
   NodePriorityQueue queue_;
+  /// One window's per-node page accesses, reused across rounds.
+  std::vector<int64_t> pages_;
 };
 
 /// Factory helpers for the three modes of the paper.

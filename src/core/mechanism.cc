@@ -182,7 +182,7 @@ double ElasticMechanism::Measure(const perf::WindowStats& window) const {
 
 bool ElasticMechanism::TelemetryPlausible(const perf::WindowStats& window,
                                           double u) const {
-  if (window.ticks <= 0) return false;
+  if (window.ticks() <= 0) return false;
   if (!std::isfinite(u) || u < 0.0) return false;
   const double bound = config_.strategy == TransitionStrategy::kCpuLoad
                            ? kMaxPlausibleCpuLoad
@@ -205,7 +205,7 @@ ElasticMechanism::Decision ElasticMechanism::Decide(simcore::Tick now) {
     decision.u = last_u_;
     decision.current = allocated_.Count();
     decision.desired = decision.current;
-    decision.label = "stale-hold";
+    if (config_.log_transitions) decision.label = "stale-hold";
     decision.valid = false;
     return decision;
   }
@@ -233,8 +233,11 @@ ElasticMechanism::Decision ElasticMechanism::Decide(simcore::Tick now) {
   decision.u = u;
   decision.current = allocated_.Count();
   decision.desired = static_cast<int>(net_.Marking(p_provision_).front());
-  decision.label = net_.TransitionName(*classify) + "-" + PerfStateName(state) +
-                   "-" + net_.TransitionName(*action);
+  if (config_.log_transitions) {
+    decision.label = net_.TransitionName(*classify) + "-" +
+                     PerfStateName(state) + "-" +
+                     net_.TransitionName(*action);
+  }
 
   // The measurement token returned to Checks is stale; drop it. The next
   // round installs a fresh measurement.

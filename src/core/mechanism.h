@@ -114,7 +114,8 @@ class ElasticMechanism {
     int current = 0;
     int desired = 0;
     /// Fired rule-condition-action labels, e.g. "t1-Overload-t5"; a round
-    /// with implausible telemetry is labelled "stale-hold" instead.
+    /// with implausible telemetry is labelled "stale-hold" instead. Built
+    /// only when the transition log is on; empty otherwise.
     std::string label;
     /// Whether the window behind this decision was plausible telemetry. An
     /// invalid round never fires the net: state/u repeat the last good

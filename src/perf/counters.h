@@ -94,28 +94,6 @@ struct CounterSet {
     for (int64_t v : core_busy_cycles) sum += v;
     return sum;
   }
-
-  /// Whether every counter is equal. The samplers' shared snapshots rely on
-  /// it to notice any change, so a counter added above must be added here.
-  friend bool operator==(const CounterSet& a, const CounterSet& b) {
-    return a.ht_bytes_total == b.ht_bytes_total &&
-           a.l3_invalidations == b.l3_invalidations &&
-           a.minor_faults == b.minor_faults &&
-           a.first_touch_faults == b.first_touch_faults &&
-           a.thread_migrations == b.thread_migrations &&
-           a.stolen_tasks == b.stolen_tasks &&
-           a.tasks_spawned == b.tasks_spawned &&
-           a.load_balance_rounds == b.load_balance_rounds &&
-           a.core_busy_cycles == b.core_busy_cycles &&
-           a.l3_hits == b.l3_hits && a.l3_misses == b.l3_misses &&
-           a.imc_bytes == b.imc_bytes && a.local_bytes == b.local_bytes &&
-           a.remote_in_bytes == b.remote_in_bytes &&
-           a.node_access_pages == b.node_access_pages &&
-           a.ht_link_bytes == b.ht_link_bytes &&
-           a.stream_ht_bytes == b.stream_ht_bytes &&
-           a.stream_imc_bytes == b.stream_imc_bytes &&
-           a.stream_busy_cycles == b.stream_busy_cycles;
-  }
 };
 
 }  // namespace elastic::perf

@@ -6,21 +6,26 @@
 
 namespace elastic::petri {
 
-void Binding::Bind(const std::string& name, double value) {
-  vars_.emplace_back(name, value);
+void Binding::Bind(std::string_view name, double value) {
+  ELASTIC_CHECK(size_ < kMaxVars, "binding holds at most kMaxVars variables");
+  names_[static_cast<size_t>(size_)] = name;
+  values_[static_cast<size_t>(size_)] = value;
+  size_++;
 }
 
-double Binding::Get(const std::string& name) const {
-  for (const auto& [n, v] : vars_) {
-    if (n == name) return v;
+double Binding::Get(std::string_view name) const {
+  for (int i = 0; i < size_; ++i) {
+    if (names_[static_cast<size_t>(i)] == name) {
+      return values_[static_cast<size_t>(i)];
+    }
   }
   ELASTIC_CHECK(false, "unbound variable in guard/expression");
   return 0.0;
 }
 
-bool Binding::Has(const std::string& name) const {
-  for (const auto& [n, v] : vars_) {
-    if (n == name) return true;
+bool Binding::Has(std::string_view name) const {
+  for (int i = 0; i < size_; ++i) {
+    if (names_[static_cast<size_t>(i)] == name) return true;
   }
   return false;
 }
@@ -41,7 +46,10 @@ TransitionId Net::AddTransition(std::string name, Guard guard) {
 void Net::AddInputArc(PlaceId place, TransitionId transition, std::string var) {
   ELASTIC_CHECK(place >= 0 && place < num_places(), "bad place id");
   ELASTIC_CHECK(transition >= 0 && transition < num_transitions(), "bad transition id");
-  transitions_[transition].inputs.push_back(InputArc{place, std::move(var)});
+  std::vector<InputArc>& inputs = transitions_[transition].inputs;
+  ELASTIC_CHECK(static_cast<int>(inputs.size()) < Binding::kMaxVars,
+                "input arcs of one transition exceed Binding::kMaxVars");
+  inputs.push_back(InputArc{place, std::move(var)});
 }
 
 void Net::AddOutputArc(TransitionId transition, PlaceId place, Expr expr) {
@@ -66,7 +74,7 @@ void Net::SetSingleToken(PlaceId place, double value) {
   AddToken(place, value);
 }
 
-const std::deque<double>& Net::Marking(PlaceId place) const {
+const std::vector<double>& Net::Marking(PlaceId place) const {
   ELASTIC_CHECK(place >= 0 && place < num_places(), "bad place id");
   return places_[place].tokens;
 }
@@ -77,46 +85,47 @@ int64_t Net::TotalTokens() const {
   return total;
 }
 
-std::optional<Binding> Net::TryBind(const Transition& t) const {
-  Binding binding;
+bool Net::Enabled(const Transition& t, Binding& binding) const {
   for (const InputArc& arc : t.inputs) {
     const Place& place = places_[arc.place];
-    if (place.tokens.empty()) return std::nullopt;
+    if (place.tokens.empty()) return false;
     binding.Bind(arc.var, place.tokens.front());
   }
-  return binding;
+  return !t.guard || t.guard(binding);
+}
+
+void Net::FireBound(const Transition& t, const Binding& binding) {
+  // Consume one token per input arc.
+  for (const InputArc& arc : t.inputs) {
+    std::vector<double>& tokens = places_[arc.place].tokens;
+    tokens.erase(tokens.begin());
+  }
+  // Produce output tokens from the binding captured before consumption.
+  for (const OutputArc& arc : t.outputs) {
+    places_[arc.place].tokens.push_back(arc.expr(binding));
+  }
 }
 
 bool Net::IsEnabled(TransitionId transition) const {
   ELASTIC_CHECK(transition >= 0 && transition < num_transitions(), "bad transition id");
-  const Transition& t = transitions_[transition];
-  const std::optional<Binding> binding = TryBind(t);
-  if (!binding.has_value()) return false;
-  if (t.guard && !t.guard(*binding)) return false;
-  return true;
+  Binding binding;
+  return Enabled(transitions_[transition], binding);
 }
 
 bool Net::Fire(TransitionId transition) {
   ELASTIC_CHECK(transition >= 0 && transition < num_transitions(), "bad transition id");
-  Transition& t = transitions_[transition];
-  const std::optional<Binding> binding = TryBind(t);
-  if (!binding.has_value()) return false;
-  if (t.guard && !t.guard(*binding)) return false;
-  // Consume one token per input arc.
-  for (const InputArc& arc : t.inputs) {
-    places_[arc.place].tokens.pop_front();
-  }
-  // Produce output tokens from the binding captured before consumption.
-  for (const OutputArc& arc : t.outputs) {
-    places_[arc.place].tokens.push_back(arc.expr(*binding));
-  }
+  const Transition& t = transitions_[transition];
+  Binding binding;
+  if (!Enabled(t, binding)) return false;
+  FireBound(t, binding);
   return true;
 }
 
 std::optional<TransitionId> Net::StepOnce() {
   for (TransitionId t = 0; t < num_transitions(); ++t) {
-    if (IsEnabled(t)) {
-      Fire(t);
+    Binding binding;
+    if (Enabled(transitions_[t], binding)) {
+      FireBound(transitions_[t], binding);
       return t;
     }
   }

@@ -1,10 +1,12 @@
 #ifndef ELASTICORE_PETRI_NET_H_
 #define ELASTICORE_PETRI_NET_H_
 
-#include <deque>
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace elastic::petri {
@@ -14,15 +16,27 @@ using TransitionId = int;
 
 /// Variable binding produced when a transition inspects its input tokens:
 /// each input arc binds the front token of its place to a named variable.
+///
+/// The (name, value) pairs live inline, one per input arc, so binding a
+/// transition never allocates. Only a Net binds, and the names are views
+/// of its arc names: a binding is valid only while that net is alive.
 class Binding {
  public:
-  void Bind(const std::string& name, double value);
+  /// Most variables one binding holds, hence most input arcs a transition
+  /// may have.
+  static constexpr int kMaxVars = 4;
+
   /// Value of a bound variable; aborts when the name is unknown.
-  double Get(const std::string& name) const;
-  bool Has(const std::string& name) const;
+  double Get(std::string_view name) const;
+  bool Has(std::string_view name) const;
 
  private:
-  std::vector<std::pair<std::string, double>> vars_;
+  friend class Net;
+  void Bind(std::string_view name, double value);
+
+  std::array<std::string_view, kMaxVars> names_{};
+  std::array<double, kMaxVars> values_{};
+  int size_ = 0;
 };
 
 /// Guard: first-order condition over the binding (the net inscription R of
@@ -52,7 +66,8 @@ class Net {
   TransitionId AddTransition(std::string name, Guard guard = nullptr);
 
   /// Connects place -> transition; the front token of the place is bound to
-  /// `var` during guard evaluation and consumed on firing.
+  /// `var` during guard evaluation and consumed on firing. A transition
+  /// takes at most Binding::kMaxVars input arcs; one more aborts.
   void AddInputArc(PlaceId place, TransitionId transition, std::string var);
 
   /// Connects transition -> place; on firing, a token with value expr(b) is
@@ -70,7 +85,7 @@ class Net {
   void SetSingleToken(PlaceId place, double value);
 
   /// Tokens currently in a place (front = next to be consumed).
-  const std::deque<double>& Marking(PlaceId place) const;
+  const std::vector<double>& Marking(PlaceId place) const;
 
   /// Total number of tokens across all places.
   int64_t TotalTokens() const;
@@ -84,7 +99,8 @@ class Net {
   bool Fire(TransitionId transition);
 
   /// Fires the first enabled transition (in creation order); returns its id
-  /// or nullopt when the net is quiescent.
+  /// or nullopt when the net is quiescent. Each candidate is bound once,
+  /// and the one that fires fires with that binding.
   std::optional<TransitionId> StepOnce();
 
   /// Fires transitions until quiescence or `max_steps`. Returns the fired
@@ -118,7 +134,7 @@ class Net {
   };
   struct Place {
     std::string name;
-    std::deque<double> tokens;
+    std::vector<double> tokens;
   };
   struct Transition {
     std::string name;
@@ -127,9 +143,11 @@ class Net {
     std::vector<OutputArc> outputs;
   };
 
-  /// Binds the front tokens of the input places; returns nullopt when some
-  /// input place is empty.
-  std::optional<Binding> TryBind(const Transition& t) const;
+  /// Binds the front tokens of the input places into `binding` and checks
+  /// the guard; false when some input place is empty or the guard rejects.
+  bool Enabled(const Transition& t, Binding& binding) const;
+  /// Fires an enabled transition with the binding Enabled produced.
+  void FireBound(const Transition& t, const Binding& binding);
 
   std::vector<Place> places_;
   std::vector<Transition> transitions_;

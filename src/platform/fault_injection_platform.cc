@@ -27,29 +27,37 @@ class FaultInjectionPlatform::FaultySampler : public perf::UtilizationSampler {
  public:
   FaultySampler(FaultInjectionPlatform* owner, int index,
                 std::unique_ptr<perf::UtilizationSampler> inner)
-      : owner_(owner), index_(index), inner_(std::move(inner)) {}
+      : owner_(owner),
+        index_(index),
+        inner_(std::move(inner)),
+        dropout_(std::make_shared<const perf::CounterSnapshot>(
+            owner->topology().num_nodes(), 0)) {}
 
   perf::WindowStats Sample() override {
     const simcore::Tick now = owner_->Now();
     if (owner_->Fire(FaultKind::kSampleDropout, index_, now)) {
       owner_->Log(FaultKind::kSampleDropout, index_, now, "empty window");
-      perf::WindowStats stats;
-      const int nodes = owner_->topology().num_nodes();
-      stats.l3_hits.assign(static_cast<size_t>(nodes), 0);
-      stats.l3_misses.assign(static_cast<size_t>(nodes), 0);
-      stats.imc_bytes.assign(static_cast<size_t>(nodes), 0);
-      stats.node_access_pages.assign(static_cast<size_t>(nodes), 0);
-      return stats;  // ticks == 0: a window that never happened
+      // Both ends are one reading: a window that never happened.
+      return perf::WindowStats(dropout_, dropout_);
     }
     perf::WindowStats stats = inner_->Sample();
     if (owner_->Fire(FaultKind::kSampleGarbage, index_, now)) {
       owner_->Log(FaultKind::kSampleGarbage, index_, now, "scrambled counters");
       // Far beyond any real per-window budget: ~2^40 busy cycles per core
-      // reads as >> 100% load and a wildly implausible HT/IMC ratio.
+      // reads as >> 100% load and a wildly implausible HT/IMC ratio. The
+      // window keeps its start and ends at a copy of its end reading that
+      // yields these deltas.
       constexpr int64_t kAbsurd = int64_t{1} << 40;
-      for (int64_t& busy : stats.core_busy_cycles) busy = kAbsurd;
-      stats.ht_bytes = kAbsurd;
-      for (int64_t& bytes : stats.imc_bytes) bytes = 1;
+      const perf::CounterSnapshot& from = *stats.from();
+      auto to = std::make_shared<perf::CounterSnapshot>(*stats.to());
+      for (size_t core = 0; core < to->core_busy_cycles.size(); ++core) {
+        to->core_busy_cycles[core] = from.core_busy_cycles[core] + kAbsurd;
+      }
+      to->ht_bytes = from.ht_bytes + kAbsurd;
+      for (size_t node = 0; node < to->imc_bytes.size(); ++node) {
+        to->imc_bytes[node] = from.imc_bytes[node] + 1;
+      }
+      return perf::WindowStats(stats.from(), std::move(to));
     }
     return stats;
   }
@@ -60,6 +68,9 @@ class FaultInjectionPlatform::FaultySampler : public perf::UtilizationSampler {
   FaultInjectionPlatform* owner_;
   int index_;
   std::unique_ptr<perf::UtilizationSampler> inner_;
+  /// The zero reading a dropout window starts and ends at: per-node
+  /// counters, no cores.
+  std::shared_ptr<const perf::CounterSnapshot> dropout_;
 };
 
 FaultInjectionPlatform::FaultInjectionPlatform(Platform* inner,

@@ -4,10 +4,12 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <sys/stat.h>
+#include <utility>
 
 #include "simcore/check.h"
 
@@ -95,115 +97,75 @@ numasim::MachineConfig DiscoverTopology(const LinuxPlatformOptions& options) {
   return config;
 }
 
-/// Deterministic zero-utilization source for dry runs: window lengths come
-/// from the platform clock, every counter delta is zero.
+/// Deterministic zero-utilization source for dry runs: every Sample() is
+/// the platform's one idle window.
 class ZeroSampler : public perf::UtilizationSampler {
  public:
-  ZeroSampler(const Platform* platform, double seconds_per_tick)
-      : platform_(platform), seconds_per_tick_(seconds_per_tick) {}
+  explicit ZeroSampler(perf::WindowStats idle) : idle_(std::move(idle)) {}
 
-  perf::WindowStats Sample() override {
-    perf::WindowStats stats;
-    const int nodes = platform_->topology().num_nodes();
-    const int cores = platform_->topology().total_cores();
-    // A synthetic one-tick window, regardless of wall time: a dry run must
-    // read as a valid (idle) measurement, not as a zero-width dropout the
-    // degraded-telemetry policy would hold on.
-    stats.ticks = 1;
-    stats.seconds = seconds_per_tick_;
-    stats.l3_hits.assign(static_cast<size_t>(nodes), 0);
-    stats.l3_misses.assign(static_cast<size_t>(nodes), 0);
-    stats.imc_bytes.assign(static_cast<size_t>(nodes), 0);
-    stats.node_access_pages.assign(static_cast<size_t>(nodes), 0);
-    stats.core_busy_cycles.assign(static_cast<size_t>(cores), 0);
-    return stats;
-  }
-
+  perf::WindowStats Sample() override { return idle_; }
   void Reset() override {}
 
  private:
-  const Platform* platform_;
-  double seconds_per_tick_;
+  perf::WindowStats idle_;
 };
 
-/// /proc/stat-backed utilization: per-cpu busy jiffies (everything but
-/// idle+iowait) land in core_busy_cycles, the real-hardware equivalent of
-/// the simulator's cycle counters. The other counter groups have no cheap
-/// unprivileged source and stay zero — the kCpuLoad strategy (the paper's
-/// default on real hardware) never reads them.
-class ProcStatSampler : public perf::UtilizationSampler {
- public:
-  ProcStatSampler(const Platform* platform, const std::string& proc_root,
-                  double seconds_per_tick)
-      : platform_(platform),
-        proc_root_(proc_root),
-        seconds_per_tick_(seconds_per_tick) {
-    Reset();
-  }
-
-  perf::WindowStats Sample() override {
-    const std::vector<int64_t> now_busy = ReadBusyJiffies();
-    const simcore::Tick now_tick = platform_->Now();
-    perf::WindowStats stats;
-    const int nodes = platform_->topology().num_nodes();
-    stats.ticks = now_tick - baseline_tick_;
-    stats.seconds = static_cast<double>(stats.ticks) * seconds_per_tick_;
-    stats.l3_hits.assign(static_cast<size_t>(nodes), 0);
-    stats.l3_misses.assign(static_cast<size_t>(nodes), 0);
-    stats.imc_bytes.assign(static_cast<size_t>(nodes), 0);
-    stats.node_access_pages.assign(static_cast<size_t>(nodes), 0);
-    stats.core_busy_cycles.resize(now_busy.size());
-    for (size_t i = 0; i < now_busy.size(); ++i) {
-      stats.core_busy_cycles[i] =
-          i < baseline_busy_.size() ? now_busy[i] - baseline_busy_[i] : 0;
+/// Writes each CPU's busy jiffies from <proc_root>/stat into `busy`, one
+/// entry per CPU: everything but idle and iowait. CPUs past busy.size()
+/// are ignored.
+void ReadBusyJiffies(const std::string& proc_root, std::vector<int64_t>& busy) {
+  const int cores = static_cast<int>(busy.size());
+  std::ifstream in(proc_root + "/stat");
+  std::string line;
+  while (std::getline(in, line)) {
+    // Per-cpu lines only: the aggregate "cpu  ..." line would otherwise
+    // match too (%d skips the whitespace) and field-shift its totals into
+    // a bogus per-cpu entry.
+    if (line.size() < 4 || line.compare(0, 3, "cpu") != 0 || line[3] < '0' ||
+        line[3] > '9') {
+      continue;
     }
-    baseline_busy_ = now_busy;
-    baseline_tick_ = now_tick;
-    return stats;
-  }
-
-  void Reset() override {
-    baseline_busy_ = ReadBusyJiffies();
-    baseline_tick_ = platform_->Now();
-  }
-
- private:
-  std::vector<int64_t> ReadBusyJiffies() const {
-    const int cores = platform_->topology().total_cores();
-    std::vector<int64_t> busy(static_cast<size_t>(cores), 0);
-    std::ifstream in(proc_root_ + "/stat");
-    std::string line;
-    while (std::getline(in, line)) {
-      // Per-cpu lines only: the aggregate "cpu  ..." line would otherwise
-      // match too (%d skips the whitespace) and field-shift its totals
-      // into a bogus per-cpu entry.
-      if (line.size() < 4 || line.compare(0, 3, "cpu") != 0 ||
-          line[3] < '0' || line[3] > '9') {
-        continue;
-      }
-      int cpu = -1;
-      long long user = 0, nice = 0, system = 0, idle = 0, iowait = 0;
-      long long irq = 0, softirq = 0, steal = 0;
-      if (std::sscanf(line.c_str(),
-                      "cpu%d %lld %lld %lld %lld %lld %lld %lld %lld", &cpu,
-                      &user, &nice, &system, &idle, &iowait, &irq, &softirq,
-                      &steal) >= 5 &&
-          cpu >= 0 && cpu < cores) {
-        busy[static_cast<size_t>(cpu)] =
-            user + nice + system + irq + softirq + steal;
-      }
+    int cpu = -1;
+    long long user = 0, nice = 0, system = 0, idle = 0, iowait = 0;
+    long long irq = 0, softirq = 0, steal = 0;
+    if (std::sscanf(line.c_str(),
+                    "cpu%d %lld %lld %lld %lld %lld %lld %lld %lld", &cpu,
+                    &user, &nice, &system, &idle, &iowait, &irq, &softirq,
+                    &steal) >= 5 &&
+        cpu >= 0 && cpu < cores) {
+      busy[static_cast<size_t>(cpu)] =
+          user + nice + system + irq + softirq + steal;
     }
-    return busy;
   }
-
-  const Platform* platform_;
-  std::string proc_root_;
-  double seconds_per_tick_;
-  std::vector<int64_t> baseline_busy_;
-  simcore::Tick baseline_tick_ = 0;
-};
+}
 
 }  // namespace
+
+/// /proc/stat-backed utilization: per-cpu busy jiffies land in
+/// core_busy_cycles, the real-hardware equivalent of the simulator's cycle
+/// counters. The other counter groups have no cheap unprivileged source
+/// and stay zero — the kCpuLoad strategy (the paper's default on real
+/// hardware) never reads them. Every sampler of one platform reads the
+/// platform's shared per-tick snapshot.
+class LinuxPlatform::ProcStatSampler : public perf::UtilizationSampler {
+ public:
+  explicit ProcStatSampler(LinuxPlatform* platform)
+      : platform_(platform), baseline_(platform->BusySnapshot()) {}
+
+  perf::WindowStats Sample() override {
+    const std::shared_ptr<const perf::CounterSnapshot>& end =
+        platform_->BusySnapshot();
+    perf::WindowStats window(std::move(baseline_), end);
+    baseline_ = end;
+    return window;
+  }
+
+  void Reset() override { baseline_ = platform_->BusySnapshot(); }
+
+ private:
+  LinuxPlatform* platform_;
+  std::shared_ptr<const perf::CounterSnapshot> baseline_;
+};
 
 LinuxPlatform::LinuxPlatform(const LinuxPlatformOptions& options)
     : options_(options), epoch_(std::chrono::steady_clock::now()) {
@@ -221,6 +183,17 @@ LinuxPlatform::LinuxPlatform(const LinuxPlatformOptions& options)
   topology_ = std::make_unique<numasim::Topology>(config);
   const long tck = sysconf(_SC_CLK_TCK);
   if (tck > 0) clk_tck_ = tck;
+  if (options_.dry_run) {
+    // A synthetic one-tick window, regardless of wall time: a dry run must
+    // read as a valid (idle) measurement, not as a zero-width dropout the
+    // degraded-telemetry policy would hold on.
+    auto start = std::make_shared<perf::CounterSnapshot>(
+        topology_->num_nodes(), topology_->total_cores());
+    start->seconds_per_tick = options_.seconds_per_tick;
+    auto end = std::make_shared<perf::CounterSnapshot>(*start);
+    end->tick = 1;
+    idle_window_ = perf::WindowStats(std::move(start), std::move(end));
+  }
 }
 
 simcore::Tick LinuxPlatform::Now() const {
@@ -361,11 +334,22 @@ void LinuxPlatform::SetAllowedMask(const CpuMask& mask) {
 }
 
 std::unique_ptr<perf::UtilizationSampler> LinuxPlatform::CreateSampler() {
-  if (options_.dry_run) {
-    return std::make_unique<ZeroSampler>(this, options_.seconds_per_tick);
+  if (options_.dry_run) return std::make_unique<ZeroSampler>(idle_window_);
+  return std::make_unique<ProcStatSampler>(this);
+}
+
+const std::shared_ptr<const perf::CounterSnapshot>&
+LinuxPlatform::BusySnapshot() {
+  const simcore::Tick now = Now();
+  if (busy_snapshot_ == nullptr || busy_snapshot_->tick != now) {
+    auto snapshot = std::make_shared<perf::CounterSnapshot>(
+        topology_->num_nodes(), topology_->total_cores());
+    snapshot->tick = now;
+    snapshot->seconds_per_tick = options_.seconds_per_tick;
+    ReadBusyJiffies(options_.proc_root, snapshot->core_busy_cycles);
+    busy_snapshot_ = std::move(snapshot);
   }
-  return std::make_unique<ProcStatSampler>(this, options_.proc_root,
-                                           options_.seconds_per_tick);
+  return busy_snapshot_;
 }
 
 void LinuxPlatform::AddTickHook(std::function<void(simcore::Tick)> hook) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 namespace elastic::core {
 namespace {
 
@@ -64,9 +68,11 @@ TEST_F(ModeTest, FullMaskCannotAllocate) {
 }
 
 perf::WindowStats StatsWithPages(std::vector<int64_t> pages) {
-  perf::WindowStats stats;
-  stats.node_access_pages = std::move(pages);
-  return stats;
+  auto from = std::make_shared<perf::CounterSnapshot>(
+      static_cast<int>(pages.size()), 0);
+  auto to = std::make_shared<perf::CounterSnapshot>(*from);
+  to->node_access_pages = std::move(pages);
+  return perf::WindowStats(std::move(from), std::move(to));
 }
 
 TEST_F(ModeTest, AdaptiveAllocatesOnHottestNode) {

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <set>
+#include <string>
+
 #include "core/allocation_mode.h"
 #include "ossim/machine.h"
 #include "platform/sim_platform.h"
+#include "simcore/rng.h"
 
 namespace elastic::core {
 namespace {
@@ -224,6 +231,151 @@ TEST(MechanismTest, TraceRecordsTransitions) {
   const auto events = machine->trace().EventsOfKind("transition");
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].text, "t2-Stable-t3");
+}
+
+/// 64-bit FNV-1a over whole words and strings, fed byte by byte.
+class Fnv1a {
+ public:
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) AddByte((word >> (8 * byte)) & 0xFFu);
+  }
+  void Add(double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Add(bits);
+  }
+  void Add(const std::string& text) {
+    for (const char c : text) AddByte(static_cast<unsigned char>(c));
+    AddByte(0);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void AddByte(uint64_t byte) {
+    hash_ ^= byte;
+    hash_ *= 0x100000001B3ULL;
+  }
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+void AddDecision(Fnv1a& digest, const ElasticMechanism::Decision& d) {
+  digest.Add(static_cast<uint64_t>(d.state));
+  digest.Add(d.u);
+  digest.Add(static_cast<uint64_t>(d.current));
+  digest.Add(static_cast<uint64_t>(d.desired));
+  digest.Add(static_cast<uint64_t>(d.valid));
+}
+
+/// Grows or shrinks the mechanism's mask to `target` cores through its own
+/// mode, as the arbiter's grants do.
+platform::CpuMask GrantOf(ElasticMechanism& mechanism, int target) {
+  platform::CpuMask mask = mechanism.allocated_mask();
+  while (mask.Count() < target) mask.Set(mechanism.mode().NextToAllocate(mask));
+  while (mask.Count() > target) mask.Clear(mechanism.mode().NextToRelease(mask));
+  return mask;
+}
+
+/// Pins every decision of two managed mechanisms over 2000 seeded rounds:
+/// CPU load under dense mode and HT/IMC ratio under adaptive mode, with
+/// loads exactly at both thresholds, grants that overrule the net, and a
+/// repeated Decide at one tick (the zero-width stale-hold path). Recorded
+/// with the deque-backed net and by-value windows; re-record only for a
+/// deliberate change of behaviour.
+TEST(MechanismTest, DecisionTraceDigest) {
+  auto machine = MakeMachine();
+  platform::SimPlatform platform(machine.get());
+  MechanismConfig load_config;
+  load_config.max_cores = 8;
+  ElasticMechanism load(&platform, MakeMode("dense", &machine->topology()),
+                        load_config);
+  MechanismConfig ratio_config =
+      DefaultConfigFor(TransitionStrategy::kHtImcRatio);
+  ratio_config.initial_cores = 2;
+  ratio_config.max_cores = 6;
+  ElasticMechanism ratio(&platform, MakeMode("adaptive", &machine->topology()),
+                         ratio_config);
+  load.InstallManaged(platform::CpuMask::FirstN(1));
+  ratio.InstallManaged(platform::CpuMask::Of({8, 9}));
+
+  const int64_t cycles_per_tick = machine->scheduler().cycles_per_tick();
+  const int nodes = machine->topology().num_nodes();
+  perf::CounterSet& counters = machine->counters();
+  simcore::Rng rng(0xDEC1DE);
+  Fnv1a digest;
+  int at_thmin = 0, at_thmax = 0, overruled = 0, stale = 0;
+  const auto commit = [&](ElasticMechanism& mechanism,
+                          const ElasticMechanism::Decision& d) {
+    int target = d.desired;
+    if (rng.NextBounded(5) == 0) {
+      const int step = 1 + static_cast<int>(rng.NextBounded(2));
+      target += rng.NextBounded(2) == 0 ? step : -step;
+      target = std::clamp(target, 1, mechanism.config().max_cores);
+    }
+    if (target != d.desired) overruled++;
+    mechanism.CommitGrant(GrantOf(mechanism, target), machine->clock().now(), d);
+  };
+  for (int round = 0; round < 2000; ++round) {
+    const int64_t ticks = 1 + static_cast<int64_t>(rng.NextBounded(20));
+    // CPU load in whole percent, so 10 and 70 land exactly on thmin/thmax.
+    const uint64_t load_case = rng.NextBounded(6);
+    const int64_t percent = load_case == 0   ? 10
+                            : load_case == 1 ? 70
+                                             : static_cast<int64_t>(
+                                                   rng.NextBounded(101));
+    for (const numasim::CoreId core : load.allocated_mask().ToCores()) {
+      counters.core_busy_cycles[static_cast<size_t>(core)] +=
+          cycles_per_tick * ticks * percent / 100;
+    }
+    // HT/IMC traffic: 100:1000 and 400:1000 are exactly thmin and thmax.
+    const uint64_t ratio_case = rng.NextBounded(6);
+    const int64_t imc = ratio_case <= 1
+                            ? 1000
+                            : static_cast<int64_t>(rng.NextBounded(2000));
+    const int64_t ht = ratio_case == 0   ? 100
+                       : ratio_case == 1 ? 400
+                                         : static_cast<int64_t>(
+                                               rng.NextBounded(1000));
+    counters.imc_bytes[rng.NextBounded(static_cast<uint64_t>(nodes))] += imc;
+    counters.ht_bytes_total += ht;
+    for (int node = 0; node < nodes; ++node) {
+      counters.node_access_pages[static_cast<size_t>(node)] +=
+          static_cast<int64_t>(rng.NextBounded(64));
+    }
+    machine->clock().Advance(ticks);
+
+    const simcore::Tick now = machine->clock().now();
+    for (ElasticMechanism* mechanism : {&load, &ratio}) {
+      const ElasticMechanism::Decision d = mechanism->Decide(now);
+      AddDecision(digest, d);
+      if (mechanism == &load && d.u == 10.0) at_thmin++;
+      if (mechanism == &load && d.u == 70.0) at_thmax++;
+      if (mechanism == &ratio && d.u == 0.1) at_thmin++;
+      if (mechanism == &ratio && d.u == 0.4) at_thmax++;
+      commit(*mechanism, d);
+      if (rng.NextBounded(16) == 0) {
+        const ElasticMechanism::Decision again = mechanism->Decide(now);
+        ASSERT_FALSE(again.valid);
+        AddDecision(digest, again);
+        stale++;
+        commit(*mechanism, again);
+      }
+    }
+  }
+  std::set<std::string> labels;
+  for (const ElasticMechanism* mechanism : {&load, &ratio}) {
+    for (const StateTransitionEvent& event : mechanism->log()) {
+      digest.Add(event.label);
+      labels.insert(event.label);
+    }
+  }
+  EXPECT_GT(at_thmin, 100);
+  EXPECT_GT(at_thmax, 100);
+  EXPECT_GT(overruled, 100);
+  EXPECT_GT(stale, 100);
+  EXPECT_EQ(labels, (std::set<std::string>{
+                        "stale-hold", "t0-Idle-t4", "t0-Idle-t7",
+                        "t1-Overload-t5", "t1-Overload-t6", "t2-Stable-t3"}));
+  EXPECT_EQ(digest.value(), 0x17D5E530CADADF57ULL) << std::hex << "0x" << digest.value();
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "perf/counters.h"
 #include "simcore/clock.h"
@@ -21,10 +24,10 @@ TEST(SamplerTest, DeltasSinceBaseline) {
   clock.Advance(5);
 
   const WindowStats stats = sampler.Sample();
-  EXPECT_EQ(stats.ticks, 5);
-  EXPECT_EQ(stats.l3_misses[2], 10);
-  EXPECT_EQ(stats.ht_bytes, 4096);
-  EXPECT_EQ(stats.core_busy_cycles[0], 1000);
+  EXPECT_EQ(stats.ticks(), 5);
+  EXPECT_EQ(stats.l3_misses(2), 10);
+  EXPECT_EQ(stats.ht_bytes(), 4096);
+  EXPECT_EQ(stats.core_busy_cycles(0), 1000);
 }
 
 TEST(SamplerTest, SampleRebaselines) {
@@ -36,8 +39,8 @@ TEST(SamplerTest, SampleRebaselines) {
   sampler.Sample();
   clock.Advance(1);
   const WindowStats second = sampler.Sample();
-  EXPECT_EQ(second.minor_faults, 0);
-  EXPECT_EQ(second.ticks, 1);
+  EXPECT_EQ(second.minor_faults(), 0);
+  EXPECT_EQ(second.ticks(), 1);
 }
 
 TEST(SamplerTest, CpuLoadPercentOverMask) {
@@ -101,19 +104,38 @@ TEST(SamplerTest, CpuLoadPercentOverWideMask) {
   EXPECT_NEAR(stats.CpuLoadPercent(mask, cycles_per_tick), 50.0, 1e-9);
 }
 
+/// One per-node counter's deltas over a window, as a vector.
+std::vector<int64_t> PerNode(const WindowStats& w,
+                             int64_t (WindowStats::*delta)(int) const) {
+  std::vector<int64_t> values;
+  for (int node = 0; node < w.num_nodes(); ++node) {
+    values.push_back((w.*delta)(node));
+  }
+  return values;
+}
+
+std::vector<int64_t> PerCoreBusy(const WindowStats& w) {
+  std::vector<int64_t> values;
+  for (int core = 0; core < w.num_cores(); ++core) {
+    values.push_back(w.core_busy_cycles(core));
+  }
+  return values;
+}
+
 void ExpectSameWindow(const WindowStats& a, const WindowStats& b) {
-  EXPECT_EQ(a.ticks, b.ticks);
-  EXPECT_EQ(a.seconds, b.seconds);
-  EXPECT_EQ(a.l3_hits, b.l3_hits);
-  EXPECT_EQ(a.l3_misses, b.l3_misses);
-  EXPECT_EQ(a.imc_bytes, b.imc_bytes);
-  EXPECT_EQ(a.node_access_pages, b.node_access_pages);
-  EXPECT_EQ(a.core_busy_cycles, b.core_busy_cycles);
-  EXPECT_EQ(a.ht_bytes, b.ht_bytes);
-  EXPECT_EQ(a.minor_faults, b.minor_faults);
-  EXPECT_EQ(a.stolen_tasks, b.stolen_tasks);
-  EXPECT_EQ(a.thread_migrations, b.thread_migrations);
-  EXPECT_EQ(a.tasks_spawned, b.tasks_spawned);
+  EXPECT_EQ(a.ticks(), b.ticks());
+  EXPECT_EQ(a.seconds(), b.seconds());
+  for (const auto delta : {&WindowStats::l3_hits, &WindowStats::l3_misses,
+                           &WindowStats::imc_bytes,
+                           &WindowStats::node_access_pages}) {
+    EXPECT_EQ(PerNode(a, delta), PerNode(b, delta));
+  }
+  EXPECT_EQ(PerCoreBusy(a), PerCoreBusy(b));
+  EXPECT_EQ(a.ht_bytes(), b.ht_bytes());
+  EXPECT_EQ(a.minor_faults(), b.minor_faults());
+  EXPECT_EQ(a.stolen_tasks(), b.stolen_tasks());
+  EXPECT_EQ(a.thread_migrations(), b.thread_migrations());
+  EXPECT_EQ(a.tasks_spawned(), b.tasks_spawned());
 }
 
 TEST(SamplerTest, SamplersOfOneCounterSetShareWindows) {
@@ -132,8 +154,8 @@ TEST(SamplerTest, SamplersOfOneCounterSetShareWindows) {
   const WindowStats b = second.Sample();
   ExpectSameWindow(a, b);
   ExpectSameWindow(a, private_cache.Sample());
-  EXPECT_EQ(a.ticks, 4);
-  EXPECT_EQ(a.core_busy_cycles[7], 500);
+  EXPECT_EQ(a.ticks(), 4);
+  EXPECT_EQ(a.core_busy_cycles(7), 500);
 }
 
 TEST(SamplerTest, CounterBumpedWithinATickIsSeen) {
@@ -147,14 +169,14 @@ TEST(SamplerTest, CounterBumpedWithinATickIsSeen) {
   Sampler second(cache);
   counters.core_busy_cycles[0] += 100;
   clock.Advance(2);
-  EXPECT_EQ(first.Sample().core_busy_cycles[0], 100);
+  EXPECT_EQ(first.Sample().core_busy_cycles(0), 100);
   counters.core_busy_cycles[0] += 50;
-  EXPECT_EQ(second.Sample().core_busy_cycles[0], 150);
+  EXPECT_EQ(second.Sample().core_busy_cycles(0), 150);
   // The first sampler's next window carries the bump it missed.
   clock.Advance(1);
   const WindowStats next = first.Sample();
-  EXPECT_EQ(next.ticks, 1);
-  EXPECT_EQ(next.core_busy_cycles[0], 50);
+  EXPECT_EQ(next.ticks(), 1);
+  EXPECT_EQ(next.core_busy_cycles(0), 50);
 }
 
 TEST(SamplerTest, SkippedRoundsYieldOneWindowOverTheGap) {
@@ -169,13 +191,105 @@ TEST(SamplerTest, SkippedRoundsYieldOneWindowOverTheGap) {
     counters.core_busy_cycles[1] += 10;
     counters.ht_bytes_total += 64;
     clock.Advance(5);
-    EXPECT_EQ(every_round.Sample().core_busy_cycles[1], 10);
+    EXPECT_EQ(every_round.Sample().core_busy_cycles(1), 10);
   }
   const WindowStats gap = skipper.Sample();
-  EXPECT_EQ(gap.ticks, 20);
-  EXPECT_EQ(gap.core_busy_cycles[1], 40);
-  EXPECT_EQ(gap.ht_bytes, 256);
+  EXPECT_EQ(gap.ticks(), 20);
+  EXPECT_EQ(gap.core_busy_cycles(1), 40);
+  EXPECT_EQ(gap.ht_bytes(), 256);
 }
+
+TEST(SamplerTest, SamplersAtOneTickShareOneEndSnapshot) {
+  CounterSet counters(4, 8, 16);
+  simcore::Clock clock;
+  auto cache = std::make_shared<SnapshotCache>(&counters, &clock);
+  Sampler first(cache);
+  Sampler second(cache);
+  counters.core_busy_cycles[3] += 70;
+  clock.Advance(3);
+  const WindowStats a = first.Sample();
+  const WindowStats b = second.Sample();
+  EXPECT_EQ(a.to(), b.to());
+  EXPECT_EQ(a.from(), b.from());
+  // A copy shares both ends instead of copying the counters.
+  const WindowStats copy = a;
+  EXPECT_EQ(copy.from(), a.from());
+  EXPECT_EQ(copy.to(), a.to());
+  EXPECT_EQ(copy.core_busy_cycles(3), 70);
+  // The next window starts at the reading this one ended at.
+  clock.Advance(1);
+  EXPECT_EQ(first.Sample().from(), a.to());
+}
+
+/// One counter of a CounterSet, bumped within a tick, and whether a window
+/// reads it.
+struct CounterBump {
+  std::string name;
+  std::function<void(CounterSet&)> bump;
+  bool window_reads;
+};
+
+class SnapshotReuseTest : public ::testing::TestWithParam<CounterBump> {};
+
+TEST_P(SnapshotReuseTest, OnlyWindowReadCountersForceANewSnapshot) {
+  CounterSet counters(4, 8, 16);
+  simcore::Clock clock;
+  SnapshotCache cache(&counters, &clock);
+  clock.Advance(1);
+  const std::shared_ptr<const CounterSnapshot> before = cache.Latest();
+  GetParam().bump(counters);
+  const std::shared_ptr<const CounterSnapshot>& after = cache.Latest();
+  if (GetParam().window_reads) {
+    EXPECT_NE(after, before);
+  } else {
+    EXPECT_EQ(after, before);
+  }
+}
+
+// Each bump touches the last entry of its counter, so a comparison that
+// stops early cannot pass either.
+INSTANTIATE_TEST_SUITE_P(
+    Counters, SnapshotReuseTest,
+    ::testing::Values(
+        CounterBump{"l3_hits", [](CounterSet& c) { c.l3_hits[3]++; }, true},
+        CounterBump{"l3_misses", [](CounterSet& c) { c.l3_misses[3]++; }, true},
+        CounterBump{"imc_bytes", [](CounterSet& c) { c.imc_bytes[3]++; }, true},
+        CounterBump{"node_access_pages",
+                    [](CounterSet& c) { c.node_access_pages[3]++; }, true},
+        CounterBump{"core_busy_cycles",
+                    [](CounterSet& c) { c.core_busy_cycles[15]++; }, true},
+        CounterBump{"ht_bytes_total",
+                    [](CounterSet& c) { c.ht_bytes_total++; }, true},
+        CounterBump{"minor_faults", [](CounterSet& c) { c.minor_faults++; },
+                    true},
+        CounterBump{"stolen_tasks", [](CounterSet& c) { c.stolen_tasks++; },
+                    true},
+        CounterBump{"thread_migrations",
+                    [](CounterSet& c) { c.thread_migrations++; }, true},
+        CounterBump{"tasks_spawned", [](CounterSet& c) { c.tasks_spawned++; },
+                    true},
+        CounterBump{"local_bytes", [](CounterSet& c) { c.local_bytes[3]++; },
+                    false},
+        CounterBump{"remote_in_bytes",
+                    [](CounterSet& c) { c.remote_in_bytes[3]++; }, false},
+        CounterBump{"ht_link_bytes",
+                    [](CounterSet& c) { c.ht_link_bytes[7]++; }, false},
+        CounterBump{"l3_invalidations",
+                    [](CounterSet& c) { c.l3_invalidations++; }, false},
+        CounterBump{"first_touch_faults",
+                    [](CounterSet& c) { c.first_touch_faults++; }, false},
+        CounterBump{"load_balance_rounds",
+                    [](CounterSet& c) { c.load_balance_rounds++; }, false},
+        CounterBump{"stream_ht_bytes",
+                    [](CounterSet& c) { c.stream_ht_bytes[kNoStream]++; },
+                    false},
+        CounterBump{"stream_imc_bytes",
+                    [](CounterSet& c) { c.stream_imc_bytes[0]++; }, false},
+        CounterBump{"stream_busy_cycles",
+                    [](CounterSet& c) { c.stream_busy_cycles[5]++; }, false}),
+    [](const ::testing::TestParamInfo<CounterBump>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace elastic::perf

@@ -1,7 +1,14 @@
 // Property-style tests over randomly generated token flows: conservation,
-// non-negativity, and incidence-matrix consistency.
+// non-negativity, incidence-matrix consistency, and StepOnce agreeing with
+// IsEnabled and Fire on random guarded nets.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "petri/net.h"
 #include "simcore/rng.h"
@@ -63,8 +70,8 @@ TEST_P(RingProperty, MarkingsNeverNegative) {
   for (int step = 0; step < 100; ++step) {
     ring.net().Fire(ring.transitions()[rng.NextBounded(3)]);
     for (PlaceId p : ring.places()) {
-      // deque size is unsigned; the invariant is that Fire never fires on an
-      // empty input place, so the total never exceeds the initial 1.
+      // The invariant is that Fire never fires on an empty input place, so
+      // no place ever holds more than the initial single token.
       ASSERT_LE(ring.net().Marking(p).size(), 1u);
     }
   }
@@ -125,6 +132,156 @@ TEST(ForkJoinNet, IncidenceReflectsNonConservation) {
   for (int p = 0; p < net.num_places(); ++p) sum += at[p][static_cast<size_t>(fork)];
   EXPECT_EQ(sum, 1);  // +2 produced, -1 consumed
 }
+
+/// How a random transition was built: its input places, in arc order, and
+/// its guard over the values bound from the arcs numbered `a` and `b`.
+struct TransitionSpec {
+  enum class Guard { kNone, kLess, kSumAtLeast };
+  std::vector<PlaceId> inputs;
+  Guard guard = Guard::kNone;
+  int a = 0;
+  int b = 0;
+  double bound = 0.0;
+};
+
+struct RandomNet {
+  Net net;
+  std::vector<TransitionSpec> specs;
+};
+
+/// A seeded random net: 2-6 places and 2-8 transitions, each with 1-4
+/// input arcs from distinct places, an optional guard comparing one or two
+/// bound values with a constant, and 0-3 output arcs whose places may be
+/// its own inputs (self-loops). Places start with 0-3 tokens.
+RandomNet MakeRandomNet(simcore::Rng& rng) {
+  RandomNet random;
+  Net& net = random.net;
+  const int places = 2 + static_cast<int>(rng.NextBounded(5));
+  for (int p = 0; p < places; ++p) net.AddPlace("P" + std::to_string(p));
+  const auto value = [&rng] {
+    return static_cast<double>(rng.NextInRange(-8, 8)) / 2.0;
+  };
+  const auto var = [](int arc) { return "v" + std::to_string(arc); };
+  const int transitions = 2 + static_cast<int>(rng.NextBounded(7));
+  for (int t = 0; t < transitions; ++t) {
+    TransitionSpec spec;
+    const int arcs = 1 + static_cast<int>(rng.NextBounded(
+                             static_cast<uint64_t>(std::min(4, places))));
+    while (static_cast<int>(spec.inputs.size()) < arcs) {
+      const PlaceId p = static_cast<PlaceId>(
+          rng.NextBounded(static_cast<uint64_t>(places)));
+      if (std::find(spec.inputs.begin(), spec.inputs.end(), p) ==
+          spec.inputs.end()) {
+        spec.inputs.push_back(p);
+      }
+    }
+    spec.a = static_cast<int>(rng.NextBounded(spec.inputs.size()));
+    spec.b = static_cast<int>(rng.NextBounded(spec.inputs.size()));
+    spec.bound = value();
+    spec.guard = static_cast<TransitionSpec::Guard>(rng.NextBounded(3));
+    Guard guard;
+    const std::string a = var(spec.a);
+    const std::string b = var(spec.b);
+    const double bound = spec.bound;
+    if (spec.guard == TransitionSpec::Guard::kLess) {
+      guard = [a, bound](const Binding& bd) { return bd.Get(a) < bound; };
+    } else if (spec.guard == TransitionSpec::Guard::kSumAtLeast) {
+      guard = [a, b, bound](const Binding& bd) {
+        return bd.Get(a) + bd.Get(b) >= bound;
+      };
+    }
+    const TransitionId id =
+        net.AddTransition("t" + std::to_string(t), std::move(guard));
+    for (size_t i = 0; i < spec.inputs.size(); ++i) {
+      net.AddInputArc(spec.inputs[i], id, var(static_cast<int>(i)));
+    }
+    const int outputs = static_cast<int>(rng.NextBounded(4));
+    for (int o = 0; o < outputs; ++o) {
+      // Half the outputs return to one of the transition's own inputs.
+      const PlaceId target =
+          rng.NextBounded(2) == 0
+              ? spec.inputs[rng.NextBounded(spec.inputs.size())]
+              : static_cast<PlaceId>(
+                    rng.NextBounded(static_cast<uint64_t>(places)));
+      const std::string from =
+          var(static_cast<int>(rng.NextBounded(spec.inputs.size())));
+      const double offset = value();
+      net.AddOutputArc(id, target, [from, offset](const Binding& bd) {
+        return bd.Get(from) + offset;
+      });
+    }
+    random.specs.push_back(std::move(spec));
+  }
+  for (int p = 0; p < places; ++p) {
+    const int tokens = static_cast<int>(rng.NextBounded(4));
+    for (int i = 0; i < tokens; ++i) net.AddToken(p, value());
+  }
+  return random;
+}
+
+bool HasInputTokens(const Net& net, const TransitionSpec& spec) {
+  for (const PlaceId p : spec.inputs) {
+    if (net.Marking(p).empty()) return false;
+  }
+  return true;
+}
+
+/// Whether a transition is enabled, read off the marking directly rather
+/// than through the net's bindings.
+bool EnabledBySpec(const Net& net, const TransitionSpec& spec) {
+  if (!HasInputTokens(net, spec)) return false;
+  const auto front = [&](int arc) {
+    return net.Marking(spec.inputs[static_cast<size_t>(arc)]).front();
+  };
+  switch (spec.guard) {
+    case TransitionSpec::Guard::kNone: return true;
+    case TransitionSpec::Guard::kLess: return front(spec.a) < spec.bound;
+    case TransitionSpec::Guard::kSumAtLeast:
+      return front(spec.a) + front(spec.b) >= spec.bound;
+  }
+  return false;
+}
+
+class StepOnceProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(StepOnceProperty, FiresFirstEnabledAndMatchesFire) {
+  simcore::Rng rng(static_cast<uint64_t>(GetParam()) * 0x9E3779B9ULL);
+  int fired_steps = 0;
+  int guard_blocked = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    RandomNet random = MakeRandomNet(rng);
+    Net& net = random.net;
+    for (int step = 0; step < 30; ++step) {
+      TransitionId first = -1;
+      for (TransitionId t = 0; t < net.num_transitions(); ++t) {
+        const TransitionSpec& spec = random.specs[static_cast<size_t>(t)];
+        const bool enabled = net.IsEnabled(t);
+        ASSERT_EQ(enabled, EnabledBySpec(net, spec)) << "t" << t;
+        if (first < 0 && enabled) first = t;
+        if (!enabled && HasInputTokens(net, spec)) guard_blocked++;
+      }
+      Net fired = net;
+      if (first >= 0) {
+        ASSERT_TRUE(fired.Fire(first));
+      }
+      const std::optional<TransitionId> stepped = net.StepOnce();
+      if (first < 0) {
+        ASSERT_FALSE(stepped.has_value());
+        break;
+      }
+      ASSERT_TRUE(stepped.has_value());
+      ASSERT_EQ(*stepped, first);
+      fired_steps++;
+      for (PlaceId p = 0; p < net.num_places(); ++p) {
+        ASSERT_EQ(net.Marking(p), fired.Marking(p)) << "place " << p;
+      }
+    }
+  }
+  EXPECT_GT(fired_steps, 50);
+  EXPECT_GT(guard_blocked, 10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StepOnceProperty, ::testing::Range(1, 13));
 
 }  // namespace
 }  // namespace elastic::petri

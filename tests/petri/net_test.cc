@@ -147,5 +147,16 @@ TEST(NetDeathTest, UnboundVariableAborts) {
   EXPECT_DEATH(net.Fire(t), "unbound");
 }
 
+TEST(NetDeathTest, FifthInputArcAborts) {
+  Net net;
+  const TransitionId t = net.AddTransition("t");
+  net.AddInputArc(net.AddPlace("A"), t, "a");
+  net.AddInputArc(net.AddPlace("B"), t, "b");
+  net.AddInputArc(net.AddPlace("C"), t, "c");
+  net.AddInputArc(net.AddPlace("D"), t, "d");
+  const PlaceId e = net.AddPlace("E");
+  EXPECT_DEATH(net.AddInputArc(e, t, "e"), "kMaxVars");
+}
+
 }  // namespace
 }  // namespace elastic::petri

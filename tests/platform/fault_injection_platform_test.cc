@@ -48,7 +48,7 @@ TEST(FaultInjectionPlatformTest, EmptyScheduleIsPurePassthrough) {
   auto sampler = platform.CreateSampler();
   machine->clock().Advance(10);
   const perf::WindowStats window = sampler->Sample();
-  EXPECT_EQ(window.ticks, 10);
+  EXPECT_EQ(window.ticks(), 10);
   EXPECT_TRUE(platform.injection_log().empty());
 }
 
@@ -91,14 +91,14 @@ TEST(FaultInjectionPlatformTest, SampleDropoutIsZeroWidthAndSpansTheGap) {
   auto sampler = platform.CreateSampler();  // creation index 0
   machine->clock().Advance(10);
   const perf::WindowStats dropped = sampler->Sample();
-  EXPECT_EQ(dropped.ticks, 0);
-  EXPECT_TRUE(dropped.core_busy_cycles.empty());
+  EXPECT_EQ(dropped.ticks(), 0);
+  EXPECT_TRUE(dropped.num_cores() == 0);
 
   // The inner sampler was never touched, so the next good window covers the
   // whole blind period — 20 ticks, not 10.
   machine->clock().Advance(10);
   const perf::WindowStats good = sampler->Sample();
-  EXPECT_EQ(good.ticks, 20);
+  EXPECT_EQ(good.ticks(), 20);
 }
 
 TEST(FaultInjectionPlatformTest, SampleGarbageScramblesBusyCounters) {
@@ -112,11 +112,11 @@ TEST(FaultInjectionPlatformTest, SampleGarbageScramblesBusyCounters) {
   auto sampler = platform.CreateSampler();
   machine->clock().Advance(10);
   const perf::WindowStats garbage = sampler->Sample();
-  ASSERT_FALSE(garbage.core_busy_cycles.empty());
+  ASSERT_FALSE(garbage.num_cores() == 0);
   // Absurd by construction: far more busy cycles than the window holds.
-  EXPECT_GT(garbage.core_busy_cycles[0],
-            garbage.ticks * inner.cycles_per_tick() * 100);
-  EXPECT_EQ(garbage.ticks, 10);  // the window itself is real, data is not
+  EXPECT_GT(garbage.core_busy_cycles(0),
+            garbage.ticks() * inner.cycles_per_tick() * 100);
+  EXPECT_EQ(garbage.ticks(), 10);  // the window itself is real, data is not
 }
 
 TEST(FaultInjectionPlatformTest, ClockStallFreezesNowInsideTheWindow) {

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/arbiter.h"
@@ -209,11 +211,106 @@ TEST(LinuxPlatformTest, DryRunSamplerIsDeterministicallyIdle) {
   LinuxPlatform platform(DryRunOptions());
   auto sampler = platform.CreateSampler();
   const perf::WindowStats stats = sampler->Sample();
-  EXPECT_EQ(stats.core_busy_cycles.size(), 8u);
-  for (int64_t busy : stats.core_busy_cycles) EXPECT_EQ(busy, 0);
+  EXPECT_EQ(stats.num_cores(), 8);
+  for (int core = 0; core < stats.num_cores(); ++core) {
+    EXPECT_EQ(stats.core_busy_cycles(core), 0);
+  }
   EXPECT_DOUBLE_EQ(stats.CpuLoadPercent(CpuMask::FirstN(8),
                                         platform.cycles_per_tick()),
                    0.0);
+}
+
+/// A live (not dry-run) 4-CPU platform whose /proc/stat is a temp file.
+/// No cpuset is ever created, so nothing is written under cgroup_root.
+class ProcStatSamplerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = ::testing::TempDir() + "elasticore-proc-XXXXXX";
+    ASSERT_NE(mkdtemp(root_.data()), nullptr);
+    WriteStat("cpu  0 0 0 0 0 0 0 0 0 0\n");
+  }
+  void TearDown() override { std::filesystem::remove_all(root_); }
+
+  void WriteStat(const std::string& text) const {
+    std::ofstream(root_ + "/stat") << text;
+  }
+  /// A stat file whose CPUs 0-3 have `user` jiffies each, plus idle time.
+  void WriteUserJiffies(long long user) const {
+    std::string text = "cpu  0 0 0 0 0 0 0 0 0 0\n";
+    for (int cpu = 0; cpu < 4; ++cpu) {
+      text += "cpu" + std::to_string(cpu) + " " + std::to_string(user) +
+              " 0 0 " + std::to_string(user * 3) + " 7 0 0 0 0 0\n";
+    }
+    WriteStat(text);
+  }
+  LinuxPlatformOptions Options() const {
+    LinuxPlatformOptions options;
+    options.num_nodes = 1;
+    options.cores_per_node = 4;
+    options.proc_root = root_;
+    options.cgroup_root = root_ + "/cgroup";
+    // Long enough that a test's reads within one tick never straddle two.
+    options.seconds_per_tick = 0.25;
+    return options;
+  }
+  /// Sleeps until the platform clock enters its next tick.
+  static void AwaitNextTick(const LinuxPlatform& platform) {
+    const simcore::Tick start = platform.Now();
+    while (platform.Now() == start) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  std::string root_;
+};
+
+TEST_F(ProcStatSamplerTest, CountsPerCpuBusyJiffiesOnly) {
+  LinuxPlatform platform(Options());
+  auto sampler = platform.CreateSampler();
+  AwaitNextTick(platform);
+  // CPU 3 is offline, so only the aggregate line names it: parsed as a
+  // per-cpu line it would credit CPU 3 with 200+300+400+700+800 jiffies.
+  WriteStat(
+      "cpu  3 200 300 400 500 600 700 800 0 0\n"
+      "cpu0 10 1 2 1000 500 3 4 5 0 0\n"
+      "cpu1 0 0 0 7000 7000 0 0 0 0 0\n"
+      "cpu2 100 0 0 0 0 0 0 0 0 0\n"
+      "intr 12345\n");
+  const perf::WindowStats window = sampler->Sample();
+  EXPECT_EQ(window.ticks(), 1);
+  EXPECT_DOUBLE_EQ(window.seconds(), 0.25);
+  ASSERT_EQ(window.num_cores(), 4);
+  // Busy is user+nice+system+irq+softirq+steal; idle and iowait are not.
+  EXPECT_EQ(window.core_busy_cycles(0), 10 + 1 + 2 + 3 + 4 + 5);
+  EXPECT_EQ(window.core_busy_cycles(1), 0);
+  EXPECT_EQ(window.core_busy_cycles(2), 100);
+  EXPECT_EQ(window.core_busy_cycles(3), 0);
+}
+
+TEST_F(ProcStatSamplerTest, SamplersOfOneTickShareOneReading) {
+  LinuxPlatform platform(Options());
+  auto first = platform.CreateSampler();
+  auto second = platform.CreateSampler();
+  AwaitNextTick(platform);
+  WriteUserJiffies(100);
+  const perf::WindowStats a = first->Sample();
+  // The file moves between the two reads; the tick has not.
+  WriteUserJiffies(250);
+  const perf::WindowStats b = second->Sample();
+  EXPECT_EQ(a.to(), b.to());
+  for (int cpu = 0; cpu < 4; ++cpu) {
+    EXPECT_EQ(a.core_busy_cycles(cpu), 100);
+    EXPECT_EQ(b.core_busy_cycles(cpu), 100);
+  }
+  // The next tick reads the file again and sees the move.
+  AwaitNextTick(platform);
+  const perf::WindowStats next = first->Sample();
+  EXPECT_EQ(next.ticks(), 1);
+  EXPECT_EQ(next.from(), a.to());
+  EXPECT_NE(next.to(), a.to());
+  for (int cpu = 0; cpu < 4; ++cpu) {
+    EXPECT_EQ(next.core_busy_cycles(cpu), 150);
+  }
 }
 
 // The acceptance scenario: a whole arbiter driven through the Linux

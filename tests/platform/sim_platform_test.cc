@@ -258,8 +258,8 @@ TEST(SimPlatformTest, ForwardsCpusetsClockAndSampler) {
   machine->counters().core_busy_cycles[0] += 500;
   machine->clock().Advance(3);
   const perf::WindowStats stats = sampler->Sample();
-  EXPECT_EQ(stats.ticks, 3);
-  EXPECT_EQ(stats.core_busy_cycles[0], 500);
+  EXPECT_EQ(stats.ticks(), 3);
+  EXPECT_EQ(stats.core_busy_cycles(0), 500);
 }
 
 }  // namespace
