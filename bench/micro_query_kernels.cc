@@ -4,6 +4,9 @@
 // std::unordered_map join, per-row std::string group encoding, three
 // separate selection passes) on TPC-H columns at SF 0.15.
 //
+// Also times the tpch::Generate call that builds those columns (dbgen_s,
+// and lineitem rows per second as dbgen_rows_per_s).
+//
 // Emits a human-readable table on stdout and machine-readable JSON to
 // BENCH_micro_query_kernels.json (see bench_common.h for the convention).
 //
@@ -134,9 +137,14 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
   options.scale_factor = scale_factor;
   options.seed = kBenchSeed;
   std::fprintf(stderr, "generating TPC-H SF %.2f ...\n", scale_factor);
+  const auto dbgen_t0 = std::chrono::steady_clock::now();
   const db::Database database = tpch::Generate(options);
+  const double dbgen_s = SecondsSince(dbgen_t0);
   const db::Table& L = database.lineitem;
   const db::Table& O = database.orders;
+  const double dbgen_rows_per_s = L.num_rows() / dbgen_s;
+  std::printf("dbgen %.3f s (%lld lineitem rows, %.0f rows/s)\n", dbgen_s,
+              static_cast<long long>(L.num_rows()), dbgen_rows_per_s);
 
   const auto& o_orderkey = O.i64("o_orderkey");
   const auto& l_orderkey = L.i64("l_orderkey");
@@ -307,8 +315,10 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
   }
   std::fprintf(json,
                "{\n  \"bench\": \"micro_query_kernels\",\n"
-               "  \"scale_factor\": %.4f,\n  \"reps\": %d,\n  \"kernels\": {\n",
-               scale_factor, reps);
+               "  \"scale_factor\": %.4f,\n  \"reps\": %d,\n"
+               "  \"dbgen_s\": %.3f,\n  \"dbgen_rows_per_s\": %.0f,\n"
+               "  \"kernels\": {\n",
+               scale_factor, reps, dbgen_s, dbgen_rows_per_s);
   for (size_t i = 0; i < results.size(); ++i) {
     const KernelResult& r = results[i];
     std::fprintf(json,

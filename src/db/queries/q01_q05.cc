@@ -109,9 +109,10 @@ QueryOutput Q2(const Database& db) {
   const int st_supp = RecordSelect(&rec, "supplier.s_nationkey",
                                    static_cast<int64_t>(s_nation.size()),
                                    static_cast<int64_t>(s_sel.size()));
+  const auto& s_suppkey = S.i64("s_suppkey");
   std::vector<bool> supp_ok(s_nation.size() + 1, false);
   for (int64_t row : s_sel) {
-    supp_ok[static_cast<size_t>(S.i64("s_suppkey")[static_cast<size_t>(row)])] = true;
+    supp_ok[static_cast<size_t>(s_suppkey[static_cast<size_t>(row)])] = true;
   }
 
   // Parts: p_size = 15 and p_type like '%BRASS'.
@@ -141,15 +142,23 @@ QueryOutput Q2(const Database& db) {
 
   // Supplier row by key for output columns.
   HashJoin supp_by_key;
-  supp_by_key.Build(S.i64("s_suppkey"), nullptr);
+  supp_by_key.Build(s_suppkey, nullptr);
 
+  const auto& p_partkey = P.i64("p_partkey");
+  const auto& p_mfgr = P.str("p_mfgr");
+  const auto& s_acctbal = S.f64("s_acctbal");
+  const auto& s_name = S.str("s_name");
+  const auto& s_address = S.str("s_address");
+  const auto& s_phone = S.str("s_phone");
+  const auto& s_comment = S.str("s_comment");
+  const auto& n_name = N.str("n_name");
   QueryResult result;
   result.query = "Q2";
   result.column_names = {"s_acctbal", "s_name", "n_name", "p_partkey",
                          "p_mfgr", "s_address", "s_phone", "s_comment"};
   int64_t probe_pairs = 0;
   for (int64_t prow : p_sel) {
-    const int64_t partkey = P.i64("p_partkey")[static_cast<size_t>(prow)];
+    const int64_t partkey = p_partkey[static_cast<size_t>(prow)];
     const HashJoin::RowSpan entries = ps_by_part.RowsOf(partkey);
     if (entries.empty()) continue;
     double min_cost = 0.0;
@@ -169,11 +178,11 @@ QueryOutput Q2(const Database& db) {
       const size_t sk = static_cast<size_t>(s_row);
       const int64_t nationkey = s_nation[sk];
       result.rows.push_back(
-          {Value::F64(S.f64("s_acctbal")[sk]), Value::Str(S.str("s_name")[sk]),
-           Value::Str(N.str("n_name")[static_cast<size_t>(nationkey)]),
-           Value::I64(partkey), Value::Str(P.str("p_mfgr")[static_cast<size_t>(prow)]),
-           Value::Str(S.str("s_address")[sk]), Value::Str(S.str("s_phone")[sk]),
-           Value::Str(S.str("s_comment")[sk])});
+          {Value::F64(s_acctbal[sk]), Value::Str(s_name[sk]),
+           Value::Str(n_name[static_cast<size_t>(nationkey)]),
+           Value::I64(partkey), Value::Str(p_mfgr[static_cast<size_t>(prow)]),
+           Value::Str(s_address[sk]), Value::Str(s_phone[sk]),
+           Value::Str(s_comment[sk])});
     }
   }
   RecordJoinProbe(&rec,
@@ -250,6 +259,7 @@ QueryOutput Q3(const Database& db) {
   }
   auto rev_per_group = SumPerGroup(revenue, grouper.group_of(), groups);
 
+  const auto& o_shippriority = O.i64("o_shippriority");
   QueryResult result;
   result.query = "Q3";
   result.column_names = {"l_orderkey", "revenue", "o_orderdate", "o_shippriority"};
@@ -259,7 +269,7 @@ QueryOutput Q3(const Database& db) {
     result.rows.push_back({Value::I64(grouper.I64KeyOfGroup(0, g)),
                            Value::F64(rev_per_group[static_cast<size_t>(g)]),
                            Value::Str(DateToString(o_date[orow])),
-                           Value::I64(O.i64("o_shippriority")[orow])});
+                           Value::I64(o_shippriority[orow])});
   }
   result.Sort({{1, false}, {2, true}});
   result.Limit(10);
@@ -341,9 +351,10 @@ QueryOutput Q5(const Database& db) {
   SelVec region_sel = SelectWhere(R.str("r_name"),
                                   [](const std::string& s) { return s == "ASIA"; });
   const int64_t region_key = R.i64("r_regionkey")[static_cast<size_t>(region_sel[0])];
+  const auto& n_regionkey = N.i64("n_regionkey");
   std::vector<bool> nation_in_asia(N.num_rows(), false);
   for (int64_t i = 0; i < N.num_rows(); ++i) {
-    if (N.i64("n_regionkey")[static_cast<size_t>(i)] == region_key) {
+    if (n_regionkey[static_cast<size_t>(i)] == region_key) {
       nation_in_asia[static_cast<size_t>(i)] = true;
     }
   }
@@ -406,13 +417,14 @@ QueryOutput Q5(const Database& db) {
                                   static_cast<int64_t>(revenue.size()), 8, false)},
               static_cast<int64_t>(revenue.size()), grouper.num_groups());
 
+  const auto& n_name = N.str("n_name");
   QueryResult result;
   result.query = "Q5";
   result.column_names = {"n_name", "revenue"};
   for (int64_t g = 0; g < grouper.num_groups(); ++g) {
     const int64_t nation = grouper.I64KeyOfGroup(0, g);
     result.rows.push_back(
-        {Value::Str(N.str("n_name")[static_cast<size_t>(nation)]),
+        {Value::Str(n_name[static_cast<size_t>(nation)]),
          Value::F64(sums[static_cast<size_t>(g)])});
   }
   result.Sort({{1, false}});

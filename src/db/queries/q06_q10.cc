@@ -96,10 +96,11 @@ QueryOutput Q7(const Database& db) {
   const Date from = MakeDate(1995, 1, 1);
   const Date to = MakeDate(1996, 12, 31);
 
+  const auto& n_name = N.str("n_name");
   int64_t france = -1;
   int64_t germany = -1;
   for (int64_t i = 0; i < N.num_rows(); ++i) {
-    const std::string& nm = N.str("n_name")[static_cast<size_t>(i)];
+    const std::string& nm = n_name[static_cast<size_t>(i)];
     if (nm == "FRANCE") france = i;
     if (nm == "GERMANY") germany = i;
   }
@@ -148,8 +149,8 @@ QueryOutput Q7(const Database& db) {
                   probed);
 
   Grouper grouper;
-  grouper.AddStrKey(N.str("n_name"), supp_nation_rows);
-  grouper.AddStrKey(N.str("n_name"), cust_nation_rows);
+  grouper.AddStrKey(n_name, supp_nation_rows);
+  grouper.AddStrKey(n_name, cust_nation_rows);
   grouper.AddI64Key(year_key);
   grouper.Finish();
   auto sums = SumPerGroup(volume, grouper.group_of(), grouper.num_groups());
@@ -187,13 +188,15 @@ QueryOutput Q8(const Database& db) {
   SelVec region_sel = SelectWhere(
       R.str("r_name"), [](const std::string& s) { return s == "AMERICA"; });
   const int64_t region_key = R.i64("r_regionkey")[static_cast<size_t>(region_sel[0])];
+  const auto& n_regionkey = N.i64("n_regionkey");
+  const auto& n_name = N.str("n_name");
   std::vector<bool> nation_in_america(N.num_rows(), false);
   int64_t brazil = -1;
   for (int64_t i = 0; i < N.num_rows(); ++i) {
-    if (N.i64("n_regionkey")[static_cast<size_t>(i)] == region_key) {
+    if (n_regionkey[static_cast<size_t>(i)] == region_key) {
       nation_in_america[static_cast<size_t>(i)] = true;
     }
-    if (N.str("n_name")[static_cast<size_t>(i)] == "BRAZIL") brazil = i;
+    if (n_name[static_cast<size_t>(i)] == "BRAZIL") brazil = i;
   }
 
   SelVec p_sel = SelectWhere(P.str("p_type"), [](const std::string& t) {
@@ -286,7 +289,8 @@ QueryOutput Q9(const Database& db) {
   RecordJoinBuild(&rec, {PlanRecorder::Base("partsupp.ps_partkey", PS.num_rows())},
                   PS.num_rows());
 
-  HashJoin::Pairs pairs = parts.Probe(L.i64("l_partkey"), nullptr);
+  const auto& l_part = L.i64("l_partkey");
+  HashJoin::Pairs pairs = parts.Probe(l_part, nullptr);
   RecordJoinProbe(&rec, {PlanRecorder::Base("lineitem.l_partkey", L.num_rows())},
                   static_cast<int64_t>(pairs.size()));
 
@@ -305,7 +309,7 @@ QueryOutput Q9(const Database& db) {
   std::vector<double> amount;
   for (size_t i = 0; i < pairs.size(); ++i) {
     const size_t lrow = static_cast<size_t>(pairs.probe_rows[i]);
-    const int64_t partkey = L.i64("l_partkey")[lrow];
+    const int64_t partkey = l_part[lrow];
     const int64_t suppkey = l_supp[lrow];
     double cost = 0.0;
     for (int64_t ps_row : ps_by_part.RowsOf(partkey)) {
@@ -393,6 +397,12 @@ QueryOutput Q10(const Database& db) {
                                   static_cast<int64_t>(revenue.size()), 8, false)},
               static_cast<int64_t>(revenue.size()), grouper.num_groups());
 
+  const auto& c_nationkey = C.i64("c_nationkey");
+  const auto& c_name = C.str("c_name");
+  const auto& c_acctbal = C.f64("c_acctbal");
+  const auto& c_address = C.str("c_address");
+  const auto& c_phone = C.str("c_phone");
+  const auto& n_name = N.str("n_name");
   QueryResult result;
   result.query = "Q10";
   result.column_names = {"c_custkey", "c_name", "revenue", "c_acctbal",
@@ -400,13 +410,12 @@ QueryOutput Q10(const Database& db) {
   for (int64_t g = 0; g < grouper.num_groups(); ++g) {
     const int64_t custkey = grouper.I64KeyOfGroup(0, g);
     const size_t crow = static_cast<size_t>(custkey - 1);
-    const int64_t nation = C.i64("c_nationkey")[crow];
+    const int64_t nation = c_nationkey[crow];
     result.rows.push_back(
-        {Value::I64(custkey), Value::Str(C.str("c_name")[crow]),
-         Value::F64(sums[static_cast<size_t>(g)]),
-         Value::F64(C.f64("c_acctbal")[crow]),
-         Value::Str(N.str("n_name")[static_cast<size_t>(nation)]),
-         Value::Str(C.str("c_address")[crow]), Value::Str(C.str("c_phone")[crow])});
+        {Value::I64(custkey), Value::Str(c_name[crow]),
+         Value::F64(sums[static_cast<size_t>(g)]), Value::F64(c_acctbal[crow]),
+         Value::Str(n_name[static_cast<size_t>(nation)]),
+         Value::Str(c_address[crow]), Value::Str(c_phone[crow])});
   }
   result.Sort({{2, false}});
   result.Limit(20);

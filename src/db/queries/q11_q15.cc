@@ -14,18 +14,20 @@ QueryOutput Q11(const Database& db) {
   const Table& S = db.supplier;
   const Table& N = db.nation;
 
+  const auto& n_name = N.str("n_name");
   int64_t germany = -1;
   for (int64_t i = 0; i < N.num_rows(); ++i) {
-    if (N.str("n_name")[static_cast<size_t>(i)] == "GERMANY") germany = i;
+    if (n_name[static_cast<size_t>(i)] == "GERMANY") germany = i;
   }
 
   const auto& s_nation = S.i64("s_nationkey");
   SelVec s_sel = SelectWhere(s_nation, [germany](int64_t nk) { return nk == germany; });
   const int st_supp = RecordSelect(&rec, "supplier.s_nationkey", S.num_rows(),
                                    static_cast<int64_t>(s_sel.size()));
+  const auto& s_suppkey = S.i64("s_suppkey");
   std::vector<bool> supp_ok(static_cast<size_t>(S.num_rows()) + 1, false);
   for (int64_t row : s_sel) {
-    supp_ok[static_cast<size_t>(S.i64("s_suppkey")[static_cast<size_t>(row)])] = true;
+    supp_ok[static_cast<size_t>(s_suppkey[static_cast<size_t>(row)])] = true;
   }
 
   const auto& ps_supp = PS.i64("ps_suppkey");
@@ -271,6 +273,9 @@ QueryOutput Q15(const Database& db) {
   double max_revenue = 0.0;
   for (double v : sums) max_revenue = std::max(max_revenue, v);
 
+  const auto& s_name = S.str("s_name");
+  const auto& s_address = S.str("s_address");
+  const auto& s_phone = S.str("s_phone");
   QueryResult result;
   result.query = "Q15";
   result.column_names = {"s_suppkey", "s_name", "s_address", "s_phone",
@@ -281,8 +286,8 @@ QueryOutput Q15(const Database& db) {
       const int64_t suppkey = grouper.I64KeyOfGroup(0, g);
       const size_t srow = static_cast<size_t>(suppkey - 1);
       result.rows.push_back(
-          {Value::I64(suppkey), Value::Str(S.str("s_name")[srow]),
-           Value::Str(S.str("s_address")[srow]), Value::Str(S.str("s_phone")[srow]),
+          {Value::I64(suppkey), Value::Str(s_name[srow]),
+           Value::Str(s_address[srow]), Value::Str(s_phone[srow]),
            Value::F64(v)});
     }
   }

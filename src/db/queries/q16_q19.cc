@@ -31,11 +31,11 @@ QueryOutput Q16(const Database& db) {
   // Suppliers with complaints are excluded.
   std::vector<bool> bad_supplier(static_cast<size_t>(S.num_rows()) + 1, false);
   const auto& s_comment = S.str("s_comment");
+  const auto& s_suppkey = S.i64("s_suppkey");
   for (int64_t i = 0; i < S.num_rows(); ++i) {
     if (LikeContainsSeq(s_comment[static_cast<size_t>(i)],
                         {"Customer", "Complaints"})) {
-      bad_supplier[static_cast<size_t>(
-          S.i64("s_suppkey")[static_cast<size_t>(i)])] = true;
+      bad_supplier[static_cast<size_t>(s_suppkey[static_cast<size_t>(i)])] = true;
     }
   }
   RecordSelect(&rec, "supplier.s_comment", S.num_rows(), S.num_rows());
@@ -46,6 +46,7 @@ QueryOutput Q16(const Database& db) {
                   PS.num_rows());
 
   const auto& ps_supp = PS.i64("ps_suppkey");
+  const auto& p_partkey = P.i64("p_partkey");
   struct GroupData {
     std::unordered_set<int64_t> suppliers;
   };
@@ -53,7 +54,7 @@ QueryOutput Q16(const Database& db) {
   int64_t pairs = 0;
   for (int64_t prow : p_sel) {
     const size_t k = static_cast<size_t>(prow);
-    const int64_t partkey = P.i64("p_partkey")[k];
+    const int64_t partkey = p_partkey[k];
     std::string key = brand[k] + '\x01' + type[k] + '\x01' +
                       std::to_string(size[k]);
     for (int64_t ps_row : ps_by_part.RowsOf(partkey)) {
@@ -104,7 +105,8 @@ QueryOutput Q17(const Database& db) {
   RecordJoinBuild(&rec, {PlanRecorder::Inter(st_part, static_cast<int64_t>(p_sel.size()))},
                   static_cast<int64_t>(p_sel.size()));
 
-  HashJoin::Pairs pairs = parts.Probe(L.i64("l_partkey"), nullptr);
+  const auto& l_part = L.i64("l_partkey");
+  HashJoin::Pairs pairs = parts.Probe(l_part, nullptr);
   RecordJoinProbe(&rec, {PlanRecorder::Base("lineitem.l_partkey", L.num_rows())},
                   static_cast<int64_t>(pairs.size()));
 
@@ -113,8 +115,7 @@ QueryOutput Q17(const Database& db) {
   const auto& ext = L.f64("l_extendedprice");
   std::unordered_map<int64_t, std::pair<double, int64_t>> qty_stats;
   for (size_t i = 0; i < pairs.size(); ++i) {
-    const int64_t partkey =
-        L.i64("l_partkey")[static_cast<size_t>(pairs.probe_rows[i])];
+    const int64_t partkey = l_part[static_cast<size_t>(pairs.probe_rows[i])];
     auto& entry = qty_stats[partkey];
     entry.first += qty[static_cast<size_t>(pairs.probe_rows[i])];
     entry.second++;
@@ -122,7 +123,7 @@ QueryOutput Q17(const Database& db) {
   double total = 0.0;
   for (size_t i = 0; i < pairs.size(); ++i) {
     const size_t lrow = static_cast<size_t>(pairs.probe_rows[i]);
-    const int64_t partkey = L.i64("l_partkey")[lrow];
+    const int64_t partkey = l_part[lrow];
     const auto& entry = qty_stats[partkey];
     const double avg = entry.first / static_cast<double>(entry.second);
     if (qty[lrow] < 0.2 * avg) total += ext[lrow];
@@ -159,6 +160,10 @@ QueryOutput Q18(const Database& db) {
                      PlanRecorder::Base("lineitem.l_quantity", L.num_rows())},
               L.num_rows(), O.num_rows());
 
+  const auto& o_custkey = O.i64("o_custkey");
+  const auto& o_orderdate = O.i64("o_orderdate");
+  const auto& o_totalprice = O.f64("o_totalprice");
+  const auto& c_name = C.str("c_name");
   QueryResult result;
   result.query = "Q18";
   result.column_names = {"c_name", "c_custkey", "o_orderkey", "o_orderdate",
@@ -169,12 +174,12 @@ QueryOutput Q18(const Database& db) {
     if (total_qty <= 300.0) continue;
     matches++;
     const size_t orow = static_cast<size_t>(okey - 1);
-    const int64_t custkey = O.i64("o_custkey")[orow];
+    const int64_t custkey = o_custkey[orow];
     const size_t crow = static_cast<size_t>(custkey - 1);
     result.rows.push_back(
-        {Value::Str(C.str("c_name")[crow]), Value::I64(custkey),
-         Value::I64(okey), Value::Str(DateToString(O.i64("o_orderdate")[orow])),
-         Value::F64(O.f64("o_totalprice")[orow]), Value::F64(total_qty)});
+        {Value::Str(c_name[crow]), Value::I64(custkey),
+         Value::I64(okey), Value::Str(DateToString(o_orderdate[orow])),
+         Value::F64(o_totalprice[orow]), Value::F64(total_qty)});
   }
   RecordJoinProbe(&rec,
                   {PlanRecorder::Base("orders.o_totalprice", O.num_rows()),

@@ -25,9 +25,10 @@ QueryOutput Q20(const Database& db) {
   });
   const int st_part = RecordSelect(&rec, "part.p_name", P.num_rows(),
                                    static_cast<int64_t>(p_sel.size()));
+  const auto& p_partkey = P.i64("p_partkey");
   std::unordered_set<int64_t> forest_parts;
   for (int64_t row : p_sel) {
-    forest_parts.insert(P.i64("p_partkey")[static_cast<size_t>(row)]);
+    forest_parts.insert(p_partkey[static_cast<size_t>(row)]);
   }
 
   // Shipped quantity per (part, supplier) during 1994.
@@ -75,24 +76,26 @@ QueryOutput Q20(const Database& db) {
                    PlanRecorder::Inter(2, probed)},
                   scanned_pairs);
 
+  const auto& n_name = N.str("n_name");
   int64_t canada = -1;
   for (int64_t i = 0; i < N.num_rows(); ++i) {
-    if (N.str("n_name")[static_cast<size_t>(i)] == "CANADA") canada = i;
+    if (n_name[static_cast<size_t>(i)] == "CANADA") canada = i;
   }
 
   QueryResult result;
   result.query = "Q20";
   result.column_names = {"s_name", "s_address"};
   const auto& s_nation = S.i64("s_nationkey");
+  const auto& s_suppkey = S.i64("s_suppkey");
+  const auto& s_name = S.str("s_name");
+  const auto& s_address = S.str("s_address");
   for (int64_t i = 0; i < S.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
     if (s_nation[k] != canada) continue;
-    if (qualifying_suppliers.find(S.i64("s_suppkey")[k]) ==
-        qualifying_suppliers.end()) {
+    if (qualifying_suppliers.find(s_suppkey[k]) == qualifying_suppliers.end()) {
       continue;
     }
-    result.rows.push_back(
-        {Value::Str(S.str("s_name")[k]), Value::Str(S.str("s_address")[k])});
+    result.rows.push_back({Value::Str(s_name[k]), Value::Str(s_address[k])});
   }
   RecordSelect(&rec, "supplier.s_nationkey", S.num_rows(), result.num_rows());
   result.Sort({{0, true}});
@@ -107,9 +110,10 @@ QueryOutput Q21(const Database& db) {
   const Table& S = db.supplier;
   const Table& N = db.nation;
 
+  const auto& n_name = N.str("n_name");
   int64_t saudi = -1;
   for (int64_t i = 0; i < N.num_rows(); ++i) {
-    if (N.str("n_name")[static_cast<size_t>(i)] == "SAUDI ARABIA") saudi = i;
+    if (n_name[static_cast<size_t>(i)] == "SAUDI ARABIA") saudi = i;
   }
 
   // Per order: its first supplier and its first late supplier
@@ -174,6 +178,7 @@ QueryOutput Q21(const Database& db) {
                    PlanRecorder::Inter(0, distinct_orders)},
                   scanned);
 
+  const auto& s_name = S.str("s_name");
   QueryResult result;
   result.query = "Q21";
   result.column_names = {"s_name", "numwait"};
@@ -181,8 +186,7 @@ QueryOutput Q21(const Database& db) {
     const int64_t count = waiting_count[static_cast<size_t>(suppkey)];
     if (count == 0) continue;
     result.rows.push_back(
-        {Value::Str(S.str("s_name")[static_cast<size_t>(suppkey - 1)]),
-         Value::I64(count)});
+        {Value::Str(s_name[static_cast<size_t>(suppkey - 1)]), Value::I64(count)});
   }
   RecordGroup(&rec, {PlanRecorder::Inter(1, scanned)}, scanned,
               result.num_rows());
@@ -225,6 +229,7 @@ QueryOutput Q22(const Database& db) {
   RecordJoinBuild(&rec, {PlanRecorder::Base("orders.o_custkey", O.num_rows())},
                   O.num_rows());
 
+  const auto& c_custkey = C.i64("c_custkey");
   std::unordered_map<std::string, std::pair<int64_t, double>> groups;
   int64_t matched = 0;
   for (int64_t i = 0; i < C.num_rows(); ++i) {
@@ -232,7 +237,7 @@ QueryOutput Q22(const Database& db) {
     const std::string code = SqlSubstring(phone[k], 1, 2);
     if (kCodes.find(code) == kCodes.end()) continue;
     if (acctbal[k] <= avg) continue;
-    if (has_orders[static_cast<size_t>(C.i64("c_custkey")[k])]) continue;
+    if (has_orders[static_cast<size_t>(c_custkey[k])]) continue;
     matched++;
     auto& entry = groups[code];
     entry.first++;

@@ -19,20 +19,30 @@ using db::Database;
 using db::Date;
 using db::Table;
 
-Column I64Col() {
-  Column c;
-  c.type = ColType::kI64;
-  return c;
+/// Adds column `name` of `type` to `t` and returns it. std::map never moves
+/// its nodes, so the reference stays valid while later columns are added.
+Column& AddColumn(Table* t, const char* name, ColType type) {
+  Column& column = t->columns[name];
+  column.type = type;
+  return column;
 }
-Column F64Col() {
-  Column c;
-  c.type = ColType::kF64;
-  return c;
+
+/// The value vector of a new column, reserved for `rows` values: each
+/// column is bound once, and filling it never regrows it.
+std::vector<int64_t>& I64Col(Table* t, const char* name, int64_t rows) {
+  std::vector<int64_t>& values = AddColumn(t, name, ColType::kI64).i64;
+  values.reserve(static_cast<size_t>(rows));
+  return values;
 }
-Column StrCol() {
-  Column c;
-  c.type = ColType::kStr;
-  return c;
+std::vector<double>& F64Col(Table* t, const char* name, int64_t rows) {
+  std::vector<double>& values = AddColumn(t, name, ColType::kF64).f64;
+  values.reserve(static_cast<size_t>(rows));
+  return values;
+}
+std::vector<std::string>& StrCol(Table* t, const char* name, int64_t rows) {
+  std::vector<std::string>& values = AddColumn(t, name, ColType::kStr).str;
+  values.reserve(static_cast<size_t>(rows));
+  return values;
 }
 
 std::string Format(const char* fmt, int64_t value) {
@@ -48,94 +58,95 @@ double Cents(int64_t cents) { return static_cast<double>(cents) / 100.0; }
 void GenRegion(Database* db, simcore::Rng* rng) {
   Table& t = db->region;
   t.name = "region";
-  t.columns["r_regionkey"] = I64Col();
-  t.columns["r_name"] = StrCol();
-  t.columns["r_comment"] = StrCol();
   const auto& regions = TextPools::Regions();
+  const int64_t rows = static_cast<int64_t>(regions.size());
+  auto& r_regionkey = I64Col(&t, "r_regionkey", rows);
+  auto& r_name = StrCol(&t, "r_name", rows);
+  auto& r_comment = StrCol(&t, "r_comment", rows);
   for (size_t i = 0; i < regions.size(); ++i) {
-    t.columns["r_regionkey"].i64.push_back(static_cast<int64_t>(i));
-    t.columns["r_name"].str.push_back(regions[i]);
-    t.columns["r_comment"].str.push_back(RandomComment(rng, 8));
+    r_regionkey.push_back(static_cast<int64_t>(i));
+    r_name.push_back(regions[i]);
+    r_comment.push_back(RandomComment(rng, 8));
   }
 }
 
 void GenNation(Database* db, simcore::Rng* rng) {
   Table& t = db->nation;
   t.name = "nation";
-  t.columns["n_nationkey"] = I64Col();
-  t.columns["n_name"] = StrCol();
-  t.columns["n_regionkey"] = I64Col();
-  t.columns["n_comment"] = StrCol();
   const auto& nations = TextPools::Nations();
+  const int64_t rows = static_cast<int64_t>(nations.size());
+  auto& n_nationkey = I64Col(&t, "n_nationkey", rows);
+  auto& n_name = StrCol(&t, "n_name", rows);
+  auto& n_regionkey = I64Col(&t, "n_regionkey", rows);
+  auto& n_comment = StrCol(&t, "n_comment", rows);
   for (size_t i = 0; i < nations.size(); ++i) {
-    t.columns["n_nationkey"].i64.push_back(static_cast<int64_t>(i));
-    t.columns["n_name"].str.push_back(nations[i].name);
-    t.columns["n_regionkey"].i64.push_back(nations[i].region);
-    t.columns["n_comment"].str.push_back(RandomComment(rng, 8));
+    n_nationkey.push_back(static_cast<int64_t>(i));
+    n_name.push_back(nations[i].name);
+    n_regionkey.push_back(nations[i].region);
+    n_comment.push_back(RandomComment(rng, 8));
   }
 }
 
 void GenSupplier(Database* db, simcore::Rng* rng, int64_t count) {
   Table& t = db->supplier;
   t.name = "supplier";
-  t.columns["s_suppkey"] = I64Col();
-  t.columns["s_name"] = StrCol();
-  t.columns["s_address"] = StrCol();
-  t.columns["s_nationkey"] = I64Col();
-  t.columns["s_phone"] = StrCol();
-  t.columns["s_acctbal"] = F64Col();
-  t.columns["s_comment"] = StrCol();
+  auto& s_suppkey = I64Col(&t, "s_suppkey", count);
+  auto& s_name = StrCol(&t, "s_name", count);
+  auto& s_address = StrCol(&t, "s_address", count);
+  auto& s_nationkey = I64Col(&t, "s_nationkey", count);
+  auto& s_phone = StrCol(&t, "s_phone", count);
+  auto& s_acctbal = F64Col(&t, "s_acctbal", count);
+  auto& s_comment = StrCol(&t, "s_comment", count);
   for (int64_t k = 1; k <= count; ++k) {
     const int nation = static_cast<int>(rng->NextBounded(25));
-    t.columns["s_suppkey"].i64.push_back(k);
-    t.columns["s_name"].str.push_back(Format("Supplier#%09lld", k));
-    t.columns["s_address"].str.push_back(Address(rng));
-    t.columns["s_nationkey"].i64.push_back(nation);
-    t.columns["s_phone"].str.push_back(Phone(rng, nation));
-    t.columns["s_acctbal"].f64.push_back(Cents(rng->NextInRange(-99999, 999999)));
+    s_suppkey.push_back(k);
+    s_name.push_back(Format("Supplier#%09lld", k));
+    s_address.push_back(Address(rng));
+    s_nationkey.push_back(nation);
+    s_phone.push_back(Phone(rng, nation));
+    s_acctbal.push_back(Cents(rng->NextInRange(-99999, 999999)));
     // The spec plants 5 "Customer Complaints" suppliers per 10000.
-    t.columns["s_comment"].str.push_back(SupplierComment(rng, 0.0005 * 10));
+    s_comment.push_back(SupplierComment(rng, 0.0005 * 10));
   }
 }
 
 void GenCustomer(Database* db, simcore::Rng* rng, int64_t count) {
   Table& t = db->customer;
   t.name = "customer";
-  t.columns["c_custkey"] = I64Col();
-  t.columns["c_name"] = StrCol();
-  t.columns["c_address"] = StrCol();
-  t.columns["c_nationkey"] = I64Col();
-  t.columns["c_phone"] = StrCol();
-  t.columns["c_acctbal"] = F64Col();
-  t.columns["c_mktsegment"] = StrCol();
-  t.columns["c_comment"] = StrCol();
+  auto& c_custkey = I64Col(&t, "c_custkey", count);
+  auto& c_name = StrCol(&t, "c_name", count);
+  auto& c_address = StrCol(&t, "c_address", count);
+  auto& c_nationkey = I64Col(&t, "c_nationkey", count);
+  auto& c_phone = StrCol(&t, "c_phone", count);
+  auto& c_acctbal = F64Col(&t, "c_acctbal", count);
+  auto& c_mktsegment = StrCol(&t, "c_mktsegment", count);
+  auto& c_comment = StrCol(&t, "c_comment", count);
   const auto& segments = TextPools::Segments();
   for (int64_t k = 1; k <= count; ++k) {
     const int nation = static_cast<int>(rng->NextBounded(25));
-    t.columns["c_custkey"].i64.push_back(k);
-    t.columns["c_name"].str.push_back(Format("Customer#%09lld", k));
-    t.columns["c_address"].str.push_back(Address(rng));
-    t.columns["c_nationkey"].i64.push_back(nation);
-    t.columns["c_phone"].str.push_back(Phone(rng, nation));
-    t.columns["c_acctbal"].f64.push_back(Cents(rng->NextInRange(-99999, 999999)));
-    t.columns["c_mktsegment"].str.push_back(
-        segments[rng->NextBounded(segments.size())]);
-    t.columns["c_comment"].str.push_back(RandomComment(rng, 8));
+    c_custkey.push_back(k);
+    c_name.push_back(Format("Customer#%09lld", k));
+    c_address.push_back(Address(rng));
+    c_nationkey.push_back(nation);
+    c_phone.push_back(Phone(rng, nation));
+    c_acctbal.push_back(Cents(rng->NextInRange(-99999, 999999)));
+    c_mktsegment.push_back(segments[rng->NextBounded(segments.size())]);
+    c_comment.push_back(RandomComment(rng, 8));
   }
 }
 
 void GenPart(Database* db, simcore::Rng* rng, int64_t count) {
   Table& t = db->part;
   t.name = "part";
-  t.columns["p_partkey"] = I64Col();
-  t.columns["p_name"] = StrCol();
-  t.columns["p_mfgr"] = StrCol();
-  t.columns["p_brand"] = StrCol();
-  t.columns["p_type"] = StrCol();
-  t.columns["p_size"] = I64Col();
-  t.columns["p_container"] = StrCol();
-  t.columns["p_retailprice"] = F64Col();
-  t.columns["p_comment"] = StrCol();
+  auto& p_partkey = I64Col(&t, "p_partkey", count);
+  auto& p_name = StrCol(&t, "p_name", count);
+  auto& p_mfgr = StrCol(&t, "p_mfgr", count);
+  auto& p_brand = StrCol(&t, "p_brand", count);
+  auto& p_type = StrCol(&t, "p_type", count);
+  auto& p_size = I64Col(&t, "p_size", count);
+  auto& p_container = StrCol(&t, "p_container", count);
+  auto& p_retailprice = F64Col(&t, "p_retailprice", count);
+  auto& p_comment = StrCol(&t, "p_comment", count);
   const auto& s1 = TextPools::TypeS1();
   const auto& s2 = TextPools::TypeS2();
   const auto& s3 = TextPools::TypeS3();
@@ -144,20 +155,24 @@ void GenPart(Database* db, simcore::Rng* rng, int64_t count) {
   for (int64_t k = 1; k <= count; ++k) {
     const int64_t mfgr = rng->NextInRange(1, 5);
     const int64_t brand = mfgr * 10 + rng->NextInRange(1, 5);
-    t.columns["p_partkey"].i64.push_back(k);
-    t.columns["p_name"].str.push_back(PartName(rng));
-    t.columns["p_mfgr"].str.push_back(Format("Manufacturer#%lld", mfgr));
-    t.columns["p_brand"].str.push_back(Format("Brand#%lld", brand));
-    t.columns["p_type"].str.push_back(s1[rng->NextBounded(s1.size())] + " " +
-                                      s2[rng->NextBounded(s2.size())] + " " +
-                                      s3[rng->NextBounded(s3.size())]);
-    t.columns["p_size"].i64.push_back(rng->NextInRange(1, 50));
-    t.columns["p_container"].str.push_back(c1[rng->NextBounded(c1.size())] + " " +
-                                           c2[rng->NextBounded(c2.size())]);
+    p_partkey.push_back(k);
+    p_name.push_back(PartName(rng));
+    p_mfgr.push_back(Format("Manufacturer#%lld", mfgr));
+    p_brand.push_back(Format("Brand#%lld", brand));
+    // One draw per statement, last syllable first: the pinned data
+    // (DbgenTest.ContentDigest) depends on this order, which would be
+    // unspecified within one `+` expression.
+    const std::string& type3 = s3[rng->NextBounded(s3.size())];
+    const std::string& type2 = s2[rng->NextBounded(s2.size())];
+    const std::string& type1 = s1[rng->NextBounded(s1.size())];
+    p_type.push_back(type1 + " " + type2 + " " + type3);
+    p_size.push_back(rng->NextInRange(1, 50));
+    const std::string& container2 = c2[rng->NextBounded(c2.size())];
+    const std::string& container1 = c1[rng->NextBounded(c1.size())];
+    p_container.push_back(container1 + " " + container2);
     // Spec pricing formula: 90000 + ((k/10) % 20001) + 100*(k % 1000), cents.
-    t.columns["p_retailprice"].f64.push_back(
-        Cents(90000 + (k / 10) % 20001 + 100 * (k % 1000)));
-    t.columns["p_comment"].str.push_back(RandomComment(rng, 5));
+    p_retailprice.push_back(Cents(90000 + (k / 10) % 20001 + 100 * (k % 1000)));
+    p_comment.push_back(RandomComment(rng, 5));
   }
 }
 
@@ -165,21 +180,22 @@ void GenPartsupp(Database* db, simcore::Rng* rng, int64_t parts,
                  int64_t suppliers) {
   Table& t = db->partsupp;
   t.name = "partsupp";
-  t.columns["ps_partkey"] = I64Col();
-  t.columns["ps_suppkey"] = I64Col();
-  t.columns["ps_availqty"] = I64Col();
-  t.columns["ps_supplycost"] = F64Col();
-  t.columns["ps_comment"] = StrCol();
+  const int64_t rows = parts * 4;
+  auto& ps_partkey = I64Col(&t, "ps_partkey", rows);
+  auto& ps_suppkey = I64Col(&t, "ps_suppkey", rows);
+  auto& ps_availqty = I64Col(&t, "ps_availqty", rows);
+  auto& ps_supplycost = F64Col(&t, "ps_supplycost", rows);
+  auto& ps_comment = StrCol(&t, "ps_comment", rows);
   for (int64_t p = 1; p <= parts; ++p) {
     for (int64_t i = 0; i < 4; ++i) {
       // Spec association: supplier = (p + i*(S/4 + (p-1)/S)) % S + 1.
       const int64_t s =
           (p + i * (suppliers / 4 + (p - 1) / suppliers)) % suppliers + 1;
-      t.columns["ps_partkey"].i64.push_back(p);
-      t.columns["ps_suppkey"].i64.push_back(s);
-      t.columns["ps_availqty"].i64.push_back(rng->NextInRange(1, 9999));
-      t.columns["ps_supplycost"].f64.push_back(Cents(rng->NextInRange(100, 100000)));
-      t.columns["ps_comment"].str.push_back(RandomComment(rng, 8));
+      ps_partkey.push_back(p);
+      ps_suppkey.push_back(s);
+      ps_availqty.push_back(rng->NextInRange(1, 9999));
+      ps_supplycost.push_back(Cents(rng->NextInRange(100, 100000)));
+      ps_comment.push_back(RandomComment(rng, 8));
     }
   }
 }
@@ -190,38 +206,44 @@ struct OrderDates {
   Date cutoff;  // 1995-06-17, the CURRENTDATE used by returnflag/linestatus
 };
 
+/// The spec's bound on lines per order. Lineitem is reserved at it; the tail
+/// that no order fills is never written, so it costs address space, not
+/// memory.
+constexpr int64_t kMaxLinesPerOrder = 7;
+
 void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
                           int64_t customers, int64_t parts, int64_t suppliers) {
   Table& o = db->orders;
   o.name = "orders";
-  o.columns["o_orderkey"] = I64Col();
-  o.columns["o_custkey"] = I64Col();
-  o.columns["o_orderstatus"] = StrCol();
-  o.columns["o_totalprice"] = F64Col();
-  o.columns["o_orderdate"] = I64Col();
-  o.columns["o_orderpriority"] = StrCol();
-  o.columns["o_clerk"] = StrCol();
-  o.columns["o_shippriority"] = I64Col();
-  o.columns["o_comment"] = StrCol();
+  auto& o_orderkey = I64Col(&o, "o_orderkey", orders);
+  auto& o_custkey = I64Col(&o, "o_custkey", orders);
+  auto& o_orderstatus = StrCol(&o, "o_orderstatus", orders);
+  auto& o_totalprice = F64Col(&o, "o_totalprice", orders);
+  auto& o_orderdate = I64Col(&o, "o_orderdate", orders);
+  auto& o_orderpriority = StrCol(&o, "o_orderpriority", orders);
+  auto& o_clerk = StrCol(&o, "o_clerk", orders);
+  auto& o_shippriority = I64Col(&o, "o_shippriority", orders);
+  auto& o_comment = StrCol(&o, "o_comment", orders);
 
   Table& l = db->lineitem;
   l.name = "lineitem";
-  l.columns["l_orderkey"] = I64Col();
-  l.columns["l_partkey"] = I64Col();
-  l.columns["l_suppkey"] = I64Col();
-  l.columns["l_linenumber"] = I64Col();
-  l.columns["l_quantity"] = F64Col();
-  l.columns["l_extendedprice"] = F64Col();
-  l.columns["l_discount"] = F64Col();
-  l.columns["l_tax"] = F64Col();
-  l.columns["l_returnflag"] = StrCol();
-  l.columns["l_linestatus"] = StrCol();
-  l.columns["l_shipdate"] = I64Col();
-  l.columns["l_commitdate"] = I64Col();
-  l.columns["l_receiptdate"] = I64Col();
-  l.columns["l_shipinstruct"] = StrCol();
-  l.columns["l_shipmode"] = StrCol();
-  l.columns["l_comment"] = StrCol();
+  const int64_t max_lines = orders * kMaxLinesPerOrder;
+  auto& l_orderkey = I64Col(&l, "l_orderkey", max_lines);
+  auto& l_partkey = I64Col(&l, "l_partkey", max_lines);
+  auto& l_suppkey = I64Col(&l, "l_suppkey", max_lines);
+  auto& l_linenumber = I64Col(&l, "l_linenumber", max_lines);
+  auto& l_quantity = F64Col(&l, "l_quantity", max_lines);
+  auto& l_extendedprice = F64Col(&l, "l_extendedprice", max_lines);
+  auto& l_discount = F64Col(&l, "l_discount", max_lines);
+  auto& l_tax = F64Col(&l, "l_tax", max_lines);
+  auto& l_returnflag = StrCol(&l, "l_returnflag", max_lines);
+  auto& l_linestatus = StrCol(&l, "l_linestatus", max_lines);
+  auto& l_shipdate = I64Col(&l, "l_shipdate", max_lines);
+  auto& l_commitdate = I64Col(&l, "l_commitdate", max_lines);
+  auto& l_receiptdate = I64Col(&l, "l_receiptdate", max_lines);
+  auto& l_shipinstruct = StrCol(&l, "l_shipinstruct", max_lines);
+  auto& l_shipmode = StrCol(&l, "l_shipmode", max_lines);
+  auto& l_comment = StrCol(&l, "l_comment", max_lines);
 
   OrderDates dates;
   dates.start = db::MakeDate(1992, 1, 1);
@@ -240,7 +262,7 @@ void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
     while (cust % 3 == 0) cust = rng->NextInRange(1, customers);
 
     const Date odate = dates.start + rng->NextInRange(0, dates.end - dates.start);
-    const int lines = static_cast<int>(rng->NextInRange(1, 7));
+    const int lines = static_cast<int>(rng->NextInRange(1, kMaxLinesPerOrder));
     double total = 0.0;
     int f_count = 0;
     int o_count = 0;
@@ -262,38 +284,36 @@ void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
       const char* linestatus = ship > dates.cutoff ? "O" : "F";
       if (*linestatus == 'F') f_count++; else o_count++;
 
-      l.columns["l_orderkey"].i64.push_back(k);
-      l.columns["l_partkey"].i64.push_back(partkey);
-      l.columns["l_suppkey"].i64.push_back(suppkey);
-      l.columns["l_linenumber"].i64.push_back(line);
-      l.columns["l_quantity"].f64.push_back(quantity);
-      l.columns["l_extendedprice"].f64.push_back(price);
-      l.columns["l_discount"].f64.push_back(discount);
-      l.columns["l_tax"].f64.push_back(tax);
-      l.columns["l_returnflag"].str.push_back(returnflag);
-      l.columns["l_linestatus"].str.push_back(linestatus);
-      l.columns["l_shipdate"].i64.push_back(ship);
-      l.columns["l_commitdate"].i64.push_back(commit);
-      l.columns["l_receiptdate"].i64.push_back(receipt);
-      l.columns["l_shipinstruct"].str.push_back(
-          instructs[rng->NextBounded(instructs.size())]);
-      l.columns["l_shipmode"].str.push_back(modes[rng->NextBounded(modes.size())]);
-      l.columns["l_comment"].str.push_back(RandomComment(rng, 4));
+      l_orderkey.push_back(k);
+      l_partkey.push_back(partkey);
+      l_suppkey.push_back(suppkey);
+      l_linenumber.push_back(line);
+      l_quantity.push_back(quantity);
+      l_extendedprice.push_back(price);
+      l_discount.push_back(discount);
+      l_tax.push_back(tax);
+      l_returnflag.emplace_back(returnflag);
+      l_linestatus.emplace_back(linestatus);
+      l_shipdate.push_back(ship);
+      l_commitdate.push_back(commit);
+      l_receiptdate.push_back(receipt);
+      l_shipinstruct.push_back(instructs[rng->NextBounded(instructs.size())]);
+      l_shipmode.push_back(modes[rng->NextBounded(modes.size())]);
+      l_comment.push_back(RandomComment(rng, 4));
       total += price * (1.0 + tax) * (1.0 - discount);
     }
 
     const char* status = (o_count == 0) ? "F" : (f_count == 0 ? "O" : "P");
-    o.columns["o_orderkey"].i64.push_back(k);
-    o.columns["o_custkey"].i64.push_back(cust);
-    o.columns["o_orderstatus"].str.push_back(status);
-    o.columns["o_totalprice"].f64.push_back(total);
-    o.columns["o_orderdate"].i64.push_back(odate);
-    o.columns["o_orderpriority"].str.push_back(
-        priorities[rng->NextBounded(priorities.size())]);
-    o.columns["o_clerk"].str.push_back(
+    o_orderkey.push_back(k);
+    o_custkey.push_back(cust);
+    o_orderstatus.emplace_back(status);
+    o_totalprice.push_back(total);
+    o_orderdate.push_back(odate);
+    o_orderpriority.push_back(priorities[rng->NextBounded(priorities.size())]);
+    o_clerk.push_back(
         Format("Clerk#%09lld", rng->NextInRange(1, std::max<int64_t>(1, orders / 1000))));
-    o.columns["o_shippriority"].i64.push_back(0);
-    o.columns["o_comment"].str.push_back(OrderComment(rng, 0.05));
+    o_shippriority.push_back(0);
+    o_comment.push_back(OrderComment(rng, 0.05));
   }
 }
 

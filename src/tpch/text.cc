@@ -1,6 +1,11 @@
 #include "tpch/text.h"
 
+#include <array>
 #include <cstdio>
+#include <cstring>
+#include <string_view>
+
+#include "simcore/check.h"
 
 namespace elastic::tpch {
 
@@ -118,12 +123,33 @@ const std::vector<std::string>& TextPools::CommentWords() {
 
 namespace {
 
-std::string JoinWords(simcore::Rng* rng, int words) {
-  const std::vector<std::string>& pool = TextPools::CommentWords();
-  std::string out;
-  for (int i = 0; i < words; ++i) {
-    if (i > 0) out += ' ';
-    out += pool[rng->NextBounded(pool.size())];
+/// Most words one generated string holds (an 8-word comment).
+constexpr int kMaxWords = 8;
+
+using WordList = std::array<std::string_view, kMaxWords>;
+
+/// Draws `count` words from `pool` into words[at, at + count), in order.
+void DrawWords(simcore::Rng* rng, const std::vector<std::string>& pool,
+               WordList* words, int at, int count) {
+  ELASTIC_CHECK(at >= 0 && count >= 0 && at + count <= kMaxWords,
+                "too many words for one generated string");
+  for (int i = at; i < at + count; ++i) {
+    (*words)[static_cast<size_t>(i)] = pool[rng->NextBounded(pool.size())];
+  }
+}
+
+/// words[0, count) joined by single spaces, in one allocation of the exact
+/// length (appending word by word regrows it through capacities 15, 30, 60).
+std::string JoinWords(const WordList& words, int count) {
+  if (count == 0) return {};
+  size_t length = static_cast<size_t>(count - 1);
+  for (int i = 0; i < count; ++i) length += words[static_cast<size_t>(i)].size();
+  std::string out(length, ' ');
+  char* at = out.data();
+  for (int i = 0; i < count; ++i) {
+    const std::string_view word = words[static_cast<size_t>(i)];
+    std::memcpy(at, word.data(), word.size());
+    at += word.size() + 1;
   }
   return out;
 }
@@ -131,53 +157,71 @@ std::string JoinWords(simcore::Rng* rng, int words) {
 }  // namespace
 
 std::string RandomComment(simcore::Rng* rng, int words) {
-  return JoinWords(rng, words);
+  WordList list;
+  DrawWords(rng, TextPools::CommentWords(), &list, 0, words);
+  return JoinWords(list, words);
 }
 
+// A planted comment draws each of its three word groups in its own
+// statement, last group first. The pinned data (DbgenTest.ContentDigest)
+// depends on that order, and within one `+` expression it would be left to
+// the compiler: C++17 does not specify the order of operand evaluation.
+
 std::string OrderComment(simcore::Rng* rng, double p) {
+  const std::vector<std::string>& pool = TextPools::CommentWords();
+  WordList list;
   if (rng->NextBernoulli(p)) {
-    return JoinWords(rng, 2) + " special " + JoinWords(rng, 2) + " requests " +
-           JoinWords(rng, 1);
+    // "w0 w1 special w3 w4 requests w6"
+    DrawWords(rng, pool, &list, 6, 1);
+    DrawWords(rng, pool, &list, 3, 2);
+    DrawWords(rng, pool, &list, 0, 2);
+    list[2] = "special";
+    list[5] = "requests";
+    return JoinWords(list, 7);
   }
-  return JoinWords(rng, 6);
+  DrawWords(rng, pool, &list, 0, 6);
+  return JoinWords(list, 6);
 }
 
 std::string SupplierComment(simcore::Rng* rng, double p) {
+  const std::vector<std::string>& pool = TextPools::CommentWords();
+  WordList list;
   if (rng->NextBernoulli(p)) {
-    return JoinWords(rng, 2) + " Customer " + JoinWords(rng, 1) +
-           " Complaints " + JoinWords(rng, 1);
+    // "w0 w1 Customer w3 Complaints w5"
+    DrawWords(rng, pool, &list, 5, 1);
+    DrawWords(rng, pool, &list, 3, 1);
+    DrawWords(rng, pool, &list, 0, 2);
+    list[2] = "Customer";
+    list[4] = "Complaints";
+    return JoinWords(list, 6);
   }
-  return JoinWords(rng, 5);
+  DrawWords(rng, pool, &list, 0, 5);
+  return JoinWords(list, 5);
 }
 
 std::string PartName(simcore::Rng* rng) {
-  const std::vector<std::string>& pool = TextPools::NameWords();
-  std::string out;
-  for (int i = 0; i < 5; ++i) {
-    if (i > 0) out += ' ';
-    out += pool[rng->NextBounded(pool.size())];
-  }
-  return out;
+  WordList list;
+  DrawWords(rng, TextPools::NameWords(), &list, 0, 5);
+  return JoinWords(list, 5);
 }
 
 std::string Phone(simcore::Rng* rng, int nationkey) {
+  // One draw per statement, last group first: the pinned data depends on
+  // this order, which would be unspecified among snprintf's arguments.
+  const int last = static_cast<int>(rng->NextInRange(1000, 9999));
+  const int middle = static_cast<int>(rng->NextInRange(100, 999));
+  const int first = static_cast<int>(rng->NextInRange(100, 999));
   char buffer[40];
   std::snprintf(buffer, sizeof(buffer), "%02d-%03d-%03d-%04d", 10 + nationkey,
-                static_cast<int>(rng->NextInRange(100, 999)),
-                static_cast<int>(rng->NextInRange(100, 999)),
-                static_cast<int>(rng->NextInRange(1000, 9999)));
+                first, middle, last);
   return buffer;
 }
 
 std::string Address(simcore::Rng* rng) {
   static const char kAlphabet[] =
       "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ,";
-  const int len = static_cast<int>(rng->NextInRange(10, 30));
-  std::string out;
-  out.reserve(static_cast<size_t>(len));
-  for (int i = 0; i < len; ++i) {
-    out += kAlphabet[rng->NextBounded(sizeof(kAlphabet) - 1)];
-  }
+  std::string out(static_cast<size_t>(rng->NextInRange(10, 30)), ' ');
+  for (char& c : out) c = kAlphabet[rng->NextBounded(sizeof(kAlphabet) - 1)];
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <unordered_set>
 
@@ -14,6 +15,71 @@ namespace {
 
 using db::Database;
 const Database& Db() { return testutil::TestDb(); }
+
+/// 64-bit FNV-1a over whole words and strings, fed byte by byte.
+class Fnv1a {
+ public:
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) AddByte((word >> (8 * byte)) & 0xFFu);
+  }
+  void Add(double value) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    Add(bits);
+  }
+  void Add(const std::string& text) {
+    Add(static_cast<uint64_t>(text.size()));
+    for (const char c : text) AddByte(static_cast<unsigned char>(c));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void AddByte(uint64_t byte) {
+    hash_ ^= byte;
+    hash_ *= 0x100000001B3ULL;
+  }
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+/// Digest of every table and column: the table's name, then per column its
+/// name, type and the size and contents of all three value vectors (each
+/// value's bits, each string's length and bytes).
+uint64_t ContentDigest(const Database& db) {
+  Fnv1a digest;
+  for (const db::Table* table : db.AllTables()) {
+    digest.Add(table->name);
+    digest.Add(static_cast<uint64_t>(table->columns.size()));
+    for (const auto& [name, column] : table->columns) {
+      digest.Add(name);
+      digest.Add(static_cast<uint64_t>(column.type));
+      digest.Add(static_cast<uint64_t>(column.i64.size()));
+      for (const int64_t v : column.i64) digest.Add(static_cast<uint64_t>(v));
+      digest.Add(static_cast<uint64_t>(column.f64.size()));
+      for (const double v : column.f64) digest.Add(v);
+      digest.Add(static_cast<uint64_t>(column.str.size()));
+      for (const std::string& v : column.str) digest.Add(v);
+    }
+  }
+  return digest.value();
+}
+
+/// Pins every generated byte at SF 0.01 for two seeds, including the
+/// columns no query reads (r_comment, n_comment, c_comment, p_comment,
+/// ps_comment, o_clerk, l_comment, l_linenumber), so the 22 query goldens
+/// are not the only guard. The second seed also plants a "Customer ...
+/// Complaints" supplier comment, which the default seed does not at this
+/// scale. Recorded with the generator that looked each column up per value
+/// and grew its strings word by word; a change to a distribution, a pool or
+/// the order of the RNG draws moves it.
+TEST(DbgenTest, ContentDigest) {
+  const uint64_t default_seed = ContentDigest(Db());
+  EXPECT_EQ(default_seed, 0x9F7E32503B8AF841ULL) << std::hex << default_seed;
+  DbgenOptions options;
+  options.scale_factor = 0.01;
+  options.seed = 20240917;
+  const uint64_t other_seed = ContentDigest(Generate(options));
+  EXPECT_EQ(other_seed, 0x691DDCE2C8D8A84EULL) << std::hex << other_seed;
+}
 
 TEST(DbgenTest, RowCountsMatchScaleFactor) {
   const RowCounts counts = CountsFor(0.01);
