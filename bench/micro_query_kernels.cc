@@ -7,10 +7,20 @@
 // Also times the tpch::Generate call that builds those columns (dbgen_s,
 // and lineitem rows per second as dbgen_rows_per_s).
 //
+// glibc raises its mmap threshold (and its heap-trim threshold with it) only
+// when a large block is freed, so the regrowing vectors of each rep would map
+// fresh pages or reuse warm heap depending on what generation happened to
+// free. main() first fixes both: mmap at 32 MiB and trim at 64 MiB, the pair
+// glibc's own scheme reaches at that mmap threshold. The trim threshold
+// matters as much: with only the mmap one fixed, trimming stays at 128 KiB
+// and every rep faults its buffers in again.
+//
 // Emits a human-readable table on stdout and machine-readable JSON to
 // BENCH_micro_query_kernels.json (see bench_common.h for the convention).
 //
 // Usage: micro_query_kernels [--sf <scale>] [--reps <n>] [--out <path>]
+
+#include <malloc.h>
 
 #include <chrono>
 #include <cstdio>
@@ -151,8 +161,6 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
   const auto& l_quantity = L.f64("l_quantity");
   const auto& l_shipdate = L.i64("l_shipdate");
   const auto& l_discount = L.f64("l_discount");
-  const auto& l_returnflag = L.str("l_returnflag");
-  const auto& l_linestatus = L.str("l_linestatus");
   const auto& l_suppkey = L.i64("l_suppkey");
   const db::Date from = db::MakeDate(1994, 1, 1);
   const db::Date to = db::AddYears(from, 1);
@@ -338,6 +346,9 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
 }  // namespace elastic::bench
 
 int main(int argc, char** argv) {
+  ELASTIC_CHECK(mallopt(M_MMAP_THRESHOLD, 32 * 1024 * 1024) == 1 &&
+                    mallopt(M_TRIM_THRESHOLD, 64 * 1024 * 1024) == 1,
+                "cannot fix the malloc thresholds");
   double sf = elastic::bench::kBenchScaleFactor;
   int reps = 5;
   // Flag scanning matches JsonOutPath: every flag takes a value and may

@@ -48,24 +48,6 @@ CoreArbiter::CoreArbiter(platform::Platform* platform,
                 "quarantine thresholds >= 1");
 }
 
-void CoreArbiter::SetDomain(const platform::CpuMask& domain) {
-  ELASTIC_CHECK(!installed_, "SetDomain after Install");
-  ELASTIC_CHECK(!domain.Empty(), "empty arbitration domain");
-  ELASTIC_CHECK(
-      domain.IsSubsetOf(platform::CpuMask::AllOf(platform_->topology())),
-      "arbitration domain outside the machine");
-  domain_ = domain;
-}
-
-bool CoreArbiter::TryResizeDomain(const platform::CpuMask& new_domain) {
-  if (new_domain.Empty()) return false;
-  platform::CpuMask owned;
-  for (const Tenant& tenant : tenants_) owned = owned.Union(tenant.mask);
-  if (!owned.IsSubsetOf(new_domain)) return false;
-  domain_ = new_domain;
-  return true;
-}
-
 int CoreArbiter::AddTenant(const ArbiterTenantConfig& config) {
   ELASTIC_CHECK(!installed_, "AddTenant after Install");
   ELASTIC_CHECK(config.weight > 0.0, "tenant weight must be positive");
@@ -153,7 +135,7 @@ void CoreArbiter::Install() {
     policy_->Validate(tenant.config);
   }
   ELASTIC_CHECK(initial_total <= domain_.Count(),
-                "initial cores of all tenants exceed the domain");
+                "initial cores of all tenants exceed the machine");
   installed_ = true;
 
   // Hand out the initial disjoint masks; PickCoreFor naturally spreads
@@ -523,7 +505,7 @@ void CoreArbiter::TryInstall(int index, Tenant& tenant, TenantRound& tr) {
     tenant.quarantined = true;
     stats_.quarantine_entries++;
     tenant.probe_round = round_counter_ + config_.quarantine_probe_rounds;
-    platform_->trace()->Add(platform_->Now(), TraceKind("arbiter_quarantine"),
+    platform_->trace()->Add(platform_->Now(), "arbiter_quarantine",
                             index, tenant.install_failures,
                             tenant.config.name);
     return;
@@ -538,17 +520,12 @@ void CoreArbiter::TryInstall(int index, Tenant& tenant, TenantRound& tr) {
   tenant.next_retry_round = round_counter_ + backoff;
 }
 
-std::string CoreArbiter::TraceKind(const char* kind) const {
-  if (config_.instance_label.empty()) return kind;
-  return config_.instance_label + ":" + kind;
-}
-
 void CoreArbiter::DetachTenant(int tenant) {
   Tenant& t = tenants_[static_cast<size_t>(tenant)];
   if (!t.active) return;
   t.active = false;
   stats_.detached_tenants++;
-  platform_->trace()->Add(platform_->Now(), TraceKind("arbiter_detach"),
+  platform_->trace()->Add(platform_->Now(), "arbiter_detach",
                           tenant, t.mask.Count(), t.config.name);
   // The cores return to the free pool immediately (FreePool unions only the
   // tenants' masks); the platform cpuset is left as-is — it confines nothing.

@@ -65,15 +65,8 @@ struct ArbiterConfig {
   int monitor_period_ticks = 20;
   /// Keep a per-round decision log.
   bool log_rounds = true;
-
-  /// Namespace of this arbiter instance. Empty (the default, flat mode)
-  /// keeps the historical trace event names ("arbiter_quarantine",
-  /// "arbiter_detach"); a shard arbiter carries e.g. "shard3" and emits
-  /// "shard3:arbiter_quarantine", so chaos/quarantine accounting stays
-  /// attributable to the right shard under a hierarchy.
-  std::string instance_label;
-  /// Register the self-driving monitoring hook at Install(). A hierarchical
-  /// coordinator (ShardedArbiter) sets false and calls Poll() itself.
+  /// Register the self-driving monitoring hook at Install(). A caller that
+  /// times or paces the rounds itself sets false and calls Poll().
   bool register_tick_hook = true;
 
   // -- Degraded-telemetry policy (counts are arbitration rounds). A tenant
@@ -195,17 +188,6 @@ class CoreArbiter {
   /// is narrowed to the tenant's initial mask at Install().
   int AddTenant(const ArbiterTenantConfig& config);
 
-  /// Restricts arbitration to a subset of the machine — a shard's domain.
-  /// Every grant, entitlement and the free pool are computed against it.
-  /// Call before Install(); the default is the whole machine (flat mode).
-  void SetDomain(const platform::CpuMask& domain);
-  const platform::CpuMask& domain() const { return domain_; }
-
-  /// Reshapes the domain after Install() (shard-budget rebalance). Fails —
-  /// changing nothing — unless every core currently owned by a tenant stays
-  /// inside the new domain: owned cores move only through arbitration.
-  bool TryResizeDomain(const platform::CpuMask& new_domain);
-
   /// Assigns the initial disjoint masks (initial_cores each, spread across
   /// sockets) and registers the single monitoring hook. Call once, after
   /// every AddTenant and before running workloads.
@@ -316,10 +298,6 @@ class CoreArbiter {
   /// the term is off or the tenant has no memory signal.
   double MemAffinity(const Tenant& tenant, numasim::CoreId core) const;
 
-  /// Trace event kind namespaced by instance_label ("shard3:kind"); the
-  /// bare kind in flat mode.
-  std::string TraceKind(const char* kind) const;
-
   /// NUMA-aware pick of a free-pool core for a tenant: prefer the node where
   /// the tenant already holds the most cores, then the node with the most
   /// free cores, then the lowest node id; lowest core id within the node.
@@ -330,7 +308,7 @@ class CoreArbiter {
   ArbiterConfig config_;
   /// Everything that depends on config_.policy.
   std::unique_ptr<EntitlementPolicy> policy_;
-  /// Cores this arbiter may hand out (the whole machine in flat mode).
+  /// Cores this arbiter may hand out: the whole machine.
   platform::CpuMask domain_;
   std::vector<Tenant> tenants_;
   bool installed_ = false;

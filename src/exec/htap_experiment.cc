@@ -100,17 +100,9 @@ void HtapExperiment::Start() {
     admission.target_tail_s = oltp_spec_.slo_p99_s;
     admission.probe_window_ticks = oltp_spec_.probe_window_ticks;
   }
-  oltp::LatencyRecorder::Config latency;
-  if (oltp_spec_.sketch_latency) {
-    latency.use_sketch = true;
-    latency.epsilon = oltp_spec_.sketch_epsilon;
-    // One window, every consumer: the arbiter's tail probe and the adaptive
-    // admission gate query the sketch with the same probe window.
-    latency.window_ticks = oltp_spec_.probe_window_ticks;
-  }
   oltp_client_ = std::make_unique<oltp::OltpClient>(
       machine_.get(), oltp_engine_.get(), oltp_spec_.workload,
-      options_.seed ^ 0x0117, admission, latency);
+      options_.seed ^ 0x0117, admission);
   olap_driver_ = std::make_unique<ClientDriver>(
       machine_.get(), olap_engine_.get(), olap_spec_.workload,
       olap_spec_.num_clients, options_.seed ^ 0x01A9);

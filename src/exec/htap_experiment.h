@@ -37,14 +37,6 @@ struct HtapOltpTenant {
   /// from the same signal.
   oltp::AdmissionConfig admission;
 
-  /// Replace the exact latency log by the mergeable GK quantile sketch
-  /// (see LatencyRecorder::Config). The arbiter's tail probe and the
-  /// adaptive admission gate then feed on sketch-p99 instead of exact-p99;
-  /// tests/oltp/quantile_sketch_test.cc pins that slo_aware decisions
-  /// match across the two backends on this experiment's trace.
-  bool sketch_latency = false;
-  double sketch_epsilon = oltp::GkSketch::kDefaultEpsilon;
-
   oltp::TxnEngineOptions engine;
   oltp::OltpWorkload workload;
 };

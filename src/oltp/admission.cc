@@ -53,61 +53,8 @@ AdmissionController::AdmissionController(const AdmissionConfig& config,
   }
 }
 
-void ShedCoordinator::Register(AdmissionController* controller) {
-  ELASTIC_CHECK(controller != nullptr, "null admission controller");
-  controllers_.push_back(controller);
-}
-
-bool ShedCoordinator::DeferBackoff(const AdmissionController* requester) {
-  const int requester_class = requester->config().priority_class;
-  bool absorbed = false;
-  for (AdmissionController* controller : controllers_) {
-    if (controller == requester) continue;
-    if (controller->config().priority_class <= requester_class) continue;
-    if (controller->config().policy != AdmissionPolicy::kAdaptive) continue;
-    if (controller->window() <= controller->config().min_window) continue;
-    controller->ForceBackoff();
-    absorbed = true;
-  }
-  return absorbed;
-}
-
-void AdmissionController::ForceBackoff() {
-  if (config_.policy != AdmissionPolicy::kAdaptive) return;
-  window_ = std::max<int64_t>(
-      config_.min_window,
-      static_cast<int64_t>(static_cast<double>(window_) *
-                           config_.multiplicative_decrease));
-}
-
-double AdmissionController::RateDerivativeBoost(simcore::Tick now) const {
-  if (config_.derivative_gain <= 0.0) return 1.0;
-  const simcore::Tick window = config_.rate_window_ticks > 0
-                                   ? config_.rate_window_ticks
-                                   : config_.probe_window_ticks;
-  const simcore::Tick half = std::max<simcore::Tick>(1, window / 2);
-  // Arrivals in the two halves of the trailing window; their ratio is a
-  // finite-difference estimate of the arrival rate's derivative.
-  int64_t early = 0;
-  int64_t late = 0;
-  for (auto it = arrival_ticks_.rbegin(); it != arrival_ticks_.rend(); ++it) {
-    if (*it <= now - 2 * half) break;  // arrival ticks ascend
-    if (*it > now) continue;
-    if (*it > now - half) {
-      late++;
-    } else {
-      early++;
-    }
-  }
-  if (late <= early || early + late == 0) return 1.0;  // flat or falling
-  const double increase = static_cast<double>(late - early) /
-                          static_cast<double>(std::max<int64_t>(early, 1));
-  return 1.0 + config_.derivative_gain * increase;
-}
-
 bool AdmissionController::Admit(simcore::Tick now, int64_t in_flight) {
   bool admit = true;
-  if (config_.derivative_gain > 0.0) arrival_ticks_.push_back(now);
   switch (config_.policy) {
     case AdmissionPolicy::kNone:
       break;
@@ -121,17 +68,12 @@ bool AdmissionController::Admit(simcore::Tick now, int64_t in_flight) {
       // signal could possibly change.
       if (last_update_ < 0 || now - last_update_ >= config_.update_period_ticks) {
         last_update_ = now;
-        double tail = probe_ ? probe_(now) : -1.0;
-        // Leading indicator: a ramping arrival rate inflates the perceived
-        // tail, so the window starts closing before the burst's latency
-        // echo reaches the (lagging) completed-p99 probe.
-        if (tail >= 0.0) tail *= RateDerivativeBoost(now);
+        const double tail = probe_ ? probe_(now) : -1.0;
         if (tail >= config_.backoff_ratio * config_.target_tail_s) {
-          const bool deferred =
-              coordinator_ != nullptr && coordinator_->DeferBackoff(this);
-          if (!deferred) ForceBackoff();
-          // Deferred: a batch-class window absorbed the decrease, this
-          // (paying-class) window holds instead of shrinking.
+          window_ = std::max<int64_t>(
+              config_.min_window,
+              static_cast<int64_t>(static_cast<double>(window_) *
+                                   config_.multiplicative_decrease));
         } else if (tail >= 0.0) {
           window_ =
               std::min(config_.max_window, window_ + config_.additive_increase);

@@ -71,25 +71,6 @@ struct AdmissionConfig {
   /// age), mirroring the slo_aware arbiter's signal).
   int64_t probe_window_ticks = 400;
 
-  /// Leading arrival-rate-derivative signal (0 = off, the default). The
-  /// tail signal is a *lagging* indicator: during a burst's ramp the
-  /// delayed transactions have not completed yet, so AIMD backs off only
-  /// after the tail is already blown. With a positive gain the controller
-  /// also watches the arrival rate's derivative — the admitted tail is
-  /// inflated by (1 + gain * relative rate increase) across the two halves
-  /// of the trailing rate window, so the window starts closing while the
-  /// burst is still ramping, before its latency echo arrives.
-  double derivative_gain = 0.0;
-  /// Window of the rate-derivative estimate; 0 = use probe_window_ticks.
-  int64_t rate_window_ticks = 0;
-
-  /// Priority class for cross-tenant shed coordination (ShedCoordinator):
-  /// 0 = paying / latency-critical, higher = batch. When a coordinator is
-  /// attached, a backing-off paying-class controller first tightens the
-  /// windows of every batch-class controller above min_window — batch
-  /// arrivals drop before paying-class arrivals do.
-  int priority_class = 0;
-
   // -- Rejection handling (consumed by OltpClient, any policy) --
 
   /// Rejected arrivals retry after `retry_backoff_ticks` (up to
@@ -97,31 +78,6 @@ struct AdmissionConfig {
   bool retry_rejected = true;
   int64_t retry_backoff_ticks = 100;
   int max_retries = 3;
-};
-
-class AdmissionController;
-
-/// Cross-tenant priority-aware shedding. Controllers of several tenants
-/// register with one coordinator; when a paying-class controller (low
-/// priority_class) is about to multiplicatively decrease, the coordinator
-/// tightens every *batch*-class controller (higher priority_class) still
-/// above its min_window instead — the machine sheds batch arrivals before
-/// paying arrivals, whatever order the tails happened to blow in. A
-/// controller with no lower-priority window left to raid backs off
-/// normally. Pure decision logic: deterministic, no clock of its own.
-class ShedCoordinator {
- public:
-  /// Registers a controller (not owned; must outlive the coordinator's use).
-  void Register(AdmissionController* controller);
-
-  /// Called by a backing-off controller: tightens every registered
-  /// controller of a strictly higher priority_class whose window is still
-  /// above min_window, and returns whether any absorbed the decrease (the
-  /// caller then holds its own window).
-  bool DeferBackoff(const AdmissionController* requester);
-
- private:
-  std::vector<AdmissionController*> controllers_;
 };
 
 /// Per-arrival admission decisions plus shed/goodput accounting. The
@@ -158,32 +114,15 @@ class AdmissionController {
 
   const AdmissionConfig& config() const { return config_; }
 
-  /// Attaches the cross-tenant shed coordinator (nullptr = standalone, the
-  /// default). Not owned.
-  void set_coordinator(ShedCoordinator* coordinator) {
-    coordinator_ = coordinator;
-  }
-
-  /// Coordinator-driven multiplicative decrease (kAdaptive only): the
-  /// batch-class window tightens so a paying-class tenant does not have to.
-  void ForceBackoff();
-
  private:
-  /// Arrival-rate-derivative factor >= 1 (1 with the gain off or a flat
-  /// rate); multiplies the perceived tail on AIMD updates.
-  double RateDerivativeBoost(simcore::Tick now) const;
-
   AdmissionConfig config_;
   TailProbe probe_;
-  ShedCoordinator* coordinator_ = nullptr;
 
   int64_t window_ = 0;
   simcore::Tick last_update_ = -1;
   int64_t admitted_ = 0;
   int64_t shed_ = 0;
   std::vector<simcore::Tick> shed_ticks_;
-  /// Arrival ticks (admitted or not); recorded only with derivative_gain on.
-  std::vector<simcore::Tick> arrival_ticks_;
 };
 
 }  // namespace elastic::oltp

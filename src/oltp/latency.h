@@ -2,29 +2,18 @@
 #define ELASTICORE_OLTP_LATENCY_H_
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
-#include "oltp/quantile_sketch.h"
-#include "simcore/check.h"
 #include "simcore/clock.h"
 
 namespace elastic::oltp {
 
 /// Per-transaction latency log with percentile queries. OLTP SLOs are stated
-/// over the latency *tail* (p95/p99), which means-only reporting hides.
-///
-/// Two backends behind the same interface:
-///   - *exact* (the default): every sample (completion tick + latency ticks)
-///     is kept, full-run and recent-window percentiles are exact nearest-
-///     rank. Right for single-tenant experiments, where sample counts are
-///     one-per-transaction small.
-///   - *sketch* (Config::use_sketch): samples fold into a mergeable GK
-///     quantile sketch (full-run) plus a ring of time-bucketed sub-sketches
-///     (windowed queries), O((1/ε)·log n) space with a documented ε·n rank
-///     error (see GkSketch). Right for many-tenant deployments where N
-///     unbounded sample logs are the memory bill. Windowed queries must use
-///     the configured window and are bucket-granular at the trailing edge.
+/// over the latency *tail* (p95/p99), which means-only reporting hides; the
+/// recorder therefore keeps every sample (completion tick + latency ticks)
+/// so both full-run and recent-window percentiles are exact, not sketched.
+/// Sample counts are small (one entry per transaction), so exactness is
+/// cheaper than maintaining a quantile sketch would be.
 class LatencyRecorder {
  public:
   struct Sample {
@@ -32,57 +21,19 @@ class LatencyRecorder {
     simcore::Tick latency_ticks = 0;
   };
 
-  struct Config {
-    bool use_sketch = false;
-    double epsilon = GkSketch::kDefaultEpsilon;
-    /// Window of WindowPercentileTicks queries in sketch mode (exact mode
-    /// accepts any window per call).
-    simcore::Tick window_ticks = 400;
-    int window_buckets = 8;
-  };
-
-  LatencyRecorder() = default;
-  explicit LatencyRecorder(const Config& config) : config_(config) {
-    if (config_.use_sketch) {
-      full_sketch_ = std::make_unique<GkSketch>(config_.epsilon);
-      window_sketch_ = std::make_unique<WindowedQuantileSketch>(
-          config_.epsilon, config_.window_ticks, config_.window_buckets);
-    }
-  }
-
   void Record(simcore::Tick completed, simcore::Tick latency_ticks) {
-    if (config_.use_sketch) {
-      full_sketch_->Insert(latency_ticks);
-      window_sketch_->Insert(completed, latency_ticks);
-      sketch_count_++;
-      sketch_sum_ticks_ += latency_ticks;
-      return;
-    }
     samples_.push_back(Sample{completed, latency_ticks});
   }
 
-  int64_t count() const {
-    return config_.use_sketch ? sketch_count_
-                              : static_cast<int64_t>(samples_.size());
-  }
-  const std::vector<Sample>& samples() const {
-    ELASTIC_CHECK(!config_.use_sketch,
-                  "samples() unavailable in sketch mode — nothing is stored");
-    return samples_;
-  }
+  int64_t count() const { return static_cast<int64_t>(samples_.size()); }
+  const std::vector<Sample>& samples() const { return samples_; }
 
   /// Completions whose latency stayed within `budget_s` — the *goodput*
   /// numerator of the overload-control literature: under load shedding the
   /// interesting count is not how many transactions finished but how many
   /// finished inside their latency budget (a completion that blew the SLO
-  /// delivered no value to its caller). Sketch mode estimates the count by
-  /// rank (±ε·n).
+  /// delivered no value to its caller).
   int64_t CountWithinSeconds(double budget_s) const {
-    if (config_.use_sketch) {
-      const auto budget_ticks = static_cast<simcore::Tick>(
-          budget_s / simcore::Clock::kSecondsPerTick);
-      return full_sketch_->EstimateRankAtMost(budget_ticks);
-    }
     int64_t within = 0;
     for (const Sample& s : samples_) {
       if (simcore::Clock::ToSeconds(s.latency_ticks) <= budget_s) within++;
@@ -91,11 +42,6 @@ class LatencyRecorder {
   }
 
   double MeanSeconds() const {
-    if (config_.use_sketch) {
-      if (sketch_count_ == 0) return -1.0;
-      return simcore::Clock::ToSeconds(sketch_sum_ticks_) /
-             static_cast<double>(sketch_count_);
-    }
     if (samples_.empty()) return -1.0;
     int64_t total = 0;
     for (const Sample& s : samples_) total += s.latency_ticks;
@@ -104,10 +50,8 @@ class LatencyRecorder {
   }
 
   /// Nearest-rank percentile over every recorded sample, in ticks.
-  /// `p` in (0, 1]; returns -1 when no samples exist. Sketch mode answers
-  /// within ε·n rank error.
+  /// `p` in (0, 1]; returns -1 when no samples exist.
   simcore::Tick PercentileTicks(double p) const {
-    if (config_.use_sketch) return full_sketch_->Quantile(p);
     return PercentileOf(AllLatencies(), p);
   }
 
@@ -122,11 +66,6 @@ class LatencyRecorder {
   /// Returns -1 when the window holds no samples.
   simcore::Tick WindowPercentileTicks(double p, simcore::Tick now,
                                       simcore::Tick window) const {
-    if (config_.use_sketch) {
-      ELASTIC_CHECK(window == config_.window_ticks,
-                    "sketch mode answers only the configured window");
-      return window_sketch_->WindowQuantile(p, now);
-    }
     std::vector<simcore::Tick> recent;
     for (auto it = samples_.rbegin(); it != samples_.rend(); ++it) {
       if (it->completed <= now - window) break;  // completion ticks ascend
@@ -163,13 +102,7 @@ class LatencyRecorder {
     return values[rank - 1];
   }
 
-  Config config_;
   std::vector<Sample> samples_;
-  // -- Sketch-mode state (unused on the exact path). --
-  std::unique_ptr<GkSketch> full_sketch_;
-  std::unique_ptr<WindowedQuantileSketch> window_sketch_;
-  int64_t sketch_count_ = 0;
-  int64_t sketch_sum_ticks_ = 0;
 };
 
 }  // namespace elastic::oltp

@@ -8,8 +8,7 @@ namespace elastic::oltp {
 
 OltpClient::OltpClient(ossim::Machine* machine, TxnEngine* engine,
                        const OltpWorkload& workload, uint64_t seed,
-                       const AdmissionConfig& admission,
-                       const LatencyRecorder::Config& latency)
+                       const AdmissionConfig& admission)
     : machine_(machine),
       engine_(engine),
       workload_(workload),
@@ -18,8 +17,7 @@ OltpClient::OltpClient(ossim::Machine* machine, TxnEngine* engine,
       arrival_rng_(seed ^ 0xA5A5A5A5ULL),
       admission_(admission, [this](simcore::Tick now) {
         return TailSignalSeconds(now, admission_.config().probe_window_ticks);
-      }),
-      latencies_(latency) {
+      }) {
   ELASTIC_CHECK(workload_.total_txns >= 1, "need at least one transaction");
   ELASTIC_CHECK(workload_.arrival_interval_ticks >= 1,
                 "arrival interval must be >= 1 tick");

@@ -65,9 +65,7 @@ class OltpClient {
  public:
   OltpClient(ossim::Machine* machine, TxnEngine* engine,
              const OltpWorkload& workload, uint64_t seed,
-             const AdmissionConfig& admission = AdmissionConfig{},
-             const LatencyRecorder::Config& latency =
-                 LatencyRecorder::Config{});
+             const AdmissionConfig& admission = AdmissionConfig{});
 
   OltpClient(const OltpClient&) = delete;
   OltpClient& operator=(const OltpClient&) = delete;
@@ -86,8 +84,6 @@ class OltpClient {
 
   const LatencyRecorder& latencies() const { return latencies_; }
   const AdmissionController& admission() const { return admission_; }
-  /// Mutable access for cross-tenant wiring (ShedCoordinator attachment).
-  AdmissionController& admission_mutable() { return admission_; }
   /// Arrivals drawn from the schedule so far (admitted or not).
   int64_t arrived() const { return arrived_; }
   /// Transactions handed to the engine (admitted arrivals + admitted

@@ -31,9 +31,11 @@ std::string FirstLine(const std::string& text) {
   return nl == std::string::npos ? text : text.substr(0, nl);
 }
 
-/// Number of CPUs a cpulist ("0-3,8") names; -1 on a parse error. Counts
-/// without building a CpuMask so hosts past the mask bound do not trip it
-/// during discovery.
+/// Number of CPUs a cpulist ("0-3,8") names; -1 on a parse error or once
+/// the count passes CpuMask::kMaxCores (no node that large fits a mask, and
+/// the bound keeps the count and the caller's node x core product from
+/// overflowing). Counts without building a CpuMask so ids past the mask
+/// bound do not trip it during discovery.
 int CountCpuList(const std::string& list) {
   int count = 0;
   const char* p = list.c_str();
@@ -48,6 +50,7 @@ int CountCpuList(const std::string& list) {
       if (end == p + 1 || last < first) return -1;
       p = end;
     }
+    if (last - first >= CpuMask::kMaxCores - count) return -1;
     count += static_cast<int>(last - first + 1);
     if (*p == ',') p++;
     else if (*p != '\0') return -1;

@@ -5,18 +5,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/arbiter.h"
 #include "platform/linux_platform.h"
+#include "simcore/rng.h"
 
 namespace elastic::platform {
 namespace {
@@ -56,6 +60,75 @@ TEST(CpuListTest, TryFromCpuListRejectsMalformedInput) {
   ASSERT_TRUE(CpuMask::TryFromCpuList("64,100-102,1023").has_value());
   EXPECT_EQ(*CpuMask::TryFromCpuList("64,100-102,1023"),
             CpuMask::Of({64, 100, 101, 102, 1023}));
+}
+
+// ---- Seeded property tests of the cpulist parser: every case is a fixed
+// seed, so a failure names the seed that reproduces it. ----
+
+/// A random mask over the whole kMaxCores range: alternating set and unset
+/// runs of 1..max_run cores, with max_run itself drawn from 1..kMaxCores so
+/// that lists range from scattered single ids to one long range (or none).
+CpuMask RandomMask(simcore::Rng& rng) {
+  CpuMask mask;
+  const int max_run = 1 << rng.NextInRange(0, 10);
+  bool set = rng.NextBernoulli(0.5);
+  for (int core = 0; core < CpuMask::kMaxCores; set = !set) {
+    const int run = static_cast<int>(rng.NextInRange(1, max_run));
+    const int end = std::min(core + run, CpuMask::kMaxCores);
+    for (; core < end; ++core) {
+      if (set) mask.Set(core);
+    }
+  }
+  return mask;
+}
+
+TEST(CpuListPropertyTest, RandomMasksRoundTrip) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    simcore::Rng rng(seed);
+    const CpuMask mask = RandomMask(rng);
+    const std::string list = mask.ToCpuList();
+    const std::optional<CpuMask> parsed = CpuMask::TryFromCpuList(list);
+    ASSERT_TRUE(parsed.has_value()) << list;
+    EXPECT_EQ(*parsed, mask) << list;
+    EXPECT_EQ(parsed->ToCpuList(), list);
+  }
+}
+
+TEST(CpuListPropertyTest, ByteEditsParseToNothingOrToARoundTrippingMask) {
+  // Edits lean on the bytes a cpulist is made of, so most edited lists
+  // stay plausible; the rest are arbitrary bytes, NUL included.
+  const std::string alphabet = "0123456789,-";
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    simcore::Rng rng(seed);
+    std::string list = RandomMask(rng).ToCpuList();
+    const int edits = static_cast<int>(rng.NextInRange(1, 3));
+    for (int e = 0; e < edits; ++e) {
+      const char byte =
+          rng.NextBernoulli(0.8)
+              ? alphabet[rng.NextBounded(alphabet.size())]
+              : static_cast<char>(rng.NextBounded(256));
+      const size_t at = rng.NextBounded(list.size() + 1);
+      switch (rng.NextBounded(3)) {
+        case 0:  // insert
+          list.insert(at, 1, byte);
+          break;
+        case 1:  // replace
+          if (at < list.size()) list[at] = byte;
+          break;
+        default:  // delete
+          if (at < list.size()) list.erase(at, 1);
+          break;
+      }
+    }
+    const std::optional<CpuMask> parsed = CpuMask::TryFromCpuList(list);
+    if (!parsed.has_value()) continue;
+    const std::optional<CpuMask> again =
+        CpuMask::TryFromCpuList(parsed->ToCpuList());
+    ASSERT_TRUE(again.has_value()) << list;
+    EXPECT_EQ(*again, *parsed) << list;
+  }
 }
 
 TEST(LinuxPlatformTest, TopologyOverrideSkipsDiscovery) {
@@ -105,6 +178,109 @@ TEST(LinuxPlatformTest, DiscoversAndManagesMoreThan64Cpus) {
       "write /sys/fs/cgroup/elasticore/t3/cpuset.cpus = 96-97",
   };
   EXPECT_EQ(installs, expected);
+}
+
+// ---- Seeded property tests of sysfs discovery: each case writes a temp
+// node tree and builds a dry-run platform over it, as
+// DiscoversAndManagesMoreThan64Cpus does. ----
+
+/// The {nodes, total cores} a dry-run platform discovers from a temp sysfs
+/// node tree holding cpulists[i] as node<i>/cpulist.
+std::pair<int, int> DiscoverFromCpulists(
+    const std::vector<std::string>& cpulists) {
+  std::string root = ::testing::TempDir() + "elasticore-sysfs-XXXXXX";
+  if (mkdtemp(root.data()) == nullptr) {
+    ADD_FAILURE() << "mkdtemp: " << std::strerror(errno);
+    return {0, 0};
+  }
+  for (size_t node = 0; node < cpulists.size(); ++node) {
+    const std::string dir = root + "/node" + std::to_string(node);
+    std::filesystem::create_directory(dir);
+    std::ofstream(dir + "/cpulist") << cpulists[node] << "\n";
+  }
+  LinuxPlatformOptions options;
+  options.dry_run = true;
+  options.sysfs_node_root = root;
+  LinuxPlatform platform(options);
+  std::filesystem::remove_all(root);
+  return {platform.topology().num_nodes(), platform.topology().total_cores()};
+}
+
+TEST(SysfsDiscoveryPropertyTest, UniformLayoutsAreDiscoveredExactly) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    simcore::Rng rng(seed);
+    const int nodes = static_cast<int>(rng.NextInRange(1, 16));
+    const int cores =
+        static_cast<int>(rng.NextInRange(1, CpuMask::kMaxCores / nodes));
+    // Deal the CPU ids out to the nodes in a random order, so a node's
+    // list is one range or many, the way SMT siblings interleave.
+    std::vector<int> ids(static_cast<size_t>(nodes * cores));
+    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
+    for (size_t i = ids.size(); i > 1; --i) {
+      std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
+    }
+    std::vector<std::string> cpulists;
+    for (int node = 0; node < nodes; ++node) {
+      CpuMask mask;
+      for (int c = 0; c < cores; ++c) {
+        mask.Set(ids[static_cast<size_t>(node * cores + c)]);
+      }
+      cpulists.push_back(mask.ToCpuList());
+    }
+    EXPECT_EQ(DiscoverFromCpulists(cpulists),
+              std::make_pair(nodes, nodes * cores));
+  }
+}
+
+TEST(SysfsDiscoveryPropertyTest, OversizedOrUnevenLayoutsFallBackToOneNode) {
+  // Counts past the mask bound, fixed: per-node counts that overflowed an
+  // int count, and a node x core product that did.
+  std::vector<std::vector<std::string>> layouts = {
+      {"0-2147483646,0-1"},
+      {"0-1073741823", "0-1073741823"},
+      {"0-9223372036854775806"},
+      {"0-1024"},
+  };
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    simcore::Rng rng(seed);
+    const int nodes = static_cast<int>(rng.NextInRange(2, 8));
+    std::vector<std::string> cpulists;
+    if (seed % 2 == 0) {
+      // Oversized: each node fits a mask, the grid does not.
+      const int cores = static_cast<int>(
+          rng.NextInRange(CpuMask::kMaxCores / nodes + 1, CpuMask::kMaxCores));
+      for (int node = 0; node < nodes; ++node) {
+        cpulists.push_back(std::to_string(node * cores) + "-" +
+                           std::to_string(node * cores + cores - 1));
+      }
+    } else {
+      // Uneven: one node holds a different count from the others.
+      const int cores = static_cast<int>(rng.NextInRange(1, 64));
+      const int odd = static_cast<int>(rng.NextInRange(0, nodes - 1));
+      int next = 0;
+      for (int node = 0; node < nodes; ++node) {
+        int count = cores;
+        if (node == odd) {
+          const bool fewer = cores > 1 && rng.NextBernoulli(0.5);
+          count = fewer ? static_cast<int>(rng.NextInRange(1, cores - 1))
+                        : cores + static_cast<int>(rng.NextInRange(1, 64));
+        }
+        cpulists.push_back(std::to_string(next) + "-" +
+                           std::to_string(next + count - 1));
+        next += count;
+      }
+    }
+    layouts.push_back(std::move(cpulists));
+  }
+  for (size_t i = 0; i < layouts.size(); ++i) {
+    SCOPED_TRACE("layout " + std::to_string(i) + ": " + layouts[i][0] +
+                 " ... (" + std::to_string(layouts[i].size()) + " nodes)");
+    const auto [nodes, total] = DiscoverFromCpulists(layouts[i]);
+    EXPECT_EQ(nodes, 1);
+    EXPECT_GE(total, 1);
+    EXPECT_LE(total, CpuMask::kMaxCores);
+  }
 }
 
 TEST(LinuxPlatformTest, CreateCpusetEmitsParentSetupThenGroupWrites) {
@@ -310,6 +486,72 @@ TEST_F(ProcStatSamplerTest, SamplersOfOneTickShareOneReading) {
   EXPECT_NE(next.to(), a.to());
   for (int cpu = 0; cpu < 4; ++cpu) {
     EXPECT_EQ(next.core_busy_cycles(cpu), 150);
+  }
+}
+
+// Random /proc/stat files: shuffled per-cpu lines between the aggregate line
+// and other counters, CPU ids past the topology, 4-8 value fields per line.
+// Each case builds a fresh platform over the fixture's all-zero file, then
+// swaps in the random file before the next tick's sample.
+TEST_F(ProcStatSamplerTest, RandomFilesGiveEachCpuItsBusyFieldSum) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    simcore::Rng rng(seed);
+    LinuxPlatformOptions options = Options();
+    options.cores_per_node = static_cast<int>(rng.NextInRange(1, 16));
+    // Each case waits out one tick; its reads never straddle two (the
+    // baseline is taken before the random file exists).
+    options.seconds_per_tick = 0.01;
+    const int cores = options.cores_per_node;
+
+    const auto fields = [&rng] {
+      std::vector<long long> values(
+          static_cast<size_t>(rng.NextInRange(4, 8)));
+      for (long long& v : values) {
+        v = static_cast<long long>(rng.NextBounded(uint64_t{1} << 40));
+      }
+      return values;
+    };
+    const auto line = [](const std::string& head,
+                         const std::vector<long long>& values) {
+      std::string text = head;
+      for (const long long v : values) text += " " + std::to_string(v);
+      return text + "\n";
+    };
+    std::vector<long long> expected(static_cast<size_t>(cores), 0);
+    std::vector<std::string> lines = {line("cpu ", fields()), "intr 12345\n",
+                                      "ctxt 67890\n"};
+    const int ids = cores + static_cast<int>(rng.NextInRange(0, 4));
+    for (int cpu = 0; cpu < ids; ++cpu) {
+      if (rng.NextBernoulli(0.2)) continue;  // offline: no line of its own
+      const std::vector<long long> values = fields();
+      lines.push_back(line("cpu" + std::to_string(cpu), values));
+      if (cpu >= cores) continue;
+      // user, nice, system, then irq, softirq, steal past idle and iowait.
+      for (const size_t field : {0, 1, 2, 5, 6, 7}) {
+        if (field < values.size()) {
+          expected[static_cast<size_t>(cpu)] += values[field];
+        }
+      }
+    }
+    for (size_t i = lines.size(); i > 1; --i) {
+      std::swap(lines[i - 1], lines[rng.NextBounded(i)]);
+    }
+
+    WriteStat("cpu  0 0 0 0 0 0 0 0 0 0\n");
+    LinuxPlatform platform(options);
+    auto sampler = platform.CreateSampler();
+    std::string text;
+    for (const std::string& l : lines) text += l;
+    WriteStat(text);
+    AwaitNextTick(platform);
+    const perf::WindowStats window = sampler->Sample();
+    ASSERT_EQ(window.num_cores(), cores);
+    for (int cpu = 0; cpu < cores; ++cpu) {
+      EXPECT_EQ(window.core_busy_cycles(cpu),
+                expected[static_cast<size_t>(cpu)])
+          << "cpu " << cpu << "\n" << text;
+    }
   }
 }
 

@@ -15,16 +15,15 @@ them into:
       (schema evolution). Drift is reported for the PR author to eyeball,
       not blocked on: performance trajectories are allowed to move.
 
-Files named with --strict-files are held to a stronger invariant: *any*
-difference, including drift, is a FAIL. The arbiter-path benches
-(multi_tenant_arbiter, htap_slo, htap_slo_sweep) run entirely through the
-deterministic SimPlatform backend, so their output is contractually
-byte-identical across refactors of the platform seam — drift there means
-arbitration decisions changed, which must never happen by accident.
+The strict files are held to a stronger invariant: *any* difference,
+including drift, is a FAIL. They are the seven outputs that
+tools/check_strict_bench.py regenerates, taken from its STRICT_BENCHES so
+that one list names them. Each is a deterministic simulation, so drift
+there means arbitration decisions or simulated outcomes changed, which
+must never happen by accident.
 
 Usage:
   check_bench.py --prev <dir-or-file> --curr <dir-or-file>
-      [--strict-files NAME ...]
   check_bench.py --self-test
 
 Directories are matched by BENCH_*.json filename; only files present on
@@ -36,6 +35,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+from check_strict_bench import STRICT_BENCHES
+
+STRICT_FILES = frozenset(name for _, _, name in STRICT_BENCHES)
 
 # Relative tolerance for float comparison: simulation outputs are exact, but
 # printf round-tripping is not.
@@ -92,7 +95,7 @@ def bench_files(root):
     return {p.name: p for p in sorted(root.glob("BENCH_*.json"))}
 
 
-def compare_trees(prev_root, curr_root, strict_files=()):
+def compare_trees(prev_root, curr_root, strict_files=STRICT_FILES):
     prev_files = bench_files(prev_root)
     curr_files = bench_files(curr_root)
     strict = set(strict_files)
@@ -152,6 +155,18 @@ def self_test():
         compare_values("t", prev, curr, findings)
         return findings
 
+    # The strict set is check_strict_bench's list, all seven files of it.
+    expected_strict = {
+        "BENCH_multi_tenant_arbiter.json", "BENCH_htap_slo.json",
+        "BENCH_htap_slo_sweep.json", "BENCH_chaos_arbiter.json",
+        "BENCH_contention_policy.json", "BENCH_arbiter_scale.json",
+        "BENCH_numa_islands.json",
+    }
+    if STRICT_FILES != expected_strict:
+        print(f"self-test strict-set: expected {sorted(expected_strict)}, "
+              f"got {sorted(STRICT_FILES)}")
+        return 1
+
     # Strict escalation: identical trees stay silent, any drift fails.
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
@@ -172,7 +187,7 @@ def self_test():
                 ("FAIL", "BENCH_a.json.qps")]:
             print(f"self-test strict-drift: expected FAIL, got {got}")
             return 1
-        got = compare_trees(prev_dir, curr_dir)
+        got = compare_trees(prev_dir, curr_dir, strict_files=())
         if [(level, message.split(":")[0]) for level, message in got] != [
                 ("WARN", "BENCH_a.json.qps")]:
             print(f"self-test non-strict-drift: expected WARN, got {got}")
@@ -207,16 +222,13 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--prev", help="previous bench dir or file")
     parser.add_argument("--curr", help="current bench dir or file")
-    parser.add_argument(
-        "--strict-files", nargs="*", default=[],
-        help="BENCH filenames where any difference (drift included) fails")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
     if args.self_test:
         return self_test()
     if not args.prev or not args.curr:
         parser.error("--prev and --curr are required (or --self-test)")
-    return report(compare_trees(args.prev, args.curr, args.strict_files))
+    return report(compare_trees(args.prev, args.curr))
 
 
 if __name__ == "__main__":
