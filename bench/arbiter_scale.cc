@@ -9,14 +9,12 @@
 // fifth tenant's home core bursts to 95%, driving its owner through the
 // overload → grow → starve path.
 //
-// The JSON records per-round decision *work units* (tenants examined by the
-// round: all N), Jain fairness and floor violations, which are
-// deterministic across hosts and therefore safe to gate in the bench
-// trajectory. Wall-clock per round is printed to stdout for the curious
-// but deliberately kept out of the JSON. The binary aborts when a tenant
-// ends below its one-core floor.
+// The JSON records the core count, Jain fairness and floor violations at
+// each scale, which are deterministic across hosts and therefore safe to
+// gate in the bench trajectory. Wall-clock per round is printed to stdout
+// for the curious but deliberately kept out of the JSON. The binary aborts
+// when a tenant ends below its one-core floor.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -49,20 +47,10 @@ const Scale kScales[] = {
 };
 
 struct RunResult {
-  std::vector<int64_t> round_work;  // tenants examined per round
   double round_wall_us_mean = 0.0;
   double fairness = 0.0;
   int floor_violations = 0;
 };
-
-int64_t PercentileOf(std::vector<int64_t> values, double p) {
-  ELASTIC_CHECK(!values.empty(), "percentile of nothing");
-  std::sort(values.begin(), values.end());
-  const size_t rank = static_cast<size_t>(
-      std::max<int64_t>(1, static_cast<int64_t>(
-                               p * static_cast<double>(values.size()) + 0.5)));
-  return values[std::min(rank, values.size()) - 1];
-}
 
 core::ArbiterTenantConfig TenantAt(int i) {
   core::MechanismConfig mechanism;
@@ -124,7 +112,6 @@ RunResult Run(const Scale& scale) {
     arbiter.Poll(platform.Now());
     const auto t1 = std::chrono::steady_clock::now();
     wall_us += std::chrono::duration<double, std::micro>(t1 - t0).count();
-    result.round_work.push_back(arbiter.num_tenants());
   }
   result.round_wall_us_mean = wall_us / kRounds;
   result.fairness = arbiter.FairnessIndex();
@@ -137,13 +124,7 @@ RunResult Run(const Scale& scale) {
 }
 
 void EmitFlat(std::FILE* f, const RunResult& r) {
-  std::fprintf(f,
-               "    \"flat\": {\"work_p50\": %lld, \"work_p95\": %lld, "
-               "\"work_p99\": %lld, \"fairness\": %.6f, "
-               "\"floor_violations\": %d}",
-               static_cast<long long>(PercentileOf(r.round_work, 0.50)),
-               static_cast<long long>(PercentileOf(r.round_work, 0.95)),
-               static_cast<long long>(PercentileOf(r.round_work, 0.99)),
+  std::fprintf(f, "    \"flat\": {\"fairness\": %.6f, \"floor_violations\": %d}",
                r.fairness, r.floor_violations);
 }
 
@@ -168,10 +149,8 @@ int main(int argc, char** argv) {
     std::printf("running scale %d tenants (%d cores) ...\n", scale.tenants,
                 scale.num_nodes * scale.cores_per_node);
     const RunResult flat = Run(scale);
-    std::printf(
-        "  flat: work/round p99 %lld, %.1f us/round wall, fairness %.4f\n",
-        static_cast<long long>(PercentileOf(flat.round_work, 0.99)),
-        flat.round_wall_us_mean, flat.fairness);
+    std::printf("  flat: %.1f us/round wall, fairness %.4f\n",
+                flat.round_wall_us_mean, flat.fairness);
     if (flat.floor_violations > 0) zero_floor_violations = false;
 
     std::fprintf(f, "  \"%d\": {\n", scale.tenants);

@@ -8,12 +8,9 @@
 // sides are built once and dropped whole). See README.md in this directory
 // for the design rationale.
 //
-// Both tables optionally draw their slot/payload storage from a
-// mem::NumaArena, which places the memory under the tenant's NUMA policy
-// (node-bound or interleaved); with no arena they use the global allocator,
-// unchanged. Rebuilding a table never shrinks its storage: steady-state
-// Build() calls at a stable cardinality perform zero allocations and zero
-// rehashes (see build_allocations() / rehashes()).
+// Rebuilding a table never shrinks its storage: steady-state Build() calls
+// at a stable cardinality perform zero allocations and zero rehashes (see
+// build_allocations() / rehashes()).
 
 #include <algorithm>
 #include <cstdint>
@@ -21,7 +18,6 @@
 #include <vector>
 
 #include "db/kernels/hash.h"
-#include "mem/numa_arena.h"
 #include "simcore/check.h"
 
 namespace elastic::db::kernels {
@@ -40,11 +36,6 @@ namespace elastic::db::kernels {
 /// sets fall back to linear probing on a Mix64-scattered index.
 class JoinHashTable {
  public:
-  JoinHashTable() = default;
-  explicit JoinHashTable(mem::NumaArena* arena)
-      : slots_(mem::ArenaAllocator<Slot>(arena)),
-        rows_(mem::ArenaAllocator<int64_t>(arena)) {}
-
   /// Contiguous, immutable view of the build rows holding one key.
   struct RowSpan {
     const int64_t* data = nullptr;
@@ -115,8 +106,8 @@ class JoinHashTable {
     return -1;
   }
 
-  std::vector<Slot, mem::ArenaAllocator<Slot>> slots_;
-  std::vector<int64_t, mem::ArenaAllocator<int64_t>> rows_;
+  std::vector<Slot> slots_;
+  std::vector<int64_t> rows_;
   uint64_t mask_ = 0;
   size_t num_keys_ = 0;
   bool dense_ = false;
@@ -137,13 +128,9 @@ inline bool operator==(const JoinHashTable::RowSpan& span,
 /// representative row, so results are independent of hash quality.
 class GroupKeyTable {
  public:
-  explicit GroupKeyTable(size_t expected_groups = 0,
-                         mem::NumaArena* arena = nullptr)
-      : slots_(mem::ArenaAllocator<Slot>(arena)) {
-    const size_t cap = NextPow2Capacity(expected_groups * 2);
-    slots_.assign(cap, Slot{});
-    mask_ = cap - 1;
-  }
+  explicit GroupKeyTable(size_t expected_groups = 0)
+      : slots_(NextPow2Capacity(expected_groups * 2)),
+        mask_(slots_.size() - 1) {}
 
   /// Grows capacity (once, up front) so `expected_groups` insertions stay
   /// under the 3/4 load factor without any doubling rehash.
@@ -193,10 +180,9 @@ class GroupKeyTable {
   };
 
   void Rehash(size_t new_cap) {
-    std::vector<Slot, mem::ArenaAllocator<Slot>> old = std::move(slots_);
-    slots_ = std::vector<Slot, mem::ArenaAllocator<Slot>>(old.get_allocator());
-    slots_.assign(new_cap, Slot{});
-    mask_ = slots_.size() - 1;
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(new_cap));
+    mask_ = new_cap - 1;
     for (const Slot& s : old) {
       if (s.gid < 0) continue;
       size_t i = s.hash & mask_;
@@ -206,7 +192,7 @@ class GroupKeyTable {
     if (size_ != 0) rehashes_++;  // empty-table reserve is not a rehash
   }
 
-  std::vector<Slot, mem::ArenaAllocator<Slot>> slots_;
+  std::vector<Slot> slots_;
   uint64_t mask_ = 0;
   size_t size_ = 0;
   int64_t rehashes_ = 0;

@@ -105,7 +105,7 @@ bool Grouper::FinishPacked() {
   if (num_cols > kMaxCols) return false;
   size_t stride = 0;  // packed words per row
   for (const KeyCol& key : keys_) stride += key.is_str() ? 2 : 1;
-  kernels::GroupKeyTable table(static_cast<size_t>(expected_groups_), arena_);
+  kernels::GroupKeyTable table(static_cast<size_t>(expected_groups_));
   std::vector<uint64_t> group_words;  // `stride` packed words per group
   group_words.reserve(static_cast<size_t>(expected_groups_) * stride);
   group_of_.resize(static_cast<size_t>(num_rows_));
@@ -156,7 +156,7 @@ bool Grouper::FinishPacked() {
 // with exact comparison against the representative row.
 void Grouper::FinishGeneric() {
   const size_t num_cols = keys_.size();
-  kernels::GroupKeyTable table(static_cast<size_t>(expected_groups_), arena_);
+  kernels::GroupKeyTable table(static_cast<size_t>(expected_groups_));
   group_of_.resize(static_cast<size_t>(num_rows_));
   for (int64_t row = 0; row < num_rows_; ++row) {
     const size_t r = static_cast<size_t>(row);

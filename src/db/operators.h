@@ -43,11 +43,6 @@ class HashJoin {
  public:
   using RowSpan = kernels::JoinHashTable::RowSpan;
 
-  HashJoin() = default;
-  /// Draws the build-side storage from `arena` (NUMA-placed); null keeps
-  /// the global allocator.
-  explicit HashJoin(mem::NumaArena* arena) : table_(arena) {}
-
   /// Builds on `keys` (optionally restricted to `rows`). The stored build
   /// row ids are positions in the underlying table.
   void Build(const std::vector<int64_t>& keys, const SelVec* rows = nullptr) {
@@ -98,11 +93,6 @@ class HashJoin {
 /// instead of heap-encoding a std::string per row.
 class Grouper {
  public:
-  Grouper() = default;
-  /// Draws the group-key table's storage from `arena`; null keeps the
-  /// global allocator.
-  explicit Grouper(mem::NumaArena* arena) : arena_(arena) {}
-
   void AddI64Key(std::vector<int64_t> values);
   /// String key read through a candidate list: row r's key is
   /// column[rows[r]], and no string is copied. The Grouper keeps references
@@ -155,7 +145,6 @@ class Grouper {
   std::vector<KeyCol> keys_;
   std::vector<int64_t> group_of_;
   std::vector<int64_t> rep_rows_;
-  mem::NumaArena* arena_ = nullptr;
   int64_t expected_groups_ = 64;
   int64_t num_rows_ = 0;
   int64_t num_groups_ = 0;

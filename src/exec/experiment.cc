@@ -55,15 +55,6 @@ ClientDriver& Experiment::RunWorkload(const ClientWorkload& workload,
   return *driver_;
 }
 
-int64_t Experiment::RunUntilQuiet(int64_t max_ticks) {
-  int64_t ticks = 0;
-  while (engine_->active_queries() > 0 && ticks < max_ticks) {
-    machine_->Step();
-    ticks++;
-  }
-  return ticks;
-}
-
 MultiTenantExperiment::MultiTenantExperiment(const db::Database* database,
                                              const MultiTenantOptions& options)
     : options_(options) {

@@ -66,9 +66,6 @@ class Experiment {
   ClientDriver& RunWorkload(const ClientWorkload& workload, int num_clients,
                             int64_t max_ticks);
 
-  /// Steps the machine until the engine has no active queries (bounded).
-  int64_t RunUntilQuiet(int64_t max_ticks);
-
  private:
   ExperimentOptions options_;
   std::unique_ptr<ossim::Machine> machine_;

@@ -74,10 +74,10 @@ HtapExperiment::HtapExperiment(const db::Database* database,
     olap_cpuset = arbiter_->tenant_cpuset(olap_arbiter_index_);
   }
 
+  oltp::TxnEngineOptions oltp_options = oltp_spec_.engine;
+  oltp_options.cpuset = oltp_cpuset;
   oltp_engine_ = std::make_unique<oltp::TxnEngine>(
-      machine_.get(), catalog_.get(),
-      TenantBuilder::BoundOltpEngineOptions(oltp_spec_.engine,
-                                            oltp_spec_.workload, oltp_cpuset));
+      machine_.get(), catalog_.get(), oltp_options);
 
   olap_engine_ = std::make_unique<DbmsEngine>(
       machine_.get(), catalog_.get(),

@@ -36,10 +36,6 @@ TaskGraph::~TaskGraph() {
   }
 }
 
-int64_t TaskGraph::total_jobs() const {
-  return static_cast<int64_t>(trace_->stages.size()) * options_.parallelism;
-}
-
 void TaskGraph::PrepareStage() {
   const db::TraceStage& stage = trace_->stages[static_cast<size_t>(stage_)];
   const int64_t page_bytes = catalog_->page_bytes();

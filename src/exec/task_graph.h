@@ -61,9 +61,6 @@ class TaskGraph {
   int num_stages() const { return static_cast<int>(trace_->stages.size()); }
   const db::PlanTrace& trace() const { return *trace_; }
 
-  /// Total jobs this graph will spawn (diagnostics).
-  int64_t total_jobs() const;
-
   /// Per-stage execution window (valid when options.clock was set).
   struct StageTiming {
     simcore::Tick started = 0;

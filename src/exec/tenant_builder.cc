@@ -1,9 +1,6 @@
 #include "exec/tenant_builder.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "simcore/check.h"
 
 namespace elastic::exec {
 
@@ -30,21 +27,9 @@ TenantBuilder& TenantBuilder::slo(double p99_s) {
   return *this;
 }
 
-TenantBuilder& TenantBuilder::telemetry(core::TelemetrySource source,
-                                        uint32_t caps) {
-  ELASTIC_CHECK(fillers_.empty(),
-                "raw telemetry source cannot mix with probe telemetry");
-  ELASTIC_CHECK(static_cast<bool>(source), "null telemetry source");
-  raw_source_ = std::move(source);
-  caps_ = caps;
-  return *this;
-}
-
 TenantBuilder& TenantBuilder::telemetry(
     std::function<oltp::OltpClient*()> client, int64_t probe_window_ticks,
     bool report_shed_rate) {
-  ELASTIC_CHECK(!raw_source_,
-                "probe telemetry cannot mix with a raw telemetry source");
   caps_ |= core::TelemetrySnapshot::kTail;
   fillers_.push_back([client, probe_window_ticks](
                          simcore::Tick now, core::TelemetrySnapshot* snap) {
@@ -68,8 +53,6 @@ TenantBuilder& TenantBuilder::telemetry(
 
 TenantBuilder& TenantBuilder::telemetry(
     std::function<oltp::TxnEngine*()> engine, int64_t probe_window_ticks) {
-  ELASTIC_CHECK(!raw_source_,
-                "probe telemetry cannot mix with a raw telemetry source");
   caps_ |= core::TelemetrySnapshot::kAbort | core::TelemetrySnapshot::kGoodput;
   fillers_.push_back([engine, probe_window_ticks](
                          simcore::Tick now, core::TelemetrySnapshot* snap) {
@@ -97,8 +80,6 @@ TenantBuilder& TenantBuilder::memory(mem::Policy policy,
 
 TenantBuilder& TenantBuilder::memory_telemetry(
     std::function<oltp::TxnEngine*()> engine) {
-  ELASTIC_CHECK(!raw_source_,
-                "probe telemetry cannot mix with a raw telemetry source");
   caps_ |= core::TelemetrySnapshot::kMemory;
   fillers_.push_back(
       [engine](simcore::Tick, core::TelemetrySnapshot* snap) {
@@ -122,9 +103,7 @@ core::ArbiterTenantConfig TenantBuilder::Build() const {
   config.weight = weight_;
   config.slo_p99_s = slo_p99_s_;
   config.telemetry_caps = caps_;
-  if (raw_source_) {
-    config.telemetry = raw_source_;
-  } else if (!fillers_.empty()) {
+  if (!fillers_.empty()) {
     const std::vector<Filler> fillers = fillers_;
     config.telemetry = [fillers](simcore::Tick now) {
       core::TelemetrySnapshot snap;
@@ -143,22 +122,6 @@ EngineOptions TenantBuilder::BoundEngineOptions(
   options.pool_size = pool_size;
   options.task_graph = task_graph;
   options.cpuset = cpuset;
-  return options;
-}
-
-oltp::TxnEngineOptions TenantBuilder::BoundOltpEngineOptions(
-    const oltp::TxnEngineOptions& base, const oltp::OltpWorkload& workload,
-    platform::CpusetId cpuset) {
-  oltp::TxnEngineOptions options = base;
-  options.cpuset = cpuset;
-  if (workload.kind == oltp::cc::WorkloadKind::kYcsb) {
-    options.cc.num_records =
-        std::max(options.cc.num_records, workload.ycsb.num_records);
-  } else if (workload.kind == oltp::cc::WorkloadKind::kSmallBank) {
-    options.cc.num_records =
-        std::max(options.cc.num_records,
-                 oltp::cc::SmallBankNumRecords(workload.smallbank));
-  }
   return options;
 }
 

@@ -47,11 +47,6 @@ class TenantBuilder {
   /// Target p99 in simulated seconds the slo_aware policy defends.
   TenantBuilder& slo(double p99_s);
 
-  /// Raw telemetry source with an explicit capability mask (advanced use —
-  /// tests and tenants whose signals come from outside the OLTP stack).
-  /// Exclusive with the probe-composing overloads below.
-  TenantBuilder& telemetry(core::TelemetrySource source, uint32_t caps);
-
   /// Tail-latency (and, when `report_shed_rate`, shed-rate) telemetry from
   /// an OLTP client, windowed over `probe_window_ticks`. The tail signal is
   /// the client's max(windowed p99, oldest in-flight age); shed rate closes
@@ -78,9 +73,6 @@ class TenantBuilder {
   /// the arbiter's core handout consumes.
   TenantBuilder& memory_telemetry(std::function<oltp::TxnEngine*()> engine);
 
-  mem::Policy memory_policy() const { return mem_policy_; }
-  numasim::NodeId memory_island() const { return mem_island_; }
-
   core::ArbiterTenantConfig Build() const;
 
   // -- Engine binding (the non-arbiter half of tenant wiring) --
@@ -89,14 +81,6 @@ class TenantBuilder {
   static EngineOptions BoundEngineOptions(ThreadModel model, int pool_size,
                                           const TaskGraphOptions& task_graph,
                                           platform::CpusetId cpuset);
-
-  /// OLTP engine options bound to a tenant's cpuset, with the CC key space
-  /// grown to cover the configured workload (a YCSB key space or SmallBank
-  /// account range larger than the default table would otherwise fail the
-  /// client's size check).
-  static oltp::TxnEngineOptions BoundOltpEngineOptions(
-      const oltp::TxnEngineOptions& base, const oltp::OltpWorkload& workload,
-      platform::CpusetId cpuset);
 
   /// Applies the memory() policy to OLTP engine options (no-op when
   /// memory() was never called: the options keep their own defaults).
@@ -112,7 +96,6 @@ class TenantBuilder {
   double weight_ = 1.0;
   double slo_p99_s_ = -1.0;
 
-  core::TelemetrySource raw_source_;
   uint32_t caps_ = 0;
   std::vector<Filler> fillers_;
 

@@ -1,8 +1,8 @@
 #ifndef ELASTICORE_MEM_POLICY_H_
 #define ELASTICORE_MEM_POLICY_H_
 
-// Memory-placement policies shared by the sim seam (numasim::PageTable node
-// placement) and the Linux seam (mbind on freshly mapped arena chunks).
+// Memory-placement policies for engine-owned simulated buffers, realized
+// as numasim::PageTable node placement by mem::ApplyPlacement.
 //
 //  - local_first_touch: leave placement to the OS / simulator first-touch
 //    rule — pages land on the node of the core that first writes them.

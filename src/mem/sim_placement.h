@@ -1,10 +1,9 @@
 #ifndef ELASTICORE_MEM_SIM_PLACEMENT_H_
 #define ELASTICORE_MEM_SIM_PLACEMENT_H_
 
-// Simulator half of the placement seam: realizes a mem::Policy on a
-// numasim buffer by homing its pages in the PageTable, so every subsequent
-// MemorySystem::Access charges the true local/remote/congestion cost. The
-// Linux half of the seam lives in mem::NumaArena (mbind on real mappings).
+// Realizes a mem::Policy on a numasim buffer by homing its pages in the
+// PageTable, so every subsequent MemorySystem::Access charges the true
+// local/remote/congestion cost.
 
 #include "mem/policy.h"
 #include "numasim/page_table.h"
@@ -16,8 +15,7 @@ namespace elastic::mem {
 ///  - kLocalFirstTouch: no-op; pages home on the first touching core.
 ///  - kInterleave: page-granular round-robin across `num_nodes`.
 ///  - kIslandBound: every page on `island` (falls back to interleave when
-///    the island is invalid for the topology, mirroring the Linux arena's
-///    graceful degradation).
+///    the island is invalid for the topology).
 void ApplyPlacement(numasim::PageTable* pages, numasim::BufferId buffer,
                     Policy policy, numasim::NodeId island);
 

@@ -50,9 +50,6 @@ class MemorySystem {
 
   const L3Cache& l3(NodeId node) const { return l3_[node]; }
 
-  /// Bytes already pushed through a link in the current tick.
-  int64_t LinkBytesThisTick(int link) const { return link_bytes_this_tick_[link]; }
-
   /// Per-direction link capacity per tick in bytes.
   int64_t link_capacity_per_tick() const { return link_capacity_per_tick_; }
 

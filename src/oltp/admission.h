@@ -73,9 +73,9 @@ struct AdmissionConfig {
 
   // -- Rejection handling (consumed by OltpClient, any policy) --
 
-  /// Rejected arrivals retry after `retry_backoff_ticks` (up to
-  /// `max_retries` attempts) instead of immediately counting as failed.
-  bool retry_rejected = true;
+  /// A rejected arrival retries after `retry_backoff_ticks`, up to
+  /// `max_retries` times, and then counts as failed (at once when
+  /// max_retries is 0).
   int64_t retry_backoff_ticks = 100;
   int max_retries = 3;
 };

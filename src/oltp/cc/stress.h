@@ -18,7 +18,6 @@ namespace elastic::oltp::cc {
 /// genuine interleavings (and under ThreadSanitizer in CI).
 struct StressConfig {
   ProtocolKind protocol = ProtocolKind::kTwoPhaseLock;
-  /// kYcsb or kSmallBank (kNewOrderPayment has no standalone generator).
   WorkloadKind workload = WorkloadKind::kYcsb;
   YcsbConfig ycsb;
   SmallBankConfig smallbank;

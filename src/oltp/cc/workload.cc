@@ -6,30 +6,12 @@ namespace elastic::oltp::cc {
 
 const char* WorkloadKindName(WorkloadKind kind) {
   switch (kind) {
-    case WorkloadKind::kNewOrderPayment:
-      return "neworder_payment";
     case WorkloadKind::kYcsb:
       return "ycsb";
     case WorkloadKind::kSmallBank:
       return "smallbank";
   }
   return "unknown";
-}
-
-bool WorkloadKindFromName(const std::string& name, WorkloadKind* kind) {
-  if (name == "neworder_payment") {
-    *kind = WorkloadKind::kNewOrderPayment;
-    return true;
-  }
-  if (name == "ycsb") {
-    *kind = WorkloadKind::kYcsb;
-    return true;
-  }
-  if (name == "smallbank") {
-    *kind = WorkloadKind::kSmallBank;
-    return true;
-  }
-  return false;
 }
 
 const char* SmallBankProfileName(SmallBankProfile profile) {
@@ -156,8 +138,7 @@ bool ExecuteCcTxn(Protocol& protocol, TxnCtx& ctx, const CcTxn& txn,
   };
 
   if (txn.kind != WorkloadKind::kSmallBank) {
-    // Op-list transactions: YCSB, and the classic NewOrder/Payment requests
-    // the engine translates into op lists.
+    // Op-list transactions: YCSB.
     for (const CcOp& op : txn.ops) {
       int64_t value = 0;
       if (!get(op.key, &value)) return false;

@@ -2,7 +2,6 @@
 #define ELASTICORE_OLTP_CC_WORKLOAD_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "oltp/cc/protocol.h"
@@ -10,13 +9,9 @@
 
 namespace elastic::oltp::cc {
 
-/// The transaction workloads the OLTP engine can run through the pluggable
-/// concurrency-control layer.
+/// The record-level transaction workloads the OLTP engine can run through
+/// the pluggable concurrency-control layer.
 enum class WorkloadKind {
-  /// The original NewOrder/Payment mix: single-partition transactions,
-  /// derived from TxnRequest (see DeriveClassicCcTxn in the engine). This is
-  /// the seed workload; under kPartitionLock it takes the legacy latch path.
-  kNewOrderPayment,
   /// YCSB-style read-modify-write transactions over a dense key space with
   /// a Zipfian skew knob.
   kYcsb,
@@ -28,9 +23,6 @@ enum class WorkloadKind {
 };
 
 const char* WorkloadKindName(WorkloadKind kind);
-/// Parses "neworder_payment" / "ycsb" / "smallbank". Returns false on
-/// unknown names.
-bool WorkloadKindFromName(const std::string& name, WorkloadKind* kind);
 
 /// Zipfian-distributed integers in [0, n) following Gray et al.,
 /// "Quickly Generating Billion-Record Synthetic Databases" (SIGMOD '94) —

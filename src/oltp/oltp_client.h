@@ -2,12 +2,10 @@
 #define ELASTICORE_OLTP_OLTP_CLIENT_H_
 
 #include <deque>
-#include <memory>
 #include <set>
 #include <vector>
 
 #include "oltp/admission.h"
-#include "oltp/cc/workload.h"
 #include "oltp/latency.h"
 #include "oltp/txn.h"
 #include "oltp/txn_engine.h"
@@ -41,26 +39,19 @@ struct OltpWorkload {
   int64_t burst_period_ticks = 0;
   int64_t burst_length_ticks = 0;
   int64_t burst_interval_ticks = 1;
-
-  /// Which transaction stream the client generates. kNewOrderPayment draws
-  /// classic TxnRequests from TxnMix (the seed workload — its RNG stream is
-  /// untouched by the CC layer); kYcsb / kSmallBank generate record-level
-  /// CcTxns and require the engine to run a CC protocol meaningfully (any
-  /// protocol works, including the generic PartitionLock).
-  cc::WorkloadKind kind = cc::WorkloadKind::kNewOrderPayment;
-  cc::YcsbConfig ycsb;
-  cc::SmallBankConfig smallbank;
 };
 
-/// Open-loop transaction submitter with per-transaction latency recording and
-/// an admission gate. The full arrival schedule and the request stream are
-/// precomputed from the seed, so two runs with equal seeds offer byte-
-/// identical workloads at identical ticks regardless of how the engine
-/// behaves in between. Every arrival passes through the AdmissionController
-/// before touching the engine; a rejected arrival either retries after a
-/// backoff or counts as failed (AdmissionConfig::retry_rejected), so shed
-/// work is first-class in the accounting: offered = completed + failed +
-/// still-pending, and goodput is the completed count.
+/// Open-loop NewOrder/Payment submitter with per-transaction latency
+/// recording and an admission gate. The full arrival schedule and the
+/// request stream are precomputed from the seed, so two runs with equal
+/// seeds offer byte-identical workloads at identical ticks regardless of how
+/// the engine behaves in between. Every arrival passes through the
+/// AdmissionController before touching the engine; a rejected arrival
+/// retries after a backoff until AdmissionConfig::max_retries is spent and
+/// then counts as failed, so shed work is first-class in the accounting:
+/// offered = completed + failed + still-pending, and goodput is the
+/// completed count. Admitted transactions take the engine's partition-latch
+/// path, which never aborts, so each completes exactly once.
 class OltpClient {
  public:
   OltpClient(ossim::Machine* machine, TxnEngine* engine,
@@ -74,11 +65,10 @@ class OltpClient {
   void Start();
 
   /// True when every transaction has been accounted for: completed or
-  /// (shed with retries exhausted) failed, with no admission retry or
-  /// post-abort resubmission still pending.
+  /// (shed with retries exhausted) failed, with no admission retry still
+  /// pending.
   bool AllDone() const {
     return arrived_ == workload_.total_txns && retry_queue_.empty() &&
-           cc_retry_queue_.empty() &&
            latencies_.count() + failed_ == workload_.total_txns;
   }
 
@@ -90,22 +80,15 @@ class OltpClient {
   /// retries).
   int64_t submitted() const { return submitted_; }
   int64_t completed() const { return latencies_.count(); }
-  /// Transactions dropped after exhausting their retries (or immediately,
-  /// when retry_rejected is off). completed() + failed() converges on
-  /// total_txns; goodput is completed() over the run time.
+  /// Transactions dropped after exhausting their retries (immediately when
+  /// max_retries is 0). completed() + failed() converges on total_txns;
+  /// goodput is completed() over the run time.
   int64_t failed() const { return failed_; }
   /// Shed *events* (one arrival shed n times counts n; the admission
   /// controller's view of how often the gate closed).
   int64_t shed_events() const { return admission_.shed(); }
   /// Rejected arrivals that re-entered the schedule after backoff.
   int64_t retries() const { return retries_; }
-  /// Abort events reported by the CC layer (one transaction aborted n times
-  /// counts n; every abort leads to a resubmission — aborts never fail).
-  int64_t cc_aborts() const { return cc_aborts_; }
-  /// Post-abort resubmissions handed back to the engine so far.
-  int64_t cc_retries() const { return cc_retries_; }
-  /// Tick of the last completion (-1 before the first).
-  simcore::Tick last_completion_tick() const { return last_completion_; }
 
   /// Age of the oldest still-unfinished transaction in simulated seconds
   /// (-1 when none is in flight). The *leading* tail signal: a completed-
@@ -136,31 +119,12 @@ class OltpClient {
   struct RetryEntry {
     simcore::Tick due = 0;
     TxnRequest request;
-    cc::CcTxn cc;  // the record-level payload (non-classic workloads)
     int attempts = 1;  // shed count so far for this transaction
-  };
-  /// A transaction the CC layer aborted, waiting out its backoff before
-  /// resubmission. Unlike admission retries these bypass the gate (the work
-  /// was already admitted once) and keep their first submission tick, so
-  /// the recorded latency covers the whole abort-retry-commit span.
-  struct CcRetryEntry {
-    simcore::Tick due = 0;
-    TxnRequest request;
-    cc::CcTxn cc;
-    simcore::Tick first_submit = 0;
-    int attempts = 1;  // abort count so far for this transaction
   };
 
   void PumpArrivals(simcore::Tick now);
   /// Admission decision + submit/retry/fail bookkeeping for one request.
-  void Offer(simcore::Tick now, const TxnRequest& request,
-             const cc::CcTxn& cc, int attempts);
-  /// Hands one transaction to the engine. `first_submit` is the tick the
-  /// transaction was first admitted (the current tick unless this is a
-  /// post-abort resubmission); latency is measured from it. `cc_attempts`
-  /// scales the backoff of a further abort.
-  void SubmitToEngine(const TxnRequest& request, const cc::CcTxn& cc,
-                      simcore::Tick first_submit, int cc_attempts);
+  void Offer(simcore::Tick now, const TxnRequest& request, int attempts);
 
   ossim::Machine* machine_;
   TxnEngine* engine_;
@@ -175,12 +139,6 @@ class OltpClient {
   /// retries are appended with a fixed backoff, so later rejections are due
   /// later).
   std::deque<RetryEntry> retry_queue_;
-  /// CC-aborted transactions waiting out their backoff. NOT due-ordered
-  /// (backoff scales with the attempt count), so the pump scans it.
-  std::deque<CcRetryEntry> cc_retry_queue_;
-  /// Generators of the record-level workloads (null for the classic mix).
-  std::unique_ptr<cc::YcsbGenerator> ycsb_gen_;
-  std::unique_ptr<cc::SmallBankGenerator> smallbank_gen_;
   /// Submit ticks of in-flight transactions (multiset: several can share a
   /// tick).
   std::multiset<simcore::Tick> in_flight_;
@@ -188,10 +146,7 @@ class OltpClient {
   int64_t submitted_ = 0;
   int64_t failed_ = 0;
   int64_t retries_ = 0;
-  int64_t cc_aborts_ = 0;
-  int64_t cc_retries_ = 0;
   simcore::Tick started_at_ = 0;
-  simcore::Tick last_completion_ = -1;
   LatencyRecorder latencies_;
   bool started_ = false;
 };

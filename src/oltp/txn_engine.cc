@@ -119,15 +119,9 @@ void TxnEngine::Submit(const TxnRequest& request,
   ELASTIC_CHECK(request.partition >= 0 &&
                     request.partition < options_.num_partitions,
                 "partition out of range");
-  if (options_.cc.protocol != cc::ProtocolKind::kPartitionLock) {
-    PendingTxn txn;
-    txn.request = request;
-    txn.on_complete = std::move(on_complete);
-    txn.is_cc = true;
-    txn.cc = DeriveClassicCcTxn(request);
-    SubmitCc(std::move(txn));
-    return;
-  }
+  ELASTIC_CHECK(options_.cc.protocol == cc::ProtocolKind::kPartitionLock,
+                "classic NewOrder/Payment runs on the partition latches only: "
+                "cc.protocol must be partition_lock");
   active_++;
   PendingTxn txn;
   txn.request = request;
@@ -144,18 +138,14 @@ void TxnEngine::Submit(const TxnRequest& request,
 
 void TxnEngine::Submit(const TxnRequest& request, const cc::CcTxn& txn,
                        std::function<void(bool)> on_complete) {
+  EnsureCcState();
   PendingTxn pending;
   pending.request = request;
   pending.on_complete = std::move(on_complete);
   pending.is_cc = true;
   pending.cc = txn;
-  SubmitCc(std::move(pending));
-}
-
-void TxnEngine::SubmitCc(PendingTxn txn) {
-  EnsureCcState();
   active_++;
-  Dispatch(std::move(txn));
+  Dispatch(std::move(pending));
 }
 
 void TxnEngine::EnsureCcState() {
@@ -196,34 +186,6 @@ std::vector<int64_t> TxnEngine::ResidentPagesPerNode() const {
         (cc_state_ ? pages.ResidentPagesOfBuffer(cc_state_->buffer, node) : 0);
   }
   return resident;
-}
-
-cc::CcTxn TxnEngine::DeriveClassicCcTxn(const TxnRequest& request) const {
-  const int64_t keys_per_partition =
-      std::max<int64_t>(2, options_.cc.num_records / options_.num_partitions);
-  const int64_t half = keys_per_partition / 2;
-  const int64_t base =
-      static_cast<int64_t>(request.partition) * keys_per_partition;
-  const auto neighbourhood_key = [&](int64_t offset_base, double offset) {
-    const int64_t row = static_cast<int64_t>(
-        offset * static_cast<double>(half));
-    return static_cast<uint64_t>(offset_base + std::min(row, half - 1));
-  };
-  const uint64_t customer = neighbourhood_key(base, request.customer_offset);
-  const uint64_t stock =
-      neighbourhood_key(base + half, request.stock_offset);
-  cc::CcTxn txn;
-  txn.kind = cc::WorkloadKind::kNewOrderPayment;
-  switch (request.type) {
-    case TxnType::kNewOrder:
-      txn.ops.push_back({customer, /*write=*/false});
-      txn.ops.push_back({stock, /*write=*/true});
-      break;
-    case TxnType::kPayment:
-      txn.ops.push_back({customer, /*write=*/true});
-      break;
-  }
-  return txn;
 }
 
 ossim::Job TxnEngine::ExecuteCc(PendingTxn& txn) {

@@ -64,12 +64,11 @@ struct TxnEngineOptions {
   mem::Policy mem_policy = mem::Policy::kLocalFirstTouch;
   numasim::NodeId mem_island = numasim::kInvalidNode;
 
-  /// Concurrency-control layer. With the default (kPartitionLock) protocol
-  /// the classic NewOrder/Payment workload runs on the original
-  /// partition-latch path, bit-for-bit identical to the pre-CC engine; any
-  /// other protocol — or any record-level workload submitted through the
-  /// CcTxn overload of Submit — routes through the pluggable cc::Protocol
-  /// interface, where transactions can abort and are retried by the client.
+  /// Concurrency-control layer for record-level transactions submitted
+  /// through the CcTxn overload of Submit: they run through the pluggable
+  /// cc::Protocol interface, where they can abort and the submitter owns
+  /// the retry. The classic NewOrder/Payment Submit takes the partition
+  /// latches instead and requires the default kPartitionLock protocol.
   cc::CcConfig cc;
 };
 
@@ -86,12 +85,12 @@ struct TxnEngineOptions {
 /// the engine is oblivious to the elastic mechanism — cores come and go
 /// underneath its cpuset.
 ///
-/// Beyond the classic latch path the engine executes transactions through a
-/// pluggable concurrency-control protocol (see TxnEngineOptions::cc): the
-/// record-level operations run against the CC table when the transaction is
-/// dispatched, the commit/validation happens when its simulated job
-/// completes — so the job duration is the window in which other
-/// transactions can conflict with it, and aborted attempts still burn
+/// Beside the classic latch path the engine executes record-level CcTxn
+/// submissions through a pluggable concurrency-control protocol (see
+/// TxnEngineOptions::cc): the operations run against the CC table when the
+/// transaction is dispatched, the commit/validation happens when its
+/// simulated job completes — so the job duration is the window in which
+/// other transactions can conflict with it, and aborted attempts still burn
 /// (truncated) jobs' worth of simulated work. That wasted work is what makes
 /// contention collapse visible in goodput, not just in abort counters.
 class TxnEngine {
@@ -103,11 +102,9 @@ class TxnEngine {
   TxnEngine& operator=(const TxnEngine&) = delete;
 
   /// Starts (or enqueues, when the partition latch is busy) one classic
-  /// NewOrder/Payment transaction. Under the default kPartitionLock protocol
-  /// this is the original latch path and `committed` is always true; under
-  /// any other protocol the request is translated into record-level
-  /// operations and executed through the CC layer, where it can abort —
-  /// `on_complete(false)` means the caller owns the retry.
+  /// NewOrder/Payment transaction on the partition latches; `committed` is
+  /// always true. CHECK-fails unless options().cc.protocol is
+  /// kPartitionLock: the other protocols apply to CcTxn submissions only.
   void Submit(const TxnRequest& request,
               std::function<void(bool committed)> on_complete);
 
@@ -181,9 +178,8 @@ class TxnEngine {
   };
 
   /// Lazily created CC state: nothing here exists (and no simulated pages
-  /// are allocated) until the first transaction routes through a protocol,
-  /// which keeps default PartitionLock runs bit-for-bit identical to the
-  /// pre-CC engine.
+  /// are allocated) until the first CcTxn submission or cc_table() call, so
+  /// an engine that runs only classic transactions carries none of it.
   struct CcState {
     cc::Table table;
     std::unique_ptr<cc::Protocol> protocol;
@@ -204,14 +200,6 @@ class TxnEngine {
   bool ThrottledByCpuset() const;
 
   void EnsureCcState();
-  /// Translates a classic NewOrder/Payment request into record-level
-  /// operations on the CC key space: each partition owns a contiguous slice
-  /// of keys, the customer neighbourhood maps into its lower half and the
-  /// stock neighbourhood into its upper half. NewOrder reads the customer
-  /// and read-modify-writes the stock row; Payment read-modify-writes the
-  /// customer row.
-  cc::CcTxn DeriveClassicCcTxn(const TxnRequest& request) const;
-  void SubmitCc(PendingTxn txn);
   /// Runs the transaction's operations through the protocol (aborting it on
   /// a no-wait conflict) and returns the page-access job modelling the
   /// attempt's work; Commit/Abort accounting happens at job completion.

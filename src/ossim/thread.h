@@ -102,8 +102,6 @@ struct Thread {
   int64_t remote_pages = 0;  // pages whose home node != the accessing core's
   int64_t migrations = 0;
   int64_t consecutive_ticks_on_core = 0;
-
-  bool HasWork() const { return !jobs.empty(); }
 };
 
 }  // namespace elastic::ossim

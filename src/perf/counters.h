@@ -84,11 +84,6 @@ struct CounterSet {
     for (int64_t v : l3_hits) sum += v;
     return sum;
   }
-  int64_t total_imc_bytes() const {
-    int64_t sum = 0;
-    for (int64_t v : imc_bytes) sum += v;
-    return sum;
-  }
   int64_t total_busy_cycles() const {
     int64_t sum = 0;
     for (int64_t v : core_busy_cycles) sum += v;

@@ -125,20 +125,6 @@ TEST(JoinHashTableTest, UnreservedGrowthIsCountedThenFlat) {
   EXPECT_EQ(table.build_allocations(), first_build);  // warm: storage reused
 }
 
-TEST(JoinHashTableTest, ArenaBackedTableMatchesDefaultAllocator) {
-  mem::NumaArena arena{mem::NumaArenaOptions{}};
-  JoinHashTable on_arena(&arena);
-  JoinHashTable plain;
-  const std::vector<int64_t> keys = {5, 9, 5, 42, 9, 5};
-  on_arena.Build(keys);
-  plain.Build(keys);
-  EXPECT_EQ(on_arena.num_keys(), plain.num_keys());
-  for (const int64_t key : {5, 9, 42, 7}) {
-    EXPECT_EQ(on_arena.CountOf(key), plain.CountOf(key)) << key;
-  }
-  EXPECT_GT(arena.allocated_bytes(), 0);
-}
-
 TEST(HashJoinTest, ProbeMatchesScalarReferenceOnRandomData) {
   std::mt19937_64 rng(42);
   std::vector<int64_t> build_keys(2000);

@@ -175,7 +175,6 @@ TEST(OltpClientAdmissionTest, ShedUnderBurstIsDeterministic) {
     AdmissionConfig admission;
     admission.policy = AdmissionPolicy::kQueueDepth;
     admission.max_in_flight = 6;
-    admission.retry_rejected = true;
     admission.retry_backoff_ticks = 40;
     admission.max_retries = 2;
     OltpClient client(stack.machine.get(), stack.engine.get(),
@@ -198,7 +197,6 @@ TEST(OltpClientAdmissionTest, RetryVersusFailAccounting) {
   AdmissionConfig admission;
   admission.policy = AdmissionPolicy::kQueueDepth;
   admission.max_in_flight = 6;
-  admission.retry_rejected = true;
   admission.retry_backoff_ticks = 40;
   admission.max_retries = 2;
   OltpClient client(stack.machine.get(), stack.engine.get(), BurstyWorkload(),
@@ -209,15 +207,21 @@ TEST(OltpClientAdmissionTest, RetryVersusFailAccounting) {
   EXPECT_GE(client.shed_events(), client.failed());
   // Only admitted transactions produce latency samples.
   EXPECT_EQ(client.latencies().count(), client.completed());
+  // Every shed event either re-entered the schedule as a retry or became a
+  // permanent failure — never both, never neither.
+  EXPECT_EQ(client.shed_events(), client.retries() + client.failed());
+  // Each transaction passes the gate at most once, and every admitted one
+  // completes: the partition-latch path never aborts.
+  EXPECT_EQ(client.admission().admitted(), client.completed());
 }
 
 TEST(OltpClientAdmissionTest, FailFastWithoutRetries) {
-  // retry_rejected off: every shed event is a permanent failure.
+  // No retries: every shed event is a permanent failure.
   Stack stack = MakeStack(SlowEngine());
   AdmissionConfig admission;
   admission.policy = AdmissionPolicy::kQueueDepth;
   admission.max_in_flight = 6;
-  admission.retry_rejected = false;
+  admission.max_retries = 0;
   OltpClient client(stack.machine.get(), stack.engine.get(), BurstyWorkload(),
                     /*seed=*/7, admission);
   RunToCompletion(&stack, &client);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -36,6 +37,68 @@ TxnRequest Request(int64_t id, TxnType type, int partition) {
   request.customer_offset = 0.25;
   request.stock_offset = 0.5;
   return request;
+}
+
+/// Outcome of RunYcsb: commits and aborted attempts the engine reported.
+struct CcRun {
+  int64_t commits = 0;
+  int64_t aborts = 0;
+};
+
+/// Submits `total` YCSB transactions through the engine's CcTxn entry, one
+/// per tick, and resubmits every aborted attempt after a backoff that grows
+/// with its abort count and is staggered by transaction id (two
+/// transactions that aborted on each other would otherwise collide again
+/// on every retry). Steps the machine until all of them committed.
+CcRun RunYcsb(Stack& stack, const cc::YcsbConfig& ycsb, int64_t total,
+              uint64_t seed) {
+  constexpr int64_t kBackoff = 25;
+  struct Attempt {
+    simcore::Tick due = 0;
+    TxnRequest request;
+    cc::CcTxn txn;
+    int aborts = 0;
+  };
+  cc::YcsbGenerator generator(ycsb, seed);
+  std::vector<Attempt> retries;
+  CcRun run;
+  const auto submit = [&](const Attempt& attempt) {
+    stack.engine->Submit(
+        attempt.request, attempt.txn, [&, attempt](bool committed) {
+          if (committed) {
+            run.commits++;
+            return;
+          }
+          run.aborts++;
+          Attempt retry = attempt;
+          retry.aborts++;
+          retry.due = stack.machine->clock().now() +
+                      kBackoff * std::min(retry.aborts, 8) +
+                      retry.request.id % kBackoff;
+          retries.push_back(retry);
+        });
+  };
+  int64_t arrived = 0;
+  for (int64_t tick = 0; run.commits < total && tick < 5'000'000; ++tick) {
+    const simcore::Tick now = stack.machine->clock().now();
+    for (size_t i = 0; i < retries.size();) {
+      if (retries[i].due > now) {
+        ++i;
+        continue;
+      }
+      const Attempt due = retries[i];
+      retries.erase(retries.begin() + static_cast<std::ptrdiff_t>(i));
+      submit(due);
+    }
+    if (arrived < total) {
+      Attempt fresh;
+      fresh.request.id = arrived++;
+      fresh.txn = generator.Next();
+      submit(fresh);
+    }
+    stack.machine->Step();
+  }
+  return run;
 }
 
 TEST(TxnEngineTest, RunsBothProfilesToCompletion) {
@@ -138,48 +201,6 @@ TEST(TxnEngineTest, OpenLoopArrivalsDoNotWaitForCompletions) {
   EXPECT_EQ(client.completed(), 32);
 }
 
-TEST(TxnEngineTest, CcAbortedTxnLatencyMeasuredFromFirstAdmission) {
-  // Regression test for the restart-clock bug: an aborted-then-retried
-  // transaction's latency must cover the whole span since it was FIRST
-  // admitted — the time burnt in the aborted attempt and the retry backoff
-  // is latency the caller experienced. Resetting the clock on resubmission
-  // would report only the final attempt's duration, hiding exactly the
-  // delays contention causes. With a backoff far above any single job
-  // duration, the max recorded latency separates the two behaviours
-  // cleanly: >= backoff only when measured from first admission.
-  constexpr int64_t kBackoff = 50'000;
-  TxnEngineOptions options;
-  options.cc.protocol = cc::ProtocolKind::kTwoPhaseLock;
-  options.cc.num_records = 64;  // hot key space: conflicts guaranteed
-  options.cc.retry_backoff_ticks = kBackoff;
-  options.cpu_cycles_per_page = 5'000'000;  // multi-tick conflict windows
-  Stack stack = MakeStack(options);
-
-  OltpWorkload workload;
-  workload.kind = cc::WorkloadKind::kYcsb;
-  workload.ycsb.num_records = 64;
-  workload.ycsb.theta = 0.9;
-  workload.total_txns = 64;
-  workload.arrival_interval_ticks = 1;  // pile up in-flight transactions
-  OltpClient client(stack.machine.get(), stack.engine.get(), workload,
-                    /*seed=*/11);
-  client.Start();
-  int64_t ticks = 0;
-  while (!client.AllDone() && ticks < 5'000'000) {
-    stack.machine->Step();
-    ticks++;
-  }
-  ASSERT_TRUE(client.AllDone());
-  // Aborts never fail the transaction — every arrival eventually commits.
-  EXPECT_EQ(client.completed(), workload.total_txns);
-  EXPECT_EQ(client.failed(), 0);
-  ASSERT_GT(client.cc_aborts(), 0) << "no contention: test proves nothing";
-  EXPECT_EQ(client.cc_retries(), client.cc_aborts());
-  // At least one transaction sat out a backoff; its recorded latency must
-  // include it.
-  EXPECT_GE(client.latencies().PercentileTicks(1.0), kBackoff);
-}
-
 TEST(TxnEngineTest, SurfacesCcCountersAndRecentAbortFraction) {
   TxnEngineOptions options;
   options.cc.protocol = cc::ProtocolKind::kTicToc;
@@ -187,23 +208,13 @@ TEST(TxnEngineTest, SurfacesCcCountersAndRecentAbortFraction) {
   options.cpu_cycles_per_page = 5'000'000;
   Stack stack = MakeStack(options);
 
-  OltpWorkload workload;
-  workload.kind = cc::WorkloadKind::kYcsb;
-  workload.ycsb.num_records = 64;
-  workload.ycsb.theta = 0.9;
-  workload.total_txns = 64;
-  workload.arrival_interval_ticks = 1;
-  OltpClient client(stack.machine.get(), stack.engine.get(), workload,
-                    /*seed=*/11);
-  client.Start();
-  int64_t ticks = 0;
-  while (!client.AllDone() && ticks < 5'000'000) {
-    stack.machine->Step();
-    ticks++;
-  }
-  ASSERT_TRUE(client.AllDone());
-  EXPECT_EQ(stack.engine->cc_commits(), workload.total_txns);
-  EXPECT_EQ(stack.engine->cc_aborts(), client.cc_aborts());
+  cc::YcsbConfig ycsb;
+  ycsb.num_records = 64;
+  ycsb.theta = 0.9;
+  const CcRun run = RunYcsb(stack, ycsb, /*total=*/64, /*seed=*/11);
+  ASSERT_EQ(run.commits, 64);
+  EXPECT_EQ(stack.engine->cc_commits(), 64);
+  EXPECT_EQ(stack.engine->cc_aborts(), run.aborts);
   // OCC aborts are validation failures, not lock conflicts.
   EXPECT_GT(stack.engine->cc_validation_failures(), 0);
   EXPECT_EQ(stack.engine->cc_lock_conflicts(), 0);
@@ -223,19 +234,9 @@ TEST(TxnEngineTest, IslandBoundPlacementPinsEngineSlabs) {
   options.mem_island = 2;
   Stack stack = MakeStack(options);
 
-  OltpWorkload workload;
-  workload.kind = cc::WorkloadKind::kYcsb;
-  workload.ycsb.num_records = 4096;
-  workload.total_txns = 16;
-  workload.arrival_interval_ticks = 1;
-  OltpClient client(stack.machine.get(), stack.engine.get(), workload, 11);
-  client.Start();
-  int64_t ticks = 0;
-  while (!client.AllDone() && ticks < 5'000'000) {
-    stack.machine->Step();
-    ticks++;
-  }
-  ASSERT_TRUE(client.AllDone());
+  cc::YcsbConfig ycsb;
+  ycsb.num_records = 4096;
+  ASSERT_EQ(RunYcsb(stack, ycsb, /*total=*/16, /*seed=*/11).commits, 16);
 
   // Every engine-owned page (log slabs + CC table) is homed on the island,
   // no matter which nodes the workers ran on.
@@ -260,23 +261,25 @@ TEST(TxnEngineTest, DefaultPlacementLeavesFirstTouchHoming) {
   Stack stack = MakeStack(options);
   EXPECT_EQ(stack.engine->RemotePageFraction(), -1.0);  // no accesses yet
 
-  OltpWorkload workload;
-  workload.kind = cc::WorkloadKind::kYcsb;
-  workload.ycsb.num_records = 4096;
-  workload.total_txns = 16;
-  workload.arrival_interval_ticks = 1;
-  OltpClient client(stack.machine.get(), stack.engine.get(), workload, 11);
-  client.Start();
-  int64_t ticks = 0;
-  while (!client.AllDone() && ticks < 5'000'000) {
-    stack.machine->Step();
-    ticks++;
-  }
-  ASSERT_TRUE(client.AllDone());
+  cc::YcsbConfig ycsb;
+  ycsb.num_records = 4096;
+  ASSERT_EQ(RunYcsb(stack, ycsb, /*total=*/16, /*seed=*/11).commits, 16);
   const std::vector<int64_t> resident = stack.engine->ResidentPagesPerNode();
   int64_t total = 0;
   for (const int64_t pages : resident) total += pages;
   EXPECT_GT(total, 0);
+}
+
+TEST(TxnEngineDeathTest, ClassicSubmitNeedsPartitionLock) {
+  // The classic NewOrder/Payment path takes partition latches only. A
+  // config that names another protocol must fail loudly instead of
+  // silently running its transactions on the latches.
+  TxnEngineOptions options;
+  options.cc.protocol = cc::ProtocolKind::kTwoPhaseLock;
+  Stack stack = MakeStack(options);
+  EXPECT_DEATH(stack.engine->Submit(Request(0, TxnType::kPayment, 0),
+                                    [](bool) {}),
+               "partition_lock");
 }
 
 }  // namespace

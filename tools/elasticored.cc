@@ -23,14 +23,18 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/arbiter.h"
@@ -102,6 +106,34 @@ void Usage() {
       "  --inject-seed <n>    seed of the injection schedule (default 1)\n");
 }
 
+/// Parses all of `text` as a decimal integer or a finite floating-point
+/// number that fits in T. Empty text, leading blanks, trailing characters
+/// ("12abc", "1s") and out-of-range values fail, leaving `out` untouched.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  static_assert(std::is_floating_point_v<T> || std::is_signed_v<T>,
+                "integers parse through strtoll");
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_floating_point_v<T>) {
+    const double value = std::strtod(text.c_str(), &end);
+    if (*end != '\0' || errno != 0 || !std::isfinite(value)) return false;
+    *out = static_cast<T>(value);
+  } else {
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (*end != '\0' || errno != 0 ||
+        value < static_cast<long long>(std::numeric_limits<T>::min()) ||
+        value > static_cast<long long>(std::numeric_limits<T>::max())) {
+      return false;
+    }
+    *out = static_cast<T>(value);
+  }
+  return true;
+}
+
 bool ParseInject(const std::string& spec, platform::FaultRule* out) {
   bool have_kind = false;
   size_t pos = 0;
@@ -113,6 +145,7 @@ bool ParseInject(const std::string& spec, platform::FaultRule* out) {
     if (eq == std::string::npos) return false;
     const std::string key = field.substr(0, eq);
     const std::string value = field.substr(eq + 1);
+    bool ok = true;
     if (key == "kind") {
       have_kind = true;
       if (value == "cpuset_write") out->kind = platform::FaultKind::kCpusetWriteFail;
@@ -121,11 +154,12 @@ bool ParseInject(const std::string& spec, platform::FaultRule* out) {
       else if (value == "clock_stall") out->kind = platform::FaultKind::kClockStall;
       else if (value == "tick_delay") out->kind = platform::FaultKind::kTickDelay;
       else return false;
-    } else if (key == "target") out->target = std::atoi(value.c_str());
-    else if (key == "from") out->from = std::atoll(value.c_str());
-    else if (key == "until") out->until = std::atoll(value.c_str());
-    else if (key == "prob") out->probability = std::atof(value.c_str());
+    } else if (key == "target") ok = ParseNumber(value, &out->target);
+    else if (key == "from") ok = ParseNumber(value, &out->from);
+    else if (key == "until") ok = ParseNumber(value, &out->until);
+    else if (key == "prob") ok = ParseNumber(value, &out->probability);
     else return false;
+    if (!ok) return false;
     pos = comma + 1;
   }
   return have_kind && out->until >= out->from;
@@ -141,13 +175,15 @@ bool ParseTenant(const std::string& spec, TenantFlag* out) {
     if (eq == std::string::npos) return false;
     const std::string key = field.substr(0, eq);
     const std::string value = field.substr(eq + 1);
+    bool ok = true;
     if (key == "name") out->name = value;
-    else if (key == "pid") out->pid = std::atol(value.c_str());
-    else if (key == "initial") out->initial = std::atoi(value.c_str());
-    else if (key == "max") out->max = std::atoi(value.c_str());
-    else if (key == "weight") out->weight = std::atof(value.c_str());
+    else if (key == "pid") ok = ParseNumber(value, &out->pid);
+    else if (key == "initial") ok = ParseNumber(value, &out->initial);
+    else if (key == "max") ok = ParseNumber(value, &out->max);
+    else if (key == "weight") ok = ParseNumber(value, &out->weight);
     else if (key == "mode") out->mode = value;
     else return false;
+    if (!ok) return false;
     pos = comma + 1;
   }
   return out->initial >= 1 && out->weight > 0.0;
@@ -173,31 +209,42 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](auto* out) {
+      const char* value = next();
+      if (!ParseNumber(value, out)) {
+        std::fprintf(stderr, "elasticored: bad %s value '%s'\n", arg.c_str(),
+                     value);
+        std::exit(2);
+      }
+    };
     if (arg == "--policy") policy = next();
-    else if (arg == "--period-ms") period_ms = std::atol(next());
-    else if (arg == "--rounds") rounds = std::atol(next());
+    else if (arg == "--period-ms") number(&period_ms);
+    else if (arg == "--rounds") number(&rounds);
     else if (arg == "--cgroup-root") platform_options.cgroup_root = next();
-    else if (arg == "--nodes") platform_options.num_nodes = std::atoi(next());
-    else if (arg == "--cores-per-node") {
-      platform_options.cores_per_node = std::atoi(next());
-    } else if (arg == "--dry-run") platform_options.dry_run = true;
+    else if (arg == "--nodes") number(&platform_options.num_nodes);
+    else if (arg == "--cores-per-node") number(&platform_options.cores_per_node);
+    else if (arg == "--dry-run") platform_options.dry_run = true;
     else if (arg == "--print-ops") print_ops = true;
     else if (arg == "--tenant") {
+      const char* spec = next();
       TenantFlag tenant;
-      if (!ParseTenant(next(), &tenant)) {
-        std::fprintf(stderr, "elasticored: bad --tenant spec\n");
+      if (!ParseTenant(spec, &tenant)) {
+        std::fprintf(stderr, "elasticored: bad --tenant spec '%s'\n", spec);
         return 2;
       }
       tenants.push_back(tenant);
     } else if (arg == "--inject") {
+      const char* spec = next();
       platform::FaultRule rule;
-      if (!ParseInject(next(), &rule)) {
-        std::fprintf(stderr, "elasticored: bad --inject spec\n");
+      if (!ParseInject(spec, &rule)) {
+        std::fprintf(stderr, "elasticored: bad --inject spec '%s'\n", spec);
         return 2;
       }
       schedule.rules.push_back(rule);
     } else if (arg == "--inject-seed") {
-      schedule.seed = static_cast<uint64_t>(std::atoll(next()));
+      long long seed = 0;
+      number(&seed);
+      schedule.seed = static_cast<uint64_t>(seed);
     } else {
       Usage();
       return arg == "--help" ? 0 : 2;
