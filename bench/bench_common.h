@@ -1,15 +1,9 @@
 #ifndef ELASTICORE_BENCH_BENCH_COMMON_H_
 #define ELASTICORE_BENCH_BENCH_COMMON_H_
 
-// Shared setup for the figure-reproduction harnesses.
-//
-// Scale note (see docs/ARCHITECTURE.md): the paper ran TPC-H at scale
-// factor 1 (1 GB)
-// on real hardware; these harnesses run the machine simulation at SF 0.15,
-// where a single lineitem column (~1760 pages) already exceeds a socket's L3
-// (1536 page frames) — the same qualitative regime as the paper's 1 GB vs
-// 6 MB L3 — while every bench finishes in seconds. Absolute numbers are
-// therefore scaled; the comparisons and shapes are what reproduce the paper.
+// Shared setup of the bench harnesses: the TPC-H database at SF 0.15 (see
+// the scale note in docs/ARCHITECTURE.md), its query plan traces, the seed
+// and the --out flag.
 //
 // JSON emission convention: harnesses that track a performance trajectory
 // over PRs (micro_query_kernels being the first) write machine-readable
@@ -52,11 +46,7 @@ inline std::string JsonOutPath(int argc, char** argv,
   return out;
 }
 
-// Concurrency regime of the comparison figures. The paper drove 256 real
-// clients against a DBMS whose internal contention kept CPU load inside the
-// 10..70 band; our simulated engine has no software contention, so the same
-// demand is produced with moderately fewer clients plus client think time.
-inline constexpr int kBenchClients = 64;
+// Client think time and connection ramp of the concurrent workloads.
 inline constexpr int64_t kBenchThinkTicks = 900;
 inline constexpr int64_t kBenchRampTicks = 600;
 
@@ -79,69 +69,6 @@ inline const db::PlanTrace& QueryTrace(int q) {
     it = kCache->emplace(q, db::RunTpchQuery(BenchDb(), q).trace).first;
   }
   return it->second;
-}
-
-/// Trace of the thetasubselect microbenchmark at a given selectivity.
-inline db::PlanTrace ThetaTrace(double selectivity) {
-  return db::RunThetaSubselect(BenchDb(), selectivity).trace;
-}
-
-/// The four configurations every comparison figure uses.
-inline const std::vector<std::string>& Policies() {
-  static const std::vector<std::string>* kPolicies =
-      new std::vector<std::string>{"os", "dense", "sparse", "adaptive"};
-  return *kPolicies;
-}
-
-/// Display name matching the paper's legends.
-inline std::string PolicyLabel(const std::string& policy,
-                               const std::string& engine = "MonetDB") {
-  if (policy == "os") return "OS/" + engine;
-  std::string label = policy;
-  label[0] = static_cast<char>(toupper(label[0]));
-  return label;
-}
-
-/// Default experiment options for a policy (MonetDB-style engine).
-inline exec::ExperimentOptions PolicyOptions(const std::string& policy) {
-  exec::ExperimentOptions options;
-  options.policy = policy;
-  options.monitor_period_ticks = 20;
-  options.placement = exec::BasePlacement::kTableAffine;
-  options.seed = kBenchSeed;
-  return options;
-}
-
-struct RunResult {
-  double throughput_qps = 0.0;
-  double mean_latency_s = 0.0;
-  int64_t completed = 0;
-  perf::WindowStats window;
-};
-
-/// Runs `rounds` queries per client over `trace` under a policy and returns
-/// throughput plus the counter deltas of the run.
-inline RunResult RunFixedWorkload(const exec::ExperimentOptions& options,
-                                  const db::PlanTrace& trace, int clients,
-                                  int rounds, int64_t think_ticks = 0,
-                                  int64_t ramp_ticks = 0) {
-  exec::Experiment experiment(&BenchDb(), options);
-  perf::Sampler sampler(&experiment.machine().counters(),
-                        &experiment.machine().clock());
-  exec::ClientWorkload workload;
-  workload.mode = exec::WorkloadMode::kFixedQuery;
-  workload.traces = {&trace};
-  workload.queries_per_client = rounds;
-  workload.think_ticks = think_ticks;
-  workload.ramp_ticks = ramp_ticks;
-  exec::ClientDriver& driver =
-      experiment.RunWorkload(workload, clients, 5'000'000);
-  RunResult result;
-  result.throughput_qps = driver.ThroughputQps();
-  result.mean_latency_s = driver.MeanLatencySeconds();
-  result.completed = driver.completed();
-  result.window = sampler.Sample();
-  return result;
 }
 
 }  // namespace elastic::bench

@@ -29,7 +29,6 @@ OltpContentionExperiment::OltpContentionExperiment(
   engine_options.cpu_cycles_per_page = options_.cpu_cycles_per_page;
   engine_options.cc.protocol = options_.protocol;
   engine_options.cc.record_history = options_.record_history;
-  engine_options.cc.retry_backoff_ticks = options_.retry_backoff_ticks;
   engine_options.cc.num_records =
       options_.workload == oltp::cc::WorkloadKind::kSmallBank
           ? oltp::cc::SmallBankNumRecords(options_.smallbank)
@@ -206,7 +205,6 @@ ContentionArbiterExperiment::ContentionArbiterExperiment(
     engine_options.cpu_cycles_per_page = options_.cpu_cycles_per_page;
     engine_options.cc.protocol = spec.protocol;
     engine_options.cc.num_records = spec.ycsb.num_records;
-    engine_options.cc.retry_backoff_ticks = options_.retry_backoff_ticks;
     builder.ApplyMemory(&engine_options);
     rt.engine = std::make_unique<oltp::TxnEngine>(machine_.get(),
                                                   /*catalog=*/nullptr,

@@ -49,8 +49,6 @@ struct CcConfig {
   /// Record CommittedTxn footprints for every commit (serializability
   /// checking; costs memory proportional to the run).
   bool record_history = false;
-  /// Client-side backoff before an aborted transaction is resubmitted.
-  int64_t retry_backoff_ticks = 25;
   /// Keys per simulated page when mapping CC operations onto page-access
   /// jobs (the simulator's cost model).
   int64_t rows_per_page = 64;

@@ -16,7 +16,7 @@ them into:
       not blocked on: performance trajectories are allowed to move.
 
 The strict files are held to a stronger invariant: *any* difference,
-including drift, is a FAIL. They are the seven outputs that
+including drift, is a FAIL. They are the nine outputs that
 tools/check_strict_bench.py regenerates, taken from its STRICT_BENCHES so
 that one list names them. Each is a deterministic simulation, so drift
 there means arbitration decisions or simulated outcomes changed, which
@@ -155,12 +155,13 @@ def self_test():
         compare_values("t", prev, curr, findings)
         return findings
 
-    # The strict set is check_strict_bench's list, all seven files of it.
+    # The strict set is check_strict_bench's list, all nine files of it.
     expected_strict = {
         "BENCH_multi_tenant_arbiter.json", "BENCH_htap_slo.json",
         "BENCH_htap_slo_sweep.json", "BENCH_chaos_arbiter.json",
         "BENCH_contention_policy.json", "BENCH_arbiter_scale.json",
-        "BENCH_numa_islands.json",
+        "BENCH_numa_islands.json", "BENCH_oltp_contention.json",
+        "BENCH_paper_claims.json",
     }
     if STRICT_FILES != expected_strict:
         print(f"self-test strict-set: expected {sorted(expected_strict)}, "

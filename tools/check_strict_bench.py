@@ -3,12 +3,13 @@
 
   python3 tools/check_strict_bench.py [--build-dir build]
 
-The seven strict benches are deterministic simulations, so their committed
+The nine strict benches are deterministic simulations, so their committed
 output must be exactly what the code produces. This regenerates each at its
 default size into a temporary directory, running the binaries of a built
 tree, and compares every file byte for byte with the copy at the repository
 root. It prints one line per file and exits non-zero when a file differs or
-a bench fails. numa_islands takes about a minute, the rest under 25 s.
+a bench fails. numa_islands takes about a minute, paper_claims about 15 s,
+the rest under 25 s together.
 
 Registered with ctest as bench/strict_files_match, which runs only under
 `ctest -C bench`; CI runs it after the smoke steps.
@@ -32,6 +33,8 @@ STRICT_BENCHES = [
     ("contention_policy", [], "BENCH_contention_policy.json"),
     ("arbiter_scale", [], "BENCH_arbiter_scale.json"),
     ("numa_islands", [], "BENCH_numa_islands.json"),
+    ("oltp_contention", [], "BENCH_oltp_contention.json"),
+    ("paper_claims", [], "BENCH_paper_claims.json"),
 ]
 
 
