@@ -1,7 +1,9 @@
 // Microbenchmarks of the mechanism itself (Section V: "the flow of tokens
 // takes on average 0.017 s (dense) / 0.021 s (sparse) / 0.031 s (adaptive)"
 // on the paper's hardware; here we measure the host-CPU cost of one
-// rule-condition-action round per mode, plus the underlying primitives).
+// rule-condition-action round per mode — a one-tenant CoreArbiter round,
+// as the paper-figure experiments run it — plus the underlying
+// primitives).
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +12,7 @@
 #include <vector>
 
 #include "core/allocation_mode.h"
+#include "core/arbiter.h"
 #include "core/mechanism.h"
 #include "core/node_priority_queue.h"
 #include "ossim/machine.h"
@@ -23,21 +26,25 @@ namespace {
 void BM_TokenFlowPerMode(benchmark::State& state, const std::string& mode) {
   ossim::Machine machine{ossim::MachineOptions{}};
   platform::SimPlatform platform(&machine);
-  core::MechanismConfig config;
-  config.initial_cores = 4;
-  core::ElasticMechanism mechanism(
-      &platform, core::MakeMode(mode, &machine.topology()), config);
-  mechanism.Install();
+  core::ArbiterConfig arbiter_config;
+  arbiter_config.log_rounds = false;
+  arbiter_config.register_tick_hook = false;
+  core::CoreArbiter arbiter(&platform, arbiter_config);
+  core::ArbiterTenantConfig tenant;
+  tenant.mechanism.initial_cores = 4;
+  tenant.mode = mode;
+  arbiter.AddTenant(tenant);
+  arbiter.Install();
   int64_t tick = 1;
   for (auto _ : state) {
     // Alternate load so every sub-net (idle/stable/overload) fires.
     const double load = (tick % 3 == 0) ? 99.0 : (tick % 3 == 1 ? 40.0 : 2.0);
-    for (int core : mechanism.allocated_mask().ToCores()) {
+    for (int core : arbiter.tenant_mask(0).ToCores()) {
       machine.counters().core_busy_cycles[static_cast<size_t>(core)] +=
           static_cast<int64_t>(load / 100.0 * 2.8e6 * 10);
     }
     machine.clock().Advance(10);
-    mechanism.Poll(tick * 10);
+    arbiter.Poll(tick * 10);
     tick++;
   }
 }
@@ -117,19 +124,23 @@ BENCHMARK(BM_PriorityQueueUpdate)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_MaskInstallation(benchmark::State& state) {
   ossim::Machine machine{ossim::MachineOptions{}};
-  // Threads that must be evacuated whenever the mask shrinks.
+  const ossim::CpusetId cpuset =
+      machine.scheduler().CreateCpuset(platform::CpuMask::FirstN(16));
+  // Threads of the cpuset that must be evacuated whenever its mask shrinks.
   for (int i = 0; i < 16; ++i) {
     ossim::Job job;
     job.cpu_cycles_per_page = 1;
     const numasim::BufferId buffer = machine.page_table().CreateBuffer(1 << 20);
     job.ranges.push_back(ossim::PageRange{buffer, 0, 1 << 20, false});
-    machine.scheduler().SpawnOneShot(std::move(job), std::nullopt, nullptr);
+    machine.scheduler().SpawnOneShot(std::move(job), std::nullopt, nullptr,
+                                     cpuset);
   }
   machine.RunFor(1);
   bool narrow = true;
   for (auto _ : state) {
-    machine.scheduler().SetAllowedMask(narrow ? platform::CpuMask::FirstN(2)
-                                              : platform::CpuMask::FirstN(16));
+    machine.scheduler().SetCpusetMask(cpuset,
+                                      narrow ? platform::CpuMask::FirstN(2)
+                                             : platform::CpuMask::FirstN(16));
     narrow = !narrow;
   }
 }

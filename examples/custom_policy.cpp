@@ -6,6 +6,11 @@
 //      L3 currently misses the least, i.e. has the most headroom), and
 //   2. a custom PrT strategy configuration (tighter stability band).
 //
+// It drives the mechanism's managed API itself: each monitoring round it
+// asks the net for a decision (Decide), lets the custom mode pick the core
+// to add or remove, installs the mask into a cpuset it owns and records the
+// grant (CommitGrant) — the round a CoreArbiter runs for each tenant.
+//
 //   $ ./examples/custom_policy
 
 #include <cstdio>
@@ -39,12 +44,12 @@ class LeastMissesMode : public core::AllocationMode {
     }
   }
 
-  numasim::CoreId NextToAllocate(const platform::CpuMask& current) override {
+  numasim::CoreId NextToAllocate(const platform::CpuMask& taken) override {
     numasim::CoreId best = numasim::kInvalidCore;
     int64_t best_misses = 0;
     for (int node = 0; node < topology_->num_nodes(); ++node) {
       for (numasim::CoreId core : topology_->CoresOfNode(node)) {
-        if (current.Has(core)) continue;
+        if (taken.Has(core)) continue;
         if (best == numasim::kInvalidCore || misses_[node] < best_misses) {
           best = core;
           best_misses = misses_[node];
@@ -91,17 +96,38 @@ int main() {
   ossim::Machine machine(machine_options);
   exec::BaseCatalog catalog(&machine.page_table(), database,
                             exec::BasePlacement::kChunkedRoundRobin, 4096);
-  exec::DbmsEngine engine(&machine, &catalog, exec::EngineOptions{});
 
   // Custom strategy: a narrower stability band than the paper's 10/70.
   core::MechanismConfig config;
   config.thmin = 20.0;
   config.thmax = 60.0;
-  config.monitor_period_ticks = 5;
+  constexpr int kPeriod = 5;
   platform::SimPlatform platform(&machine);
   core::ElasticMechanism mechanism(
       &platform, std::make_unique<LeastMissesMode>(&machine.topology()), config);
-  mechanism.Install();
+
+  // The DBMS runs in a cpuset this example owns, starting on the mode's
+  // first core.
+  platform::CpuMask initial;
+  initial.Set(mechanism.mode().NextToAllocate(initial));
+  const platform::CpusetId cpuset = platform.CreateCpuset("dbms", initial);
+  exec::EngineOptions engine_options;
+  engine_options.cpuset = cpuset;
+  exec::DbmsEngine engine(&machine, &catalog, engine_options);
+  mechanism.InstallManaged(initial);
+
+  platform.AddTickHook([&](simcore::Tick now) {
+    if (now == 0 || now % kPeriod != 0) return;
+    const core::ElasticMechanism::Decision decision = mechanism.Decide(now);
+    platform::CpuMask mask = mechanism.allocated_mask();
+    if (decision.desired > decision.current) {
+      mask.Set(mechanism.mode().NextToAllocate(mask));
+    } else if (decision.desired < decision.current) {
+      mask.Clear(mechanism.mode().NextToRelease(mask));
+    }
+    platform.SetCpusetMask(cpuset, mask);
+    mechanism.CommitGrant(mask, now, decision);
+  });
 
   exec::ClientWorkload workload;
   workload.traces = {&q6.trace};

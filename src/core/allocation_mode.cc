@@ -28,6 +28,11 @@ numasim::CoreId LastIn(const std::vector<numasim::CoreId>& order,
 
 }  // namespace
 
+numasim::CoreId AllocationMode::NextToAllocate(const platform::CpuMask& taken) {
+  (void)taken;
+  return numasim::kInvalidCore;
+}
+
 void AllocationMode::Observe(const perf::WindowStats& window) { (void)window; }
 
 SparseMode::SparseMode(const numasim::Topology* topology) {
@@ -41,8 +46,8 @@ SparseMode::SparseMode(const numasim::Topology* topology) {
   }
 }
 
-numasim::CoreId SparseMode::NextToAllocate(const platform::CpuMask& current) {
-  return FirstNotIn(order_, current);
+numasim::CoreId SparseMode::NextToAllocate(const platform::CpuMask& taken) {
+  return FirstNotIn(order_, taken);
 }
 
 numasim::CoreId SparseMode::NextToRelease(const platform::CpuMask& current) {
@@ -58,10 +63,6 @@ DenseMode::DenseMode(const numasim::Topology* topology) {
       order_.push_back(topology->CoreAt(i, j));
     }
   }
-}
-
-numasim::CoreId DenseMode::NextToAllocate(const platform::CpuMask& current) {
-  return FirstNotIn(order_, current);
 }
 
 numasim::CoreId DenseMode::NextToRelease(const platform::CpuMask& current) {
@@ -80,12 +81,20 @@ void AdaptivePriorityMode::Observe(const perf::WindowStats& window) {
   queue_.Update(pages_);
 }
 
-numasim::CoreId AdaptivePriorityMode::NextToAllocate(const platform::CpuMask& current) {
+numasim::CoreId AdaptivePriorityMode::NextToAllocate(const platform::CpuMask& taken) {
+  // No page access observed yet (or none reported: /proc/stat has no
+  // per-node traffic) means no working set to follow, so the arbiter's
+  // handout picks.
+  bool observed = false;
+  for (numasim::NodeId node = 0; node < queue_.num_nodes(); ++node) {
+    observed = observed || queue_.Score(node) > 0.0;
+  }
+  if (!observed) return numasim::kInvalidCore;
   // Highest-priority node that still has a free core; inside a node, lowest
   // core id first.
   for (numasim::NodeId node : queue_.ByPriorityDescending()) {
     for (numasim::CoreId core : topology_->CoresOfNode(node)) {
-      if (!current.Has(core)) return core;
+      if (!taken.Has(core)) return core;
     }
   }
   return numasim::kInvalidCore;

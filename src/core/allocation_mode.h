@@ -20,9 +20,12 @@ class AllocationMode {
 
   virtual const std::string& name() const = 0;
 
-  /// Next core to hand to the OS, given the currently allocated mask.
-  /// Returns kInvalidCore when every core is already allocated.
-  virtual numasim::CoreId NextToAllocate(const platform::CpuMask& current) = 0;
+  /// Next core to hand to the OS. `taken` holds every core the mode may
+  /// not pick: the tenant's own and the other tenants' of its CoreArbiter.
+  /// Returns kInvalidCore when every core is taken, and always for a mode
+  /// with no grow order of its own, which leaves the pick to the arbiter's
+  /// NUMA-aware handout.
+  virtual numasim::CoreId NextToAllocate(const platform::CpuMask& taken);
 
   /// Core to take back from the OS. Returns kInvalidCore when the mask
   /// holds at most one core (the mechanism never empties the cpuset).
@@ -40,7 +43,7 @@ class SparseMode : public AllocationMode {
  public:
   explicit SparseMode(const numasim::Topology* topology);
   const std::string& name() const override { return name_; }
-  numasim::CoreId NextToAllocate(const platform::CpuMask& current) override;
+  numasim::CoreId NextToAllocate(const platform::CpuMask& taken) override;
   numasim::CoreId NextToRelease(const platform::CpuMask& current) override;
 
  private:
@@ -48,13 +51,15 @@ class SparseMode : public AllocationMode {
   std::vector<numasim::CoreId> order_;
 };
 
-/// Dense mode: iterates over (j, i) filling a NUMA node completely before
-/// moving to the next — order 0, 1, 2, 3, 4, 5, ...
+/// Dense mode: fills a NUMA node completely before moving to the next. It
+/// keeps no grow order of its own: the arbiter's handout (PickCoreFor)
+/// clusters grows on the node where the tenant holds the most cores, which
+/// for a lone tenant is the order 0, 1, 2, 3, 4, 5, ..., and carries the
+/// island-affinity score. Releases walk that order backwards.
 class DenseMode : public AllocationMode {
  public:
   explicit DenseMode(const numasim::Topology* topology);
   const std::string& name() const override { return name_; }
-  numasim::CoreId NextToAllocate(const platform::CpuMask& current) override;
   numasim::CoreId NextToRelease(const platform::CpuMask& current) override;
 
  private:
@@ -65,12 +70,13 @@ class DenseMode : public AllocationMode {
 /// Adaptive priority mode (Section IV-B-2): a priority queue tracks how much
 /// memory the database working set holds on each node. Cores are allocated
 /// on the node with the most pages (top priority) and released from the node
-/// with the fewest (bottom priority).
+/// with the fewest (bottom priority). Until a window shows any page access
+/// there is no working set to follow, and grows go to the arbiter's handout.
 class AdaptivePriorityMode : public AllocationMode {
  public:
   AdaptivePriorityMode(const numasim::Topology* topology, double decay = 0.5);
   const std::string& name() const override { return name_; }
-  numasim::CoreId NextToAllocate(const platform::CpuMask& current) override;
+  numasim::CoreId NextToAllocate(const platform::CpuMask& taken) override;
   numasim::CoreId NextToRelease(const platform::CpuMask& current) override;
   void Observe(const perf::WindowStats& window) override;
 

@@ -205,19 +205,6 @@ void CoreArbiter::UpdateMemoryResidency(
   }
 }
 
-double CoreArbiter::MemAffinity(const Tenant& tenant,
-                                numasim::CoreId core) const {
-  if (config_.numa_affinity_weight <= 0.0 || tenant.mem_fraction.empty()) {
-    return 0.0;
-  }
-  const numasim::NodeId node = platform_->topology().NodeOfCore(core);
-  if (node < 0 ||
-      node >= static_cast<numasim::NodeId>(tenant.mem_fraction.size())) {
-    return 0.0;
-  }
-  return tenant.mem_fraction[static_cast<size_t>(node)];
-}
-
 void CoreArbiter::Poll(simcore::Tick now) {
   ELASTIC_CHECK(installed_, "Poll before Install");
   const int count = num_tenants();
@@ -355,7 +342,11 @@ void CoreArbiter::Poll(simcore::Tick now) {
       unmet.push_back(grower);
       continue;
     }
-    const numasim::CoreId core = PickCoreFor(tenant, pool);
+    // The tenant's mode places the core when it has a grow order of its own
+    // (sparse; adaptive once a window showed traffic), else PickCoreFor.
+    numasim::CoreId core =
+        tenant.mechanism->mode().NextToAllocate(domain_.Difference(pool));
+    if (core == numasim::kInvalidCore) core = PickCoreFor(tenant, pool);
     ELASTIC_CHECK(core != numasim::kInvalidCore, "grant from empty pool");
     tenant.mask.Set(core);
     pool.Clear(core);
@@ -381,10 +372,8 @@ void CoreArbiter::Poll(simcore::Tick now) {
   // The victim candidates, in index order: the tenants that pass every test
   // no grower changes (active, not frozen, above floor and entitlement) and
   // are not shielded against every grower (a shielded tenant counts only
-  // if it yields to urgent growers). The affinity penalty below never
-  // raises the excess (Sanitize rejects negative residency, so shares lie
-  // in [0, 1]), so no tenant left out could win. Only a preemption changes
-  // the masks these tests read, so only a preemption rebuilds the list.
+  // if it yields to urgent growers). Only a preemption changes the masks
+  // these tests read, so only a preemption rebuilds the list.
   std::vector<int> candidates;
   bool candidates_stale = true;
   for (int grower : unmet) {
@@ -410,24 +399,7 @@ void CoreArbiter::Poll(simcore::Tick now) {
       const Tenant& candidate = tenants_[static_cast<size_t>(v)];
       const Claim& claim = claims[static_cast<size_t>(v)];
       if (shielded(v) && !(urgent && claim.yields)) continue;
-      double excess = candidate.mask.Count() - claim.entitlement;
-      // Cross-island migration penalty: preempting a core on a node that
-      // holds none of the grower's pages must clear numa_affinity_weight
-      // extra excess — moving onto a remote island trades arbitration
-      // fairness for remote-DRAM latency, so it has to be clearly worth it.
-      // NextToRelease is a pure query here; the actual release below asks
-      // the same mode again.
-      if (config_.numa_affinity_weight > 0.0 &&
-          !tenants_[static_cast<size_t>(grower)].mem_fraction.empty()) {
-        const numasim::CoreId released =
-            candidate.mechanism->mode().NextToRelease(candidate.mask);
-        if (released != numasim::kInvalidCore) {
-          const double affinity =
-              MemAffinity(tenants_[static_cast<size_t>(grower)], released);
-          excess -= config_.numa_affinity_weight * (1.0 - affinity);
-        }
-      }
-      if (excess <= 0.0) continue;
+      const double excess = candidate.mask.Count() - claim.entitlement;
       if (victim < 0 || excess > worst_excess) {
         victim = v;
         worst_excess = excess;

@@ -24,8 +24,10 @@ struct ArbiterTenantConfig {
   /// arbiter polls every tenant from one hook at its own period);
   /// initial_cores doubles as the preemption floor; max_cores caps growth.
   MechanismConfig mechanism;
-  /// Allocation mode driving *which* core the tenant releases on a shrink
-  /// ("sparse", "dense" or "adaptive", as in the single-tenant mechanism).
+  /// Allocation mode ("sparse", "dense" or "adaptive"): where the tenant's
+  /// grows land — sparse spreads over the nodes, adaptive follows its
+  /// node-priority queue, dense clusters through PickCoreFor — and which
+  /// core a shrink releases.
   std::string mode = "adaptive";
   /// Share under kPriorityWeighted (ignored by the other policies).
   double weight = 1.0;
@@ -93,14 +95,13 @@ struct ArbiterConfig {
   // -- Island-affinity term (NUMA memory as an arbitrated resource). --
 
   /// Strength of the memory-affinity steer, in units of "owned cores": in
-  /// the handout score a node holding the tenant's whole resident set
-  /// counts like this many already-owned cores, and a preemption must
-  /// clear this much extra excess to take a core on a node holding none of
-  /// the grower's pages (the cross-island migration penalty). Tenants feed
-  /// the signal through kMemory telemetry (remote-access fraction +
-  /// per-node residency). 0 — the default — disables the term entirely:
-  /// no telemetry is pulled for it and every trace reproduces the
-  /// affinity-oblivious arbiter byte-identically.
+  /// the handout score (PickCoreFor, so dense tenants' grows) a node holding
+  /// the tenant's whole resident set counts like this many already-owned
+  /// cores, and the grant order favours growers whose pages sit on a node
+  /// with a free core. Tenants feed the signal through kMemory telemetry
+  /// (remote-access fraction + per-node residency). 0 — the default —
+  /// disables the term entirely: no telemetry is pulled for it and every
+  /// trace reproduces the affinity-oblivious arbiter byte-identically.
   double numa_affinity_weight = 0.0;
 };
 
@@ -165,9 +166,12 @@ struct ArbiterRound {
 ///      ceiling, urgency); stale tenants decay towards their entitlement
 ///      and tenants above their ceiling walk down one core;
 ///   4. grows are granted from the pool in order of entitlement deficit,
-///      NUMA-aware: a NodePriorityQueue keyed by the tenant's per-node core
-///      counts (ties towards free capacity) keeps each tenant's cpuset
-///      clustered on as few sockets as possible;
+///      each on the core the tenant's allocation mode picks (sparse spreads
+///      across sockets, adaptive follows the working set); dense tenants,
+///      and adaptive ones before any traffic is seen, take PickCoreFor's
+///      NUMA-aware handout, a NodePriorityQueue keyed by
+///      the tenant's per-node core counts (ties towards free capacity) that
+///      keeps the cpuset clustered on as few sockets as possible;
 ///   5. unmet grows may preempt one core from the tenant furthest above its
 ///      entitlement, provided that tenant is not itself overloaded and
 ///      stays at or above its initial_cores floor;
@@ -293,14 +297,10 @@ class CoreArbiter {
   /// kMemory snapshots (Tenant::mem_fraction). No-op at affinity weight 0.
   void UpdateMemoryResidency(const std::vector<TelemetrySnapshot>& snapshots);
 
-  /// Affinity bonus of granting `core` to the tenant: the share of the
-  /// tenant's resident pages homed on the core's node, in [0, 1]. 0 when
-  /// the term is off or the tenant has no memory signal.
-  double MemAffinity(const Tenant& tenant, numasim::CoreId core) const;
-
   /// NUMA-aware pick of a free-pool core for a tenant: prefer the node where
   /// the tenant already holds the most cores, then the node with the most
   /// free cores, then the lowest node id; lowest core id within the node.
+  /// Places every tenant's initial cores and dense tenants' grows.
   numasim::CoreId PickCoreFor(const Tenant& tenant,
                               const platform::CpuMask& pool) const;
 

@@ -59,8 +59,7 @@ ElasticMechanism::ElasticMechanism(platform::Platform* platform,
 void ElasticMechanism::BuildNet() {
   const double thmin = config_.thmin;
   const double thmax = config_.thmax;
-  // N in the t5/t6 guards: the whole machine for a standalone mechanism, or
-  // the tenant's cap under a CoreArbiter.
+  // N in the t5/t6 guards: the tenant's cap, the whole machine by default.
   const double ntotal = static_cast<double>(config_.max_cores);
 
   p_checks_ = net_.AddPlace("Checks");
@@ -138,27 +137,6 @@ void ElasticMechanism::BuildNet() {
   net_.AddOutputArc(t_[7], p_checks_, [](const petri::Binding& b) { return b.Get("u"); });
 }
 
-void ElasticMechanism::Install() {
-  ELASTIC_CHECK(!installed_, "mechanism installed twice");
-  installed_ = true;
-
-  // Build the initial mask by asking the mode for the first allocations.
-  platform::CpuMask mask;
-  for (int i = 0; i < config_.initial_cores; ++i) {
-    const numasim::CoreId core = mode_->NextToAllocate(mask);
-    ELASTIC_CHECK(core != numasim::kInvalidCore, "mode failed initial allocation");
-    mask.Set(core);
-  }
-  allocated_ = mask;
-  platform_->SetAllowedMask(allocated_);
-  net_.SetSingleToken(p_provision_, static_cast<double>(allocated_.Count()));
-  sampler_->Reset();
-
-  platform_->AddTickHook([this](simcore::Tick now) {
-    if (now % config_.monitor_period_ticks == 0 && now > 0) Poll(now);
-  });
-}
-
 void ElasticMechanism::InstallManaged(const platform::CpuMask& initial) {
   ELASTIC_CHECK(!installed_, "mechanism installed twice");
   ELASTIC_CHECK(!initial.Empty(), "managed install needs at least one core");
@@ -192,7 +170,7 @@ bool ElasticMechanism::TelemetryPlausible(const perf::WindowStats& window,
 
 ElasticMechanism::Decision ElasticMechanism::Decide(simcore::Tick now) {
   (void)now;
-  ELASTIC_CHECK(installed_, "Decide before Install/InstallManaged");
+  ELASTIC_CHECK(installed_, "Decide before InstallManaged");
   const perf::WindowStats window = sampler_->Sample();
   const double u = Measure(window);
   if (!TelemetryPlausible(window, u)) {
@@ -265,23 +243,6 @@ void ElasticMechanism::CommitGrant(const platform::CpuMask& mask,
                           static_cast<int64_t>(decision.u * 100.0),
                           log_.back().label);
   }
-}
-
-void ElasticMechanism::Poll(simcore::Tick now) {
-  const Decision decision = Decide(now);
-  platform::CpuMask mask = allocated_;
-  if (decision.desired > decision.current) {
-    const numasim::CoreId core = mode_->NextToAllocate(mask);
-    ELASTIC_CHECK(core != numasim::kInvalidCore,
-                  "net allocated beyond available cores");
-    mask.Set(core);
-  } else if (decision.desired < decision.current) {
-    const numasim::CoreId core = mode_->NextToRelease(mask);
-    ELASTIC_CHECK(core != numasim::kInvalidCore, "net released the last core");
-    mask.Clear(core);
-  }
-  platform_->SetAllowedMask(mask);
-  CommitGrant(mask, now, decision);
 }
 
 }  // namespace elastic::core

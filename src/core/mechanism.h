@@ -32,21 +32,19 @@ struct MechanismConfig {
   double thmin = 10.0;
   double thmax = 70.0;
   TransitionStrategy strategy = TransitionStrategy::kCpuLoad;
-  /// Monitoring period in simulated ticks. Under a CoreArbiter the arbiter's
-  /// period wins: it polls every tenant mechanism from its own single hook.
+  /// Unused by the round itself, which runs at the CoreArbiter's
+  /// ArbiterConfig::monitor_period_ticks from the arbiter's single hook.
+  /// Kept, and checked >= 1, because benchmark/scenarios.cc sets it.
   int monitor_period_ticks = 20;
   /// Cores handed to the OS before the first monitoring round. Also the
   /// floor a CoreArbiter preemption never shrinks a tenant below.
   int initial_cores = 1;
   /// Keep a transition log (Fig. 7) and emit trace events.
   bool log_transitions = true;
-
-  // -- Fields added for the multi-tenant core arbiter. --
-
   /// Ceiling on the cores this mechanism asks for; -1 means every core of
-  /// the machine (the single-tenant behaviour). A CoreArbiter can cap each
-  /// tenant below the machine size, which becomes the Petri net's N in the
-  /// t5/t6 guards.
+  /// the machine (the paper's single-DBMS setting). A CoreArbiter can cap
+  /// each tenant below the machine size, which becomes the Petri net's N in
+  /// the t5/t6 guards.
   int max_cores = -1;
 };
 
@@ -77,11 +75,13 @@ struct StateTransitionEvent {
 ///                                              t6 (n == N) saturated
 ///   t2 (thmin < u < thmax) Checks -> Stable;   t3          monitoring only
 ///
-/// The *location* of each allocation/release is delegated to the configured
-/// AllocationMode (sparse / dense / adaptive priority). The resulting core
-/// set is installed into the OS through the platform's cpuset seam — the
-/// simulated scheduler mask in tests, a real cgroup cpuset under the Linux
-/// backend, which is exactly how the paper's prototype drives cgroups.
+/// The mechanism decides *when* (Decide) and records what was granted
+/// (CommitGrant). A CoreArbiter — of one tenant or many — owns the rest: it
+/// asks the configured AllocationMode (sparse / dense / adaptive priority)
+/// *where* each core comes from and goes, and installs the mask as the
+/// tenant's platform cpuset — a simulated scheduler group, or a real cgroup
+/// cpuset under the Linux backend, which is how the paper's prototype
+/// drives cgroups.
 class ElasticMechanism {
  public:
   ElasticMechanism(platform::Platform* platform,
@@ -91,19 +91,10 @@ class ElasticMechanism {
   ElasticMechanism(const ElasticMechanism&) = delete;
   ElasticMechanism& operator=(const ElasticMechanism&) = delete;
 
-  /// Applies the initial core allocation and registers the monitoring hook
-  /// on the platform. Call once before running the workload.
-  void Install();
-
-  /// Managed install, used by the multi-tenant CoreArbiter: primes the
-  /// mechanism with an externally chosen initial mask, registers no tick
-  /// hook and never touches the platform cpusets — the arbiter owns both.
+  /// Primes the mechanism with an externally chosen initial mask. Registers
+  /// no tick hook and never touches the platform cpusets: the caller (a
+  /// CoreArbiter) owns both. Call once.
   void InstallManaged(const platform::CpuMask& initial);
-
-  /// One rule-condition-action round: sample counters, update the net,
-  /// fire transitions, apply the allocation decision. Runs automatically
-  /// every monitor_period_ticks once installed; public for unit tests.
-  void Poll(simcore::Tick now);
 
   /// Outcome of one classification round of the PrT net, before any core
   /// has actually moved. `desired` is what the net asked for; an arbiter
@@ -125,9 +116,10 @@ class ElasticMechanism {
     bool valid = true;
   };
 
-  /// Fires one monitoring round of the net *without* touching the scheduler
-  /// or the allocated mask. Callers that use Decide() must follow up with
-  /// CommitGrant() each round so the Provision token tracks reality.
+  /// One rule-condition-action round: samples the window and fires the net
+  /// *without* touching the scheduler or the allocated mask. Callers must
+  /// follow up with CommitGrant() each round so the Provision token tracks
+  /// reality.
   Decision Decide(simcore::Tick now);
 
   /// Records the allocation actually granted after a Decide() round: sets

@@ -1,6 +1,5 @@
 #include "exec/experiment.h"
 
-#include "core/allocation_mode.h"
 #include "exec/tenant_builder.h"
 #include "simcore/check.h"
 
@@ -20,24 +19,28 @@ Experiment::Experiment(const db::Database* database,
                                            options.placement,
                                            options.machine_config.page_bytes);
 
-  EngineOptions engine_options;
-  engine_options.model = options.engine_model;
-  engine_options.pool_size = options.pool_size;
-  engine_options.task_graph = options.task_graph;
-  engine_ = std::make_unique<DbmsEngine>(machine_.get(), catalog_.get(),
-                                         engine_options);
-
+  ossim::CpusetId cpuset = ossim::kGlobalCpuset;
   if (options.policy != "os") {
     core::MechanismConfig config = core::DefaultConfigFor(options.strategy);
     config.monitor_period_ticks = options.monitor_period_ticks;
     config.initial_cores = options.initial_cores;
     if (options.thmin_override >= 0.0) config.thmin = options.thmin_override;
     if (options.thmax_override >= 0.0) config.thmax = options.thmax_override;
-    mechanism_ = std::make_unique<core::ElasticMechanism>(
-        platform_.get(),
-        core::MakeMode(options.policy, &machine_->topology()), config);
-    mechanism_->Install();
+    core::ArbiterConfig arbiter_config;
+    arbiter_config.monitor_period_ticks = options.monitor_period_ticks;
+    arbiter_ =
+        std::make_unique<core::CoreArbiter>(platform_.get(), arbiter_config);
+    // The engine's workers are spawned into the tenant's cpuset, so the
+    // tenant comes first.
+    cpuset = arbiter_->tenant_cpuset(arbiter_->AddTenant(
+        TenantBuilder("dbms").mechanism(config).mode(options.policy).Build()));
   }
+
+  engine_ = std::make_unique<DbmsEngine>(
+      machine_.get(), catalog_.get(),
+      TenantBuilder::BoundEngineOptions(options.engine_model, options.pool_size,
+                                        options.task_graph, cpuset));
+  if (arbiter_) arbiter_->Install();
 }
 
 ClientDriver& Experiment::RunWorkload(const ClientWorkload& workload,

@@ -23,6 +23,9 @@ namespace elastic::exec {
 ///   "dense"    — elastic mechanism with the dense allocation mode
 ///   "sparse"   — elastic mechanism with the sparse allocation mode
 ///   "adaptive" — elastic mechanism with the adaptive priority mode
+/// The elastic configurations run one tenant under a fair_share CoreArbiter
+/// — the control path elasticored deploys — whose floor is initial_cores,
+/// whose cap is every core, and whose cpuset confines the engine.
 struct ExperimentOptions {
   numasim::MachineConfig machine_config;
   ossim::SchedulerConfig scheduler;
@@ -57,8 +60,10 @@ class Experiment {
   platform::SimPlatform& platform() { return *platform_; }
   BaseCatalog& catalog() { return *catalog_; }
   DbmsEngine& engine() { return *engine_; }
-  /// Null under the "os" policy.
-  core::ElasticMechanism* mechanism() { return mechanism_.get(); }
+  /// The tenant's mechanism; null under the "os" policy.
+  core::ElasticMechanism* mechanism() {
+    return arbiter_ ? &arbiter_->mechanism(0) : nullptr;
+  }
   const ExperimentOptions& options() const { return options_; }
 
   /// Runs a client workload to completion (bounded by max_ticks); returns
@@ -71,8 +76,9 @@ class Experiment {
   std::unique_ptr<ossim::Machine> machine_;
   std::unique_ptr<platform::SimPlatform> platform_;
   std::unique_ptr<BaseCatalog> catalog_;
+  /// Null under the "os" policy.
+  std::unique_ptr<core::CoreArbiter> arbiter_;
   std::unique_ptr<DbmsEngine> engine_;
-  std::unique_ptr<core::ElasticMechanism> mechanism_;
   std::unique_ptr<ClientDriver> driver_;
 };
 
@@ -81,8 +87,8 @@ class Experiment {
 /// the shared CoreArbiter.
 struct TenantSpec {
   std::string name = "tenant";
-  /// Per-tenant elastic mechanism (thresholds, initial/max cores, release
-  /// mode) and arbitration weight — see core::ArbiterTenantConfig.
+  /// Per-tenant elastic mechanism (thresholds, initial/max cores),
+  /// allocation mode and arbitration weight — see core::ArbiterTenantConfig.
   core::MechanismConfig mechanism;
   std::string mode = "adaptive";
   double weight = 1.0;

@@ -21,7 +21,7 @@ struct HtapOltpTenant {
   std::string name = "oltp";
   core::MechanismConfig mechanism;
   /// OLTP wants its few cores clustered on one socket (latch and log
-  /// locality), hence dense release order by default.
+  /// locality), hence the dense mode by default.
   std::string mode = "dense";
   double weight = 1.0;
   /// Target p99 in simulated seconds; < 0 = best-effort (no SLO).

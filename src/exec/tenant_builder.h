@@ -41,7 +41,9 @@ class TenantBuilder {
   explicit TenantBuilder(std::string name);
 
   TenantBuilder& mechanism(const core::MechanismConfig& mechanism);
-  /// Core release order: "dense" | "adaptive" | ... (see core::MakeMode).
+  /// Allocation mode, "sparse" | "dense" | "adaptive" (see
+  /// core::MakeMode): where the tenant's grows land and which core a shrink
+  /// releases.
   TenantBuilder& mode(std::string mode);
   TenantBuilder& weight(double weight);
   /// Target p99 in simulated seconds the slo_aware policy defends.

@@ -29,7 +29,7 @@ Scheduler::Scheduler(const numasim::Topology* topology,
       clock_(clock),
       trace_(trace),
       config_(config),
-      allowed_(platform::CpuMask::AllOf(*topology)),
+      all_cores_(platform::CpuMask::AllOf(*topology)),
       cycles_per_tick_(static_cast<int64_t>(topology->config().cycles_per_second *
                                             simcore::Clock::kSecondsPerTick)) {
   run_queue_.resize(static_cast<size_t>(topology_->total_cores()));
@@ -70,8 +70,7 @@ ThreadId Scheduler::SpawnOneShot(Job job, std::optional<platform::CpuMask> pin,
 
 CpusetId Scheduler::CreateCpuset(platform::CpuMask mask) {
   ELASTIC_CHECK(!mask.Empty(), "cpuset must hold at least one core");
-  ELASTIC_CHECK(mask.IsSubsetOf(platform::CpuMask::AllOf(*topology_)),
-                "cpuset exceeds machine cores");
+  ELASTIC_CHECK(mask.IsSubsetOf(all_cores_), "cpuset exceeds machine cores");
   cpusets_.push_back(mask);
   return static_cast<CpusetId>(cpusets_.size()) - 1;
 }
@@ -84,8 +83,7 @@ platform::CpuMask Scheduler::cpuset_mask(CpusetId cpuset) const {
 void Scheduler::SetCpusetMask(CpusetId cpuset, platform::CpuMask mask) {
   ELASTIC_CHECK(cpuset >= 0 && cpuset < num_cpusets(), "unknown cpuset");
   ELASTIC_CHECK(!mask.Empty(), "cpuset must keep at least one core");
-  ELASTIC_CHECK(mask.IsSubsetOf(platform::CpuMask::AllOf(*topology_)),
-                "cpuset exceeds machine cores");
+  ELASTIC_CHECK(mask.IsSubsetOf(all_cores_), "cpuset exceeds machine cores");
   if (mask == cpusets_[static_cast<size_t>(cpuset)]) return;
   cpusets_[static_cast<size_t>(cpuset)] = mask;
   ReconfineThreads();
@@ -107,15 +105,6 @@ void Scheduler::AssignJob(ThreadId id, Job job) {
   }
 }
 
-void Scheduler::SetAllowedMask(platform::CpuMask mask) {
-  ELASTIC_CHECK(!mask.Empty(), "cpuset must keep at least one core");
-  ELASTIC_CHECK(mask.IsSubsetOf(platform::CpuMask::AllOf(*topology_)),
-                "cpuset exceeds machine cores");
-  if (mask == allowed_) return;
-  allowed_ = mask;
-  ReconfineThreads();
-}
-
 void Scheduler::MigrateThread(ThreadId id) {
   Thread& thread = threads_[id];
   const numasim::CoreId target = PickCoreForPlacement(thread);
@@ -131,13 +120,13 @@ void Scheduler::MigrateThread(ThreadId id) {
 void Scheduler::ReconfineThreads() {
   // Migrate every ready/running thread whose current core left its
   // effective mask. Checking the invariant (rather than diffing old vs new
-  // cores) also repairs fallback placements: a cpuset thread parked on the
-  // global mask while cpuset ∩ allowed was empty returns to its group as
-  // soon as a mask change makes the intersection non-empty again.
+  // cores) also repairs fallback placements: a pinned thread parked on its
+  // world because the pin lay outside it returns to its pin as soon as a
+  // mask change brings the pinned cores back.
   for (numasim::CoreId core = 0; core < topology_->total_cores(); ++core) {
     const ThreadId running = running_[core];
     if (running != kInvalidThread &&
-        !EffectiveMask(threads_[running]).Has(core)) {
+        !MayRun(threads_[running], core)) {
       running_[core] = kInvalidThread;
       MigrateThread(running);
     }
@@ -145,7 +134,7 @@ void Scheduler::ReconfineThreads() {
     for (size_t scan = queue.size(); scan > 0; --scan) {
       const ThreadId id = queue.front();
       queue.pop_front();
-      if (!EffectiveMask(threads_[id]).Has(core)) {
+      if (!MayRun(threads_[id], core)) {
         MigrateThread(id);
       } else {
         queue.push_back(id);  // still legally placed, keep queue order
@@ -154,18 +143,28 @@ void Scheduler::ReconfineThreads() {
   }
 }
 
+const platform::CpuMask& Scheduler::World(const Thread& thread) const {
+  return thread.cpuset == kGlobalCpuset
+             ? all_cores_
+             : cpusets_[static_cast<size_t>(thread.cpuset)];
+}
+
 platform::CpuMask Scheduler::EffectiveMask(const Thread& thread) const {
-  platform::CpuMask world = allowed_;
-  if (thread.cpuset != kGlobalCpuset) {
-    const platform::CpuMask scoped =
-        cpusets_[static_cast<size_t>(thread.cpuset)].Intersect(allowed_);
-    if (!scoped.Empty()) world = scoped;
-  }
+  const platform::CpuMask& world = World(thread);
   if (thread.pin.has_value()) {
     const platform::CpuMask effective = thread.pin->Intersect(world);
     if (!effective.Empty()) return effective;
   }
   return world;
+}
+
+bool Scheduler::MayRun(const Thread& thread, numasim::CoreId core) const {
+  const platform::CpuMask& world = World(thread);
+  if (!world.Has(core)) return false;
+  if (!thread.pin.has_value() || thread.pin->Has(core)) return true;
+  // The core is outside the pin: allowed only when the pin misses the
+  // world entirely and the thread falls back to the whole world.
+  return thread.pin->Intersect(world).Empty();
 }
 
 int Scheduler::CoreLoad(numasim::CoreId core) const {
@@ -183,9 +182,11 @@ numasim::CoreId Scheduler::PickCoreForPlacement(const Thread& thread) {
   for (numasim::CoreId core : cores) min_load = std::min(min_load, CoreLoad(core));
 
   // Among min-load cores prefer the least-loaded node (the OS spreads for
-  // balance, scattering threads across sockets).
+  // balance, scattering threads across sockets). A node's load counts only
+  // the cores of the thread's world: other groups' queues are not its
+  // business.
   std::vector<int64_t> node_load(static_cast<size_t>(topology_->num_nodes()), 0);
-  for (numasim::CoreId core : allowed_.ToCores()) {
+  for (numasim::CoreId core : World(thread).ToCores()) {
     node_load[topology_->NodeOfCore(core)] += CoreLoad(core);
   }
   std::vector<numasim::CoreId> candidates;
@@ -214,23 +215,10 @@ void Scheduler::EnqueueReady(ThreadId id, numasim::CoreId core) {
   run_queue_[core].push_back(id);
 }
 
-void Scheduler::RemoveFromCore(ThreadId id) {
-  Thread& thread = threads_[id];
-  if (thread.core == numasim::kInvalidCore) return;
-  if (running_[thread.core] == id) {
-    running_[thread.core] = kInvalidThread;
-  } else {
-    auto& queue = run_queue_[thread.core];
-    auto it = std::find(queue.begin(), queue.end(), id);
-    if (it != queue.end()) queue.erase(it);
-  }
-  thread.core = numasim::kInvalidCore;
-}
-
 ThreadId Scheduler::TrySteal(numasim::CoreId thief) {
   numasim::CoreId richest = numasim::kInvalidCore;
   size_t richest_depth = 0;
-  for (numasim::CoreId core : allowed_.ToCores()) {
+  for (numasim::CoreId core = 0; core < topology_->total_cores(); ++core) {
     if (core == thief) continue;
     if (run_queue_[core].size() > richest_depth) {
       richest_depth = run_queue_[core].size();
@@ -242,7 +230,7 @@ ThreadId Scheduler::TrySteal(numasim::CoreId thief) {
   auto& queue = run_queue_[richest];
   for (auto it = queue.rbegin(); it != queue.rend(); ++it) {
     Thread& thread = threads_[*it];
-    if (!EffectiveMask(thread).Has(thief)) continue;
+    if (!MayRun(thread, thief)) continue;
     const ThreadId id = *it;
     queue.erase(std::next(it).base());
     counters_->stolen_tasks++;
@@ -258,7 +246,14 @@ ThreadId Scheduler::TrySteal(numasim::CoreId thief) {
 
 void Scheduler::LoadBalance() {
   counters_->load_balance_rounds++;
-  const std::vector<numasim::CoreId> cores = allowed_.ToCores();
+  for (CpusetId group = 0; group < num_cpusets(); ++group) {
+    BalanceGroup(group, cpusets_[static_cast<size_t>(group)]);
+  }
+  BalanceGroup(kGlobalCpuset, all_cores_);
+}
+
+void Scheduler::BalanceGroup(CpusetId group, const platform::CpuMask& mask) {
+  const std::vector<numasim::CoreId> cores = mask.ToCores();
   if (cores.size() < 2) return;
   // Repeatedly move one queued thread from the busiest to the idlest core
   // until the imbalance collapses below two.
@@ -271,12 +266,12 @@ void Scheduler::LoadBalance() {
     }
     if (CoreLoad(busiest) - CoreLoad(idlest) < 2) break;
     if (run_queue_[busiest].empty()) break;
-    // Migrate the coldest queued thread allowed on the idle core.
+    // Migrate the group's coldest queued thread allowed on the idle core.
     bool moved = false;
     auto& queue = run_queue_[busiest];
     for (auto it = queue.rbegin(); it != queue.rend(); ++it) {
       Thread& thread = threads_[*it];
-      if (!EffectiveMask(thread).Has(idlest)) continue;
+      if (thread.cpuset != group || !MayRun(thread, idlest)) continue;
       const ThreadId id = *it;
       queue.erase(std::next(it).base());
       thread.migrations++;
@@ -352,7 +347,7 @@ void Scheduler::Tick() {
   }
 
   std::vector<ThreadId> completed_jobs;
-  for (numasim::CoreId core : allowed_.ToCores()) {
+  for (numasim::CoreId core = 0; core < topology_->total_cores(); ++core) {
     // A core's quantum is consumed by as many threads as fit: when a job
     // finishes mid-tick the next runnable thread is dispatched immediately,
     // like a real OS (no idle tail on a busy core).

@@ -34,11 +34,10 @@ struct SchedulerConfig {
 
 /// Simulated OS CPU scheduler: one run queue per core, node-oblivious load
 /// balancing, and work stealing — the baseline behaviour the paper's Section
-/// II measures. The elastic mechanism narrows the scheduler's world through
-/// SetAllowedMask(), the cgroup cpuset emulation. Multi-tenant deployments
-/// instead carve the machine into named cpuset *groups* (CreateCpuset):
-/// every thread attached to a group is confined to that group's mask, which
-/// the core arbiter rebalances at monitor-round boundaries.
+/// II measures. Cpuset *groups* (CreateCpuset, the cgroup cpuset emulation)
+/// are the one way to confine threads: a thread's world is its group's
+/// mask, or every core for the global group. The core arbiter rewrites the
+/// groups' masks at monitor-round boundaries, for one DBMS or many.
 class Scheduler {
  public:
   Scheduler(const numasim::Topology* topology, numasim::MemorySystem* memory,
@@ -63,12 +62,12 @@ class Scheduler {
                         CpusetId cpuset = kGlobalCpuset);
 
   /// Creates a cpuset group (simulated cgroup cpuset). Threads attached to
-  /// the group run only on `mask ∩ allowed_mask()`; work stealing and load
-  /// balancing never cross group boundaries.
+  /// the group run only on `mask`; work stealing and load balancing never
+  /// cross group boundaries.
   CpusetId CreateCpuset(platform::CpuMask mask);
 
   /// Rewrites a group's mask. Threads of the group sitting on cores that
-  /// left the mask are migrated immediately, exactly like SetAllowedMask.
+  /// left the mask are migrated immediately.
   void SetCpusetMask(CpusetId cpuset, platform::CpuMask mask);
 
   platform::CpuMask cpuset_mask(CpusetId cpuset) const;
@@ -77,12 +76,7 @@ class Scheduler {
   /// Queues a job on a worker. Wakes the worker if it was idle.
   void AssignJob(ThreadId thread, Job job);
 
-  /// Installs the cores the OS may use (cgroup cpuset). Threads sitting on
-  /// now-forbidden cores are migrated immediately.
-  void SetAllowedMask(platform::CpuMask mask);
-  platform::CpuMask allowed_mask() const { return allowed_; }
-
-  /// Runs one scheduler quantum on every allowed core.
+  /// Runs one scheduler quantum on every core.
   void Tick();
 
   /// Number of threads that currently have work (ready or running).
@@ -101,14 +95,21 @@ class Scheduler {
   int64_t cycles_per_tick() const { return cycles_per_tick_; }
 
  private:
-  /// Where a newly runnable thread goes: the least-loaded allowed core, with
-  /// ties broken towards the least-loaded node and then round-robin — the
+  /// Where a newly runnable thread goes: the least-loaded core of its
+  /// effective mask, with ties broken towards the node whose cores in the
+  /// thread's world carry the least load, then round-robin — the
   /// spread-for-balance behaviour of the default OS policy.
   numasim::CoreId PickCoreForPlacement(const Thread& thread);
 
-  /// Effective mask of a thread: world = cpuset ∩ allowed (falling back to
-  /// allowed when empty), then pin ∩ world (falling back to world).
+  /// Cores a thread may ever use: its cpuset's mask, or every core for the
+  /// global group.
+  const platform::CpuMask& World(const Thread& thread) const;
+
+  /// Effective mask of a thread: pin ∩ world, falling back to the world
+  /// when the pin lies outside it.
   platform::CpuMask EffectiveMask(const Thread& thread) const;
+  /// EffectiveMask(thread).Has(core), without building the mask.
+  bool MayRun(const Thread& thread, numasim::CoreId core) const;
 
   /// Re-places a thread that lost its core (mask shrank under it).
   void MigrateThread(ThreadId id);
@@ -117,11 +118,15 @@ class Scheduler {
   void ReconfineThreads();
 
   void EnqueueReady(ThreadId id, numasim::CoreId core);
-  void RemoveFromCore(ThreadId id);
   /// Runs the thread within `budget` cycles; returns cycles consumed.
   int64_t RunThreadOnCore(ThreadId id, numasim::CoreId core, int64_t budget,
                           std::vector<ThreadId>* completed_jobs);
+  /// Balances every cpuset group over its own cores, in id order, then the
+  /// global group over every core.
   void LoadBalance();
+  /// Moves queued threads of `group` from the busiest to the idlest core of
+  /// `mask` until the imbalance collapses below two.
+  void BalanceGroup(CpusetId group, const platform::CpuMask& mask);
   ThreadId TrySteal(numasim::CoreId thief);
 
   const numasim::Topology* topology_;
@@ -131,7 +136,8 @@ class Scheduler {
   simcore::Trace* trace_;
   SchedulerConfig config_;
 
-  platform::CpuMask allowed_;
+  /// Every core of the machine: the global group's world.
+  const platform::CpuMask all_cores_;
   std::vector<platform::CpuMask> cpusets_;
   int64_t cycles_per_tick_;
   std::deque<Thread> threads_;

@@ -17,8 +17,8 @@ using ThreadId = int64_t;
 inline constexpr ThreadId kInvalidThread = -1;
 
 /// Identifier of a scheduler cpuset group (the simulated cgroup cpuset a
-/// thread is confined to). kGlobalCpuset means the thread only obeys the
-/// scheduler's global allowed mask.
+/// thread is confined to). kGlobalCpuset means the thread may run on every
+/// core.
 using CpusetId = int;
 inline constexpr CpusetId kGlobalCpuset = -1;
 
@@ -75,12 +75,12 @@ struct Thread {
   /// Current core (valid while kReady/kRunning).
   numasim::CoreId core = numasim::kInvalidCore;
   /// Optional hard pin (SQL Server soft-NUMA): scheduler intersects it with
-  /// the thread's world (cpuset ∩ global allowed mask); if the intersection
-  /// is empty the world wins (the OS cannot run a thread nowhere).
+  /// the thread's world (its cpuset's mask, or every core); if the
+  /// intersection is empty the world wins (the OS cannot run a thread
+  /// nowhere).
   std::optional<platform::CpuMask> pin;
-  /// Cpuset group the thread belongs to (multi-tenant isolation); the
-  /// scheduler confines the thread to the group's mask and never steals it
-  /// onto a core outside that mask.
+  /// Cpuset group the thread belongs to; the scheduler confines the thread
+  /// to the group's mask and never steals it onto a core outside that mask.
   CpusetId cpuset = kGlobalCpuset;
   /// One-shot threads exit after their last job instead of going idle.
   bool one_shot = false;

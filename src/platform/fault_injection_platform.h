@@ -81,9 +81,6 @@ class FaultInjectionPlatform : public Platform {
   CpuMask cpuset_mask(CpusetId cpuset) const override {
     return inner_->cpuset_mask(cpuset);
   }
-  void SetAllowedMask(const CpuMask& mask) override {
-    inner_->SetAllowedMask(mask);
-  }
   std::unique_ptr<perf::UtilizationSampler> CreateSampler() override;
   void AddTickHook(std::function<void(simcore::Tick)> hook) override;
   simcore::Trace* trace() override { return inner_->trace(); }

@@ -327,15 +327,6 @@ CpuMask LinuxPlatform::cpuset_mask(CpusetId cpuset) const {
   return cpusets_[static_cast<size_t>(cpuset)].mask;
 }
 
-void LinuxPlatform::SetAllowedMask(const CpuMask& mask) {
-  // The standalone (single-DBMS) mechanism manages one implicit group.
-  if (allowed_cpuset_ == kNoCpuset) {
-    allowed_cpuset_ = CreateCpuset("all", mask);
-    return;
-  }
-  SetCpusetMask(allowed_cpuset_, mask);
-}
-
 std::unique_ptr<perf::UtilizationSampler> LinuxPlatform::CreateSampler() {
   if (options_.dry_run) return std::make_unique<ZeroSampler>(idle_window_);
   return std::make_unique<ProcStatSampler>(this);

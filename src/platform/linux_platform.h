@@ -59,7 +59,6 @@ class LinuxPlatform : public Platform {
   CpusetId CreateCpuset(const std::string& name, const CpuMask& mask) override;
   bool SetCpusetMask(CpusetId cpuset, const CpuMask& mask) override;
   CpuMask cpuset_mask(CpusetId cpuset) const override;
-  void SetAllowedMask(const CpuMask& mask) override;
   std::unique_ptr<perf::UtilizationSampler> CreateSampler() override;
   void AddTickHook(std::function<void(simcore::Tick)> hook) override;
   simcore::Trace* trace() override { return &trace_; }
@@ -126,8 +125,6 @@ class LinuxPlatform : public Platform {
   simcore::Trace trace_;
   std::vector<std::string> op_log_;
   bool parent_ready_ = false;
-  /// Cpuset backing SetAllowedMask (created on first use).
-  CpusetId allowed_cpuset_ = kNoCpuset;
   int64_t clk_tck_ = 100;
   std::chrono::steady_clock::time_point epoch_;
   /// The latest BusySnapshot() reading.

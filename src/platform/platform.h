@@ -64,9 +64,11 @@ class Platform {
 
   virtual CpuMask cpuset_mask(CpusetId cpuset) const = 0;
 
-  /// Single-DBMS shorthand (the standalone mechanism): installs the mask
-  /// the whole managed workload may use, without a named cpuset.
-  virtual void SetAllowedMask(const CpuMask& mask) = 0;
+  /// Does nothing, and nothing in src/ calls it: a workload is confined
+  /// through a cpuset, for one DBMS as for many. It stays only because
+  /// benchmark/scenarios.cc's TimedPlatform overrides it, and goes with the
+  /// next change to benchmark/.
+  virtual void SetAllowedMask(const CpuMask& /*mask*/) {}
 
   /// New windowed utilization source baselined at the current instant. Each
   /// mechanism owns one; Sample() yields the deltas of the last window.

@@ -43,9 +43,6 @@ class SimPlatform : public Platform {
   CpuMask cpuset_mask(CpusetId cpuset) const override {
     return machine_->scheduler().cpuset_mask(cpuset);
   }
-  void SetAllowedMask(const CpuMask& mask) override {
-    machine_->scheduler().SetAllowedMask(mask);
-  }
   std::unique_ptr<perf::UtilizationSampler> CreateSampler() override {
     return std::make_unique<perf::Sampler>(snapshots_);
   }

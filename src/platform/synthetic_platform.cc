@@ -13,8 +13,7 @@ SyntheticPlatform::SyntheticPlatform(const numasim::MachineConfig& config)
       snapshots_(std::make_shared<perf::SnapshotCache>(&counters_, &clock_)),
       cycles_per_tick_(static_cast<int64_t>(config.cycles_per_second *
                                             simcore::Clock::kSecondsPerTick)),
-      busy_fraction_(static_cast<size_t>(topology_.total_cores()), 0.0),
-      allowed_(CpuMask::AllOf(topology_)) {}
+      busy_fraction_(static_cast<size_t>(topology_.total_cores()), 0.0) {}
 
 CpusetId SyntheticPlatform::CreateCpuset(const std::string& name,
                                          const CpuMask& mask) {

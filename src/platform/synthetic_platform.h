@@ -36,7 +36,6 @@ class SyntheticPlatform : public Platform {
   CpusetId CreateCpuset(const std::string& name, const CpuMask& mask) override;
   bool SetCpusetMask(CpusetId cpuset, const CpuMask& mask) override;
   CpuMask cpuset_mask(CpusetId cpuset) const override;
-  void SetAllowedMask(const CpuMask& mask) override { allowed_ = mask; }
   std::unique_ptr<perf::UtilizationSampler> CreateSampler() override;
   void AddTickHook(std::function<void(simcore::Tick)> hook) override;
   simcore::Trace* trace() override { return &trace_; }
@@ -62,7 +61,6 @@ class SyntheticPlatform : public Platform {
   /// Cores with a non-zero fraction, so a tick is O(busy), not O(cores).
   std::vector<int> busy_cores_;
   std::vector<CpuMask> cpusets_;
-  CpuMask allowed_;
   std::vector<std::function<void(simcore::Tick)>> hooks_;
 };
 

@@ -30,16 +30,12 @@ TEST_F(ModeTest, SparseAllocationOrderIteratesNodesFirst) {
   EXPECT_EQ(order, (std::vector<numasim::CoreId>{0, 4, 8, 12, 1, 5, 9, 13}));
 }
 
-TEST_F(ModeTest, DenseAllocationFillsNodeFirst) {
+TEST_F(ModeTest, DenseLeavesGrowsToTheArbiter) {
+  // Dense keeps no grow order of its own: the arbiter's handout fills a node
+  // before the next (ArbiterTest.DenseTenantFillsANodeBeforeTheNext).
   DenseMode mode(&topo_);
-  CpuMask mask;
-  std::vector<numasim::CoreId> order;
-  for (int i = 0; i < 6; ++i) {
-    const numasim::CoreId core = mode.NextToAllocate(mask);
-    order.push_back(core);
-    mask.Set(core);
-  }
-  EXPECT_EQ(order, (std::vector<numasim::CoreId>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(mode.NextToAllocate(CpuMask()), numasim::kInvalidCore);
+  EXPECT_EQ(mode.NextToAllocate(CpuMask::Of({0, 1})), numasim::kInvalidCore);
 }
 
 TEST_F(ModeTest, ReleaseIsReverseOfAllocation) {
@@ -62,9 +58,11 @@ TEST_F(ModeTest, NeverReleasesTheLastCore) {
 }
 
 TEST_F(ModeTest, FullMaskCannotAllocate) {
-  DenseMode mode(&topo_);
+  SparseMode sparse(&topo_);
+  AdaptivePriorityMode adaptive(&topo_);
   const CpuMask all = CpuMask::AllOf(topo_);
-  EXPECT_EQ(mode.NextToAllocate(all), numasim::kInvalidCore);
+  EXPECT_EQ(sparse.NextToAllocate(all), numasim::kInvalidCore);
+  EXPECT_EQ(adaptive.NextToAllocate(all), numasim::kInvalidCore);
 }
 
 perf::WindowStats StatsWithPages(std::vector<int64_t> pages) {
@@ -73,6 +71,16 @@ perf::WindowStats StatsWithPages(std::vector<int64_t> pages) {
   auto to = std::make_shared<perf::CounterSnapshot>(*from);
   to->node_access_pages = std::move(pages);
   return perf::WindowStats(std::move(from), std::move(to));
+}
+
+TEST_F(ModeTest, AdaptiveWithoutTrafficLeavesGrowsToTheArbiter) {
+  // No window has shown a page access: no working set to follow yet.
+  AdaptivePriorityMode mode(&topo_);
+  EXPECT_EQ(mode.NextToAllocate(CpuMask()), numasim::kInvalidCore);
+  mode.Observe(StatsWithPages({0, 0, 0, 0}));
+  EXPECT_EQ(mode.NextToAllocate(CpuMask()), numasim::kInvalidCore);
+  mode.Observe(StatsWithPages({0, 0, 3, 0}));
+  EXPECT_EQ(mode.NextToAllocate(CpuMask()), topo_.CoreAt(2, 0));
 }
 
 TEST_F(ModeTest, AdaptiveAllocatesOnHottestNode) {
@@ -115,9 +123,11 @@ TEST_F(ModeTest, FactoryMakesAllThreeModes) {
 }
 
 TEST_F(ModeTest, ModesAlwaysProduceValidCoreUntilFull) {
-  // Property: starting from empty, any mode can allocate exactly 16 cores.
-  for (const char* name : {"sparse", "dense", "adaptive"}) {
+  // Property: starting from empty, a mode with a grow order allocates
+  // exactly 16 cores (adaptive once a window showed traffic).
+  for (const char* name : {"sparse", "adaptive"}) {
     auto mode = MakeMode(name, &topo_);
+    mode->Observe(StatsWithPages({1, 1, 1, 1}));
     CpuMask mask;
     for (int i = 0; i < topo_.total_cores(); ++i) {
       const numasim::CoreId core = mode->NextToAllocate(mask);

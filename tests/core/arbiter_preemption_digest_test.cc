@@ -159,7 +159,7 @@ TEST(ArbiterPreemptionDigestTest, AffinityOnMatchesRecordedDigest) {
   const Outcome outcome = RunRotation(4.0);
   EXPECT_GT(outcome.preemptions, 0);
   EXPECT_GT(outcome.preempting_rounds, kRounds / 2);
-  EXPECT_EQ(outcome.digest, 0x2A5342485B6A459AULL) << std::hex << "0x" << outcome.digest;
+  EXPECT_EQ(outcome.digest, 0xA5DBF6924489991CULL) << std::hex << "0x" << outcome.digest;
 }
 
 }  // namespace

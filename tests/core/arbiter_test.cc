@@ -4,6 +4,7 @@
 
 #include "ossim/machine.h"
 #include "platform/sim_platform.h"
+#include "platform/synthetic_platform.h"
 #include "simcore/rng.h"
 
 namespace elastic::core {
@@ -951,11 +952,18 @@ TEST(ArbiterTest, AffinityWeightZeroReproducesObliviousHandout) {
 
 TEST(ArbiterTest, AffinityWeightSteersGrowthToPageNode) {
   // With the term on, the node holding the tenant's pages outscores the
-  // own-core clustering bonus and growth lands on node 1.
-  const platform::CpuMask mask = GrowOnce(4.0, MemTenant("m", 1, 1));
+  // own-core clustering bonus and growth lands on node 1. The term lives in
+  // the handout dense tenants grow through; sparse and adaptive tenants
+  // grow where their own mode puts the core.
+  const auto dense = [](ArbiterTenantConfig config) {
+    config.mode = "dense";
+    return config;
+  };
+  const platform::CpuMask mask = GrowOnce(4.0, dense(MemTenant("m", 1, 1)));
   EXPECT_EQ(mask, platform::CpuMask::Of({0, 4}));
   // Pages on node 0 reinforce the cluster instead: no behaviour change.
-  EXPECT_EQ(GrowOnce(4.0, MemTenant("m", 1, 0)), platform::CpuMask::Of({0, 1}));
+  EXPECT_EQ(GrowOnce(4.0, dense(MemTenant("m", 1, 0))),
+            platform::CpuMask::Of({0, 1}));
 }
 
 TEST(ArbiterTest, AffinityIgnoresImplausibleResidencyVector) {
@@ -1003,6 +1011,100 @@ TEST(ArbiterTest, AffinityMultiRoundTraceMatchesAtWeightZero) {
     }
   }
   EXPECT_EQ(traces[0], traces[1]);
+}
+
+// ---- The allocation mode decides where a tenant's grows land ----
+
+/// The masks a lone fair_share tenant of `mode` holds after Install and
+/// after each of `rounds` rounds at 95% load on the 4x4 SyntheticPlatform.
+std::vector<platform::CpuMask> GrowthAtFullLoad(const std::string& mode,
+                                                int rounds) {
+  platform::SyntheticPlatform platform{numasim::MachineConfig{}};
+  ArbiterConfig config;
+  config.register_tick_hook = false;
+  CoreArbiter arbiter(&platform, config);
+  ArbiterTenantConfig tenant = Tenant("t", 1);
+  tenant.mode = mode;
+  arbiter.AddTenant(tenant);
+  arbiter.Install();
+  std::vector<platform::CpuMask> masks = {arbiter.tenant_mask(0)};
+  for (int round = 0; round < rounds; ++round) {
+    for (int core = 0; core < platform.topology().total_cores(); ++core) {
+      platform.SetCoreBusyFraction(
+          core, arbiter.tenant_mask(0).Has(core) ? 0.95 : 0.0);
+    }
+    platform.AdvanceTicks(config.monitor_period_ticks);
+    arbiter.Poll(platform.Now());
+    masks.push_back(arbiter.tenant_mask(0));
+  }
+  return masks;
+}
+
+TEST(ArbiterTest, SparseTenantGrowsOneCorePerNode) {
+  using platform::CpuMask;
+  EXPECT_EQ(GrowthAtFullLoad("sparse", 3),
+            (std::vector<CpuMask>{CpuMask::Of({0}), CpuMask::Of({0, 4}),
+                                  CpuMask::Of({0, 4, 8}),
+                                  CpuMask::Of({0, 4, 8, 12})}));
+}
+
+TEST(ArbiterTest, DenseTenantFillsANodeBeforeTheNext) {
+  using platform::CpuMask;
+  EXPECT_EQ(GrowthAtFullLoad("dense", 5),
+            (std::vector<CpuMask>{CpuMask::Of({0}), CpuMask::Of({0, 1}),
+                                  CpuMask::Of({0, 1, 2}),
+                                  CpuMask::Of({0, 1, 2, 3}),
+                                  CpuMask::Of({0, 1, 2, 3, 4}),
+                                  CpuMask::Of({0, 1, 2, 3, 4, 5})}));
+}
+
+TEST(ArbiterTest, AdaptiveTenantWithoutMemorySignalClustersLikeDense) {
+  // SyntheticPlatform, like /proc/stat, reports no per-node page accesses:
+  // tenant b, placed on node 1 at Install, grows there through the handout
+  // instead of onto node 0, the first node of a flat priority queue.
+  platform::SyntheticPlatform platform{numasim::MachineConfig{}};
+  ArbiterConfig config;
+  config.register_tick_hook = false;
+  CoreArbiter arbiter(&platform, config);
+  arbiter.AddTenant(Tenant("a", 1));  // adaptive by default
+  arbiter.AddTenant(Tenant("b", 1));
+  arbiter.Install();
+  ASSERT_EQ(arbiter.tenant_mask(1), platform::CpuMask::Of({4}));
+  for (int round = 0; round < 2; ++round) {
+    for (int core = 0; core < platform.topology().total_cores(); ++core) {
+      platform.SetCoreBusyFraction(
+          core, arbiter.tenant_mask(1).Has(core) ? 0.95 : 0.05);
+    }
+    platform.AdvanceTicks(config.monitor_period_ticks);
+    arbiter.Poll(platform.Now());
+  }
+  EXPECT_EQ(arbiter.tenant_mask(0), platform::CpuMask::Of({0}));
+  EXPECT_EQ(arbiter.tenant_mask(1), platform::CpuMask::Of({4, 5, 6}));
+}
+
+TEST(ArbiterTest, AdaptiveTenantGrowsTowardsItsHottestNode) {
+  // Every window shows the tenant's page accesses on node 2: its first core
+  // stays where the handout put it, and every grow lands on node 2.
+  ossim::Machine machine{ossim::MachineOptions{}};
+  platform::SimPlatform platform(&machine);
+  ArbiterConfig config;
+  config.register_tick_hook = false;
+  CoreArbiter arbiter(&platform, config);
+  arbiter.AddTenant(Tenant("t", 1));  // adaptive by default
+  arbiter.Install();
+  std::vector<platform::CpuMask> masks = {arbiter.tenant_mask(0)};
+  for (int round = 0; round < 3; ++round) {
+    FakeLoad(&machine, arbiter.tenant_mask(0), 95.0, 20);
+    machine.counters().node_access_pages[2] += 1000;
+    machine.counters().node_access_pages[1] += 100;
+    machine.clock().Advance(20);
+    arbiter.Poll(machine.clock().now());
+    masks.push_back(arbiter.tenant_mask(0));
+  }
+  using platform::CpuMask;
+  EXPECT_EQ(masks, (std::vector<CpuMask>{CpuMask::Of({0}), CpuMask::Of({0, 8}),
+                                         CpuMask::Of({0, 8, 9}),
+                                         CpuMask::Of({0, 8, 9, 10})}));
 }
 
 }  // namespace

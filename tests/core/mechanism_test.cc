@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/allocation_mode.h"
+#include "core/arbiter.h"
 #include "ossim/machine.h"
 #include "platform/sim_platform.h"
 #include "simcore/rng.h"
@@ -20,19 +21,29 @@ std::unique_ptr<ossim::Machine> MakeMachine() {
   return std::make_unique<ossim::Machine>(ossim::MachineOptions{});
 }
 
-/// Test rig bundling the mechanism with the SimPlatform seam it runs on.
+/// Test rig: the mechanism as the one tenant of a fair_share CoreArbiter on
+/// the SimPlatform seam — floor initial_cores, cap every core, the
+/// arbiter's period the mechanism's — the way exec::Experiment runs it.
+/// Install() hands out the initial cores; Poll() runs one round.
 struct RiggedMechanism {
   std::unique_ptr<platform::SimPlatform> platform;
-  std::unique_ptr<ElasticMechanism> mechanism;
-  ElasticMechanism* operator->() { return mechanism.get(); }
+  std::unique_ptr<CoreArbiter> arbiter;
+  ElasticMechanism* operator->() { return &arbiter->mechanism(0); }
+  void Install() { arbiter->Install(); }
+  void Poll(simcore::Tick now) { arbiter->Poll(now); }
 };
 
 RiggedMechanism MakeMechanism(ossim::Machine* machine, const std::string& mode,
                               MechanismConfig config) {
   RiggedMechanism rig;
   rig.platform = std::make_unique<platform::SimPlatform>(machine);
-  rig.mechanism = std::make_unique<ElasticMechanism>(
-      rig.platform.get(), MakeMode(mode, &machine->topology()), config);
+  ArbiterConfig arbiter_config;
+  arbiter_config.monitor_period_ticks = config.monitor_period_ticks;
+  rig.arbiter = std::make_unique<CoreArbiter>(rig.platform.get(), arbiter_config);
+  ArbiterTenantConfig tenant;
+  tenant.mechanism = config;
+  tenant.mode = mode;
+  rig.arbiter->AddTenant(tenant);
   return rig;
 }
 
@@ -53,18 +64,19 @@ TEST(MechanismTest, InstallsInitialCores) {
   MechanismConfig config;
   config.initial_cores = 3;
   auto mech = MakeMechanism(machine.get(), "dense", config);
-  mech->Install();
+  mech.Install();
   EXPECT_EQ(mech->nalloc(), 3);
-  EXPECT_EQ(machine->scheduler().allowed_mask(), mech->allocated_mask());
+  EXPECT_EQ(machine->scheduler().cpuset_mask(mech.arbiter->tenant_cpuset(0)),
+            mech->allocated_mask());
   EXPECT_EQ(mech->allocated_mask(), platform::CpuMask::Of({0, 1, 2}));
 }
 
 TEST(MechanismTest, OverloadAllocatesOneCore) {
   auto machine = MakeMachine();
   auto mech = MakeMechanism(machine.get(), "dense", MechanismConfig{});
-  mech->Install();
+  mech.Install();
   FakeLoad(machine.get(), mech->allocated_mask(), 99.0, 20);
-  mech->Poll(machine->clock().now());
+  mech.Poll(machine->clock().now());
   EXPECT_EQ(mech->nalloc(), 2);
   EXPECT_EQ(mech->last_state(), PerfState::kOverload);
   ASSERT_EQ(mech->log().size(), 1u);
@@ -76,9 +88,9 @@ TEST(MechanismTest, IdleReleasesOneCore) {
   MechanismConfig config;
   config.initial_cores = 4;
   auto mech = MakeMechanism(machine.get(), "dense", config);
-  mech->Install();
+  mech.Install();
   FakeLoad(machine.get(), mech->allocated_mask(), 2.0, 20);
-  mech->Poll(machine->clock().now());
+  mech.Poll(machine->clock().now());
   EXPECT_EQ(mech->nalloc(), 3);
   EXPECT_EQ(mech->log().back().label, "t0-Idle-t4");
 }
@@ -86,10 +98,10 @@ TEST(MechanismTest, IdleReleasesOneCore) {
 TEST(MechanismTest, IdleAtFloorKeepsOneCore) {
   auto machine = MakeMachine();
   auto mech = MakeMechanism(machine.get(), "dense", MechanismConfig{});
-  mech->Install();
+  mech.Install();
   ASSERT_EQ(mech->nalloc(), 1);
   FakeLoad(machine.get(), mech->allocated_mask(), 0.0, 20);
-  mech->Poll(machine->clock().now());
+  mech.Poll(machine->clock().now());
   EXPECT_EQ(mech->nalloc(), 1);
   EXPECT_EQ(mech->log().back().label, "t0-Idle-t7");
 }
@@ -99,9 +111,9 @@ TEST(MechanismTest, StableKeepsAllocation) {
   MechanismConfig config;
   config.initial_cores = 2;
   auto mech = MakeMechanism(machine.get(), "dense", config);
-  mech->Install();
+  mech.Install();
   FakeLoad(machine.get(), mech->allocated_mask(), 40.0, 20);
-  mech->Poll(machine->clock().now());
+  mech.Poll(machine->clock().now());
   EXPECT_EQ(mech->nalloc(), 2);
   EXPECT_EQ(mech->last_state(), PerfState::kStable);
   EXPECT_EQ(mech->log().back().label, "t2-Stable-t3");
@@ -112,9 +124,9 @@ TEST(MechanismTest, OverloadAtCeilingFiresT6) {
   MechanismConfig config;
   config.initial_cores = 16;
   auto mech = MakeMechanism(machine.get(), "dense", config);
-  mech->Install();
+  mech.Install();
   FakeLoad(machine.get(), mech->allocated_mask(), 100.0, 20);
-  mech->Poll(machine->clock().now());
+  mech.Poll(machine->clock().now());
   EXPECT_EQ(mech->nalloc(), 16);
   EXPECT_EQ(mech->log().back().label, "t1-Overload-t6");
 }
@@ -122,10 +134,10 @@ TEST(MechanismTest, OverloadAtCeilingFiresT6) {
 TEST(MechanismTest, RepeatedOverloadClimbsToCeiling) {
   auto machine = MakeMachine();
   auto mech = MakeMechanism(machine.get(), "sparse", MechanismConfig{});
-  mech->Install();
+  mech.Install();
   for (int round = 0; round < 20; ++round) {
     FakeLoad(machine.get(), mech->allocated_mask(), 95.0, 20);
-    mech->Poll(machine->clock().now());
+    mech.Poll(machine->clock().now());
   }
   EXPECT_EQ(mech->nalloc(), 16);
   // Invariant: nalloc within [1, 16] across the whole history.
@@ -138,10 +150,10 @@ TEST(MechanismTest, RepeatedOverloadClimbsToCeiling) {
 TEST(MechanismTest, SparseModeSpreadsAllocations) {
   auto machine = MakeMachine();
   auto mech = MakeMechanism(machine.get(), "sparse", MechanismConfig{});
-  mech->Install();
+  mech.Install();
   for (int round = 0; round < 3; ++round) {
     FakeLoad(machine.get(), mech->allocated_mask(), 95.0, 20);
-    mech->Poll(machine->clock().now());
+    mech.Poll(machine->clock().now());
   }
   // 4 cores after 3 allocations: one per node under sparse.
   EXPECT_EQ(mech->allocated_mask(), platform::CpuMask::Of({0, 4, 8, 12}));
@@ -154,7 +166,7 @@ TEST(MechanismTest, ThresholdBoundariesAreInclusive) {
   MechanismConfig config;
   config.initial_cores = 4;
   auto mech = MakeMechanism(machine.get(), "dense", config);
-  mech->Install();
+  mech.Install();
   petri::Net& net = mech->net();
   const petri::PlaceId checks = net.FindPlace("Checks");
 
@@ -184,12 +196,12 @@ TEST(MechanismTest, HtImcStrategyUsesRatio) {
   MechanismConfig config = DefaultConfigFor(TransitionStrategy::kHtImcRatio);
   config.initial_cores = 2;
   auto mech = MakeMechanism(machine.get(), "adaptive", config);
-  mech->Install();
+  mech.Install();
   // Ratio 0.5 > thmax 0.4 -> overload.
   machine->counters().imc_bytes[0] += 1000;
   machine->counters().ht_bytes_total += 500;
   machine->clock().Advance(20);
-  mech->Poll(machine->clock().now());
+  mech.Poll(machine->clock().now());
   EXPECT_EQ(mech->last_state(), PerfState::kOverload);
   EXPECT_EQ(mech->nalloc(), 3);
   EXPECT_NEAR(mech->last_u(), 0.5, 1e-9);
@@ -217,7 +229,7 @@ TEST(MechanismTest, InstalledHookPollsOnPeriod) {
   MechanismConfig config;
   config.monitor_period_ticks = 5;
   auto mech = MakeMechanism(machine.get(), "dense", config);
-  mech->Install();
+  mech.Install();
   machine->RunFor(11);  // polls at ticks 5 and 10
   EXPECT_EQ(mech->log().size(), 2u);
 }
@@ -225,9 +237,9 @@ TEST(MechanismTest, InstalledHookPollsOnPeriod) {
 TEST(MechanismTest, TraceRecordsTransitions) {
   auto machine = MakeMachine();
   auto mech = MakeMechanism(machine.get(), "dense", MechanismConfig{});
-  mech->Install();
+  mech.Install();
   FakeLoad(machine.get(), mech->allocated_mask(), 50.0, 20);
-  mech->Poll(machine->clock().now());
+  mech.Poll(machine->clock().now());
   const auto events = machine->trace().EventsOfKind("transition");
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].text, "t2-Stable-t3");
@@ -267,10 +279,17 @@ void AddDecision(Fnv1a& digest, const ElasticMechanism::Decision& d) {
 }
 
 /// Grows or shrinks the mechanism's mask to `target` cores through its own
-/// mode, as the arbiter's grants do.
+/// mode, as the arbiter's grants do for a lone tenant: a mode without a grow
+/// order (dense) takes the lowest free core.
 platform::CpuMask GrantOf(ElasticMechanism& mechanism, int target) {
   platform::CpuMask mask = mechanism.allocated_mask();
-  while (mask.Count() < target) mask.Set(mechanism.mode().NextToAllocate(mask));
+  while (mask.Count() < target) {
+    numasim::CoreId core = mechanism.mode().NextToAllocate(mask);
+    if (core == numasim::kInvalidCore) {
+      for (core = 0; mask.Has(core);) ++core;
+    }
+    mask.Set(core);
+  }
   while (mask.Count() > target) mask.Clear(mechanism.mode().NextToRelease(mask));
   return mask;
 }

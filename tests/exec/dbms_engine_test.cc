@@ -71,8 +71,9 @@ TEST_F(DbmsEngineTest, CompletionCanResubmit) {
 }
 
 TEST_F(DbmsEngineTest, WorksUnderNarrowCpuMask) {
-  machine_.scheduler().SetAllowedMask(platform::CpuMask::Of({0}));
-  DbmsEngine engine(&machine_, &catalog_, EngineOptions{});
+  EngineOptions options;
+  options.cpuset = machine_.scheduler().CreateCpuset(platform::CpuMask::Of({0}));
+  DbmsEngine engine(&machine_, &catalog_, options);
   bool done = false;
   engine.Submit(&trace_, [&done] { done = true; });
   RunToQuiet(&engine);

@@ -19,7 +19,9 @@ TEST(ExperimentTest, OsPolicyHasNoMechanism) {
   options.policy = "os";
   Experiment experiment(&testutil::TestDb(), options);
   EXPECT_EQ(experiment.mechanism(), nullptr);
-  EXPECT_EQ(experiment.machine().scheduler().allowed_mask().Count(), 16);
+  // No cpuset: the engine's threads may run on all 16 cores.
+  EXPECT_EQ(experiment.machine().scheduler().num_cpusets(), 0);
+  EXPECT_EQ(experiment.machine().topology().total_cores(), 16);
 }
 
 TEST(ExperimentTest, ElasticPoliciesStartAtInitialCores) {
@@ -30,7 +32,12 @@ TEST(ExperimentTest, ElasticPoliciesStartAtInitialCores) {
     Experiment experiment(&testutil::TestDb(), options);
     ASSERT_NE(experiment.mechanism(), nullptr) << policy;
     EXPECT_EQ(experiment.mechanism()->nalloc(), 2) << policy;
-    EXPECT_EQ(experiment.machine().scheduler().allowed_mask().Count(), 2);
+    // The tenant's cpuset, the only one, confines the engine to those cores.
+    const ossim::Scheduler& scheduler = experiment.machine().scheduler();
+    ASSERT_EQ(scheduler.num_cpusets(), 1) << policy;
+    EXPECT_EQ(scheduler.cpuset_mask(0).Count(), 2) << policy;
+    EXPECT_EQ(scheduler.cpuset_mask(0), experiment.mechanism()->allocated_mask())
+        << policy;
   }
 }
 

@@ -88,9 +88,10 @@ TEST_F(SchedulerTest, PlacementSpreadsAcrossNodes) {
 }
 
 TEST_F(SchedulerTest, MaskRestrictsPlacement) {
-  machine_->scheduler().SetAllowedMask(CpuMask::Of({2, 3}));
+  const CpusetId group = machine_->scheduler().CreateCpuset(CpuMask::Of({2, 3}));
   for (int i = 0; i < 6; ++i) {
-    machine_->scheduler().SpawnOneShot(ScanJob(100), std::nullopt, nullptr);
+    machine_->scheduler().SpawnOneShot(ScanJob(100), std::nullopt, nullptr,
+                                       group);
   }
   machine_->RunFor(3);
   for (int64_t id = 0; id < machine_->scheduler().num_threads(); ++id) {
@@ -102,12 +103,14 @@ TEST_F(SchedulerTest, MaskRestrictsPlacement) {
 }
 
 TEST_F(SchedulerTest, ShrinkingMaskEvacuatesThreads) {
+  const CpusetId group = machine_->scheduler().CreateCpuset(CpuMask::FirstN(16));
   for (int i = 0; i < 8; ++i) {
-    machine_->scheduler().SpawnOneShot(ScanJob(50000), std::nullopt, nullptr);
+    machine_->scheduler().SpawnOneShot(ScanJob(50000), std::nullopt, nullptr,
+                                       group);
   }
   machine_->RunFor(2);
   const int64_t migrations_before = machine_->counters().thread_migrations;
-  machine_->scheduler().SetAllowedMask(CpuMask::Of({0}));
+  machine_->scheduler().SetCpusetMask(group, CpuMask::Of({0}));
   EXPECT_GT(machine_->counters().thread_migrations, migrations_before);
   machine_->RunFor(2);
   for (int64_t id = 0; id < machine_->scheduler().num_threads(); ++id) {
@@ -134,12 +137,13 @@ TEST_F(SchedulerTest, PinnedThreadStaysOnItsNode) {
 TEST_F(SchedulerTest, IdleCoreStealsWork) {
   // Pile many threads onto one allowed core, then widen the mask: the newly
   // allowed cores must steal.
-  machine_->scheduler().SetAllowedMask(CpuMask::Of({0}));
+  const CpusetId group = machine_->scheduler().CreateCpuset(CpuMask::Of({0}));
   for (int i = 0; i < 8; ++i) {
-    machine_->scheduler().SpawnOneShot(ScanJob(20000), std::nullopt, nullptr);
+    machine_->scheduler().SpawnOneShot(ScanJob(20000), std::nullopt, nullptr,
+                                       group);
   }
   machine_->RunFor(1);
-  machine_->scheduler().SetAllowedMask(CpuMask::FirstN(16));
+  machine_->scheduler().SetCpusetMask(group, CpuMask::FirstN(16));
   machine_->RunFor(3);
   EXPECT_GT(machine_->counters().stolen_tasks, 0);
 }
@@ -148,9 +152,9 @@ TEST_F(SchedulerTest, LoadBalancerMovesQueuedThreads) {
   // Threads pinned to cores {0,1} make core 0's queue deep; periodic load
   // balancing should move some to core 1.
   const CpuMask pair = CpuMask::Of({0, 1});
-  machine_->scheduler().SetAllowedMask(pair);
+  const CpusetId group = machine_->scheduler().CreateCpuset(pair);
   for (int i = 0; i < 10; ++i) {
-    machine_->scheduler().SpawnOneShot(ScanJob(800), pair, nullptr);
+    machine_->scheduler().SpawnOneShot(ScanJob(800), pair, nullptr, group);
   }
   machine_->RunUntilIdle(2000);
   EXPECT_EQ(machine_->scheduler().runnable_threads(), 0);
@@ -282,10 +286,9 @@ TEST_F(SchedulerTest, StealNeverCrossesCpusetBoundary) {
   }
 }
 
-TEST_F(SchedulerTest, CpusetThreadsReconfinedAfterGlobalMaskRoundTrip) {
-  // When cpuset ∩ allowed goes empty the group's threads legally fall back
-  // to the global mask; once the intersection is restored they must return
-  // to their group instead of squatting on foreign cores forever.
+TEST_F(SchedulerTest, CpusetThreadsFollowTheirMaskThereAndBack) {
+  // The group's threads move with its mask to {0,1} and, once the mask is
+  // restored, back to {4,5} instead of squatting on foreign cores forever.
   const CpusetId group = machine_->scheduler().CreateCpuset(CpuMask::Of({4, 5}));
   std::vector<ThreadId> ids;
   for (int i = 0; i < 2; ++i) {
@@ -294,7 +297,7 @@ TEST_F(SchedulerTest, CpusetThreadsReconfinedAfterGlobalMaskRoundTrip) {
                                                      group));
   }
   machine_->RunFor(2);
-  machine_->scheduler().SetAllowedMask(CpuMask::Of({0, 1}));
+  machine_->scheduler().SetCpusetMask(group, CpuMask::Of({0, 1}));
   machine_->RunFor(2);
   for (ThreadId id : ids) {
     const Thread& t = machine_->scheduler().thread(id);
@@ -302,7 +305,7 @@ TEST_F(SchedulerTest, CpusetThreadsReconfinedAfterGlobalMaskRoundTrip) {
       EXPECT_TRUE(t.core == 0 || t.core == 1) << "thread on core " << t.core;
     }
   }
-  machine_->scheduler().SetAllowedMask(CpuMask::FirstN(16));
+  machine_->scheduler().SetCpusetMask(group, CpuMask::Of({4, 5}));
   machine_->RunFor(2);
   for (ThreadId id : ids) {
     const Thread& t = machine_->scheduler().thread(id);
@@ -310,6 +313,48 @@ TEST_F(SchedulerTest, CpusetThreadsReconfinedAfterGlobalMaskRoundTrip) {
       EXPECT_TRUE(t.core == 4 || t.core == 5) << "thread on core " << t.core;
     }
   }
+}
+
+TEST_F(SchedulerTest, GroupBalancesOntoItsOwnIdleCore) {
+  // Core 0 queues three of the group's threads, core 1 one pinned thread:
+  // the first tick's balancing moves one queued thread from core 0 to core
+  // 1, though fourteen idle cores outside the group are idler than core 1.
+  Scheduler& scheduler = machine_->scheduler();
+  const CpusetId group = scheduler.CreateCpuset(CpuMask::Of({0}));
+  std::vector<ThreadId> queued;
+  for (int i = 0; i < 3; ++i) {
+    queued.push_back(
+        scheduler.SpawnOneShot(ScanJob(5000), std::nullopt, nullptr, group));
+  }
+  scheduler.SetCpusetMask(group, CpuMask::Of({0, 1}));
+  const ThreadId pinned =
+      scheduler.SpawnOneShot(ScanJob(5000), CpuMask::Of({1}), nullptr, group);
+  ASSERT_EQ(scheduler.thread(pinned).core, 1);
+  ASSERT_EQ(scheduler.CoreLoad(0), 3);
+  ASSERT_EQ(scheduler.CoreLoad(1), 1);
+
+  machine_->Step();  // tick 0 balances before any core runs
+  EXPECT_EQ(machine_->counters().thread_migrations, 1);
+  int on_core_1 = 0;
+  for (ThreadId id : queued) on_core_1 += scheduler.thread(id).core == 1;
+  EXPECT_EQ(on_core_1, 1);
+  EXPECT_EQ(machine_->counters().stolen_tasks, 0);
+}
+
+TEST_F(SchedulerTest, PlacementTieBreakCountsOnlyTheGroupsCores) {
+  // Cores 0 (node 0) and 4 (node 1) are the group's idle cores. Inside the
+  // group node 1 is busier (core 5 runs a pinned thread), so a new thread
+  // goes to core 0 — although another group keeps node 0 busier overall.
+  Scheduler& scheduler = machine_->scheduler();
+  const CpusetId other = scheduler.CreateCpuset(CpuMask::Of({1, 2, 3}));
+  for (int i = 0; i < 3; ++i) {
+    scheduler.SpawnOneShot(ScanJob(5000), std::nullopt, nullptr, other);
+  }
+  const CpusetId group = scheduler.CreateCpuset(CpuMask::Of({0, 4, 5}));
+  scheduler.SpawnOneShot(ScanJob(5000), CpuMask::Of({5}), nullptr, group);
+  const ThreadId placed =
+      scheduler.SpawnOneShot(ScanJob(5000), std::nullopt, nullptr, group);
+  EXPECT_EQ(scheduler.thread(placed).core, 0);
 }
 
 TEST_F(SchedulerTest, PinIntersectsCpusetWorld) {
@@ -326,10 +371,12 @@ TEST_F(SchedulerTest, PinIntersectsCpusetWorld) {
 }
 
 TEST_F(SchedulerTest, TimesliceRotatesThreadsOnSharedCore) {
-  machine_->scheduler().SetAllowedMask(CpuMask::Of({0}));
+  const CpusetId group = machine_->scheduler().CreateCpuset(CpuMask::Of({0}));
   // Two long jobs share core 0; both make progress before either finishes.
-  machine_->scheduler().SpawnOneShot(ScanJob(100000), std::nullopt, nullptr);
-  machine_->scheduler().SpawnOneShot(ScanJob(100000), std::nullopt, nullptr);
+  machine_->scheduler().SpawnOneShot(ScanJob(100000), std::nullopt, nullptr,
+                                     group);
+  machine_->scheduler().SpawnOneShot(ScanJob(100000), std::nullopt, nullptr,
+                                     group);
   machine_->RunFor(20);
   EXPECT_GT(machine_->scheduler().thread(0).pages_processed, 0);
   EXPECT_GT(machine_->scheduler().thread(1).pages_processed, 0);
