@@ -84,7 +84,8 @@ void BM_FirstTouch(benchmark::State& state) {
 BENCHMARK(BM_FirstTouch);
 
 /// Writes to pages already homed and cached on the writer's socket: unlike
-/// a first touch, each one probes the other sockets' caches to invalidate.
+/// a first touch, each one reads the other sockets' frames from the page's
+/// directory entry to invalidate.
 void BM_WriteRevisit(benchmark::State& state) {
   Rig rig;
   const int64_t pages = 64;

@@ -92,20 +92,24 @@ platform::CpuMask CoreArbiter::FreePool() const {
 numasim::CoreId CoreArbiter::PickCoreFor(const Tenant& tenant,
                                          const platform::CpuMask& pool) const {
   const numasim::Topology& topo = platform_->topology();
-  // Reuse the NodePriorityQueue as the NUMA-aware handout order: a node's
-  // score is dominated by how many cores the tenant already holds there
-  // (cluster the cpuset), with free capacity as the tie breaker. Ties in
-  // the queue itself break towards the lower node id, so handout is fully
+  const int cores_per_node = topo.config().cores_per_node;
+  // The NUMA-aware handout: a node's score is dominated by how many cores
+  // the tenant already holds there (cluster the cpuset), with free capacity
+  // as the tie breaker. The core comes from the best-scoring node with a
+  // free core; equal scores go to the lower node id, so handout is fully
   // deterministic.
-  NodePriorityQueue queue(topo.num_nodes());
   const double weight = static_cast<double>(domain_.Count() + 1);
+  numasim::NodeId best = numasim::kInvalidNode;
+  double best_score = 0.0;
   for (numasim::NodeId node = 0; node < topo.num_nodes(); ++node) {
     int own = 0;
     int free = 0;
-    for (numasim::CoreId core : topo.CoresOfNode(node)) {
+    for (int j = 0; j < cores_per_node; ++j) {
+      const numasim::CoreId core = topo.CoreAt(node, j);
       if (tenant.mask.Has(core)) own++;
       if (pool.Has(core)) free++;
     }
+    if (free == 0) continue;
     double score = own * weight + free;
     if (config_.numa_affinity_weight > 0.0 &&
         node < static_cast<numasim::NodeId>(tenant.mem_fraction.size())) {
@@ -116,12 +120,15 @@ numasim::CoreId CoreArbiter::PickCoreFor(const Tenant& tenant,
       score += config_.numa_affinity_weight * weight *
                tenant.mem_fraction[static_cast<size_t>(node)];
     }
-    queue.SetScore(node, score);
-  }
-  for (numasim::NodeId node : queue.ByPriorityDescending()) {
-    for (numasim::CoreId core : topo.CoresOfNode(node)) {
-      if (pool.Has(core)) return core;
+    if (best == numasim::kInvalidNode || score > best_score) {
+      best = node;
+      best_score = score;
     }
+  }
+  if (best == numasim::kInvalidNode) return numasim::kInvalidCore;
+  for (int j = 0; j < cores_per_node; ++j) {
+    const numasim::CoreId core = topo.CoreAt(best, j);
+    if (pool.Has(core)) return core;
   }
   return numasim::kInvalidCore;
 }

@@ -10,7 +10,6 @@
 #include "core/allocation_mode.h"
 #include "core/entitlement_policy.h"
 #include "core/mechanism.h"
-#include "core/node_priority_queue.h"
 #include "core/telemetry.h"
 #include "platform/platform.h"
 #include "simcore/rng.h"
@@ -169,9 +168,10 @@ struct ArbiterRound {
 ///      each on the core the tenant's allocation mode picks (sparse spreads
 ///      across sockets, adaptive follows the working set); dense tenants,
 ///      and adaptive ones before any traffic is seen, take PickCoreFor's
-///      NUMA-aware handout, a NodePriorityQueue keyed by
-///      the tenant's per-node core counts (ties towards free capacity) that
-///      keeps the cpuset clustered on as few sockets as possible;
+///      NUMA-aware handout: the free core of the node that scores highest
+///      on the tenant's per-node core counts (ties towards free capacity,
+///      then the lower node id), which keeps the cpuset clustered on as few
+///      sockets as possible;
 ///   5. unmet grows may preempt one core from the tenant furthest above its
 ///      entitlement, provided that tenant is not itself overloaded and
 ///      stays at or above its initial_cores floor;

@@ -6,53 +6,19 @@ namespace elastic::numasim {
 
 L3Cache::L3Cache(int capacity_pages) : capacity_(capacity_pages) {
   ELASTIC_CHECK(capacity_pages >= 1, "cache needs at least one frame");
-  int bits = 1;
-  while ((int64_t{1} << bits) <= int64_t{2} * capacity_pages) ++bits;
-  hash_shift_ = 64 - bits;
-  slot_mask_ = (size_t{1} << bits) - 1;
   frames_.resize(static_cast<size_t>(capacity_pages));
   free_.reserve(static_cast<size_t>(capacity_pages));
-  index_.resize(slot_mask_ + 1);
   Clear();
-}
-
-size_t L3Cache::HomeSlot(PageId page) const {
-  // Fibonacci hashing: the top bits of the product depend on every bit of
-  // the page id, so consecutive pages of one buffer spread over the index.
-  return static_cast<size_t>((page * 0x9E3779B97F4A7C15ULL) >> hash_shift_);
-}
-
-size_t L3Cache::FindSlot(PageId page) const {
-  size_t slot = HomeSlot(page);
-  while (index_[slot].frame != kNone && index_[slot].page != page) {
-    slot = (slot + 1) & slot_mask_;
-  }
-  return slot;
-}
-
-void L3Cache::EraseSlot(size_t hole) {
-  for (size_t slot = (hole + 1) & slot_mask_; index_[slot].frame != kNone;
-       slot = (slot + 1) & slot_mask_) {
-    // An entry may move back into the hole only when the hole lies between
-    // its home slot and its current slot; otherwise lookups would miss it.
-    const size_t home = HomeSlot(index_[slot].page);
-    if (((slot - home) & slot_mask_) >= ((slot - hole) & slot_mask_)) {
-      index_[hole] = index_[slot];
-      frames_[index_[hole].frame].slot = static_cast<int32_t>(hole);
-      hole = slot;
-    }
-  }
-  index_[hole].frame = kNone;
 }
 
 void L3Cache::Unlink(int32_t frame) {
   const Frame& f = frames_[frame];
-  if (f.prev == kNone) {
+  if (f.prev == kNoFrame) {
     head_ = f.next;
   } else {
     frames_[f.prev].next = f.next;
   }
-  if (f.next == kNone) {
+  if (f.next == kNoFrame) {
     tail_ = f.prev;
   } else {
     frames_[f.next].prev = f.prev;
@@ -61,9 +27,9 @@ void L3Cache::Unlink(int32_t frame) {
 
 void L3Cache::PushFront(int32_t frame) {
   Frame& f = frames_[frame];
-  f.prev = kNone;
+  f.prev = kNoFrame;
   f.next = head_;
-  if (head_ == kNone) {
+  if (head_ == kNoFrame) {
     tail_ = frame;
   } else {
     frames_[head_].prev = frame;
@@ -71,59 +37,39 @@ void L3Cache::PushFront(int32_t frame) {
   head_ = frame;
 }
 
-bool L3Cache::Access(PageId page) {
-  const size_t slot = FindSlot(page);
-  int32_t frame = index_[slot].frame;
-  if (frame != kNone) {
-    if (frame != head_) {
-      Unlink(frame);
-      PushFront(frame);
-    }
-    return true;
-  }
-  // Enter the page in the empty slot that ended its probe, then erase the
-  // evicted page's entry: that backward shift keeps the new entry findable,
-  // whereas erasing first could empty a slot earlier on `page`'s probe
-  // sequence.
-  int32_t evicted_slot = kNone;
+void L3Cache::Promote(int32_t frame) {
+  if (frame == head_) return;
+  Unlink(frame);
+  PushFront(frame);
+}
+
+L3Cache::Fill L3Cache::Insert(PageId page) {
+  Fill fill;
   if (free_.empty()) {
-    frame = tail_;
-    Unlink(frame);
-    evicted_slot = frames_[frame].slot;
+    fill.frame = tail_;
+    fill.evicted = frames_[tail_].page;
+    Unlink(tail_);
   } else {
-    frame = free_.back();
+    fill.frame = free_.back();
     free_.pop_back();
   }
-  frames_[frame].page = page;
-  frames_[frame].slot = static_cast<int32_t>(slot);
-  index_[slot] = Slot{page, frame};
-  if (evicted_slot != kNone) EraseSlot(static_cast<size_t>(evicted_slot));
-  PushFront(frame);
-  return false;
+  frames_[fill.frame].page = page;
+  PushFront(fill.frame);
+  return fill;
 }
 
-bool L3Cache::Contains(PageId page) const {
-  return index_[FindSlot(page)].frame != kNone;
-}
-
-bool L3Cache::Invalidate(PageId page) {
-  const size_t slot = FindSlot(page);
-  const int32_t frame = index_[slot].frame;
-  if (frame == kNone) return false;
-  EraseSlot(slot);
+void L3Cache::Release(int32_t frame) {
   Unlink(frame);
   free_.push_back(frame);
-  return true;
 }
 
 void L3Cache::Clear() {
-  for (Slot& slot : index_) slot.frame = kNone;
   free_.clear();
   for (int32_t frame = capacity_ - 1; frame >= 0; --frame) {
     free_.push_back(frame);
   }
-  head_ = kNone;
-  tail_ = kNone;
+  head_ = kNoFrame;
+  tail_ = kNoFrame;
 }
 
 }  // namespace elastic::numasim

@@ -17,31 +17,35 @@ namespace elastic::numasim {
 /// packed onto one node evict each other — exactly the "dense" failure mode
 /// the paper describes.
 ///
-/// Every simulated page access goes through Access(), so the structure is
-/// flat and allocated once: `capacity` frames doubly linked by index in
-/// recency order, a stack of the frames not in use, and an open-addressing
-/// index from page to frame (linear probing with backward-shift deletion, so
-/// the constant eviction of a full cache leaves no tombstones behind). Each
-/// frame records its index slot, so a miss probes the index once: the new
-/// page takes the empty slot that ended its probe, and the evicted page's
-/// slot is known without a lookup. The new page is entered before the
-/// evicted one is erased, so for that moment the index holds capacity + 1
-/// pages; its size is the smallest power of two larger than twice the
-/// capacity, which always leaves an empty slot to end a probe or a shift.
+/// The cache holds frames only: `capacity` frames doubly linked by index in
+/// exact recency order and a stack of the frames not in use, allocated once.
+/// Which frame holds a page is the page's directory entry in the PageTable
+/// (PageTable::TouchResult::frames), so a lookup is one load there and the
+/// cache never searches. Whoever keeps the directory keeps it in step: it
+/// records the frame Insert returns and clears the entry of the page Insert
+/// reports evicted.
 class L3Cache {
  public:
   explicit L3Cache(int capacity_pages);
 
-  /// Looks up a page; on miss, inserts it (evicting the LRU page when full).
-  /// Returns true on hit.
-  bool Access(PageId page);
+  /// Marks a resident frame most recently used (a hit).
+  void Promote(int32_t frame);
 
-  /// True when the page currently resides in this cache.
-  bool Contains(PageId page) const;
+  struct Fill {
+    /// The frame now holding the page, most recently used.
+    int32_t frame = kNoFrame;
+    /// The page the fill evicted, or kInvalidPage when a frame was free.
+    PageId evicted = kInvalidPage;
+  };
+  /// Caches a page that is not resident (a miss): in a free frame, or else
+  /// in the least recently used one, evicting its page.
+  Fill Insert(PageId page);
 
-  /// Removes the page if present (cross-socket write invalidation).
-  /// Returns true when something was invalidated.
-  bool Invalidate(PageId page);
+  /// Empties a resident frame (cross-socket write invalidation).
+  void Release(int32_t frame);
+
+  /// The page a resident frame holds.
+  PageId PageAt(int32_t frame) const { return frames_[frame].page; }
 
   /// Number of resident pages.
   int64_t size() const {
@@ -49,44 +53,27 @@ class L3Cache {
   }
   int capacity() const { return capacity_; }
 
-  /// Drops all contents (e.g., between experiments).
+  /// Empties every frame. The owner's directory entries go stale with it.
   void Clear();
 
  private:
-  static constexpr int32_t kNone = -1;
-
   /// A resident page, linked towards the more (prev) and less (next)
-  /// recently used frames, and the index slot that holds it.
+  /// recently used frames.
   struct Frame {
-    PageId page = 0;
-    int32_t prev = kNone;
-    int32_t next = kNone;
-    int32_t slot = kNone;
-  };
-  /// An index slot; empty when `frame` is kNone.
-  struct Slot {
-    PageId page = 0;
-    int32_t frame = kNone;
+    PageId page = kInvalidPage;
+    int32_t prev = kNoFrame;
+    int32_t next = kNoFrame;
   };
 
-  size_t HomeSlot(PageId page) const;
-  /// Slot holding `page`, or the empty slot that ends its probe sequence.
-  size_t FindSlot(PageId page) const;
-  /// Empties a slot and shifts the rest of its cluster back over the hole,
-  /// updating the slot each moved frame records.
-  void EraseSlot(size_t slot);
   void Unlink(int32_t frame);
   void PushFront(int32_t frame);
 
   int capacity_;
   std::vector<Frame> frames_;
-  /// Frames holding no page; Invalidate pushes, a miss pops.
+  /// Frames holding no page; Release pushes, a fill pops.
   std::vector<int32_t> free_;
-  int32_t head_ = kNone;  // most recently used
-  int32_t tail_ = kNone;  // least recently used
-  std::vector<Slot> index_;
-  size_t slot_mask_ = 0;
-  int hash_shift_ = 0;
+  int32_t head_ = kNoFrame;  // most recently used
+  int32_t tail_ = kNoFrame;  // least recently used
 };
 
 }  // namespace elastic::numasim

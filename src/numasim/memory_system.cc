@@ -47,13 +47,20 @@ AccessResult MemorySystem::Access(CoreId core, PageId page, bool is_write,
 
   counters_->node_access_pages[home]++;
 
-  // L3 lookup in the requesting socket.
-  const bool hit = l3_[node].Access(page);
-  if (hit && !touch.first_touch) {
+  // L3 lookup in the requesting socket: the page's entry names its frame
+  // there. A first touch finds none, as its page was never cached.
+  int32_t* const frames = touch.frames;
+  if (frames[node] != kNoFrame) {
+    l3_[node].Promote(frames[node]);
     result.l3_hit = true;
     result.cycles = cfg.l3_hit_cycles;
     counters_->l3_hits[node]++;
   } else {
+    const L3Cache::Fill fill = l3_[node].Insert(page);
+    if (fill.evicted != kInvalidPage) {
+      page_table_->ForgetFrame(fill.evicted, node);
+    }
+    frames[node] = fill.frame;
     counters_->l3_misses[node]++;
     // Fetch from the home node's DRAM through its memory controller.
     counters_->imc_bytes[home] += cfg.page_bytes;
@@ -94,20 +101,18 @@ AccessResult MemorySystem::Access(CoreId core, PageId page, bool is_write,
   }
 
   // Write-invalidate coherence at page granularity: a write removes copies
-  // cached by the other sockets. A first touch has none to remove: only
-  // Access fills the caches, always after Touch has homed the page, and
-  // buffer ids are never reused, so a page without a home is cached nowhere.
+  // cached by the other sockets, which the page's entry names. A first
+  // touch has none to remove: only Access fills the caches, always after
+  // Touch has homed the page, so a page without a home is cached nowhere.
   if (is_write && !touch.first_touch) {
     for (int n = 0; n < cfg.num_nodes; ++n) {
-      if (n == node) continue;
-      if (l3_[n].Invalidate(page)) counters_->l3_invalidations++;
+      if (n == node || frames[n] == kNoFrame) continue;
+      l3_[n].Release(frames[n]);
+      frames[n] = kNoFrame;
+      counters_->l3_invalidations++;
     }
   }
   return result;
-}
-
-void MemorySystem::ClearCaches() {
-  for (L3Cache& cache : l3_) cache.Clear();
 }
 
 }  // namespace elastic::numasim

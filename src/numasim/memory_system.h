@@ -42,11 +42,9 @@ class MemorySystem {
   void BeginTick();
 
   /// Performs one page access from `core`, attributed to `stream`
-  /// (perf::kNoStream for administrative work).
+  /// (perf::kNoStream for administrative work). The page's directory entry
+  /// in the page table says which sockets cache it and in which frame.
   AccessResult Access(CoreId core, PageId page, bool is_write, int stream);
-
-  /// Drops all cached contents (cold caches between experiments).
-  void ClearCaches();
 
   const L3Cache& l3(NodeId node) const { return l3_[node]; }
 

@@ -8,6 +8,7 @@ namespace elastic::numasim {
 
 PageTable::PageTable(int num_nodes) : num_nodes_(num_nodes) {
   ELASTIC_CHECK(num_nodes >= 1, "page table needs at least one node");
+  ELASTIC_CHECK(num_nodes <= kMaxNodes, "more nodes than a page table home holds");
   resident_pages_.assign(num_nodes, 0);
 }
 
@@ -18,6 +19,7 @@ BufferId PageTable::CreateBuffer(int64_t num_pages, std::string label) {
   Buffer buf;
   buf.label = std::move(label);
   buf.home.assign(static_cast<size_t>(num_pages), static_cast<int8_t>(kInvalidNode));
+  buf.frames.assign(static_cast<size_t>(num_pages * num_nodes_), kNoFrame);
   buf.live = true;
   buffers_.push_back(std::move(buf));
   return static_cast<BufferId>(buffers_.size() - 1);
@@ -31,6 +33,8 @@ void PageTable::FreeBuffer(BufferId buffer) {
   }
   buf.home.clear();
   buf.home.shrink_to_fit();
+  buf.frames.clear();
+  buf.frames.shrink_to_fit();
   buf.live = false;
 }
 
@@ -52,6 +56,15 @@ NodeId PageTable::HomeOf(PageId page) const {
   const int64_t index = IndexOf(page);
   ELASTIC_CHECK(index < static_cast<int64_t>(buf.home.size()), "page index out of range");
   return buf.home[index];
+}
+
+int32_t PageTable::FrameOf(PageId page, NodeId node) const {
+  ELASTIC_CHECK(node >= 0 && node < num_nodes_, "node id out of range");
+  const Buffer& buf = GetBuffer(BufferOf(page));
+  ELASTIC_CHECK(buf.live, "reading the entry of a freed buffer's page");
+  const int64_t index = IndexOf(page);
+  ELASTIC_CHECK(index < static_cast<int64_t>(buf.home.size()), "page index out of range");
+  return buf.frames[static_cast<size_t>(index * num_nodes_ + node)];
 }
 
 void PageTable::PlaceAllOn(BufferId buffer, NodeId node) {

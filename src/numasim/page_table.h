@@ -2,6 +2,7 @@
 #define ELASTICORE_NUMASIM_PAGE_TABLE_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,8 @@ using PageId = uint64_t;
 
 inline constexpr int kPageIndexBits = 24;
 inline constexpr PageId kInvalidPage = ~PageId{0};
+/// A directory entry's frame for a socket whose L3 does not hold the page.
+inline constexpr int32_t kNoFrame = -1;
 
 /// Simulated OS page table with first-touch NUMA placement.
 ///
@@ -25,8 +28,18 @@ inline constexpr PageId kInvalidPage = ~PageId{0};
 /// first touched; the touching core's node becomes its home (the Linux
 /// node-local default policy described in Section II-A of the paper).
 /// Explicit placement helpers emulate data already loaded by the DBMS.
+///
+/// Every page also has a directory entry: its frame in each socket's L3
+/// (kNoFrame where that socket does not cache it), which MemorySystem reads
+/// and writes in place of a lookup in the caches. Entries live and die with
+/// their buffer. A freed buffer's cached pages keep their frames, since the
+/// caches do not learn of frees; when an L3 evicts one, ForgetFrame finds
+/// its entry gone and does nothing.
 class PageTable {
  public:
+  /// Homes are stored in one signed byte, kInvalidNode when untouched.
+  static constexpr int kMaxNodes = std::numeric_limits<int8_t>::max() + 1;
+
   explicit PageTable(int num_nodes);
 
   /// Creates a buffer of `num_pages` untouched pages. `label` is used only
@@ -61,6 +74,9 @@ class PageTable {
   struct TouchResult {
     NodeId home = kInvalidNode;
     bool first_touch = false;
+    /// The page's directory entry: frames[n] is its frame in node n's L3,
+    /// or kNoFrame. Valid until the buffer is freed.
+    int32_t* frames = nullptr;
   };
 
   /// Touches a page from `node`: allocates it there on first touch,
@@ -73,6 +89,7 @@ class PageTable {
     ELASTIC_CHECK(index < static_cast<int64_t>(buf.home.size()),
                   "page index out of range");
     TouchResult result;
+    result.frames = &buf.frames[static_cast<size_t>(index * num_nodes_)];
     if (buf.home[index] == kInvalidNode) {
       buf.home[index] = static_cast<int8_t>(node);
       resident_pages_[node]++;
@@ -84,6 +101,19 @@ class PageTable {
     }
     return result;
   }
+
+  /// Node `node`'s L3 evicted `page`: clears that frame from the page's
+  /// entry, unless the buffer was freed and took its entries with it. Only
+  /// a page Touch accepted can have been cached, so the buffer and index
+  /// checks are implied.
+  void ForgetFrame(PageId page, NodeId node) {
+    Buffer& buf = buffers_[BufferOf(page)];
+    if (!buf.live) return;
+    buf.frames[static_cast<size_t>(IndexOf(page) * num_nodes_ + node)] = kNoFrame;
+  }
+
+  /// The page's frame in node `node`'s L3, or kNoFrame.
+  int32_t FrameOf(PageId page, NodeId node) const;
 
   /// Pre-touches every page of the buffer on a single node (a loader thread
   /// that ran entirely on that node).
@@ -108,6 +138,8 @@ class PageTable {
   struct Buffer {
     std::string label;
     std::vector<int8_t> home;  // kInvalidNode (-1) when untouched
+    /// Directory entries, num_nodes frames per page.
+    std::vector<int32_t> frames;
     bool live = false;
   };
 

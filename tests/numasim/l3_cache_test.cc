@@ -20,12 +20,14 @@ class ReferenceLru {
   explicit ReferenceLru(int capacity) : capacity_(capacity) {}
 
   bool Access(PageId page) {
+    last_evicted_ = kInvalidPage;
     auto it = map_.find(page);
     if (it != map_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
       return true;
     }
     if (static_cast<int>(map_.size()) >= capacity_) {
+      last_evicted_ = lru_.back();
       map_.erase(lru_.back());
       lru_.pop_back();
     }
@@ -54,20 +56,87 @@ class ReferenceLru {
   /// Resident pages, most recently used first.
   const std::list<PageId>& pages() const { return lru_; }
 
+  /// The page the last Access evicted, or kInvalidPage.
+  PageId last_evicted() const { return last_evicted_; }
+
  private:
   int capacity_;
   std::list<PageId> lru_;
   std::unordered_map<PageId, std::list<PageId>::iterator> map_;
+  PageId last_evicted_ = kInvalidPage;
+};
+
+/// An L3Cache behind a page -> frame map: the page-level cache MemorySystem
+/// builds from the page table's directory entries, with a hash map standing
+/// in for the entries. Every lookup checks that the frame the map names
+/// holds the page, and every eviction that the map named the evicted frame.
+class DirectoryCache {
+ public:
+  explicit DirectoryCache(int capacity) : cache_(capacity) {}
+
+  bool Access(PageId page) {
+    last_evicted_ = kInvalidPage;
+    const auto it = frames_.find(page);
+    if (it != frames_.end()) {
+      EXPECT_EQ(cache_.PageAt(it->second), page);
+      cache_.Promote(it->second);
+      return true;
+    }
+    const L3Cache::Fill fill = cache_.Insert(page);
+    if (fill.evicted != kInvalidPage) {
+      const auto evicted = frames_.find(fill.evicted);
+      EXPECT_TRUE(evicted != frames_.end() && evicted->second == fill.frame)
+          << "evicted page " << fill.evicted << " was not in frame "
+          << fill.frame;
+      if (evicted != frames_.end()) frames_.erase(evicted);
+      last_evicted_ = fill.evicted;
+    }
+    frames_[page] = fill.frame;
+    return false;
+  }
+
+  bool Contains(PageId page) const {
+    const auto it = frames_.find(page);
+    if (it == frames_.end()) return false;
+    EXPECT_EQ(cache_.PageAt(it->second), page);
+    return true;
+  }
+
+  bool Invalidate(PageId page) {
+    const auto it = frames_.find(page);
+    if (it == frames_.end()) return false;
+    EXPECT_EQ(cache_.PageAt(it->second), page);
+    cache_.Release(it->second);
+    frames_.erase(it);
+    return true;
+  }
+
+  int64_t size() const {
+    EXPECT_EQ(static_cast<int64_t>(frames_.size()), cache_.size());
+    return cache_.size();
+  }
+
+  void Clear() {
+    cache_.Clear();
+    frames_.clear();
+  }
+
+  PageId last_evicted() const { return last_evicted_; }
+
+ private:
+  L3Cache cache_;
+  std::unordered_map<PageId, int32_t> frames_;
+  PageId last_evicted_ = kInvalidPage;
 };
 
 TEST(L3CacheTest, MissThenHit) {
-  L3Cache cache(4);
+  DirectoryCache cache(4);
   EXPECT_FALSE(cache.Access(1));
   EXPECT_TRUE(cache.Access(1));
 }
 
 TEST(L3CacheTest, EvictsLeastRecentlyUsed) {
-  L3Cache cache(2);
+  DirectoryCache cache(2);
   cache.Access(1);
   cache.Access(2);
   cache.Access(1);      // 1 is now MRU
@@ -78,13 +147,13 @@ TEST(L3CacheTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(L3CacheTest, CapacityIsRespected) {
-  L3Cache cache(8);
+  DirectoryCache cache(8);
   for (PageId p = 0; p < 100; ++p) cache.Access(p);
   EXPECT_EQ(cache.size(), 8);
 }
 
 TEST(L3CacheTest, InvalidateRemoves) {
-  L3Cache cache(4);
+  DirectoryCache cache(4);
   cache.Access(42);
   EXPECT_TRUE(cache.Invalidate(42));
   EXPECT_FALSE(cache.Contains(42));
@@ -92,7 +161,7 @@ TEST(L3CacheTest, InvalidateRemoves) {
 }
 
 TEST(L3CacheTest, ClearDropsEverything) {
-  L3Cache cache(4);
+  DirectoryCache cache(4);
   cache.Access(1);
   cache.Access(2);
   cache.Clear();
@@ -102,7 +171,7 @@ TEST(L3CacheTest, ClearDropsEverything) {
 
 TEST(L3CacheTest, WorkingSetLargerThanCacheAlwaysMisses) {
   // Sequential scan of 2x the capacity: LRU gives zero hits on re-scan.
-  L3Cache cache(16);
+  DirectoryCache cache(16);
   for (int round = 0; round < 2; ++round) {
     for (PageId p = 0; p < 32; ++p) {
       EXPECT_FALSE(cache.Access(p)) << "round " << round << " page " << p;
@@ -111,7 +180,7 @@ TEST(L3CacheTest, WorkingSetLargerThanCacheAlwaysMisses) {
 }
 
 TEST(L3CacheTest, WorkingSetWithinCacheAlwaysHitsAfterWarmup) {
-  L3Cache cache(32);
+  DirectoryCache cache(32);
   for (PageId p = 0; p < 16; ++p) cache.Access(p);
   for (int round = 0; round < 3; ++round) {
     for (PageId p = 0; p < 16; ++p) {
@@ -124,22 +193,19 @@ TEST(L3CacheTest, MatchesReferenceLruOnRandomMix) {
   // Keys from several buffers (their page ids differ only in high bits),
   // indices up to 3x the capacity, half of them from a hot range so hits,
   // misses, evictions and invalidations of resident pages all occur often.
-  // A miss enters the new page before the evicted one leaves, so the index
-  // briefly holds capacity + 1 pages. At 4, 64 and 2048 twice the capacity
-  // is exactly a power of two, the edge of the index sizing rule; at
-  // capacity 1 an index of exactly twice the capacity would fill up and the
-  // eviction's shift would never find an empty slot.
+  // At capacity 1 every miss evicts the page that is both head and tail;
+  // invalidations leave free frames that later misses fill before evicting.
   const BufferId kBuffers[] = {0, 1, 5, 4096};
   constexpr int kOps = 200'000;
   for (const int capacity : {1, 2, 3, 4, 7, 64, 1536, 2048}) {
     SCOPED_TRACE(testing::Message() << "capacity " << capacity);
-    L3Cache cache(capacity);
+    DirectoryCache cache(capacity);
     ReferenceLru reference(capacity);
     simcore::Rng rng(0x13C0DEULL + static_cast<uint64_t>(capacity));
     // Rare enough that the largest cache fills many times between clears.
     const uint64_t clear_one_in = 1000 + 20 * static_cast<uint64_t>(capacity);
-    // A lost index entry can make later probes loop, so small caches, which
-    // fill their index fastest, are checked after every operation.
+    // Small caches, whose every frame turns over fastest, are checked after
+    // every operation.
     const int check_every = capacity <= 7 ? 1 : 1000;
     int64_t hits = 0;
     int64_t invalidated = 0;
@@ -161,6 +227,8 @@ TEST(L3CacheTest, MatchesReferenceLruOnRandomMix) {
       } else {
         const bool hit = reference.Access(page);
         ASSERT_EQ(cache.Access(page), hit) << "op " << op;
+        ASSERT_EQ(cache.last_evicted(), reference.last_evicted())
+            << "op " << op;
         hits += hit ? 1 : 0;
       }
       ASSERT_EQ(cache.size(), reference.size()) << "op " << op;
@@ -176,7 +244,7 @@ TEST(L3CacheTest, MatchesReferenceLruOnRandomMix) {
 }
 
 TEST(L3CacheTest, InvalidatesMruLruAndOnlyPage) {
-  L3Cache cache(3);
+  DirectoryCache cache(3);
   cache.Access(1);
   cache.Access(2);
   cache.Access(3);  // recency: 3 2 1
@@ -193,7 +261,7 @@ TEST(L3CacheTest, InvalidatesMruLruAndOnlyPage) {
 }
 
 TEST(L3CacheTest, RefillAfterInvalidationsEvictsInLruOrder) {
-  L3Cache cache(4);
+  DirectoryCache cache(4);
   for (PageId p = 1; p <= 4; ++p) cache.Access(p);
   cache.Invalidate(2);
   cache.Invalidate(4);  // recency: 3 1
@@ -213,7 +281,7 @@ TEST(L3CacheTest, RefillAfterInvalidationsEvictsInLruOrder) {
 }
 
 TEST(L3CacheTest, ClearThenRefillToCapacity) {
-  L3Cache cache(8);
+  DirectoryCache cache(8);
   for (PageId p = 0; p < 20; ++p) cache.Access(p);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0);

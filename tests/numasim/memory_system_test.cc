@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -41,6 +42,15 @@ class MemorySystemTest : public ::testing::Test {
         pt_(topo_.num_nodes()),
         counters_(topo_.num_nodes(), topo_.num_links(), topo_.total_cores()),
         mem_(&topo_, &pt_, &counters_) {}
+
+  /// True when node `node`'s L3 holds `page`, read from the page's
+  /// directory entry; the frame the entry names must hold the page.
+  bool Cached(PageId page, NodeId node) const {
+    const int32_t frame = pt_.FrameOf(page, node);
+    if (frame == kNoFrame) return false;
+    EXPECT_EQ(mem_.l3(node).PageAt(frame), page) << "node " << node;
+    return true;
+  }
 
   Topology topo_;
   PageTable pt_;
@@ -124,8 +134,12 @@ TEST_F(MemorySystemTest, WriteInvalidatesRemoteCopies) {
   mem_.BeginTick();
   mem_.Access(0, page, false, 0);   // cached on node 0
   mem_.Access(4, page, false, 0);   // cached on node 1 too
+  EXPECT_TRUE(Cached(page, 1));
   mem_.Access(0, page, true, 0);    // write from node 0: invalidate node 1
   EXPECT_EQ(counters_.l3_invalidations, 1);
+  EXPECT_TRUE(Cached(page, 0));
+  EXPECT_FALSE(Cached(page, 1));
+  EXPECT_EQ(mem_.l3(1).size(), 0);  // the frame went back to the free stack
   const AccessResult r = mem_.Access(4, page, false, 0);
   EXPECT_FALSE(r.l3_hit);  // node 1 must refetch
 }
@@ -146,17 +160,17 @@ TEST_F(MemorySystemTest, FirstTouchWriteLeavesOtherSocketsAlone) {
   const AccessResult first = mem_.Access(0, page, /*is_write=*/true, 0);
   EXPECT_TRUE(first.first_touch);
   EXPECT_EQ(counters_.l3_invalidations, 0);
-  EXPECT_TRUE(mem_.l3(0).Contains(page));
+  EXPECT_TRUE(Cached(page, 0));
   for (NodeId n = 1; n < topo_.num_nodes(); ++n) {
-    EXPECT_FALSE(mem_.l3(n).Contains(page)) << "node " << n;
+    EXPECT_FALSE(Cached(page, n)) << "node " << n;
     EXPECT_EQ(mem_.l3(n).size(), sizes[static_cast<size_t>(n)]) << "node " << n;
   }
   // The page is homed now: a write from node 1 invalidates node 0's copy.
   const AccessResult second = mem_.Access(4, page, /*is_write=*/true, 0);
   EXPECT_FALSE(second.first_touch);
   EXPECT_EQ(counters_.l3_invalidations, 1);
-  EXPECT_FALSE(mem_.l3(0).Contains(page));
-  EXPECT_TRUE(mem_.l3(1).Contains(page));
+  EXPECT_FALSE(Cached(page, 0));
+  EXPECT_TRUE(Cached(page, 1));
 }
 
 TEST_F(MemorySystemTest, CongestionAddsLatencyWhenLinkSaturates) {
@@ -200,16 +214,6 @@ TEST_F(MemorySystemTest, NodeAccessPagesFeedThePriorityQueue) {
   }
   EXPECT_EQ(counters_.node_access_pages[2], 5);
   EXPECT_EQ(counters_.node_access_pages[0], 0);
-}
-
-TEST_F(MemorySystemTest, ClearCachesForcesMisses) {
-  const BufferId buf = pt_.CreateBuffer(2);
-  pt_.PlaceAllOn(buf, 0);
-  mem_.BeginTick();
-  mem_.Access(0, PageTable::PageOf(buf, 0), false, 0);
-  mem_.ClearCaches();
-  const AccessResult r = mem_.Access(0, PageTable::PageOf(buf, 0), false, 0);
-  EXPECT_FALSE(r.l3_hit);
 }
 
 // A seeded trace through every path of Access(), digested: any change to
@@ -323,6 +327,142 @@ TEST_F(MemorySystemTest, AccessTraceDigest) {
       << " invalidations by " << invalidating_writes << " writes, "
       << first_touch_writes << " first-touch writes, " << congested
       << " congested accesses";
+}
+
+// A seeded trace that frees buffers while their pages are cached, digested.
+// A freed buffer's cached pages keep their frames and their places in LRU
+// order and leave only on reaching the tail, like any other page; freeing
+// their frames at once (or never) would change which live page each later
+// miss evicts, and so the hits, the cycles and the digest. The trace comes
+// from all 16 cores over a changing set of buffers of up to about one
+// socket's L3, placed three ways; about one access in 1500 frees the buffer
+// of the page it just cached and creates another. A final scan of twice the
+// L3 from every socket, reads only, misses at least a full L3 past any free
+// frame, so every frame that held a freed page reaches the tail and leaves.
+TEST_F(MemorySystemTest, FreedBufferTraceDigest) {
+  constexpr int kAccesses = 150'000;
+  constexpr int kLiveBuffers = 6;
+  constexpr int kRecent = 256;
+  constexpr uint64_t kFreeOneIn = 1500;
+  constexpr uint64_t kMeanTickAccesses = 16'384;
+  constexpr uint64_t kRecordedDigest = 0xf73547a4c20e9482ULL;
+  const int64_t l3 = topo_.config().l3_pages_per_node;
+  const int nodes = topo_.num_nodes();
+
+  simcore::Rng rng(0xF4EEDULL);
+  auto create_buffer = [&]() {
+    const int64_t pages =
+        l3 / 8 + static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(l3)));
+    const BufferId buf = pt_.CreateBuffer(pages);
+    const uint64_t placement = rng.NextBounded(3);
+    if (placement == 0) {
+      pt_.PlaceAllOn(buf, static_cast<NodeId>(rng.NextBounded(nodes)));
+    } else if (placement == 1) {
+      pt_.PlaceChunkedRoundRobin(
+          buf, 16 + static_cast<int64_t>(rng.NextBounded(49)));
+    }  // else first touch
+    return buf;
+  };
+  auto cache_sizes = [&]() {
+    std::vector<int64_t> sizes;
+    for (NodeId n = 0; n < nodes; ++n) sizes.push_back(mem_.l3(n).size());
+    return sizes;
+  };
+  std::vector<BufferId> live;
+  for (int b = 0; b < kLiveBuffers; ++b) live.push_back(create_buffer());
+
+  std::vector<std::vector<PageId>> recent(
+      static_cast<size_t>(nodes), std::vector<PageId>(kRecent, kInvalidPage));
+  Fnv1a digest;
+  auto add_result = [&](const AccessResult& r) {
+    digest.Add(static_cast<uint64_t>(r.cycles));
+    digest.Add((r.l3_hit ? 1u : 0u) | (r.remote ? 2u : 0u) |
+               (r.first_touch ? 4u : 0u) | (r.minor_fault ? 8u : 0u));
+  };
+  int64_t hits = 0;
+  int64_t frees = 0;
+  int64_t first_touch_writes = 0;
+  int64_t invalidating_writes = 0;
+  mem_.BeginTick();
+  for (int i = 0; i < kAccesses; ++i) {
+    if (rng.NextBounded(kMeanTickAccesses) == 0) mem_.BeginTick();
+    const CoreId core =
+        static_cast<CoreId>(rng.NextBounded(topo_.total_cores()));
+    const NodeId node = topo_.NodeOfCore(core);
+    std::vector<PageId>& window = recent[static_cast<size_t>(node)];
+    PageId page = window[rng.NextBounded(kRecent)];
+    const bool revisit = rng.NextBernoulli(0.5);
+    if (page == kInvalidPage || !pt_.IsLive(PageTable::BufferOf(page)) ||
+        !revisit) {
+      const BufferId buf = live[rng.NextBounded(live.size())];
+      page = PageTable::PageOf(
+          buf, static_cast<int64_t>(rng.NextBounded(
+                   static_cast<uint64_t>(pt_.NumPages(buf)))));
+    }
+    window[static_cast<size_t>(i) % kRecent] = page;
+    const bool is_write = rng.NextBernoulli(0.3);
+    const int stream = static_cast<int>(rng.NextBounded(perf::kMaxStreams));
+
+    const int64_t invalidations = counters_.l3_invalidations;
+    const AccessResult r = mem_.Access(core, page, is_write, stream);
+    if (is_write && r.first_touch) first_touch_writes++;
+    if (counters_.l3_invalidations > invalidations) invalidating_writes++;
+    if (r.l3_hit) hits++;
+    add_result(r);
+
+    if (rng.NextBounded(kFreeOneIn) == 0) {
+      // `page` is in this socket's L3 now, and likely many more of its
+      // buffer's pages in every socket's.
+      const BufferId freed = PageTable::BufferOf(page);
+      const std::vector<int64_t> before = cache_sizes();
+      pt_.FreeBuffer(freed);
+      ASSERT_EQ(cache_sizes(), before) << "a free emptied frames, access " << i;
+      *std::find(live.begin(), live.end(), freed) = create_buffer();
+      frees++;
+    }
+  }
+
+  for (NodeId n = 0; n < nodes; ++n) {
+    const BufferId scan = pt_.CreateBuffer(2 * l3);
+    for (int64_t p = 0; p < 2 * l3; ++p) {
+      add_result(mem_.Access(topo_.CoreAt(n, 0), PageTable::PageOf(scan, p),
+                             /*is_write=*/false, perf::kNoStream));
+    }
+  }
+
+  for (NodeId n = 0; n < nodes; ++n) {
+    digest.Add(static_cast<uint64_t>(pt_.ResidentPages(n)));
+    digest.Add(static_cast<uint64_t>(mem_.l3(n).size()));
+  }
+  digest.Add(counters_.l3_hits);
+  digest.Add(counters_.l3_misses);
+  digest.Add(counters_.imc_bytes);
+  digest.Add(counters_.local_bytes);
+  digest.Add(counters_.remote_in_bytes);
+  digest.Add(counters_.node_access_pages);
+  digest.Add(counters_.ht_link_bytes);
+  for (const int64_t counter :
+       {counters_.ht_bytes_total, counters_.l3_invalidations,
+        counters_.minor_faults, counters_.first_touch_faults}) {
+    digest.Add(static_cast<uint64_t>(counter));
+  }
+  digest.Add(counters_.stream_ht_bytes);
+  digest.Add(counters_.stream_imc_bytes);
+
+  // The digest must not pin a trace that skips a path.
+  EXPECT_GT(hits, kAccesses / 20);
+  EXPECT_GT(frees, 50);
+  EXPECT_GT(first_touch_writes, 0);
+  EXPECT_GT(invalidating_writes, 0);
+  for (NodeId n = 0; n < nodes; ++n) {
+    EXPECT_EQ(mem_.l3(n).size(), mem_.l3(n).capacity()) << "node " << n;
+  }
+  EXPECT_EQ(digest.value(), kRecordedDigest)
+      << "digest 0x" << std::hex << digest.value() << std::dec << ", "
+      << hits << " hits, " << frees << " buffers freed, "
+      << counters_.l3_invalidations << " invalidations by "
+      << invalidating_writes << " writes, " << first_touch_writes
+      << " first-touch writes";
 }
 
 }  // namespace

@@ -86,11 +86,72 @@ TEST(PageTableTest, ManyBuffersGetDistinctIds) {
   EXPECT_EQ(pt.total_buffers_created(), 2);
 }
 
+TEST(PageTableTest, HomesRoundTripAtTheLargestNodeCount) {
+  // Homes are one signed byte: nodes 0-127, with -1 for "untouched".
+  ASSERT_EQ(PageTable::kMaxNodes, 128);
+  PageTable pt(PageTable::kMaxNodes);
+  const BufferId buffer = pt.CreateBuffer(PageTable::kMaxNodes);
+  for (NodeId node = 0; node < PageTable::kMaxNodes; ++node) {
+    const PageId page = PageTable::PageOf(buffer, node);
+    EXPECT_TRUE(pt.Touch(page, node).first_touch) << "node " << node;
+    // A second touch from elsewhere finds the home the first one left.
+    const auto again = pt.Touch(page, (node + 3) % PageTable::kMaxNodes);
+    EXPECT_FALSE(again.first_touch) << "node " << node;
+    EXPECT_EQ(again.home, node);
+    EXPECT_EQ(pt.HomeOf(page), node);
+  }
+  for (NodeId node = 0; node < PageTable::kMaxNodes; ++node) {
+    EXPECT_EQ(pt.ResidentPages(node), 1) << "node " << node;
+    EXPECT_EQ(pt.ResidentPagesOfBuffer(buffer, node), 1) << "node " << node;
+  }
+  pt.FreeBuffer(buffer);
+  for (NodeId node = 0; node < PageTable::kMaxNodes; ++node) {
+    EXPECT_EQ(pt.ResidentPages(node), 0) << "node " << node;
+  }
+}
+
+TEST(PageTableTest, DirectoryEntriesStartEmptyAndAreTheTouchedPages) {
+  PageTable pt(4);
+  const BufferId buffer = pt.CreateBuffer(3);
+  const PageId page = PageTable::PageOf(buffer, 1);
+  for (NodeId node = 0; node < 4; ++node) {
+    EXPECT_EQ(pt.FrameOf(page, node), kNoFrame) << "node " << node;
+  }
+  const auto touch = pt.Touch(page, 2);
+  touch.frames[3] = 17;
+  EXPECT_EQ(pt.FrameOf(page, 3), 17);
+  EXPECT_EQ(pt.FrameOf(PageTable::PageOf(buffer, 0), 3), kNoFrame);
+  EXPECT_EQ(pt.FrameOf(PageTable::PageOf(buffer, 2), 3), kNoFrame);
+  EXPECT_EQ(pt.Touch(page, 0).frames, touch.frames);
+  pt.ForgetFrame(page, 3);
+  EXPECT_EQ(pt.FrameOf(page, 3), kNoFrame);
+}
+
+TEST(PageTableTest, ForgettingAFreedBuffersFrameIsANoOp) {
+  PageTable pt(2);
+  const BufferId freed = pt.CreateBuffer(2);
+  const BufferId live = pt.CreateBuffer(2);
+  const PageId page = PageTable::PageOf(live, 0);
+  pt.Touch(page, 0).frames[1] = 5;
+  pt.FreeBuffer(freed);
+  // A cache may still hold the freed buffer's pages and evict them later.
+  pt.ForgetFrame(PageTable::PageOf(freed, 1), 1);
+  EXPECT_EQ(pt.FrameOf(page, 1), 5);
+}
+
 TEST(PageTableDeathTest, TouchAfterFreeAborts) {
   PageTable pt(2);
   const BufferId buffer = pt.CreateBuffer(2);
   pt.FreeBuffer(buffer);
   EXPECT_DEATH(pt.Touch(PageTable::PageOf(buffer, 0), 0), "freed");
+  EXPECT_DEATH(pt.FrameOf(PageTable::PageOf(buffer, 0), 0), "freed");
+}
+
+TEST(PageTableDeathTest, MoreNodesThanAHomeHoldsAbort) {
+  // One node past the largest a one-byte home holds, and 256, where node
+  // 255 would be stored as -1 (untouched) and node 130 as -126.
+  EXPECT_DEATH(PageTable(129), "home");
+  EXPECT_DEATH(PageTable(256), "home");
 }
 
 }  // namespace
