@@ -27,6 +27,9 @@ class NodePriorityQueue {
   /// scores: score = decay * score + pages[n].
   void Update(const std::vector<int64_t>& pages_per_node);
 
+  /// Directly overwrites one node's score (tests / alternative keying).
+  void SetScore(numasim::NodeId node, double score);
+
   double Score(numasim::NodeId node) const;
 
   /// Nodes in descending score order; ties break towards the lower node id

@@ -44,7 +44,8 @@ class L3Cache {
   /// Empties a resident frame (cross-socket write invalidation).
   void Release(int32_t frame);
 
-  /// The page a resident frame holds.
+  /// The page a resident frame holds (for tests that check a directory
+  /// entry against the cache).
   PageId PageAt(int32_t frame) const { return frames_[frame].page; }
 
   /// Number of resident pages.

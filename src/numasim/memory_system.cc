@@ -11,6 +11,9 @@ MemorySystem::MemorySystem(const Topology* topology, PageTable* page_table,
                            perf::CounterSet* counters)
     : topology_(topology), page_table_(page_table), counters_(counters) {
   const MachineConfig& cfg = topology_->config();
+  // Access indexes a page's directory entry by the requesting node.
+  ELASTIC_CHECK(page_table_->num_nodes() == cfg.num_nodes,
+                "page table and topology differ in node count");
   l3_.reserve(static_cast<size_t>(cfg.num_nodes));
   for (int n = 0; n < cfg.num_nodes; ++n) {
     l3_.emplace_back(cfg.l3_pages_per_node);

@@ -58,15 +58,6 @@ NodeId PageTable::HomeOf(PageId page) const {
   return buf.home[index];
 }
 
-int32_t PageTable::FrameOf(PageId page, NodeId node) const {
-  ELASTIC_CHECK(node >= 0 && node < num_nodes_, "node id out of range");
-  const Buffer& buf = GetBuffer(BufferOf(page));
-  ELASTIC_CHECK(buf.live, "reading the entry of a freed buffer's page");
-  const int64_t index = IndexOf(page);
-  ELASTIC_CHECK(index < static_cast<int64_t>(buf.home.size()), "page index out of range");
-  return buf.frames[static_cast<size_t>(index * num_nodes_ + node)];
-}
-
 void PageTable::PlaceAllOn(BufferId buffer, NodeId node) {
   const int64_t pages = NumPages(buffer);
   for (int64_t i = 0; i < pages; ++i) Touch(PageOf(buffer, i), node);

@@ -112,9 +112,6 @@ class PageTable {
     buf.frames[static_cast<size_t>(IndexOf(page) * num_nodes_ + node)] = kNoFrame;
   }
 
-  /// The page's frame in node `node`'s L3, or kNoFrame.
-  int32_t FrameOf(PageId page, NodeId node) const;
-
   /// Pre-touches every page of the buffer on a single node (a loader thread
   /// that ran entirely on that node).
   void PlaceAllOn(BufferId buffer, NodeId node);

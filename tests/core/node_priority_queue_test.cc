@@ -47,6 +47,28 @@ TEST(NodePriorityQueueTest, TiesBreakTowardsLowerNode) {
   EXPECT_EQ(queue.ByPriorityDescending(), (std::vector<numasim::NodeId>{0, 1, 2}));
 }
 
+TEST(NodePriorityQueueTest, SetScoreOverrides) {
+  NodePriorityQueue queue(2);
+  queue.SetScore(1, 42.0);
+  EXPECT_EQ(queue.Top(), 1);
+}
+
+TEST(NodePriorityQueueTest, AffinityBonusSteersEqualBaseScores) {
+  // The shape PickCoreFor produces: both nodes equally attractive under the
+  // oblivious own/free scoring, so the tie breaks to node 0 — until the
+  // island-affinity bonus (weight * mem_fraction) lands on the node holding
+  // the tenant's pages.
+  NodePriorityQueue queue(2);
+  queue.SetScore(0, 6.0);
+  queue.SetScore(1, 6.0);
+  EXPECT_EQ(queue.Top(), 0);
+  queue.SetScore(1, 6.0 + 4.0 * 1.0);
+  EXPECT_EQ(queue.Top(), 1);
+  // A zero-weight bonus (the legacy default) must not disturb the tie.
+  queue.SetScore(1, 6.0 + 0.0 * 1.0);
+  EXPECT_EQ(queue.Top(), 0);
+}
+
 TEST(NodePriorityQueueDeathTest, WrongSizeUpdateAborts) {
   NodePriorityQueue queue(4);
   EXPECT_DEATH(queue.Update({1, 2}), "mismatch");

@@ -43,10 +43,12 @@ class MemorySystemTest : public ::testing::Test {
         counters_(topo_.num_nodes(), topo_.num_links(), topo_.total_cores()),
         mem_(&topo_, &pt_, &counters_) {}
 
-  /// True when node `node`'s L3 holds `page`, read from the page's
-  /// directory entry; the frame the entry names must hold the page.
-  bool Cached(PageId page, NodeId node) const {
-    const int32_t frame = pt_.FrameOf(page, node);
+  /// True when node `node`'s L3 holds `page`, read from the directory
+  /// entry of a homed page (touching it again changes nothing); the frame
+  /// the entry names must hold the page.
+  bool Cached(PageId page, NodeId node) {
+    EXPECT_NE(pt_.HomeOf(page), kInvalidNode);
+    const int32_t frame = pt_.Touch(page, node).frames[node];
     if (frame == kNoFrame) return false;
     EXPECT_EQ(mem_.l3(node).PageAt(frame), page) << "node " << node;
     return true;
@@ -57,6 +59,13 @@ class MemorySystemTest : public ::testing::Test {
   perf::CounterSet counters_;
   MemorySystem mem_;
 };
+
+TEST(MemorySystemDeathTest, PageTableOfAnotherNodeCountAborts) {
+  const Topology topo{MachineConfig{}};
+  PageTable pt(topo.num_nodes() - 1);
+  perf::CounterSet counters(topo.num_nodes(), topo.num_links(), topo.total_cores());
+  EXPECT_DEATH(MemorySystem(&topo, &pt, &counters), "node count");
+}
 
 TEST_F(MemorySystemTest, FirstTouchChargesFaultAndAllocatesLocally) {
   const BufferId buf = pt_.CreateBuffer(4);
