@@ -151,12 +151,12 @@ struct RunOutcome {
 };
 
 RunOutcome RunChaos(const platform::FaultSchedule* schedule) {
-  exec::MultiTenantOptions options;
+  exec::ExperimentOptions options;
   options.policy = core::ArbitrationPolicy::kDemandProportional;
   options.seed = kBenchSeed;
   options.placement = exec::BasePlacement::kTableAffine;
   options.fault_schedule = schedule;
-  exec::MultiTenantExperiment experiment(&BenchDb(), options);
+  exec::Experiment experiment(&BenchDb(), options);
 
   for (const exec::TenantSpec& spec :
        {SteadyTenant(), CgroupVictimTenant(), TelemetryVictimTenant(),

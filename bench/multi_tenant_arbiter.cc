@@ -76,11 +76,11 @@ exec::TenantSpec BurstTenant() {
 }
 
 PolicyResult RunPolicy(core::ArbitrationPolicy policy) {
-  exec::MultiTenantOptions options;
+  exec::ExperimentOptions options;
   options.policy = policy;
   options.seed = kBenchSeed;
   options.placement = exec::BasePlacement::kTableAffine;
-  exec::MultiTenantExperiment experiment(&BenchDb(), options);
+  exec::Experiment experiment(&BenchDb(), options);
 
   for (const exec::TenantSpec& spec :
        {PhasesTenant(), MixedTenant(), BurstTenant()}) {

@@ -47,14 +47,37 @@ const std::array<std::string, 4> kPolicies = {"os", "dense", "sparse",
 const std::array<std::string, 4> kLabels = {"OS/MonetDB", "Dense", "Sparse",
                                             "Adaptive"};
 
-/// Default experiment options for a policy (MonetDB-style engine).
-exec::ExperimentOptions PolicyOptions(const std::string& policy) {
+/// One configuration: a one-tenant experiment whose tenant's mode is the
+/// policy, so "os" runs the OS baseline and the rest one elastic tenant.
+struct Config {
   exec::ExperimentOptions options;
-  options.policy = policy;
-  options.monitor_period_ticks = 20;
-  options.placement = exec::BasePlacement::kTableAffine;
-  options.seed = kBenchSeed;
-  return options;
+  exec::TenantSpec tenant;
+};
+
+/// Default configuration of a policy (MonetDB-style engine).
+Config PolicyConfig(const std::string& policy) {
+  Config config;
+  config.options.monitor_period_ticks = 20;
+  config.options.placement = exec::BasePlacement::kTableAffine;
+  config.options.seed = kBenchSeed;
+  config.tenant.name = "dbms";
+  config.tenant.mode = policy;
+  return config;
+}
+
+/// Adds the configuration's tenant with `workload` to `experiment`, runs it
+/// to completion and returns its driver. Counter baselines are taken
+/// before the call: the driver submits when it starts.
+exec::ClientDriver& RunTenant(exec::Experiment& experiment,
+                              exec::TenantSpec tenant,
+                              const exec::ClientWorkload& workload,
+                              int clients, int64_t max_ticks) {
+  tenant.workload = workload;
+  tenant.num_clients = clients;
+  experiment.AddTenant(tenant);
+  experiment.Start();
+  experiment.RunUntilDone(max_ticks);
+  return experiment.driver(0);
 }
 
 struct RunResult {
@@ -65,10 +88,10 @@ struct RunResult {
 
 /// Runs `rounds` queries per client over `trace` under a policy and returns
 /// throughput plus the counter deltas of the run.
-RunResult RunFixedWorkload(const exec::ExperimentOptions& options,
-                           const db::PlanTrace& trace, int clients, int rounds,
-                           int64_t think_ticks = 0, int64_t ramp_ticks = 0) {
-  exec::Experiment experiment(&BenchDb(), options);
+RunResult RunFixedWorkload(const Config& config, const db::PlanTrace& trace,
+                           int clients, int rounds, int64_t think_ticks = 0,
+                           int64_t ramp_ticks = 0) {
+  exec::Experiment experiment(&BenchDb(), config.options);
   perf::Sampler sampler(&experiment.machine().counters(),
                         &experiment.machine().clock());
   exec::ClientWorkload workload;
@@ -76,8 +99,8 @@ RunResult RunFixedWorkload(const exec::ExperimentOptions& options,
   workload.queries_per_client = rounds;
   workload.think_ticks = think_ticks;
   workload.ramp_ticks = ramp_ticks;
-  exec::ClientDriver& driver =
-      experiment.RunWorkload(workload, clients, 5'000'000);
+  const exec::ClientDriver& driver =
+      RunTenant(experiment, config.tenant, workload, clients, 5'000'000);
   RunResult result;
   result.throughput_qps = driver.ThroughputQps();
   result.mean_latency_s = driver.MeanLatencySeconds();
@@ -156,7 +179,7 @@ void Fig4(Claims* claims) {
       add(s, kTotal / w.seconds(), w);
     }
     const RunResult monet = RunFixedWorkload(
-        PolicyOptions("os"), QueryTrace(6), users, std::max(1, kTotal / users));
+        PolicyConfig("os"), QueryTrace(6), users, std::max(1, kTotal / users));
     add(3, monet.throughput_qps, monet.window);
   }
   const char* const kTitles[] = {"Fig 4(a) Q6 throughput (queries/s, simulated)",
@@ -194,15 +217,15 @@ struct Q6Stream {
 };
 
 Q6Stream RunQ6Stream(const std::string& policy) {
-  exec::ExperimentOptions options = PolicyOptions(policy);
-  options.scheduler.trace_placement = true;
-  options.scheduler.trace_migrations = true;
-  exec::Experiment experiment(&BenchDb(), options);
+  Config config = PolicyConfig(policy);
+  config.options.scheduler.trace_placement = true;
+  config.options.scheduler.trace_migrations = true;
+  exec::Experiment experiment(&BenchDb(), config.options);
 
   exec::ClientWorkload workload;
   workload.traces = {&QueryTrace(6)};
   workload.queries_per_client = 4;  // a short Q6 stream, as in Section II-B-2
-  experiment.RunWorkload(workload, /*num_clients=*/1, 1'000'000);
+  RunTenant(experiment, config.tenant, workload, /*clients=*/1, 1'000'000);
 
   Q6Stream stream;
   for (const auto& event : experiment.machine().trace().EventsOfKind("run")) {
@@ -297,11 +320,10 @@ void Fig16(const std::array<Q6Stream, 4>& streams, Claims* claims) {
 // the execution window — mirroring "algebra.thetasubselect 16 calls: 1.006s".
 
 void Fig6(Claims* claims) {
-  exec::ExperimentOptions options = PolicyOptions("os");
-  exec::Experiment experiment(&BenchDb(), options);
-  // A dedicated engine with the timing clock wired into its task graphs.
+  // No tenant: a dedicated engine with the timing clock wired into its task
+  // graphs runs on the experiment's machine and catalog.
+  exec::Experiment experiment(&BenchDb(), PolicyConfig("os").options);
   exec::EngineOptions engine_options;
-  engine_options.task_graph = options.task_graph;
   engine_options.task_graph.clock = &experiment.machine().clock();
   exec::DbmsEngine engine(&experiment.machine(), &experiment.catalog(),
                           engine_options);
@@ -339,18 +361,19 @@ void Fig6(Claims* claims) {
 // and allocated cores.
 
 void Fig7(Claims* claims) {
-  exec::ExperimentOptions options = PolicyOptions("adaptive");
-  options.monitor_period_ticks = 10;
-  exec::Experiment experiment(&BenchDb(), options);
+  Config config = PolicyConfig("adaptive");
+  config.options.monitor_period_ticks = 10;
+  exec::Experiment experiment(&BenchDb(), config.options);
 
   exec::ClientWorkload workload;
   workload.traces = {&QueryTrace(6)};
   workload.queries_per_client = 6;
   workload.think_ticks = 120;  // gaps let the Idle sub-net fire, as in Fig 7
-  experiment.RunWorkload(workload, /*num_clients=*/8, 1'000'000);
+  RunTenant(experiment, config.tenant, workload, /*clients=*/8, 1'000'000);
   experiment.machine().RunFor(100);  // drain: release back towards the floor
 
-  const auto& log = experiment.mechanism()->log();
+  const core::ElasticMechanism& mechanism = experiment.arbiter().mechanism(0);
+  const auto& log = mechanism.log();
   metrics::Table table({"tick", "transition", "cpu %", "cores"});
   std::map<core::PerfState, int> rounds;
   double peak = 0;
@@ -364,8 +387,7 @@ void Fig7(Claims* claims) {
   table.Print("Fig 7: PrT state transitions and core allocation over a Q6 stream");
   std::printf("\nrounds: idle=%d stable=%d overload=%d; final cores=%d\n",
               rounds[core::PerfState::kIdle], rounds[core::PerfState::kStable],
-              rounds[core::PerfState::kOverload],
-              experiment.mechanism()->nalloc());
+              rounds[core::PerfState::kOverload], mechanism.nalloc());
   claims->figure = "Fig. 7";
   claims->Add("cores grow under load and fall after it (cores: peak, first, "
               "last round)",
@@ -390,7 +412,7 @@ std::array<RunResult, 4> Fig13(const db::PlanTrace& theta, Claims* claims) {
     for (int users : {1, 4, 16, 64, 256}) {
       if (p == 0) points.push_back(metrics::Table::Int(users));
       const RunResult run = RunFixedWorkload(
-          PolicyOptions(kPolicies[p]), theta, users,
+          PolicyConfig(kPolicies[p]), theta, users,
           std::max(1, kTotal / users), kBenchThinkTicks, kBenchRampTicks);
       panels[0][p].push_back(run.throughput_qps);
       panels[1][p].push_back(run.window.CpuLoadPercent(
@@ -486,7 +508,7 @@ void Fig15(Claims* claims) {
   for (size_t p = 0; p < kPolicies.size(); ++p) {
     for (const db::PlanTrace& trace : traces) {
       const RunResult run =
-          RunFixedWorkload(PolicyOptions(kPolicies[p]), trace, kBenchClients,
+          RunFixedWorkload(PolicyConfig(kPolicies[p]), trace, kBenchClients,
                            2, kBenchThinkTicks, kBenchRampTicks);
       misses[p].push_back(static_cast<double>(run.window.TotalL3Misses()) / 1e6);
     }
@@ -535,16 +557,16 @@ void Fig17(Claims* claims) {
          std::vector<std::pair<std::string, core::TransitionStrategy>>{
              {"CPU load", core::TransitionStrategy::kCpuLoad},
              {"HT/IMC", core::TransitionStrategy::kHtImcRatio}}) {
-      exec::ExperimentOptions options = PolicyOptions(kPolicies[p]);
-      options.strategy = strategy;
+      Config config = PolicyConfig(kPolicies[p]);
+      config.tenant.mechanism = core::DefaultConfigFor(strategy);
       const RunResult run =
-          RunFixedWorkload(options, QueryTrace(6), /*clients=*/1, /*rounds=*/6);
+          RunFixedWorkload(config, QueryTrace(6), /*clients=*/1, /*rounds=*/6);
       add_row(kLabels[p], name, run);
       if (kPolicies[p] == "adaptive") adaptive.push_back(run);
     }
   }
   // The baseline has no strategy.
-  const RunResult os = RunFixedWorkload(PolicyOptions("os"), QueryTrace(6), 1, 6);
+  const RunResult os = RunFixedWorkload(PolicyConfig("os"), QueryTrace(6), 1, 6);
   add_row(kLabels[0], "-", os);
   table.Print("Fig 17: CPU-load vs HT/IMC transition strategies, Q6 single client");
   const auto misses = [](const RunResult& r) {
@@ -588,9 +610,9 @@ struct Timeline {
 };
 
 Timeline RunTimeline(const std::string& policy, exec::ThreadModel model) {
-  exec::ExperimentOptions options = PolicyOptions(policy);
-  options.engine_model = model;
-  exec::Experiment experiment(&BenchDb(), options);
+  Config config = PolicyConfig(policy);
+  config.tenant.engine_model = model;
+  exec::Experiment experiment(&BenchDb(), config.options);
 
   Timeline timeline;
   auto sampler = std::make_shared<perf::Sampler>(
@@ -614,7 +636,7 @@ Timeline RunTimeline(const std::string& policy, exec::ThreadModel model) {
   exec::ClientWorkload workload;
   workload.mode = exec::WorkloadMode::kPhases;
   for (int q = 1; q <= 22; ++q) workload.traces.push_back(&QueryTrace(q));
-  experiment.RunWorkload(workload, /*num_clients=*/48, 5'000'000);
+  RunTenant(experiment, config.tenant, workload, /*clients=*/48, 5'000'000);
   timeline.total_s =
       simcore::Clock::ToSeconds(experiment.machine().clock().now());
   return timeline;
@@ -682,9 +704,9 @@ struct MixedRun {
 };
 
 MixedRun RunMixed(const std::string& policy, exec::ThreadModel model) {
-  exec::ExperimentOptions options = PolicyOptions(policy);
-  options.engine_model = model;
-  exec::Experiment experiment(&BenchDb(), options);
+  Config config = PolicyConfig(policy);
+  config.tenant.engine_model = model;
+  exec::Experiment experiment(&BenchDb(), config.options);
 
   exec::ClientWorkload workload;
   workload.mode = exec::WorkloadMode::kRandomMix;
@@ -692,8 +714,8 @@ MixedRun RunMixed(const std::string& policy, exec::ThreadModel model) {
   workload.queries_per_client = 2;
   workload.think_ticks = kBenchThinkTicks;
   workload.ramp_ticks = kBenchRampTicks;
-  exec::ClientDriver& driver =
-      experiment.RunWorkload(workload, /*num_clients=*/96, 5'000'000);
+  const exec::ClientDriver& driver =
+      RunTenant(experiment, config.tenant, workload, /*clients=*/96, 5'000'000);
 
   const energy::EnergyModel energy_model;
   MixedRun run;
@@ -705,7 +727,8 @@ MixedRun RunMixed(const std::string& policy, exec::ThreadModel model) {
                                  static_cast<double>(imc)
                            : 0.0;
     run.mean_latency[k] = driver.MeanLatencySeconds(q);
-    run.energy[k] = energy_model.ForStream(counters, q, options.machine_config);
+    run.energy[k] = energy_model.ForStream(
+        counters, q, experiment.machine().topology().config());
   }
   return run;
 }
@@ -832,20 +855,21 @@ struct AblationResult {
 };
 
 AblationResult RunAblation(double thmin, double thmax, int period) {
-  exec::ExperimentOptions options = PolicyOptions("adaptive");
-  options.monitor_period_ticks = period;
-  options.thmin_override = thmin;
-  options.thmax_override = thmax;
-  exec::Experiment experiment(&BenchDb(), options);
+  Config config = PolicyConfig("adaptive");
+  config.options.monitor_period_ticks = period;
+  config.tenant.mechanism.thmin = thmin;
+  config.tenant.mechanism.thmax = thmax;
+  exec::Experiment experiment(&BenchDb(), config.options);
   exec::ClientWorkload workload;
   workload.traces = {&QueryTrace(6)};
   workload.queries_per_client = 3;
   workload.think_ticks = 40;
-  exec::ClientDriver& driver = experiment.RunWorkload(workload, 64, 5'000'000);
+  const exec::ClientDriver& driver =
+      RunTenant(experiment, config.tenant, workload, 64, 5'000'000);
 
   AblationResult result;
   result.throughput = driver.ThroughputQps();
-  const auto& log = experiment.mechanism()->log();
+  const auto& log = experiment.arbiter().mechanism(0).log();
   double cores = 0.0;
   for (const auto& event : log) cores += event.nalloc;
   result.mean_cores =

@@ -28,19 +28,25 @@ int main() {
   std::printf("Q6 revenue = %s (plan: %zu MAL-style stages)\n",
               q6.result.at(0, 0).ToString().c_str(), q6.trace.stages.size());
 
-  // 3. Assemble the simulated 4-node Opteron machine, the Volcano engine,
-  //    and the elastic mechanism (adaptive priority mode, CPU-load PrT).
+  // 3. Assemble the simulated 4-node Opteron machine and one DBMS tenant:
+  //    the Volcano engine under the elastic mechanism (adaptive priority
+  //    mode, CPU-load PrT).
   exec::ExperimentOptions options;
-  options.policy = "adaptive";
   options.monitor_period_ticks = 5;
   options.placement = exec::BasePlacement::kAllOnNode0;
   exec::Experiment experiment(&database, options);
+  exec::TenantSpec dbms;
+  dbms.name = "dbms";
+  dbms.mode = "adaptive";
 
   // 4. Run 32 concurrent clients, three Q6 executions each.
-  exec::ClientWorkload workload;
-  workload.traces = {&q6.trace};
-  workload.queries_per_client = 3;
-  exec::ClientDriver& driver = experiment.RunWorkload(workload, 32, 1'000'000);
+  dbms.workload.traces = {&q6.trace};
+  dbms.workload.queries_per_client = 3;
+  dbms.num_clients = 32;
+  experiment.AddTenant(dbms);
+  experiment.Start();
+  experiment.RunUntilDone(1'000'000);
+  const exec::ClientDriver& driver = experiment.driver(0);
 
   // 5. Report.
   std::printf("\ncompleted %lld queries, throughput %.1f q/s (simulated), "
@@ -53,16 +59,16 @@ int main() {
               static_cast<long long>(counters.minor_faults),
               static_cast<long long>(counters.stolen_tasks));
 
+  const core::ElasticMechanism& mechanism = experiment.arbiter().mechanism(0);
   std::printf("\nmechanism history (first 12 rounds):\n");
   int shown = 0;
-  for (const auto& event : experiment.mechanism()->log()) {
+  for (const auto& event : mechanism.log()) {
     std::printf("  tick %5lld  %-16s u=%6.1f  cores=%d\n",
                 static_cast<long long>(event.tick), event.label.c_str(),
                 event.u, event.nalloc);
     if (++shown == 12) break;
   }
-  std::printf("final allocation: %d cores, mask %s\n",
-              experiment.mechanism()->nalloc(),
-              experiment.mechanism()->allocated_mask().ToString().c_str());
+  std::printf("final allocation: %d cores, mask %s\n", mechanism.nalloc(),
+              mechanism.allocated_mask().ToString().c_str());
   return 0;
 }

@@ -21,11 +21,6 @@ void NodePriorityQueue::Update(const std::vector<int64_t>& pages_per_node) {
   }
 }
 
-void NodePriorityQueue::SetScore(numasim::NodeId node, double score) {
-  ELASTIC_CHECK(node >= 0 && node < num_nodes(), "node id out of range");
-  scores_[static_cast<size_t>(node)] = score;
-}
-
 double NodePriorityQueue::Score(numasim::NodeId node) const {
   ELASTIC_CHECK(node >= 0 && node < num_nodes(), "node id out of range");
   return scores_[static_cast<size_t>(node)];

@@ -11,14 +11,13 @@ DbmsEngine::DbmsEngine(ossim::Machine* machine, const BaseCatalog* catalog,
                        const EngineOptions& options)
     : machine_(machine), catalog_(catalog), options_(options) {
   const numasim::Topology& topo = machine_->topology();
-  int pool = options_.pool_size > 0 ? options_.pool_size : topo.total_cores();
-  ELASTIC_CHECK(pool >= 1, "worker pool must not be empty");
-
   queues_.resize(static_cast<size_t>(topo.num_nodes()) + 1);
   workers_per_node_.assign(static_cast<size_t>(topo.num_nodes()), 0);
 
+  // One worker per machine core: both MonetDB and SQL Server bound their
+  // workers to the core count (Section VI).
   auto on_job_done = [this](ossim::ThreadId worker) { OnJobDone(worker); };
-  for (int w = 0; w < pool; ++w) {
+  for (int w = 0; w < topo.total_cores(); ++w) {
     std::optional<platform::CpuMask> pin;
     int node = -1;
     if (options_.model == ThreadModel::kNumaPinned) {

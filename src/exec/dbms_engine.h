@@ -26,9 +26,6 @@ enum class ThreadModel {
 
 struct EngineOptions {
   ThreadModel model = ThreadModel::kOsScheduled;
-  /// Worker pool size; -1 = one worker per machine core (both MonetDB and
-  /// SQL Server bound workers to core counts, Section VI).
-  int pool_size = -1;
   TaskGraphOptions task_graph;
   /// Cpuset group the engine's workers are confined to. kGlobalCpuset for a
   /// single-tenant engine; a CoreArbiter tenant cpuset in multi-tenant

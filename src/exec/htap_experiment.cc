@@ -6,6 +6,14 @@
 #include "simcore/check.h"
 
 namespace elastic::exec {
+namespace {
+
+/// OLTP wants its few cores clustered on one socket (latch and log
+/// locality), hence the dense mode.
+constexpr char kOltpMode[] = "dense";
+constexpr char kOlapMode[] = "adaptive";
+
+}  // namespace
 
 HtapExperiment::HtapExperiment(const db::Database* database,
                                const HtapOptions& options,
@@ -13,15 +21,13 @@ HtapExperiment::HtapExperiment(const db::Database* database,
                                const HtapOlapTenant& olap_spec)
     : options_(options), oltp_spec_(oltp_spec), olap_spec_(olap_spec) {
   ossim::MachineOptions machine_options;
-  machine_options.config = options.machine_config;
-  machine_options.scheduler = options.scheduler;
   machine_options.seed = options.seed;
   machine_ = std::make_unique<ossim::Machine>(machine_options);
   platform_ = std::make_unique<platform::SimPlatform>(machine_.get());
 
-  catalog_ = std::make_unique<BaseCatalog>(&machine_->page_table(), *database,
-                                           options.placement,
-                                           options.machine_config.page_bytes);
+  catalog_ = std::make_unique<BaseCatalog>(
+      &machine_->page_table(), *database, options.placement,
+      machine_->topology().config().page_bytes);
 
   platform::CpusetId oltp_cpuset;
   platform::CpusetId olap_cpuset;
@@ -43,14 +49,13 @@ HtapExperiment::HtapExperiment(const db::Database* database,
     core::ArbiterConfig arbiter_config;
     arbiter_config.policy = options_.policy;
     arbiter_config.monitor_period_ticks = options_.monitor_period_ticks;
-    arbiter_config.log_rounds = options_.log_rounds;
     arbiter_ =
         std::make_unique<core::CoreArbiter>(platform_.get(), arbiter_config);
 
+    // Both tenants keep TenantBuilder's weight of 1.0.
     TenantBuilder oltp_builder = TenantBuilder(oltp_spec_.name)
                                      .mechanism(oltp_spec_.mechanism)
-                                     .mode(oltp_spec_.mode)
-                                     .weight(oltp_spec_.weight)
+                                     .mode(kOltpMode)
                                      .slo(oltp_spec_.slo_p99_s);
     if (oltp_spec_.slo_p99_s >= 0.0) {
       // The tail signal is the client's max(windowed p99, oldest in-flight
@@ -66,8 +71,7 @@ HtapExperiment::HtapExperiment(const db::Database* database,
 
     olap_arbiter_index_ = arbiter_->AddTenant(TenantBuilder(olap_spec_.name)
                                                   .mechanism(olap_spec_.mechanism)
-                                                  .mode(olap_spec_.mode)
-                                                  .weight(olap_spec_.weight)
+                                                  .mode(kOlapMode)
                                                   .Build());
 
     oltp_cpuset = arbiter_->tenant_cpuset(oltp_arbiter_index_);
@@ -79,11 +83,10 @@ HtapExperiment::HtapExperiment(const db::Database* database,
   oltp_engine_ = std::make_unique<oltp::TxnEngine>(
       machine_.get(), catalog_.get(), oltp_options);
 
-  olap_engine_ = std::make_unique<DbmsEngine>(
-      machine_.get(), catalog_.get(),
-      TenantBuilder::BoundEngineOptions(olap_spec_.engine_model,
-                                        olap_spec_.pool_size,
-                                        olap_spec_.task_graph, olap_cpuset));
+  EngineOptions olap_options;
+  olap_options.cpuset = olap_cpuset;
+  olap_engine_ = std::make_unique<DbmsEngine>(machine_.get(), catalog_.get(),
+                                              olap_options);
 }
 
 void HtapExperiment::Start() {

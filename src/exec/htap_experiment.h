@@ -5,9 +5,9 @@
 #include <string>
 
 #include "core/arbiter.h"
+#include "exec/base_catalog.h"
 #include "exec/client_driver.h"
 #include "exec/dbms_engine.h"
-#include "exec/experiment.h"
 #include "oltp/oltp_client.h"
 #include "oltp/txn_engine.h"
 #include "platform/sim_platform.h"
@@ -16,14 +16,10 @@ namespace elastic::exec {
 
 /// The OLTP tenant of an HTAP experiment: a partition-latched transaction
 /// engine driven by an open-loop client, with an optional p99 SLO the
-/// slo_aware arbitration policy protects.
+/// slo_aware arbitration policy protects. It runs the dense mode.
 struct HtapOltpTenant {
   std::string name = "oltp";
   core::MechanismConfig mechanism;
-  /// OLTP wants its few cores clustered on one socket (latch and log
-  /// locality), hence the dense mode by default.
-  std::string mode = "dense";
-  double weight = 1.0;
   /// Target p99 in simulated seconds; < 0 = best-effort (no SLO).
   double slo_p99_s = -1.0;
   /// Window over which the arbiter's tail-latency probe computes the
@@ -41,23 +37,16 @@ struct HtapOltpTenant {
   oltp::OltpWorkload workload;
 };
 
-/// The OLAP tenant: the familiar TPC-H engine + closed-loop client driver.
+/// The OLAP tenant: the familiar TPC-H engine (OS-scheduled workers) +
+/// closed-loop client driver, under the adaptive mode.
 struct HtapOlapTenant {
   std::string name = "olap";
   core::MechanismConfig mechanism;
-  std::string mode = "adaptive";
-  double weight = 1.0;
-
-  ThreadModel engine_model = ThreadModel::kOsScheduled;
-  int pool_size = -1;
-  TaskGraphOptions task_graph;
   ClientWorkload workload;
   int num_clients = 1;
 };
 
 struct HtapOptions {
-  numasim::MachineConfig machine_config;
-  ossim::SchedulerConfig scheduler;
   uint64_t seed = 42;
 
   core::ArbitrationPolicy policy = core::ArbitrationPolicy::kSloAware;
@@ -66,7 +55,6 @@ struct HtapOptions {
   /// no arbiter, no rebalancing. Overrides `policy`.
   bool static_split = false;
   int monitor_period_ticks = 20;
-  bool log_rounds = true;
   BasePlacement placement = BasePlacement::kTableAffine;
 };
 

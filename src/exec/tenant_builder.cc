@@ -114,17 +114,6 @@ core::ArbiterTenantConfig TenantBuilder::Build() const {
   return config;
 }
 
-EngineOptions TenantBuilder::BoundEngineOptions(
-    ThreadModel model, int pool_size, const TaskGraphOptions& task_graph,
-    platform::CpusetId cpuset) {
-  EngineOptions options;
-  options.model = model;
-  options.pool_size = pool_size;
-  options.task_graph = task_graph;
-  options.cpuset = cpuset;
-  return options;
-}
-
 void TenantBuilder::ApplyMemory(oltp::TxnEngineOptions* options) const {
   if (!mem_set_) return;
   options->mem_policy = mem_policy_;

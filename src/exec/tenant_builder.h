@@ -7,7 +7,6 @@
 
 #include "core/arbiter.h"
 #include "core/telemetry.h"
-#include "exec/dbms_engine.h"
 #include "mem/policy.h"
 #include "oltp/oltp_client.h"
 #include "oltp/txn_engine.h"
@@ -15,10 +14,9 @@
 namespace elastic::exec {
 
 /// Fluent construction of an arbiter tenant — the one seam through which
-/// every experiment (generic multi-tenant OLAP, HTAP, contention sweep) and
-/// the production daemon wire a tenant into the CoreArbiter, so the
-/// constructors cannot drift apart. Replaces the former MakeArbiterTenant /
-/// AttachContentionProbes / MakeTenantEngineOptions trio.
+/// every experiment (TPC-H tenants, HTAP, contention sweep) and the
+/// production daemon wire a tenant into the CoreArbiter, so the
+/// constructors cannot drift apart.
 ///
 ///   int index = arbiter->AddTenant(
 ///       TenantBuilder("oltp")
@@ -76,13 +74,6 @@ class TenantBuilder {
   TenantBuilder& memory_telemetry(std::function<oltp::TxnEngine*()> engine);
 
   core::ArbiterTenantConfig Build() const;
-
-  // -- Engine binding (the non-arbiter half of tenant wiring) --
-
-  /// OLAP engine options bound to the cpuset the arbiter handed back.
-  static EngineOptions BoundEngineOptions(ThreadModel model, int pool_size,
-                                          const TaskGraphOptions& task_graph,
-                                          platform::CpusetId cpuset);
 
   /// Applies the memory() policy to OLTP engine options (no-op when
   /// memory() was never called: the options keep their own defaults).

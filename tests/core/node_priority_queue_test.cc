@@ -47,25 +47,19 @@ TEST(NodePriorityQueueTest, TiesBreakTowardsLowerNode) {
   EXPECT_EQ(queue.ByPriorityDescending(), (std::vector<numasim::NodeId>{0, 1, 2}));
 }
 
-TEST(NodePriorityQueueTest, SetScoreOverrides) {
-  NodePriorityQueue queue(2);
-  queue.SetScore(1, 42.0);
+TEST(NodePriorityQueueTest, ZeroDecayScoresTheLatestWindow) {
+  // Decay 0 keeps nothing of the previous window: each Update sets the
+  // scores.
+  NodePriorityQueue queue(2, /*decay=*/0.0);
+  queue.Update({0, 42});
   EXPECT_EQ(queue.Top(), 1);
-}
-
-TEST(NodePriorityQueueTest, AffinityBonusSteersEqualBaseScores) {
-  // The shape PickCoreFor produces: both nodes equally attractive under the
-  // oblivious own/free scoring, so the tie breaks to node 0 — until the
-  // island-affinity bonus (weight * mem_fraction) lands on the node holding
-  // the tenant's pages.
-  NodePriorityQueue queue(2);
-  queue.SetScore(0, 6.0);
-  queue.SetScore(1, 6.0);
+  // Equal scores tie towards node 0; a higher score on node 1 takes the
+  // top, and equal scores again give it back.
+  queue.Update({6, 6});
   EXPECT_EQ(queue.Top(), 0);
-  queue.SetScore(1, 6.0 + 4.0 * 1.0);
+  queue.Update({6, 10});
   EXPECT_EQ(queue.Top(), 1);
-  // A zero-weight bonus (the legacy default) must not disturb the tie.
-  queue.SetScore(1, 6.0 + 0.0 * 1.0);
+  queue.Update({6, 6});
   EXPECT_EQ(queue.Top(), 0);
 }
 

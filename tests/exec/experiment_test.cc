@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "db/queries.h"
 #include "tests/db/test_db.h"
 
@@ -14,50 +16,87 @@ const db::PlanTrace& Q6() {
   return *kTrace;
 }
 
-TEST(ExperimentTest, OsPolicyHasNoMechanism) {
-  ExperimentOptions options;
-  options.policy = "os";
-  Experiment experiment(&testutil::TestDb(), options);
-  EXPECT_EQ(experiment.mechanism(), nullptr);
+const db::PlanTrace& Q1() {
+  static const db::PlanTrace* kTrace =
+      new db::PlanTrace(db::RunTpchQuery(testutil::TestDb(), 1).trace);
+  return *kTrace;
+}
+
+/// One tenant of `mode` running `queries` Q6 executions per client.
+TenantSpec Q6Tenant(const std::string& mode, int clients, int queries) {
+  TenantSpec spec;
+  spec.mode = mode;
+  spec.workload.traces = {&Q6()};
+  spec.workload.queries_per_client = queries;
+  spec.num_clients = clients;
+  return spec;
+}
+
+TEST(ExperimentTest, OsTenantLeavesTheArbiterEmpty) {
+  Experiment experiment(&testutil::TestDb(), ExperimentOptions{});
+  experiment.AddTenant(Q6Tenant("os", 1, 1));
+  experiment.Start();
+  EXPECT_EQ(experiment.arbiter().num_tenants(), 0);
   // No cpuset: the engine's threads may run on all 16 cores.
   EXPECT_EQ(experiment.machine().scheduler().num_cpusets(), 0);
   EXPECT_EQ(experiment.machine().topology().total_cores(), 16);
 }
 
-TEST(ExperimentTest, ElasticPoliciesStartAtInitialCores) {
-  for (const char* policy : {"dense", "sparse", "adaptive"}) {
-    ExperimentOptions options;
-    options.policy = policy;
-    options.initial_cores = 2;
-    Experiment experiment(&testutil::TestDb(), options);
-    ASSERT_NE(experiment.mechanism(), nullptr) << policy;
-    EXPECT_EQ(experiment.mechanism()->nalloc(), 2) << policy;
+TEST(ExperimentTest, ElasticModesStartAtInitialCores) {
+  for (const char* mode : {"dense", "sparse", "adaptive"}) {
+    Experiment experiment(&testutil::TestDb(), ExperimentOptions{});
+    TenantSpec spec = Q6Tenant(mode, 1, 1);
+    spec.mechanism.initial_cores = 2;
+    experiment.AddTenant(spec);
+    experiment.Start();
+    ASSERT_EQ(experiment.arbiter().num_tenants(), 1) << mode;
+    const core::ElasticMechanism& mechanism =
+        experiment.arbiter().mechanism(0);
+    EXPECT_EQ(mechanism.nalloc(), 2) << mode;
     // The tenant's cpuset, the only one, confines the engine to those cores.
     const ossim::Scheduler& scheduler = experiment.machine().scheduler();
-    ASSERT_EQ(scheduler.num_cpusets(), 1) << policy;
-    EXPECT_EQ(scheduler.cpuset_mask(0).Count(), 2) << policy;
-    EXPECT_EQ(scheduler.cpuset_mask(0), experiment.mechanism()->allocated_mask())
-        << policy;
+    ASSERT_EQ(scheduler.num_cpusets(), 1) << mode;
+    EXPECT_EQ(scheduler.cpuset_mask(0).Count(), 2) << mode;
+    EXPECT_EQ(scheduler.cpuset_mask(0), mechanism.allocated_mask()) << mode;
   }
 }
 
-TEST(ExperimentTest, ThresholdOverridesReachTheMechanism) {
-  ExperimentOptions options;
-  options.policy = "dense";
-  options.thmin_override = 25.0;
-  options.thmax_override = 85.0;
-  Experiment experiment(&testutil::TestDb(), options);
-  EXPECT_DOUBLE_EQ(experiment.mechanism()->config().thmin, 25.0);
-  EXPECT_DOUBLE_EQ(experiment.mechanism()->config().thmax, 85.0);
+TEST(ExperimentTest, TenantThresholdsReachTheMechanism) {
+  Experiment experiment(&testutil::TestDb(), ExperimentOptions{});
+  TenantSpec spec = Q6Tenant("dense", 1, 1);
+  spec.mechanism.thmin = 25.0;
+  spec.mechanism.thmax = 85.0;
+  experiment.AddTenant(spec);
+  EXPECT_DOUBLE_EQ(experiment.arbiter().mechanism(0).config().thmin, 25.0);
+  EXPECT_DOUBLE_EQ(experiment.arbiter().mechanism(0).config().thmax, 85.0);
 }
 
-TEST(ExperimentTest, NegativeOverridesKeepPaperDefaults) {
-  ExperimentOptions options;
-  options.policy = "dense";
-  options.strategy = core::TransitionStrategy::kHtImcRatio;
-  Experiment experiment(&testutil::TestDb(), options);
-  EXPECT_DOUBLE_EQ(experiment.mechanism()->config().thmin, 0.1);
-  EXPECT_DOUBLE_EQ(experiment.mechanism()->config().thmax, 0.4);
+TEST(ExperimentTest, HtImcDefaultsReachTheMechanism) {
+  Experiment experiment(&testutil::TestDb(), ExperimentOptions{});
+  TenantSpec spec = Q6Tenant("dense", 1, 1);
+  spec.mechanism = core::DefaultConfigFor(core::TransitionStrategy::kHtImcRatio);
+  experiment.AddTenant(spec);
+  EXPECT_DOUBLE_EQ(experiment.arbiter().mechanism(0).config().thmin, 0.1);
+  EXPECT_DOUBLE_EQ(experiment.arbiter().mechanism(0).config().thmax, 0.4);
+}
+
+TEST(ExperimentDeathTest, OsTenantBesideAnotherTenantAborts) {
+  const auto add = [](const char* first, const char* second) {
+    Experiment experiment(&testutil::TestDb(), ExperimentOptions{});
+    experiment.AddTenant(Q6Tenant(first, 1, 1));
+    experiment.AddTenant(Q6Tenant(second, 1, 1));
+  };
+  EXPECT_DEATH(add("os", "adaptive"), "only tenant");
+  EXPECT_DEATH(add("dense", "os"), "only tenant");
+  EXPECT_DEATH(add("os", "os"), "only tenant");
+}
+
+TEST(ExperimentDeathTest, SecondStartAborts) {
+  // A second Start would replace the drivers whose tick hooks still run.
+  Experiment experiment(&testutil::TestDb(), ExperimentOptions{});
+  experiment.AddTenant(Q6Tenant("adaptive", 1, 1));
+  experiment.Start();
+  EXPECT_DEATH(experiment.Start(), "started twice");
 }
 
 TEST(ExperimentTest, TableAffinePlacementSpreadsTablesOverNodes) {
@@ -77,30 +116,26 @@ TEST(ExperimentTest, TableAffinePlacementSpreadsTablesOverNodes) {
   EXPECT_GE(pt.ResidentPagesOfBuffer(region, 0), 1);
 }
 
-TEST(ExperimentTest, RunWorkloadCompletesAndReturnsDriver) {
-  ExperimentOptions options;
-  options.policy = "adaptive";
-  Experiment experiment(&testutil::TestDb(), options);
-  ClientWorkload workload;
-  workload.traces = {&Q6()};
-  workload.queries_per_client = 2;
-  ClientDriver& driver = experiment.RunWorkload(workload, 4, 500000);
-  EXPECT_EQ(driver.completed(), 8);
-  EXPECT_EQ(experiment.engine().active_queries(), 0);
+TEST(ExperimentTest, RunUntilDoneCompletesEveryQuery) {
+  Experiment experiment(&testutil::TestDb(), ExperimentOptions{});
+  experiment.AddTenant(Q6Tenant("adaptive", 4, 2));
+  experiment.Start();
+  experiment.RunUntilDone(500000);
+  EXPECT_EQ(experiment.driver(0).completed(), 8);
+  EXPECT_EQ(experiment.engine(0).active_queries(), 0);
 }
 
 TEST(ExperimentTest, RampStaggersFirstSubmissions) {
-  ExperimentOptions options;
-  Experiment experiment(&testutil::TestDb(), options);
-  ClientWorkload workload;
-  workload.traces = {&Q6()};
-  workload.queries_per_client = 1;
-  workload.ramp_ticks = 100;
-  ClientDriver& driver = experiment.RunWorkload(workload, 8, 500000);
+  Experiment experiment(&testutil::TestDb(), ExperimentOptions{});
+  TenantSpec spec = Q6Tenant("os", 8, 1);
+  spec.workload.ramp_ticks = 100;
+  experiment.AddTenant(spec);
+  experiment.Start();
+  experiment.RunUntilDone(500000);
   // Submissions must be spread over the ramp, not synchronized at tick 0.
   simcore::Tick min_submit = INT64_MAX;
   simcore::Tick max_submit = 0;
-  for (const auto& record : driver.records()) {
+  for (const auto& record : experiment.driver(0).records()) {
     min_submit = std::min(min_submit, record.submitted);
     max_submit = std::max(max_submit, record.submitted);
   }
@@ -132,16 +167,142 @@ TEST(ExperimentTest, TimingSinkReceivesStageWindows) {
 TEST(ExperimentTest, DeterministicAcrossRuns) {
   auto run = [] {
     ExperimentOptions options;
-    options.policy = "adaptive";
     options.seed = 99;
     Experiment experiment(&testutil::TestDb(), options);
-    ClientWorkload workload;
-    workload.traces = {&Q6()};
-    workload.queries_per_client = 2;
-    experiment.RunWorkload(workload, 8, 500000);
+    experiment.AddTenant(Q6Tenant("adaptive", 8, 2));
+    experiment.Start();
+    experiment.RunUntilDone(500000);
     return experiment.machine().counters().ht_bytes_total;
   };
   EXPECT_EQ(run(), run());
+}
+
+class Fnv1a {
+ public:
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) AddByte((word >> (8 * byte)) & 0xFFu);
+  }
+  void Add(const std::string& text) {
+    for (const char c : text) AddByte(static_cast<unsigned char>(c));
+    AddByte(0);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void AddByte(uint64_t byte) {
+    hash_ ^= byte;
+    hash_ *= 0x100000001B3ULL;
+  }
+  uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+/// Whether the transitions grew the allocation and later shrank it.
+bool GrewAndShrank(const core::ElasticMechanism& mechanism) {
+  bool grew = false;
+  int previous = mechanism.config().initial_cores;
+  for (const core::StateTransitionEvent& event : mechanism.log()) {
+    if (event.nalloc > previous) grew = true;
+    if (grew && event.nalloc < previous) return true;
+    previous = event.nalloc;
+  }
+  return false;
+}
+
+/// Runs `experiment` to completion and folds what it did into `digest`:
+/// the ticks run, every driver's query records, five machine counters,
+/// every arbiter round's per-tenant grant and every mechanism transition.
+void RunAndFold(Experiment& experiment, Fnv1a& digest) {
+  experiment.Start();
+  digest.Add(static_cast<uint64_t>(experiment.RunUntilDone(500000)));
+  for (int t = 0; t < experiment.num_tenants(); ++t) {
+    for (const ClientDriver::QueryRecord& record :
+         experiment.driver(t).records()) {
+      digest.Add(static_cast<uint64_t>(record.class_index));
+      digest.Add(static_cast<uint64_t>(record.submitted));
+      digest.Add(static_cast<uint64_t>(record.completed));
+    }
+  }
+  const perf::CounterSet& counters = experiment.machine().counters();
+  for (const int64_t value :
+       {counters.ht_bytes_total, counters.minor_faults, counters.stolen_tasks,
+        counters.thread_migrations, counters.tasks_spawned}) {
+    digest.Add(static_cast<uint64_t>(value));
+  }
+  core::CoreArbiter& arbiter = experiment.arbiter();
+  for (const core::ArbiterRound& round : arbiter.log()) {
+    for (const core::TenantRound& tenant : round.tenants) {
+      digest.Add(static_cast<uint64_t>(tenant.granted));
+    }
+  }
+  for (int t = 0; t < arbiter.num_tenants(); ++t) {
+    const core::ElasticMechanism& mechanism = arbiter.mechanism(t);
+    for (const core::StateTransitionEvent& event : mechanism.log()) {
+      digest.Add(static_cast<uint64_t>(event.tick));
+      digest.Add(event.label);
+      digest.Add(static_cast<uint64_t>(event.nalloc));
+    }
+    EXPECT_TRUE(GrewAndShrank(mechanism)) << arbiter.tenant_name(t);
+  }
+}
+
+/// The paper's four configurations as one-tenant runs, adaptive under the
+/// HT/IMC strategy and with the NUMA-pinned engine, and two tenants under
+/// fair_share, on a bursty Q6/Q1 mix that grows and shrinks every elastic
+/// tenant. Recorded against the separate single- and multi-tenant drivers
+/// this one replaced (a one-tenant round granting what its transition
+/// records); re-record only for a deliberate change of behaviour.
+TEST(ExperimentTest, ConfigurationsDigest) {
+  ClientWorkload mix;
+  mix.mode = WorkloadMode::kRandomMix;
+  mix.traces = {&Q6(), &Q1()};
+  mix.queries_per_client = 4;
+  mix.think_ticks = 60;
+  ExperimentOptions options;
+  options.seed = 7;
+  options.monitor_period_ticks = 5;
+
+  struct OneTenant {
+    const char* mode;
+    core::TransitionStrategy strategy;
+    ThreadModel model;
+  };
+  const OneTenant kOneTenant[] = {
+      {"os", core::TransitionStrategy::kCpuLoad, ThreadModel::kOsScheduled},
+      {"dense", core::TransitionStrategy::kCpuLoad, ThreadModel::kOsScheduled},
+      {"sparse", core::TransitionStrategy::kCpuLoad, ThreadModel::kOsScheduled},
+      {"adaptive", core::TransitionStrategy::kCpuLoad,
+       ThreadModel::kOsScheduled},
+      {"adaptive", core::TransitionStrategy::kHtImcRatio,
+       ThreadModel::kOsScheduled},
+      {"adaptive", core::TransitionStrategy::kCpuLoad,
+       ThreadModel::kNumaPinned},
+  };
+  Fnv1a digest;
+  for (const OneTenant& config : kOneTenant) {
+    Experiment experiment(&testutil::TestDb(), options);
+    TenantSpec spec;
+    spec.name = config.mode;
+    spec.mode = config.mode;
+    spec.mechanism = core::DefaultConfigFor(config.strategy);
+    spec.engine_model = config.model;
+    spec.workload = mix;
+    spec.num_clients = 16;
+    experiment.AddTenant(spec);
+    RunAndFold(experiment, digest);
+  }
+
+  Experiment experiment(&testutil::TestDb(), options);
+  for (const char* mode : {"adaptive", "dense"}) {
+    TenantSpec spec;
+    spec.name = mode;
+    spec.mode = mode;
+    spec.workload = mix;
+    spec.num_clients = 10;
+    experiment.AddTenant(spec);
+  }
+  RunAndFold(experiment, digest);
+  EXPECT_EQ(digest.value(), 0x6e97959a399d5261ULL)
+      << std::hex << "0x" << digest.value();
 }
 
 }  // namespace

@@ -31,8 +31,8 @@ TenantSpec SmallTenant(const std::string& name, const db::PlanTrace& trace,
 }
 
 TEST(MultiTenantTest, TwoTenantsRunToCompletionOnDisjointCores) {
-  MultiTenantOptions options;
-  MultiTenantExperiment experiment(&testutil::TestDb(), options);
+  ExperimentOptions options;
+  Experiment experiment(&testutil::TestDb(), options);
   experiment.AddTenant(SmallTenant("alpha", Q6(), 4));
   experiment.AddTenant(SmallTenant("beta", Q1(), 4));
   experiment.Start();
@@ -52,9 +52,9 @@ TEST(MultiTenantTest, TwoTenantsRunToCompletionOnDisjointCores) {
 }
 
 TEST(MultiTenantTest, ContentionMovesCoresBetweenTenants) {
-  MultiTenantOptions options;
+  ExperimentOptions options;
   options.policy = core::ArbitrationPolicy::kDemandProportional;
-  MultiTenantExperiment experiment(&testutil::TestDb(), options);
+  Experiment experiment(&testutil::TestDb(), options);
   experiment.AddTenant(SmallTenant("busy", Q1(), 8));
   TenantSpec lazy = SmallTenant("lazy", Q6(), 2);
   lazy.workload.queries_per_client = 1;
@@ -66,8 +66,8 @@ TEST(MultiTenantTest, ContentionMovesCoresBetweenTenants) {
 }
 
 TEST(MultiTenantTest, PhaseScheduleDrivesEachTenantIndependently) {
-  MultiTenantOptions options;
-  MultiTenantExperiment experiment(&testutil::TestDb(), options);
+  ExperimentOptions options;
+  Experiment experiment(&testutil::TestDb(), options);
   TenantSpec phases;
   phases.name = "phases";
   phases.workload.mode = WorkloadMode::kPhases;
@@ -85,10 +85,10 @@ TEST(MultiTenantTest, PhaseScheduleDrivesEachTenantIndependently) {
 
 TEST(MultiTenantTest, DeterministicAcrossRuns) {
   auto run = [] {
-    MultiTenantOptions options;
+    ExperimentOptions options;
     options.seed = 1234;
     options.policy = core::ArbitrationPolicy::kFairShare;
-    MultiTenantExperiment experiment(&testutil::TestDb(), options);
+    Experiment experiment(&testutil::TestDb(), options);
     experiment.AddTenant(SmallTenant("alpha", Q6(), 4));
     experiment.AddTenant(SmallTenant("beta", Q1(), 4));
     experiment.Start();
@@ -103,8 +103,8 @@ TEST(MultiTenantTest, DeterministicAcrossRuns) {
 }
 
 TEST(MultiTenantTest, EngineWorkersStayInsideTenantCpuset) {
-  MultiTenantOptions options;
-  MultiTenantExperiment experiment(&testutil::TestDb(), options);
+  ExperimentOptions options;
+  Experiment experiment(&testutil::TestDb(), options);
   experiment.AddTenant(SmallTenant("alpha", Q6(), 2));
   experiment.AddTenant(SmallTenant("beta", Q6(), 2));
   experiment.Start();

@@ -32,11 +32,29 @@ ClientWorkload Q6WorkloadBig(int rounds) {
   return workload;
 }
 
-ExperimentOptions BaseOptions(const std::string& policy) {
+ExperimentOptions BaseOptions() {
   ExperimentOptions options;
-  options.policy = policy;
   options.monitor_period_ticks = 5;
   return options;
+}
+
+TenantSpec Tenant(const std::string& mode, const ClientWorkload& workload,
+                  int clients) {
+  TenantSpec spec;
+  spec.mode = mode;
+  spec.workload = workload;
+  spec.num_clients = clients;
+  return spec;
+}
+
+/// Runs `spec` as the experiment's one tenant to completion and returns its
+/// driver.
+ClientDriver& RunTenant(Experiment& experiment, const TenantSpec& spec,
+                        int64_t max_ticks) {
+  experiment.AddTenant(spec);
+  experiment.Start();
+  experiment.RunUntilDone(max_ticks);
+  return experiment.driver(0);
 }
 
 ClientWorkload Q6Workload(int rounds) {
@@ -48,15 +66,15 @@ ClientWorkload Q6Workload(int rounds) {
 }
 
 TEST(EndToEndTest, AdaptiveCompletesAndAllocatesElastically) {
-  Experiment experiment(&testutil::TestDbBig(), BaseOptions("adaptive"));
-  ClientDriver& driver =
-      experiment.RunWorkload(Q6WorkloadBig(4), /*num_clients=*/64, 500000);
+  Experiment experiment(&testutil::TestDbBig(), BaseOptions());
+  ClientDriver& driver = RunTenant(
+      experiment, Tenant("adaptive", Q6WorkloadBig(4), /*clients=*/64), 500000);
   EXPECT_EQ(driver.completed(), 256);
-  ASSERT_NE(experiment.mechanism(), nullptr);
+  ASSERT_EQ(experiment.arbiter().num_tenants(), 1);
   // The mechanism reacted: it allocated beyond the initial single core at
   // some point during the run.
   int max_alloc = 0;
-  for (const auto& event : experiment.mechanism()->log()) {
+  for (const auto& event : experiment.arbiter().mechanism(0).log()) {
     max_alloc = std::max(max_alloc, event.nalloc);
     ASSERT_GE(event.nalloc, 1);
     ASSERT_LE(event.nalloc, 16);
@@ -65,18 +83,19 @@ TEST(EndToEndTest, AdaptiveCompletesAndAllocatesElastically) {
 }
 
 TEST(EndToEndTest, IdleSystemReleasesDownToOneCore) {
-  Experiment experiment(&testutil::TestDb(), BaseOptions("dense"));
-  experiment.RunWorkload(Q6Workload(1), 8, 500000);
+  Experiment experiment(&testutil::TestDb(), BaseOptions());
+  RunTenant(experiment, Tenant("dense", Q6Workload(1), 8), 500000);
   // Let the machine idle; the Idle sub-net must shed cores to the floor.
   experiment.machine().RunFor(500);
-  EXPECT_EQ(experiment.mechanism()->nalloc(), 1);
+  EXPECT_EQ(experiment.arbiter().mechanism(0).nalloc(), 1);
 }
 
 TEST(EndToEndTest, TransitionLabelsAreWellFormed) {
-  Experiment experiment(&testutil::TestDbBig(), BaseOptions("adaptive"));
-  experiment.RunWorkload(Q6WorkloadBig(2), 32, 500000);
-  ASSERT_FALSE(experiment.mechanism()->log().empty());
-  for (const auto& event : experiment.mechanism()->log()) {
+  Experiment experiment(&testutil::TestDbBig(), BaseOptions());
+  RunTenant(experiment, Tenant("adaptive", Q6WorkloadBig(2), 32), 500000);
+  const core::ElasticMechanism& mechanism = experiment.arbiter().mechanism(0);
+  ASSERT_FALSE(mechanism.log().empty());
+  for (const auto& event : mechanism.log()) {
     const bool known =
         event.label == "t0-Idle-t4" || event.label == "t0-Idle-t7" ||
         event.label == "t1-Overload-t5" || event.label == "t1-Overload-t6" ||
@@ -91,12 +110,12 @@ TEST(EndToEndTest, AdaptiveImprovesHtImcRatioOverOs) {
   // The contrast is sharpest when the loaded data has NUMA skew (the typical
   // single-loader MonetDB layout the paper observes on socket S0).
   auto run = [](const std::string& policy) {
-    ExperimentOptions options = BaseOptions(policy);
+    ExperimentOptions options = BaseOptions();
     options.placement = BasePlacement::kAllOnNode0;
     Experiment experiment(&testutil::TestDbBig(), options);
     perf::Sampler sampler(&experiment.machine().counters(),
                           &experiment.machine().clock());
-    experiment.RunWorkload(Q6WorkloadBig(3), 64, 1000000);
+    RunTenant(experiment, Tenant(policy, Q6WorkloadBig(3), 64), 1000000);
     return sampler.Sample().HtImcRatio();
   };
   const double os_ratio = run("os");
@@ -106,8 +125,8 @@ TEST(EndToEndTest, AdaptiveImprovesHtImcRatioOverOs) {
 
 TEST(EndToEndTest, OsSchedulerStealsMoreTasksThanAdaptive) {
   auto run = [](const std::string& policy) {
-    Experiment experiment(&testutil::TestDb(), BaseOptions(policy));
-    experiment.RunWorkload(Q6Workload(2), 32, 1000000);
+    Experiment experiment(&testutil::TestDb(), BaseOptions());
+    RunTenant(experiment, Tenant(policy, Q6Workload(2), 32), 1000000);
     return experiment.machine().counters().stolen_tasks;
   };
   EXPECT_GE(run("os"), run("adaptive"));
@@ -118,13 +137,14 @@ TEST(EndToEndTest, LoncHoldsLoadInsideBandUnderFluctuatingLoad) {
   // the stability band appears when demand fluctuates. Client think time
   // creates the fluctuation, and the controller should then spend a
   // meaningful share of rounds inside (thmin, thmax) — the LONC residency.
-  Experiment experiment(&testutil::TestDbBig(), BaseOptions("adaptive"));
+  Experiment experiment(&testutil::TestDbBig(), BaseOptions());
   ClientWorkload workload = Q6WorkloadBig(6);
   workload.think_ticks = 60;
-  ClientDriver& driver = experiment.RunWorkload(workload, 24, 1000000);
+  ClientDriver& driver =
+      RunTenant(experiment, Tenant("adaptive", workload, 24), 1000000);
   EXPECT_EQ(driver.completed(), 24 * 6);
   core::LoncTracker tracker(10, 70);
-  for (const auto& event : experiment.mechanism()->log()) {
+  for (const auto& event : experiment.arbiter().mechanism(0).log()) {
     tracker.Record(event.u, event.nalloc);
   }
   ASSERT_GT(tracker.rounds(), 5);
@@ -133,10 +153,10 @@ TEST(EndToEndTest, LoncHoldsLoadInsideBandUnderFluctuatingLoad) {
 }
 
 TEST(EndToEndTest, HtImcStrategyAlsoConverges) {
-  ExperimentOptions options = BaseOptions("adaptive");
-  options.strategy = core::TransitionStrategy::kHtImcRatio;
-  Experiment experiment(&testutil::TestDb(), options);
-  ClientDriver& driver = experiment.RunWorkload(Q6Workload(2), 16, 1000000);
+  Experiment experiment(&testutil::TestDb(), BaseOptions());
+  TenantSpec spec = Tenant("adaptive", Q6Workload(2), 16);
+  spec.mechanism = core::DefaultConfigFor(core::TransitionStrategy::kHtImcRatio);
+  ClientDriver& driver = RunTenant(experiment, spec, 1000000);
   EXPECT_EQ(driver.completed(), 32);
 }
 
@@ -145,13 +165,14 @@ TEST(EndToEndTest, SqlServerModelBenefitsFromMechanismToo) {
   // mechanism when data is skewed (Section V-C): the mask concentrates
   // the pinned pool's work near the pages it touches.
   auto run = [](const std::string& policy) {
-    ExperimentOptions options = BaseOptions(policy);
-    options.engine_model = ThreadModel::kNumaPinned;
+    ExperimentOptions options = BaseOptions();
     options.placement = BasePlacement::kAllOnNode0;
     Experiment experiment(&testutil::TestDbBig(), options);
     perf::Sampler sampler(&experiment.machine().counters(),
                           &experiment.machine().clock());
-    experiment.RunWorkload(Q6WorkloadBig(3), 64, 1000000);
+    TenantSpec spec = Tenant(policy, Q6WorkloadBig(3), 64);
+    spec.engine_model = ThreadModel::kNumaPinned;
+    RunTenant(experiment, spec, 1000000);
     return sampler.Sample().HtImcRatio();
   };
   EXPECT_LE(run("adaptive"), run("os") * 1.05);

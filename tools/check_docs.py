@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (the CI docs job).
 
-Four classes of rot this catches:
+Five classes of rot this catches:
   1. Relative markdown links whose target file no longer exists.
   2. Build commands quoted in the docs (`./build/<target>` and the tier-1
      cmake/ctest lines) that no longer match a real CMake target. Target
@@ -14,6 +14,12 @@ Four classes of rot this catches:
      the figure map.
   4. Binaries named in docs/FIGURES.md table rows that are not real CMake
      targets.
+  5. Scoped C++ names in backticks in README.md and docs/*.md
+     (`exec::Experiment`, `CoreArbiter::PickCoreFor`) whose last component
+     is no identifier in the code of src/, bench/, tools/ or examples/
+     (comments stripped): a class, function or field the docs still name
+     after it was renamed or deleted. ROADMAP.md and CHANGES.md name
+     deleted code on purpose and are not checked.
 
 Run from anywhere: `python3 tools/check_docs.py`. Exits non-zero with one
 line per problem.
@@ -27,6 +33,10 @@ REPO = Path(__file__).resolve().parent.parent
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BUILD_CMD_RE = re.compile(r"\./build/([A-Za-z0-9_]+)")
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+SCOPED_NAME_RE = re.compile(r"[A-Za-z_]\w*(?:::[A-Za-z_]\w*)+")
+IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
+COMMENT_RE = re.compile(r"/\*.*?\*/|//[^\n]*", re.S)
 
 # The tier-1 verify commands of ROADMAP.md; README.md must quote each.
 TIER1_SNIPPETS = [
@@ -118,12 +128,39 @@ def check_figures_binaries(errors):
                 f"CMake target")
 
 
+def code_identifiers():
+    """Every identifier in the C++ code of src/, bench/, tools/, examples/."""
+    identifiers = set()
+    for directory in ("src", "bench", "tools", "examples"):
+        for path in (REPO / directory).rglob("*"):
+            if path.suffix in (".h", ".cc", ".cpp"):
+                code = COMMENT_RE.sub("", path.read_text())
+                identifiers.update(IDENTIFIER_RE.findall(code))
+    return identifiers
+
+
+def check_scoped_names(errors):
+    """Every `a::b` name in README.md and docs/*.md ends in a code name."""
+    identifiers = code_identifiers()
+    docs = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
+    for md in docs:
+        rel_md = md.relative_to(REPO)
+        for line_no, line in enumerate(md.read_text().splitlines(), start=1):
+            for span in CODE_SPAN_RE.findall(line):
+                for name in SCOPED_NAME_RE.findall(span):
+                    if name.split("::")[-1] not in identifiers:
+                        errors.append(
+                            f"{rel_md}:{line_no}: `{name}` names nothing in "
+                            f"src/, bench/, tools/ or examples/")
+
+
 def main():
     errors = []
     check_links(errors)
     check_build_commands(errors)
     check_bench_json_files(errors)
     check_figures_binaries(errors)
+    check_scoped_names(errors)
     for error in errors:
         print(error)
     if errors:
