@@ -91,7 +91,6 @@ struct ConfigResult {
 
 exec::HtapOltpTenant OltpTenant(const RunSpec& spec) {
   exec::HtapOltpTenant oltp;
-  oltp.name = "oltp";
   oltp.mechanism.initial_cores = 4;
   // Burst headroom: the SLO boost may claim up to 8 cores — comfortably
   // above the ~5.7 busy-core burst demand, so the backlog drains instead
@@ -140,7 +139,6 @@ exec::HtapOltpTenant OltpTenant(const RunSpec& spec) {
 
 exec::HtapOlapTenant OlapTenant() {
   exec::HtapOlapTenant olap;
-  olap.name = "olap";
   olap.mechanism.initial_cores = 4;
   olap.workload.mode = exec::WorkloadMode::kRandomMix;
   for (int q : {1, 6, 14}) olap.workload.traces.push_back(&QueryTrace(q));

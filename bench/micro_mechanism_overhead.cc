@@ -54,7 +54,7 @@ BENCHMARK_CAPTURE(BM_TokenFlowPerMode, adaptive, "adaptive");
 
 // One managed monitoring round of 1000 tenants: Decide and CommitGrant per
 // tenant, as a CoreArbiter runs them, without the arbitration in between.
-// Dense tenants of one core each (cap 2, log off) on a 256x4 synthetic
+// Dense tenants of one core each (cap 2, labels off) on a 256x4 synthetic
 // machine; a third each idle, stable and overloaded. Time is per round;
 // divide by 1000 for the per-tenant cost.
 void BM_ManagedRound(benchmark::State& state) {
@@ -77,11 +77,10 @@ void BM_ManagedRound(benchmark::State& state) {
   }
   for (auto _ : state) {
     platform.AdvanceTicks(kPeriod);
-    const simcore::Tick now = platform.Now();
     for (const auto& tenant : tenants) {
-      const core::ElasticMechanism::Decision decision = tenant->Decide(now);
+      const core::ElasticMechanism::Decision decision = tenant->Decide();
       benchmark::DoNotOptimize(decision.desired);
-      tenant->CommitGrant(tenant->allocated_mask(), now, decision);
+      tenant->CommitGrant(tenant->allocated_mask());
     }
   }
   state.SetItemsProcessed(state.iterations() * kTenants);

@@ -372,27 +372,29 @@ void Fig7(Claims* claims) {
   RunTenant(experiment, config.tenant, workload, /*clients=*/8, 1'000'000);
   experiment.machine().RunFor(100);  // drain: release back towards the floor
 
-  const core::ElasticMechanism& mechanism = experiment.arbiter().mechanism(0);
-  const auto& log = mechanism.log();
+  const core::CoreArbiter& arbiter = experiment.arbiter();
+  const std::vector<core::ArbiterRound>& log = arbiter.log();
   metrics::Table table({"tick", "transition", "cpu %", "cores"});
   std::map<core::PerfState, int> rounds;
   double peak = 0;
-  for (const auto& event : log) {
-    table.AddRow({metrics::Table::Int(event.tick), event.label,
-                  metrics::Table::Num(event.u, 1),
-                  metrics::Table::Int(event.nalloc)});
-    rounds[event.state]++;
-    peak = std::max(peak, static_cast<double>(event.nalloc));
+  for (const core::ArbiterRound& round : log) {
+    const core::TenantRound& tenant = round.tenants[0];
+    table.AddRow({metrics::Table::Int(round.tick), tenant.decision.label,
+                  metrics::Table::Num(tenant.decision.u, 1),
+                  metrics::Table::Int(tenant.granted)});
+    rounds[tenant.decision.state]++;
+    peak = std::max(peak, static_cast<double>(tenant.granted));
   }
   table.Print("Fig 7: PrT state transitions and core allocation over a Q6 stream");
   std::printf("\nrounds: idle=%d stable=%d overload=%d; final cores=%d\n",
               rounds[core::PerfState::kIdle], rounds[core::PerfState::kStable],
-              rounds[core::PerfState::kOverload], mechanism.nalloc());
+              rounds[core::PerfState::kOverload], arbiter.nalloc(0));
   claims->figure = "Fig. 7";
   claims->Add("cores grow under load and fall after it (cores: peak, first, "
               "last round)",
-              Rule::kFirstAbove, {peak, log.empty() ? 0.0 : log.front().nalloc,
-                                  log.empty() ? 0.0 : log.back().nalloc});
+              Rule::kFirstAbove,
+              {peak, log.empty() ? 0.0 : log.front().tenants[0].granted,
+               log.empty() ? 0.0 : log.back().tenants[0].granted});
 }
 
 // ---- Figs. 13 and 14: concurrent clients running the thetasubselect
@@ -869,9 +871,9 @@ AblationResult RunAblation(double thmin, double thmax, int period) {
 
   AblationResult result;
   result.throughput = driver.ThroughputQps();
-  const auto& log = experiment.arbiter().mechanism(0).log();
+  const std::vector<core::ArbiterRound>& log = experiment.arbiter().log();
   double cores = 0.0;
-  for (const auto& event : log) cores += event.nalloc;
+  for (const core::ArbiterRound& round : log) cores += round.tenants[0].granted;
   result.mean_cores =
       log.empty() ? 0.0 : cores / static_cast<double>(log.size());
   result.ht_gb =

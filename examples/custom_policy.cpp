@@ -14,6 +14,8 @@
 //   $ ./examples/custom_policy
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/allocation_mode.h"
 #include "core/mechanism.h"
@@ -116,9 +118,19 @@ int main() {
   exec::DbmsEngine engine(&machine, &catalog, engine_options);
   mechanism.InstallManaged(initial);
 
+  // The mechanism keeps no history: the hook counts its rounds and keeps
+  // the first few for the report.
+  struct Round {
+    simcore::Tick tick;
+    std::string label;
+    double u;
+    int cores;
+  };
+  std::vector<Round> first_rounds;
+  size_t rounds = 0;
   platform.AddTickHook([&](simcore::Tick now) {
     if (now == 0 || now % kPeriod != 0) return;
-    const core::ElasticMechanism::Decision decision = mechanism.Decide(now);
+    const core::ElasticMechanism::Decision decision = mechanism.Decide();
     platform::CpuMask mask = mechanism.allocated_mask();
     if (decision.desired > decision.current) {
       mask.Set(mechanism.mode().NextToAllocate(mask));
@@ -126,7 +138,11 @@ int main() {
       mask.Clear(mechanism.mode().NextToRelease(mask));
     }
     platform.SetCpusetMask(cpuset, mask);
-    mechanism.CommitGrant(mask, now, decision);
+    mechanism.CommitGrant(mask);
+    if (first_rounds.size() < 8) {
+      first_rounds.push_back({now, decision.label, decision.u, mask.Count()});
+    }
+    rounds++;
   });
 
   exec::ClientWorkload workload;
@@ -143,14 +159,11 @@ int main() {
               static_cast<long long>(driver.completed()),
               driver.ThroughputQps(), mechanism.nalloc(),
               mechanism.allocated_mask().ToString().c_str());
-  std::printf("mechanism rounds: %zu; example transitions:\n",
-              mechanism.log().size());
-  int shown = 0;
-  for (const auto& event : mechanism.log()) {
+  std::printf("mechanism rounds: %zu; example transitions:\n", rounds);
+  for (const Round& round : first_rounds) {
     std::printf("  tick %5lld %-16s u=%5.1f cores=%d\n",
-                static_cast<long long>(event.tick), event.label.c_str(),
-                event.u, event.nalloc);
-    if (++shown == 8) break;
+                static_cast<long long>(round.tick), round.label.c_str(),
+                round.u, round.cores);
   }
   return 0;
 }

@@ -6,7 +6,7 @@
 
 #include <cstdio>
 
-#include "core/mechanism.h"
+#include "core/arbiter.h"
 #include "db/queries.h"
 #include "exec/experiment.h"
 #include "tpch/dbgen.h"
@@ -59,16 +59,19 @@ int main() {
               static_cast<long long>(counters.minor_faults),
               static_cast<long long>(counters.stolen_tasks));
 
-  const core::ElasticMechanism& mechanism = experiment.arbiter().mechanism(0);
+  // The arbiter's round log holds each round's decision and grant.
+  const core::CoreArbiter& arbiter = experiment.arbiter();
   std::printf("\nmechanism history (first 12 rounds):\n");
   int shown = 0;
-  for (const auto& event : mechanism.log()) {
+  for (const core::ArbiterRound& round : arbiter.log()) {
+    const core::TenantRound& dbms_round = round.tenants[0];
     std::printf("  tick %5lld  %-16s u=%6.1f  cores=%d\n",
-                static_cast<long long>(event.tick), event.label.c_str(),
-                event.u, event.nalloc);
+                static_cast<long long>(round.tick),
+                dbms_round.decision.label.c_str(), dbms_round.decision.u,
+                dbms_round.granted);
     if (++shown == 12) break;
   }
-  std::printf("final allocation: %d cores, mask %s\n", mechanism.nalloc(),
-              mechanism.allocated_mask().ToString().c_str());
+  std::printf("final allocation: %d cores, mask %s\n", arbiter.nalloc(0),
+              arbiter.tenant_mask(0).ToString().c_str());
   return 0;
 }

@@ -225,7 +225,7 @@ void CoreArbiter::Poll(simcore::Tick now) {
       decisions.push_back(ElasticMechanism::Decision{});
       continue;
     }
-    ElasticMechanism::Decision d = tenant.mechanism->Decide(now);
+    ElasticMechanism::Decision d = tenant.mechanism->Decide();
     if (!d.valid) {
       tenant.stale_rounds++;
       stats_.stale_rounds++;
@@ -436,24 +436,20 @@ void CoreArbiter::Poll(simcore::Tick now) {
       tr.detached = true;
       continue;
     }
-    TryInstall(i, tenant, tr);
-    tenant.mechanism->CommitGrant(tenant.mask, now,
-                                  decisions[static_cast<size_t>(i)]);
-    tr.state = decisions[static_cast<size_t>(i)].state;
-    tr.u = decisions[static_cast<size_t>(i)].u;
-    tr.demanded = decisions[static_cast<size_t>(i)].desired;
+    TryInstall(tenant, tr);
+    tenant.mechanism->CommitGrant(tenant.mask);
+    tr.decision = std::move(decisions[static_cast<size_t>(i)]);
     tr.granted = tenant.mask.Count();
-    tr.stale = tenant.stale_rounds > 0;
   }
 
-  handoffs_ += round.handoffs;
-  preemptions_ += round.preemptions;
-  if (round.starved > 0) starved_rounds_++;
+  stats_.handoffs += round.handoffs;
+  stats_.preemptions += round.preemptions;
+  if (round.starved > 0) stats_.starved_rounds++;
   if (config_.log_rounds) log_.push_back(std::move(round));
   round_counter_++;
 }
 
-void CoreArbiter::TryInstall(int index, Tenant& tenant, TenantRound& tr) {
+void CoreArbiter::TryInstall(Tenant& tenant, TenantRound& tr) {
   if (tenant.quarantined) {
     stats_.quarantined_rounds++;
     tr.quarantined = true;
@@ -484,9 +480,6 @@ void CoreArbiter::TryInstall(int index, Tenant& tenant, TenantRound& tr) {
     tenant.quarantined = true;
     stats_.quarantine_entries++;
     tenant.probe_round = round_counter_ + config_.quarantine_probe_rounds;
-    platform_->trace()->Add(platform_->Now(), "arbiter_quarantine",
-                            index, tenant.install_failures,
-                            tenant.config.name);
     return;
   }
   // Exponential backoff with seeded jitter; capped so a flapping cgroup
@@ -504,8 +497,6 @@ void CoreArbiter::DetachTenant(int tenant) {
   if (!t.active) return;
   t.active = false;
   stats_.detached_tenants++;
-  platform_->trace()->Add(platform_->Now(), "arbiter_detach",
-                          tenant, t.mask.Count(), t.config.name);
   // The cores return to the free pool immediately (FreePool unions only the
   // tenants' masks); the platform cpuset is left as-is — it confines nothing.
   t.mask = platform::CpuMask();

@@ -64,7 +64,8 @@ struct ArbiterConfig {
   ArbitrationPolicy policy = ArbitrationPolicy::kFairShare;
   /// Monitoring period of the single arbiter hook, in simulated ticks.
   int monitor_period_ticks = 20;
-  /// Keep a per-round decision log.
+  /// Keep the round log (log()), one ArbiterRound per Poll. stats() is
+  /// kept either way.
   bool log_rounds = true;
   /// Register the self-driving monitoring hook at Install(). A caller that
   /// times or paces the rounds itself sets false and calls Poll().
@@ -104,9 +105,16 @@ struct ArbiterConfig {
   double numa_affinity_weight = 0.0;
 };
 
-/// Control-plane health counters (all monotonic). stale/held/quarantined
-/// counts are tenant-rounds: one tenant degraded for one round adds one.
+/// The arbiter's running totals (all monotonic), summed over every round
+/// whether or not the round log is kept. stale/held/quarantined counts are
+/// tenant-rounds: one tenant degraded for one round adds one.
 struct ArbiterStats {
+  /// Cores that changed owner (ArbiterRound::handoffs summed).
+  int64_t handoffs = 0;
+  /// Handoffs taken from a tenant that had not offered the core.
+  int64_t preemptions = 0;
+  /// Rounds that left at least one grow demand unmet.
+  int64_t starved_rounds = 0;
   /// Rounds a tenant's telemetry was implausible (dropout or garbage).
   int64_t stale_rounds = 0;
   /// Stale rounds absorbed by hold-last-allocation (within the TTL).
@@ -125,17 +133,17 @@ struct ArbiterStats {
 
 /// Per-tenant outcome of one arbitration round.
 struct TenantRound {
-  PerfState state = PerfState::kStable;
-  double u = 0.0;
-  /// Cores the tenant's net asked for (before arbitration).
-  int demanded = 0;
+  /// What the tenant's net decided: its state, measured u, the cores it
+  /// asked for (desired), the fired rule-condition-action (label, as Fig. 7
+  /// prints it) and whether the window was plausible (valid; an invalid
+  /// round is a stale one). A detached tenant's entry keeps the default.
+  ElasticMechanism::Decision decision;
   /// Cores the tenant actually holds after the round.
   int granted = 0;
   /// Degraded-state flags of the round (all false on the healthy path).
-  bool stale = false;
   bool install_failed = false;
   bool quarantined = false;
-  /// False once the tenant was detached (dead process).
+  /// True once the tenant was detached (dead process).
   bool detached = false;
 };
 
@@ -211,11 +219,12 @@ class CoreArbiter {
   /// Cores not owned by any tenant.
   platform::CpuMask FreePool() const;
 
-  int64_t core_handoffs() const { return handoffs_; }
-  int64_t preemptions() const { return preemptions_; }
-  int64_t starved_rounds() const { return starved_rounds_; }
+  int64_t core_handoffs() const { return stats_.handoffs; }
+  int64_t preemptions() const { return stats_.preemptions; }
+  int64_t starved_rounds() const { return stats_.starved_rounds; }
 
-  /// Control-plane health counters (stale/held rounds, failed installs,
+  /// Running totals: handoffs, preemptions, starved rounds and the
+  /// control-plane health counters (stale/held rounds, failed installs,
   /// quarantines, detaches).
   const ArbiterStats& stats() const { return stats_; }
 
@@ -246,6 +255,8 @@ class CoreArbiter {
   static double JainIndex(const std::vector<double>& values);
 
   const ArbiterConfig& config() const { return config_; }
+  /// Every round's decisions and grants, oldest first; empty unless
+  /// ArbiterConfig::log_rounds.
   const std::vector<ArbiterRound>& log() const { return log_; }
 
  private:
@@ -283,7 +294,7 @@ class CoreArbiter {
 
   /// Phase 4 helper: one SetCpusetMask attempt with failure bookkeeping
   /// (backoff scheduling, quarantine entry/exit).
-  void TryInstall(int index, Tenant& tenant, TenantRound& tr);
+  void TryInstall(Tenant& tenant, TenantRound& tr);
 
   /// Evaluates every active tenant's TelemetrySource once for this round
   /// (only when the policy reads telemetry or the island-affinity term
@@ -313,9 +324,6 @@ class CoreArbiter {
   std::vector<Tenant> tenants_;
   bool installed_ = false;
 
-  int64_t handoffs_ = 0;
-  int64_t preemptions_ = 0;
-  int64_t starved_rounds_ = 0;
   std::vector<ArbiterRound> log_;
   ArbiterStats stats_;
   /// Completed Poll() rounds; the clock of backoff/quarantine scheduling.

@@ -168,8 +168,7 @@ bool ElasticMechanism::TelemetryPlausible(const perf::WindowStats& window,
   return u <= bound;
 }
 
-ElasticMechanism::Decision ElasticMechanism::Decide(simcore::Tick now) {
-  (void)now;
+ElasticMechanism::Decision ElasticMechanism::Decide() {
   ELASTIC_CHECK(installed_, "Decide before InstallManaged");
   const perf::WindowStats window = sampler_->Sample();
   const double u = Measure(window);
@@ -223,26 +222,11 @@ ElasticMechanism::Decision ElasticMechanism::Decide(simcore::Tick now) {
   return decision;
 }
 
-void ElasticMechanism::CommitGrant(const platform::CpuMask& mask,
-                                   simcore::Tick now,
-                                   const Decision& decision) {
+void ElasticMechanism::CommitGrant(const platform::CpuMask& mask) {
   ELASTIC_CHECK(!mask.Empty(), "grant must keep at least one core");
   ELASTIC_CHECK(mask.Count() <= config_.max_cores, "grant exceeds max_cores");
   allocated_ = mask;
   net_.SetSingleToken(p_provision_, static_cast<double>(mask.Count()));
-
-  if (config_.log_transitions) {
-    StateTransitionEvent event;
-    event.tick = now;
-    event.label = decision.label;
-    event.state = decision.state;
-    event.u = decision.u;
-    event.nalloc = allocated_.Count();
-    log_.push_back(event);
-    platform_->trace()->Add(now, "transition", allocated_.Count(),
-                          static_cast<int64_t>(decision.u * 100.0),
-                          log_.back().label);
-  }
 }
 
 }  // namespace elastic::core

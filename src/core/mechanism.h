@@ -3,13 +3,11 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/allocation_mode.h"
 #include "perf/sampler.h"
 #include "petri/net.h"
 #include "platform/platform.h"
-#include "simcore/clock.h"
 
 namespace elastic::core {
 
@@ -39,7 +37,7 @@ struct MechanismConfig {
   /// Cores handed to the OS before the first monitoring round. Also the
   /// floor a CoreArbiter preemption never shrinks a tenant below.
   int initial_cores = 1;
-  /// Keep a transition log (Fig. 7) and emit trace events.
+  /// Label each decision with its fired rule-condition-action (Fig. 7).
   bool log_transitions = true;
   /// Ceiling on the cores this mechanism asks for; -1 means every core of
   /// the machine (the paper's single-DBMS setting). A CoreArbiter can cap
@@ -51,17 +49,6 @@ struct MechanismConfig {
 /// Returns the paper's default thresholds for a strategy (10/70 for CPU
 /// load, 0.1/0.4 for HT/IMC).
 MechanismConfig DefaultConfigFor(TransitionStrategy strategy);
-
-/// One fired rule-condition-action round, e.g. "t1-Overload-t5".
-struct StateTransitionEvent {
-  simcore::Tick tick = 0;
-  std::string label;
-  PerfState state = PerfState::kStable;
-  /// The measured resource value (CPU-load % or HT/IMC ratio).
-  double u = 0.0;
-  /// Cores allocated after the round.
-  int nalloc = 0;
-};
 
 /// The elastic multi-core allocation mechanism — the paper's contribution.
 ///
@@ -106,7 +93,7 @@ class ElasticMechanism {
     int desired = 0;
     /// Fired rule-condition-action labels, e.g. "t1-Overload-t5"; a round
     /// with implausible telemetry is labelled "stale-hold" instead. Built
-    /// only when the transition log is on; empty otherwise.
+    /// only when MechanismConfig::log_transitions is on; empty otherwise.
     std::string label;
     /// Whether the window behind this decision was plausible telemetry. An
     /// invalid round never fires the net: state/u repeat the last good
@@ -120,14 +107,14 @@ class ElasticMechanism {
   /// *without* touching the scheduler or the allocated mask. Callers must
   /// follow up with CommitGrant() each round so the Provision token tracks
   /// reality.
-  Decision Decide(simcore::Tick now);
+  Decision Decide();
 
   /// Records the allocation actually granted after a Decide() round: sets
-  /// the mask, rewrites the net's Provision token (the net may have asked
-  /// for a different count than was granted) and appends to the transition
-  /// log. Does not touch the platform cpusets.
-  void CommitGrant(const platform::CpuMask& mask, simcore::Tick now,
-                   const Decision& decision);
+  /// the mask and rewrites the net's Provision token (the net may have
+  /// asked for a different count than was granted). Does not touch the
+  /// platform cpusets. The mechanism keeps no history: the arbiter's round
+  /// log holds each round's decision and grant.
+  void CommitGrant(const platform::CpuMask& mask);
 
   /// Number of cores currently handed to the OS.
   int nalloc() const { return allocated_.Count(); }
@@ -137,7 +124,6 @@ class ElasticMechanism {
   double last_u() const { return last_u_; }
   PerfState last_state() const { return last_state_; }
 
-  const std::vector<StateTransitionEvent>& log() const { return log_; }
   petri::Net& net() { return net_; }
   AllocationMode& mode() { return *mode_; }
   const MechanismConfig& config() const { return config_; }
@@ -168,7 +154,6 @@ class ElasticMechanism {
   platform::CpuMask allocated_;
   double last_u_ = 0.0;
   PerfState last_state_ = PerfState::kStable;
-  std::vector<StateTransitionEvent> log_;
   bool installed_ = false;
 };
 

@@ -8,6 +8,8 @@
 namespace elastic::exec {
 namespace {
 
+constexpr char kOltpName[] = "oltp";
+constexpr char kOlapName[] = "olap";
 /// OLTP wants its few cores clustered on one socket (latch and log
 /// locality), hence the dense mode.
 constexpr char kOltpMode[] = "dense";
@@ -41,8 +43,8 @@ HtapExperiment::HtapExperiment(const db::Database* database,
     const platform::CpuMask oltp_mask = platform::CpuMask::FirstN(oltp_n);
     const platform::CpuMask olap_mask =
         platform::CpuMask::AllOf(machine_->topology()).Difference(oltp_mask);
-    static_oltp_cpuset_ = platform_->CreateCpuset(oltp_spec_.name, oltp_mask);
-    static_olap_cpuset_ = platform_->CreateCpuset(olap_spec_.name, olap_mask);
+    static_oltp_cpuset_ = platform_->CreateCpuset(kOltpName, oltp_mask);
+    static_olap_cpuset_ = platform_->CreateCpuset(kOlapName, olap_mask);
     oltp_cpuset = static_oltp_cpuset_;
     olap_cpuset = static_olap_cpuset_;
   } else {
@@ -53,7 +55,7 @@ HtapExperiment::HtapExperiment(const db::Database* database,
         std::make_unique<core::CoreArbiter>(platform_.get(), arbiter_config);
 
     // Both tenants keep TenantBuilder's weight of 1.0.
-    TenantBuilder oltp_builder = TenantBuilder(oltp_spec_.name)
+    TenantBuilder oltp_builder = TenantBuilder(kOltpName)
                                      .mechanism(oltp_spec_.mechanism)
                                      .mode(kOltpMode)
                                      .slo(oltp_spec_.slo_p99_s);
@@ -69,7 +71,7 @@ HtapExperiment::HtapExperiment(const db::Database* database,
     }
     oltp_arbiter_index_ = arbiter_->AddTenant(oltp_builder.Build());
 
-    olap_arbiter_index_ = arbiter_->AddTenant(TenantBuilder(olap_spec_.name)
+    olap_arbiter_index_ = arbiter_->AddTenant(TenantBuilder(kOlapName)
                                                   .mechanism(olap_spec_.mechanism)
                                                   .mode(kOlapMode)
                                                   .Build());

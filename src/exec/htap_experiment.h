@@ -2,7 +2,6 @@
 #define ELASTICORE_EXEC_HTAP_EXPERIMENT_H_
 
 #include <memory>
-#include <string>
 
 #include "core/arbiter.h"
 #include "exec/base_catalog.h"
@@ -16,9 +15,9 @@ namespace elastic::exec {
 
 /// The OLTP tenant of an HTAP experiment: a partition-latched transaction
 /// engine driven by an open-loop client, with an optional p99 SLO the
-/// slo_aware arbitration policy protects. It runs the dense mode.
+/// slo_aware arbitration policy protects. It runs the dense mode under the
+/// tenant name "oltp".
 struct HtapOltpTenant {
-  std::string name = "oltp";
   core::MechanismConfig mechanism;
   /// Target p99 in simulated seconds; < 0 = best-effort (no SLO).
   double slo_p99_s = -1.0;
@@ -38,9 +37,9 @@ struct HtapOltpTenant {
 };
 
 /// The OLAP tenant: the familiar TPC-H engine (OS-scheduled workers) +
-/// closed-loop client driver, under the adaptive mode.
+/// closed-loop client driver, under the adaptive mode and the tenant name
+/// "olap".
 struct HtapOlapTenant {
-  std::string name = "olap";
   core::MechanismConfig mechanism;
   ClientWorkload workload;
   int num_clients = 1;

@@ -192,8 +192,7 @@ ContentionArbiterExperiment::ContentionArbiterExperiment(
                                 .mechanism(spec.mechanism)
                                 .mode(spec.mode)
                                 .weight(spec.weight)
-                                .telemetry(engine_of, spec.probe_window_ticks)
-                                .memory(spec.mem_policy, spec.mem_island);
+                                .telemetry(engine_of, spec.probe_window_ticks);
     if (spec.memory_telemetry) builder.memory_telemetry(engine_of);
     rt.arbiter_index = arbiter_->AddTenant(builder.Build());
 
@@ -205,7 +204,8 @@ ContentionArbiterExperiment::ContentionArbiterExperiment(
     engine_options.cpu_cycles_per_page = options_.cpu_cycles_per_page;
     engine_options.cc.protocol = spec.protocol;
     engine_options.cc.num_records = spec.ycsb.num_records;
-    builder.ApplyMemory(&engine_options);
+    engine_options.mem_policy = spec.mem_policy;
+    engine_options.mem_island = spec.mem_island;
     rt.engine = std::make_unique<oltp::TxnEngine>(machine_.get(),
                                                   /*catalog=*/nullptr,
                                                   engine_options);

@@ -70,14 +70,6 @@ TenantBuilder& TenantBuilder::telemetry(
   return *this;
 }
 
-TenantBuilder& TenantBuilder::memory(mem::Policy policy,
-                                     numasim::NodeId island) {
-  mem_policy_ = policy;
-  mem_island_ = island;
-  mem_set_ = true;
-  return *this;
-}
-
 TenantBuilder& TenantBuilder::memory_telemetry(
     std::function<oltp::TxnEngine*()> engine) {
   caps_ |= core::TelemetrySnapshot::kMemory;
@@ -112,12 +104,6 @@ core::ArbiterTenantConfig TenantBuilder::Build() const {
     };
   }
   return config;
-}
-
-void TenantBuilder::ApplyMemory(oltp::TxnEngineOptions* options) const {
-  if (!mem_set_) return;
-  options->mem_policy = mem_policy_;
-  options->mem_island = mem_island_;
 }
 
 }  // namespace elastic::exec

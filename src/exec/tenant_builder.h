@@ -7,7 +7,6 @@
 
 #include "core/arbiter.h"
 #include "core/telemetry.h"
-#include "mem/policy.h"
 #include "oltp/oltp_client.h"
 #include "oltp/txn_engine.h"
 
@@ -63,21 +62,12 @@ class TenantBuilder {
   TenantBuilder& telemetry(std::function<oltp::TxnEngine*()> engine,
                            int64_t probe_window_ticks);
 
-  /// Memory-placement policy for the tenant's engine-owned slabs (applied
-  /// through ApplyMemory below) — island_bound pins them to `island`.
-  TenantBuilder& memory(mem::Policy policy,
-                        numasim::NodeId island = numasim::kInvalidNode);
-
   /// Memory telemetry (remote-access fraction + per-node residency) from a
   /// transaction engine — the kMemory signal the island-affinity term in
   /// the arbiter's core handout consumes.
   TenantBuilder& memory_telemetry(std::function<oltp::TxnEngine*()> engine);
 
   core::ArbiterTenantConfig Build() const;
-
-  /// Applies the memory() policy to OLTP engine options (no-op when
-  /// memory() was never called: the options keep their own defaults).
-  void ApplyMemory(oltp::TxnEngineOptions* options) const;
 
  private:
   using Filler =
@@ -91,10 +81,6 @@ class TenantBuilder {
 
   uint32_t caps_ = 0;
   std::vector<Filler> fillers_;
-
-  mem::Policy mem_policy_ = mem::Policy::kLocalFirstTouch;
-  numasim::NodeId mem_island_ = numasim::kInvalidNode;
-  bool mem_set_ = false;
 };
 
 }  // namespace elastic::exec

@@ -49,9 +49,6 @@ struct CcConfig {
   /// Record CommittedTxn footprints for every commit (serializability
   /// checking; costs memory proportional to the run).
   bool record_history = false;
-  /// Keys per simulated page when mapping CC operations onto page-access
-  /// jobs (the simulator's cost model).
-  int64_t rows_per_page = 64;
 };
 
 /// Per-transaction context: read/write sets and held locks. Owned by the

@@ -7,6 +7,21 @@
 #include "simcore/check.h"
 
 namespace elastic::oltp {
+namespace {
+
+/// Rows of the customer neighbourhood both transaction profiles read.
+constexpr int64_t kCustomerRows = 64;
+/// Pages of the engine-owned write area each partition appends order and
+/// line rows into (cycled deterministically, modelling a redo log slab).
+constexpr int64_t kLogPagesPerPartition = 32;
+static_assert(kLogPagesPerPartition >= 2,
+              "log slab needs >= 2 pages per partition");
+/// Keys per simulated page when mapping CC operations onto page-access
+/// jobs (the simulator's cost model).
+constexpr int64_t kCcRowsPerPage = 64;
+static_assert(kCcRowsPerPage >= 1, "need >= 1 row per page");
+
+}  // namespace
 
 const char* TxnTypeName(TxnType type) {
   switch (type) {
@@ -21,16 +36,13 @@ TxnEngine::TxnEngine(ossim::Machine* machine,
                      const TxnEngineOptions& options)
     : machine_(machine), catalog_(catalog), options_(options) {
   ELASTIC_CHECK(options_.num_partitions >= 1, "need at least one partition");
-  ELASTIC_CHECK(options_.log_pages_per_partition >= 2,
-                "log slab needs >= 2 pages per partition");
   const int pool = options_.pool_size > 0
                        ? options_.pool_size
                        : machine_->topology().total_cores();
   ELASTIC_CHECK(pool >= 1, "worker pool must not be empty");
 
   log_buffer_ = machine_->page_table().CreateBuffer(
-      static_cast<int64_t>(options_.num_partitions) *
-          options_.log_pages_per_partition,
+      static_cast<int64_t>(options_.num_partitions) * kLogPagesPerPartition,
       "oltp.log");
   mem::ApplyPlacement(&machine_->page_table(), log_buffer_,
                       options_.mem_policy, options_.mem_island);
@@ -74,19 +86,19 @@ ossim::Job TxnEngine::JobFor(const TxnRequest& request) {
   ossim::Job job;
   const int p = request.partition;
   const int64_t slab_base =
-      static_cast<int64_t>(p) * options_.log_pages_per_partition;
+      static_cast<int64_t>(p) * kLogPagesPerPartition;
   auto log_range = [&](int64_t pages) {
     // Append-style cycling cursor inside the partition's slab; a write that
     // would run past the slab end wraps to the start instead (every
     // transaction profile appends its full page count).
     int64_t& cursor = log_cursor_[static_cast<size_t>(p)];
-    if (cursor + pages > options_.log_pages_per_partition) cursor = 0;
+    if (cursor + pages > kLogPagesPerPartition) cursor = 0;
     ossim::PageRange range;
     range.buffer = log_buffer_;
     range.begin = slab_base + cursor;
     range.end = range.begin + pages;
     range.write = true;
-    cursor = (cursor + pages) % options_.log_pages_per_partition;
+    cursor = (cursor + pages) % kLogPagesPerPartition;
     return range;
   };
 
@@ -98,15 +110,13 @@ ossim::Job TxnEngine::JobFor(const TxnRequest& request) {
                                      request.stock_offset,
                                      options_.neworder_stock_rows));
       job.ranges.push_back(BaseRange("customer.c_acctbal", p,
-                                     request.customer_offset,
-                                     options_.customer_rows));
+                                     request.customer_offset, kCustomerRows));
       job.ranges.push_back(log_range(2));
       break;
     case TxnType::kPayment:
       // Balance read + rewrite of one customer neighbourhood page.
       job.ranges.push_back(BaseRange("customer.c_acctbal", p,
-                                     request.customer_offset,
-                                     options_.customer_rows));
+                                     request.customer_offset, kCustomerRows));
       job.ranges.push_back(log_range(1));
       break;
   }
@@ -151,14 +161,12 @@ void TxnEngine::Submit(const TxnRequest& request, const cc::CcTxn& txn,
 void TxnEngine::EnsureCcState() {
   if (cc_state_) return;
   ELASTIC_CHECK(options_.cc.num_records >= 1, "CC table must not be empty");
-  ELASTIC_CHECK(options_.cc.rows_per_page >= 1, "need >= 1 row per page");
   cc_state_ = std::make_unique<CcState>(options_.cc.num_records,
                                         options_.cc.num_partitions);
   cc_state_->protocol =
       cc::MakeProtocol(options_.cc.protocol, &cc_state_->table);
   const int64_t pages =
-      (options_.cc.num_records + options_.cc.rows_per_page - 1) /
-      options_.cc.rows_per_page;
+      (options_.cc.num_records + kCcRowsPerPage - 1) / kCcRowsPerPage;
   cc_state_->buffer = machine_->page_table().CreateBuffer(pages, "oltp.cc");
   mem::ApplyPlacement(&machine_->page_table(), cc_state_->buffer,
                       options_.mem_policy, options_.mem_island);
@@ -206,7 +214,7 @@ ossim::Job TxnEngine::ExecuteCc(PendingTxn& txn) {
   std::vector<int64_t> pages;
   pages.reserve(touched.size());
   for (const uint64_t key : touched) {
-    pages.push_back(static_cast<int64_t>(key) / options_.cc.rows_per_page);
+    pages.push_back(static_cast<int64_t>(key) / kCcRowsPerPage);
   }
   std::sort(pages.begin(), pages.end());
   pages.erase(std::unique(pages.begin(), pages.end()), pages.end());

@@ -47,14 +47,11 @@ struct TxnEngineOptions {
   /// transaction weight should be scaled via the row-neighbourhood knobs
   /// below instead.
   int64_t cpu_cycles_per_page = 600'000;
-  /// Rows of the partsupp neighbourhood a NewOrder stock-checks, and of the
-  /// customer neighbourhood both profiles read. These set the page counts —
-  /// and so the service time — of the two transaction profiles.
+  /// Rows of the partsupp neighbourhood a NewOrder stock-checks. With the
+  /// customer neighbourhood both profiles read (kCustomerRows in
+  /// txn_engine.cc) it sets the page counts — and so the service time — of
+  /// the two transaction profiles.
   int64_t neworder_stock_rows = 256;
-  int64_t customer_rows = 64;
-  /// Pages of the engine-owned write area each partition appends order and
-  /// line rows into (cycled deterministically, modelling a redo log slab).
-  int64_t log_pages_per_partition = 32;
   /// NUMA placement of the engine-owned slabs (the per-partition log slab
   /// and the lazily created CC key-space buffer). The default first-touch
   /// policy leaves the simulator's first-touch rule in charge —
@@ -183,7 +180,7 @@ class TxnEngine {
   struct CcState {
     cc::Table table;
     std::unique_ptr<cc::Protocol> protocol;
-    /// Simulated pages backing the CC key space (rows_per_page keys each).
+    /// Simulated pages backing the CC key space (kCcRowsPerPage keys each).
     numasim::BufferId buffer = 0;
     std::vector<cc::CommittedTxn> history;
     CcState(int64_t num_records, int num_partitions)
@@ -214,7 +211,7 @@ class TxnEngine {
   const exec::BaseCatalog* catalog_;
   TxnEngineOptions options_;
 
-  /// Engine-owned write area: num_partitions * log_pages_per_partition pages.
+  /// Engine-owned write area: kLogPagesPerPartition pages per partition.
   numasim::BufferId log_buffer_ = 0;
   /// Per-partition append cursor into the log slab.
   std::vector<int64_t> log_cursor_;

@@ -9,6 +9,13 @@ namespace elastic::ossim {
 
 namespace {
 
+/// Rebalance run queues every this many ticks (Linux-style periodic load
+/// balancing that is oblivious to NUMA data placement).
+constexpr int kLoadBalancePeriod = 10;
+/// A thread is preempted after this many consecutive ticks when other
+/// threads wait on the same core.
+constexpr int kTimesliceTicks = 4;
+
 /// Prepares the progress cursors for a thread's new front job.
 void InitFrontJob(Thread* thread) {
   if (thread->jobs.empty()) return;
@@ -341,10 +348,7 @@ int64_t Scheduler::RunThreadOnCore(ThreadId id, numasim::CoreId core,
 
 void Scheduler::Tick() {
   memory_->BeginTick();
-  if (config_.load_balance_period > 0 &&
-      clock_->now() % config_.load_balance_period == 0) {
-    LoadBalance();
-  }
+  if (clock_->now() % kLoadBalancePeriod == 0) LoadBalance();
 
   std::vector<ThreadId> completed_jobs;
   for (numasim::CoreId core = 0; core < topology_->total_cores(); ++core) {
@@ -385,8 +389,7 @@ void Scheduler::Tick() {
         } else {
           thread.state = ThreadState::kIdle;
         }
-      } else if (config_.timeslice_ticks > 0 &&
-                 thread.consecutive_ticks_on_core >= config_.timeslice_ticks &&
+      } else if (thread.consecutive_ticks_on_core >= kTimesliceTicks &&
                  !run_queue_[core].empty()) {
         // Preempt: rotate to the back of this core's queue.
         running_[core] = kInvalidThread;

@@ -16,14 +16,8 @@
 
 namespace elastic::ossim {
 
-/// Scheduler tuning knobs.
+/// Scheduler tracing switches.
 struct SchedulerConfig {
-  /// Rebalance run queues every this many ticks (Linux-style periodic load
-  /// balancing that is oblivious to NUMA data placement).
-  int load_balance_period = 10;
-  /// A thread is preempted after this many consecutive ticks when other
-  /// threads wait on the same core.
-  int timeslice_ticks = 4;
   /// Record a "run" trace event per running thread per tick (thread
   /// migration maps, Figs. 5 and 16). Expensive; enable for single-client
   /// experiments only.

@@ -80,7 +80,10 @@ class Platform {
   /// stores them for a driving loop (tools/elasticored) to fire.
   virtual void AddTickHook(std::function<void(simcore::Tick)> hook) = 0;
 
-  /// Event sink for transition logs; never null.
+  /// The backend's event sink; never null. Nothing in src/ calls it
+  /// through this interface: it stays only because benchmark/scenarios.cc's
+  /// TimedPlatform overrides it, and goes with the next change to
+  /// benchmark/.
   virtual simcore::Trace* trace() = 0;
 };
 

@@ -11,19 +11,19 @@ namespace elastic::simcore {
 /// One timestamped sample of an arbitrary named event stream.
 struct TraceEvent {
   Tick tick = 0;
-  /// Event category, e.g. "migration", "transition", "steal".
+  /// Event category, e.g. "run", "migrate", "steal".
   std::string kind;
   /// Integer payload, meaning depends on kind (core id, node id, ...).
   int64_t a = 0;
   int64_t b = 0;
-  /// Free-form payload (e.g. "t1-Overload-t5").
+  /// Free-form payload (e.g. the failed write of a "platform_error").
   std::string text;
 };
 
 /// Append-only event trace used by the figure harnesses to reconstruct
-/// timelines (thread migration maps, PrT state-transition sequences, per-
-/// socket throughput series). Tracing is opt-in per category so the hot
-/// simulation loop pays nothing when a category is disabled.
+/// timelines (thread placement and migration maps, steals). Tracing is
+/// opt-in per category so the hot simulation loop pays nothing when a
+/// category is disabled.
 class Trace {
  public:
   /// Records an event. `kind` should be a short stable identifier.

@@ -264,7 +264,8 @@ Trajectory RunSequence(ArbitrationPolicy policy, uint64_t seed, int rounds) {
       const int after = mask.Count();
       const int floor = std::max(1, shape.initial_cores);
       const int cap = shape.max_cores > 0 ? shape.max_cores : total;
-      const int demanded = last.tenants[static_cast<size_t>(t)].demanded;
+      const int demanded =
+          last.tenants[static_cast<size_t>(t)].decision.desired;
 
       // (1) disjoint, inside the machine.
       EXPECT_EQ(seen & mask.bits(), 0u)

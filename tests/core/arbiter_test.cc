@@ -92,9 +92,9 @@ TEST(ArbiterTest, BothOverloadedOneFreeCoreFairShare) {
   EXPECT_EQ(arbiter.preemptions(), 0);
   ExpectDisjointCover(arbiter, 4);
   ASSERT_EQ(arbiter.log().size(), 1u);
-  EXPECT_EQ(arbiter.log()[0].tenants[0].state, PerfState::kOverload);
-  EXPECT_EQ(arbiter.log()[0].tenants[1].state, PerfState::kOverload);
-  EXPECT_EQ(arbiter.log()[0].tenants[0].demanded, 3);
+  EXPECT_EQ(arbiter.log()[0].tenants[0].decision.state, PerfState::kOverload);
+  EXPECT_EQ(arbiter.log()[0].tenants[1].decision.state, PerfState::kOverload);
+  EXPECT_EQ(arbiter.log()[0].tenants[0].decision.desired, 3);
   EXPECT_EQ(arbiter.log()[0].tenants[0].granted, 2);
 }
 

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/allocation_mode.h"
 #include "core/arbiter.h"
@@ -24,13 +25,15 @@ std::unique_ptr<ossim::Machine> MakeMachine() {
 /// Test rig: the mechanism as the one tenant of a fair_share CoreArbiter on
 /// the SimPlatform seam — floor initial_cores, cap every core, the
 /// arbiter's period the mechanism's — the way exec::Experiment runs it.
-/// Install() hands out the initial cores; Poll() runs one round.
+/// Install() hands out the initial cores; Poll() runs one round, which
+/// last() reads back from the arbiter's round log.
 struct RiggedMechanism {
   std::unique_ptr<platform::SimPlatform> platform;
   std::unique_ptr<CoreArbiter> arbiter;
   ElasticMechanism* operator->() { return &arbiter->mechanism(0); }
   void Install() { arbiter->Install(); }
   void Poll(simcore::Tick now) { arbiter->Poll(now); }
+  const TenantRound& last() const { return arbiter->log().back().tenants[0]; }
 };
 
 RiggedMechanism MakeMechanism(ossim::Machine* machine, const std::string& mode,
@@ -79,8 +82,8 @@ TEST(MechanismTest, OverloadAllocatesOneCore) {
   mech.Poll(machine->clock().now());
   EXPECT_EQ(mech->nalloc(), 2);
   EXPECT_EQ(mech->last_state(), PerfState::kOverload);
-  ASSERT_EQ(mech->log().size(), 1u);
-  EXPECT_EQ(mech->log().back().label, "t1-Overload-t5");
+  ASSERT_EQ(mech.arbiter->log().size(), 1u);
+  EXPECT_EQ(mech.last().decision.label, "t1-Overload-t5");
 }
 
 TEST(MechanismTest, IdleReleasesOneCore) {
@@ -92,7 +95,7 @@ TEST(MechanismTest, IdleReleasesOneCore) {
   FakeLoad(machine.get(), mech->allocated_mask(), 2.0, 20);
   mech.Poll(machine->clock().now());
   EXPECT_EQ(mech->nalloc(), 3);
-  EXPECT_EQ(mech->log().back().label, "t0-Idle-t4");
+  EXPECT_EQ(mech.last().decision.label, "t0-Idle-t4");
 }
 
 TEST(MechanismTest, IdleAtFloorKeepsOneCore) {
@@ -103,7 +106,7 @@ TEST(MechanismTest, IdleAtFloorKeepsOneCore) {
   FakeLoad(machine.get(), mech->allocated_mask(), 0.0, 20);
   mech.Poll(machine->clock().now());
   EXPECT_EQ(mech->nalloc(), 1);
-  EXPECT_EQ(mech->log().back().label, "t0-Idle-t7");
+  EXPECT_EQ(mech.last().decision.label, "t0-Idle-t7");
 }
 
 TEST(MechanismTest, StableKeepsAllocation) {
@@ -116,7 +119,7 @@ TEST(MechanismTest, StableKeepsAllocation) {
   mech.Poll(machine->clock().now());
   EXPECT_EQ(mech->nalloc(), 2);
   EXPECT_EQ(mech->last_state(), PerfState::kStable);
-  EXPECT_EQ(mech->log().back().label, "t2-Stable-t3");
+  EXPECT_EQ(mech.last().decision.label, "t2-Stable-t3");
 }
 
 TEST(MechanismTest, OverloadAtCeilingFiresT6) {
@@ -128,7 +131,7 @@ TEST(MechanismTest, OverloadAtCeilingFiresT6) {
   FakeLoad(machine.get(), mech->allocated_mask(), 100.0, 20);
   mech.Poll(machine->clock().now());
   EXPECT_EQ(mech->nalloc(), 16);
-  EXPECT_EQ(mech->log().back().label, "t1-Overload-t6");
+  EXPECT_EQ(mech.last().decision.label, "t1-Overload-t6");
 }
 
 TEST(MechanismTest, RepeatedOverloadClimbsToCeiling) {
@@ -141,9 +144,9 @@ TEST(MechanismTest, RepeatedOverloadClimbsToCeiling) {
   }
   EXPECT_EQ(mech->nalloc(), 16);
   // Invariant: nalloc within [1, 16] across the whole history.
-  for (const StateTransitionEvent& e : mech->log()) {
-    EXPECT_GE(e.nalloc, 1);
-    EXPECT_LE(e.nalloc, 16);
+  for (const ArbiterRound& round : mech.arbiter->log()) {
+    EXPECT_GE(round.tenants[0].granted, 1);
+    EXPECT_LE(round.tenants[0].granted, 16);
   }
 }
 
@@ -231,18 +234,7 @@ TEST(MechanismTest, InstalledHookPollsOnPeriod) {
   auto mech = MakeMechanism(machine.get(), "dense", config);
   mech.Install();
   machine->RunFor(11);  // polls at ticks 5 and 10
-  EXPECT_EQ(mech->log().size(), 2u);
-}
-
-TEST(MechanismTest, TraceRecordsTransitions) {
-  auto machine = MakeMachine();
-  auto mech = MakeMechanism(machine.get(), "dense", MechanismConfig{});
-  mech.Install();
-  FakeLoad(machine.get(), mech->allocated_mask(), 50.0, 20);
-  mech.Poll(machine->clock().now());
-  const auto events = machine->trace().EventsOfKind("transition");
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].text, "t2-Stable-t3");
+  EXPECT_EQ(mech.arbiter->log().size(), 2u);
 }
 
 /// 64-bit FNV-1a over whole words and strings, fed byte by byte.
@@ -322,6 +314,9 @@ TEST(MechanismTest, DecisionTraceDigest) {
   simcore::Rng rng(0xDEC1DE);
   Fnv1a digest;
   int at_thmin = 0, at_thmax = 0, overruled = 0, stale = 0;
+  // The labels of the committed decisions, per mechanism, in commit order.
+  std::vector<std::string> load_labels;
+  std::vector<std::string> ratio_labels;
   const auto commit = [&](ElasticMechanism& mechanism,
                           const ElasticMechanism::Decision& d) {
     int target = d.desired;
@@ -331,7 +326,8 @@ TEST(MechanismTest, DecisionTraceDigest) {
       target = std::clamp(target, 1, mechanism.config().max_cores);
     }
     if (target != d.desired) overruled++;
-    mechanism.CommitGrant(GrantOf(mechanism, target), machine->clock().now(), d);
+    mechanism.CommitGrant(GrantOf(mechanism, target));
+    (&mechanism == &load ? load_labels : ratio_labels).push_back(d.label);
   };
   for (int round = 0; round < 2000; ++round) {
     const int64_t ticks = 1 + static_cast<int64_t>(rng.NextBounded(20));
@@ -362,9 +358,8 @@ TEST(MechanismTest, DecisionTraceDigest) {
     }
     machine->clock().Advance(ticks);
 
-    const simcore::Tick now = machine->clock().now();
     for (ElasticMechanism* mechanism : {&load, &ratio}) {
-      const ElasticMechanism::Decision d = mechanism->Decide(now);
+      const ElasticMechanism::Decision d = mechanism->Decide();
       AddDecision(digest, d);
       if (mechanism == &load && d.u == 10.0) at_thmin++;
       if (mechanism == &load && d.u == 70.0) at_thmax++;
@@ -372,7 +367,7 @@ TEST(MechanismTest, DecisionTraceDigest) {
       if (mechanism == &ratio && d.u == 0.4) at_thmax++;
       commit(*mechanism, d);
       if (rng.NextBounded(16) == 0) {
-        const ElasticMechanism::Decision again = mechanism->Decide(now);
+        const ElasticMechanism::Decision again = mechanism->Decide();
         ASSERT_FALSE(again.valid);
         AddDecision(digest, again);
         stale++;
@@ -381,10 +376,11 @@ TEST(MechanismTest, DecisionTraceDigest) {
     }
   }
   std::set<std::string> labels;
-  for (const ElasticMechanism* mechanism : {&load, &ratio}) {
-    for (const StateTransitionEvent& event : mechanism->log()) {
-      digest.Add(event.label);
-      labels.insert(event.label);
+  for (const std::vector<std::string>* committed :
+       {&load_labels, &ratio_labels}) {
+    for (const std::string& label : *committed) {
+      digest.Add(label);
+      labels.insert(label);
     }
   }
   EXPECT_GT(at_thmin, 100);

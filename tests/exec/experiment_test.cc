@@ -196,21 +196,23 @@ class Fnv1a {
   uint64_t hash_ = 0xCBF29CE484222325ULL;
 };
 
-/// Whether the transitions grew the allocation and later shrank it.
-bool GrewAndShrank(const core::ElasticMechanism& mechanism) {
+/// Whether the tenant's grants grew its allocation and later shrank it.
+bool GrewAndShrank(core::CoreArbiter& arbiter, int tenant) {
   bool grew = false;
-  int previous = mechanism.config().initial_cores;
-  for (const core::StateTransitionEvent& event : mechanism.log()) {
-    if (event.nalloc > previous) grew = true;
-    if (grew && event.nalloc < previous) return true;
-    previous = event.nalloc;
+  int previous = arbiter.mechanism(tenant).config().initial_cores;
+  for (const core::ArbiterRound& round : arbiter.log()) {
+    const int granted = round.tenants[static_cast<size_t>(tenant)].granted;
+    if (granted > previous) grew = true;
+    if (grew && granted < previous) return true;
+    previous = granted;
   }
   return false;
 }
 
 /// Runs `experiment` to completion and folds what it did into `digest`:
 /// the ticks run, every driver's query records, five machine counters,
-/// every arbiter round's per-tenant grant and every mechanism transition.
+/// every arbiter round's per-tenant grant and, per tenant, every round's
+/// tick, fired transition and grant.
 void RunAndFold(Experiment& experiment, Fnv1a& digest) {
   experiment.Start();
   digest.Add(static_cast<uint64_t>(experiment.RunUntilDone(500000)));
@@ -235,13 +237,13 @@ void RunAndFold(Experiment& experiment, Fnv1a& digest) {
     }
   }
   for (int t = 0; t < arbiter.num_tenants(); ++t) {
-    const core::ElasticMechanism& mechanism = arbiter.mechanism(t);
-    for (const core::StateTransitionEvent& event : mechanism.log()) {
-      digest.Add(static_cast<uint64_t>(event.tick));
-      digest.Add(event.label);
-      digest.Add(static_cast<uint64_t>(event.nalloc));
+    for (const core::ArbiterRound& round : arbiter.log()) {
+      const core::TenantRound& tenant = round.tenants[static_cast<size_t>(t)];
+      digest.Add(static_cast<uint64_t>(round.tick));
+      digest.Add(tenant.decision.label);
+      digest.Add(static_cast<uint64_t>(tenant.granted));
     }
-    EXPECT_TRUE(GrewAndShrank(mechanism)) << arbiter.tenant_name(t);
+    EXPECT_TRUE(GrewAndShrank(arbiter, t)) << arbiter.tenant_name(t);
   }
 }
 

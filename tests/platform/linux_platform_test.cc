@@ -605,5 +605,36 @@ TEST(LinuxPlatformTest, ArbiterDryRunEmitsExactWriteSequence) {
   EXPECT_EQ(platform.op_log(), expected);
 }
 
+// The daemon's configuration keeps no per-round record: elasticored runs
+// one round per tick with the round log off, for days. After 10,000 rounds
+// of four tenants neither the round log nor the platform trace holds an
+// entry; the totals stay in stats().
+TEST(LinuxPlatformTest, DaemonArbiterKeepsNoPerRoundRecord) {
+  LinuxPlatform platform(DryRunOptions());
+  core::ArbiterConfig config;
+  config.monitor_period_ticks = 1;
+  config.log_rounds = false;
+  core::CoreArbiter arbiter(&platform, config);
+  for (const int initial : {2, 1, 1, 1}) {
+    core::ArbiterTenantConfig tenant;
+    tenant.name = "t" + std::to_string(arbiter.num_tenants());
+    tenant.mode = "dense";
+    tenant.mechanism.initial_cores = initial;
+    arbiter.AddTenant(tenant);
+  }
+  arbiter.Install();
+  for (simcore::Tick round = 1; round <= 10000; ++round) {
+    platform.FireTickHooks(round);
+  }
+  // The rounds ran: dry-run sampling reads idle, so the two-core tenant
+  // released a core.
+  EXPECT_GT(arbiter.core_handoffs(), 0);
+  for (int t = 0; t < arbiter.num_tenants(); ++t) {
+    EXPECT_EQ(arbiter.mechanism(t).last_state(), core::PerfState::kIdle);
+  }
+  EXPECT_TRUE(arbiter.log().empty());
+  EXPECT_TRUE(platform.trace()->events().empty());
+}
+
 }  // namespace
 }  // namespace elastic::platform

@@ -46,7 +46,7 @@ std::string RoundLine(const core::ArbiterRound& round) {
   std::string line = std::to_string(round.tick) + ":";
   for (size_t i = 0; i < round.tenants.size(); ++i) {
     if (i > 0) line += "|";
-    line += StateChar(round.tenants[i].state);
+    line += StateChar(round.tenants[i].decision.state);
     line += std::to_string(round.tenants[i].granted);
   }
   line += " h" + std::to_string(round.handoffs);

@@ -282,6 +282,9 @@ int main(int argc, char** argv) {
   core::ArbiterConfig arbiter_config;
   arbiter_config.policy = core::ArbitrationPolicyFromName(policy);
   arbiter_config.monitor_period_ticks = 1;
+  // A daemon runs for days: it keeps no per-round history. Its record is
+  // the per-round line on stdout and the totals printed at exit.
+  arbiter_config.log_rounds = false;
   core::CoreArbiter arbiter(arbiter_platform, arbiter_config);
   for (const TenantFlag& tenant : tenants) {
     core::MechanismConfig mechanism;
@@ -378,10 +381,10 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("elasticored: %lld handoffs, %lld preemptions\n",
-              static_cast<long long>(arbiter.core_handoffs()),
-              static_cast<long long>(arbiter.preemptions()));
   const core::ArbiterStats& stats = arbiter.stats();
+  std::printf("elasticored: %lld handoffs, %lld preemptions\n",
+              static_cast<long long>(stats.handoffs),
+              static_cast<long long>(stats.preemptions));
   std::printf(
       "health: stale=%lld held=%lld decayed=%lld failed_installs=%lld "
       "quarantines=%lld quarantined_rounds=%lld detached=%lld\n",
