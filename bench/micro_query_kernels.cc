@@ -1,8 +1,10 @@
 // Micro-kernel benchmark: rows/sec of the batch kernels (open-addressing
-// join build/probe, 16-byte-hashed group-by, fused 3-predicate select)
+// join build/probe, integer-key group-by, fused 3-predicate select)
 // against the seed executor's scalar baselines (node-based
 // std::unordered_map join, per-row std::string group encoding, three
-// separate selection passes) on TPC-H columns at SF 0.15.
+// separate selection passes) on TPC-H columns at SF 0.15. Each rate is the
+// median of --reps runs, reported with its quartiles: single best runs
+// moved by a third between regenerations.
 //
 // Also times the tpch::Generate call that builds those columns (dbgen_s,
 // and lineitem rows per second as dbgen_rows_per_s).
@@ -22,6 +24,7 @@
 
 #include <malloc.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -47,18 +50,39 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Best-of-`reps` wall time of `fn`, with a checksum sink so the work is
-/// not optimised away.
+/// Wall time of each of `reps` runs of `fn`, with a checksum sink so the
+/// work is not optimised away.
 template <typename Fn>
-double BestSeconds(int reps, uint64_t* sink, Fn&& fn) {
-  double best = 1e18;
+std::vector<double> TimeReps(int reps, uint64_t* sink, Fn&& fn) {
+  std::vector<double> seconds;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     *sink ^= fn();
-    const double s = SecondsSince(t0);
-    if (s < best) best = s;
+    seconds.push_back(SecondsSince(t0));
   }
-  return best;
+  return seconds;
+}
+
+/// Rows per second over a set of runs: the median and the quartiles.
+struct Rate {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+/// Quantile `p` of ascending `values`, interpolated linearly between ranks.
+double Quantile(const std::vector<double>& values, double p) {
+  const double h = p * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(h);
+  const size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] + (h - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
+Rate RateOf(int64_t rows, const std::vector<double>& seconds) {
+  std::vector<double> rates;
+  for (double s : seconds) rates.push_back(static_cast<double>(rows) / s);
+  std::sort(rates.begin(), rates.end());
+  return Rate{Quantile(rates, 0.25), Quantile(rates, 0.5), Quantile(rates, 0.75)};
 }
 
 // ---- Scalar baselines: verbatim ports of the seed executor's hot paths. --
@@ -134,12 +158,10 @@ uint64_t BaselineSelect3(const std::vector<double>& qty,
 struct KernelResult {
   std::string name;
   int64_t rows = 0;
-  double baseline_s = 0.0;
-  double kernel_s = 0.0;
+  Rate baseline;
+  Rate kernel;
 
-  double baseline_rows_per_s() const { return rows / baseline_s; }
-  double kernel_rows_per_s() const { return rows / kernel_s; }
-  double speedup() const { return baseline_s / kernel_s; }
+  double speedup() const { return kernel.median / baseline.median; }
 };
 
 int Run(double scale_factor, int reps, const std::string& json_path) {
@@ -174,18 +196,19 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
     KernelResult r;
     r.name = "join-build";
     r.rows = O.num_rows();
-    r.baseline_s =
-        BestSeconds(reps, &sink, [&] { return BaselineJoinBuild(o_orderkey); });
+    r.baseline = RateOf(r.rows, TimeReps(reps, &sink, [&] {
+      return BaselineJoinBuild(o_orderkey);
+    }));
     // Steady-state discipline: the executor reuses one HashJoin per pipeline
     // and pre-reserves from the build side's cardinality, so after the
     // reservation a rebuild must never touch the allocator.
     db::HashJoin join;
     join.Reserve(static_cast<size_t>(O.num_rows()));
     const int64_t after_reserve = join.build_allocations();
-    r.kernel_s = BestSeconds(reps, &sink, [&] {
+    r.kernel = RateOf(r.rows, TimeReps(reps, &sink, [&] {
       join.Build(o_orderkey);
       return static_cast<uint64_t>(join.num_keys());
-    });
+    }));
     ELASTIC_CHECK(join.build_allocations() == after_reserve,
                   "steady-state join rebuild allocated");
     results.push_back(r);
@@ -203,12 +226,12 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
     }
     db::HashJoin join;
     join.Build(o_orderkey);
-    r.baseline_s = BestSeconds(reps, &sink, [&] {
+    r.baseline = RateOf(r.rows, TimeReps(reps, &sink, [&] {
       return BaselineJoinProbe(baseline_map, l_orderkey);
-    });
-    r.kernel_s = BestSeconds(reps, &sink, [&] {
+    }));
+    r.kernel = RateOf(r.rows, TimeReps(reps, &sink, [&] {
       return static_cast<uint64_t>(join.Probe(l_orderkey).size());
-    });
+    }));
     // Same pair count on both sides, or the comparison is meaningless.
     ELASTIC_CHECK(BaselineJoinProbe(baseline_map, l_orderkey) ==
                       join.Probe(l_orderkey).size(),
@@ -228,31 +251,32 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
     const auto& c_nationkey = database.customer.i64("c_nationkey");
     const auto& s_nationkey = database.supplier.i64("s_nationkey");
     const auto& n_name = database.nation.str("n_name");
-    // Nation row ids per lineitem, as Q7 builds them; the baseline gets the
+    // Nation keys per lineitem, as Q7 groups them; the baseline gets the
     // names themselves.
-    db::SelVec supp_nation_rows(static_cast<size_t>(L.num_rows()));
-    db::SelVec cust_nation_rows(static_cast<size_t>(L.num_rows()));
+    std::vector<int64_t> supp_nation_key(static_cast<size_t>(L.num_rows()));
+    std::vector<int64_t> cust_nation_key(static_cast<size_t>(L.num_rows()));
     std::vector<std::string> supp_nation(static_cast<size_t>(L.num_rows()));
     std::vector<std::string> cust_nation(static_cast<size_t>(L.num_rows()));
     std::vector<int64_t> year(static_cast<size_t>(L.num_rows()));
     for (size_t i = 0; i < supp_nation.size(); ++i) {
-      supp_nation_rows[i] = s_nationkey[static_cast<size_t>(l_suppkey[i] - 1)];
+      supp_nation_key[i] = s_nationkey[static_cast<size_t>(l_suppkey[i] - 1)];
       const size_t orow = static_cast<size_t>(l_orderkey[i] - 1);
-      cust_nation_rows[i] =
+      cust_nation_key[i] =
           c_nationkey[static_cast<size_t>(o_custkey[orow] - 1)];
-      supp_nation[i] = n_name[static_cast<size_t>(supp_nation_rows[i])];
-      cust_nation[i] = n_name[static_cast<size_t>(cust_nation_rows[i])];
+      supp_nation[i] = n_name[static_cast<size_t>(supp_nation_key[i])];
+      cust_nation[i] = n_name[static_cast<size_t>(cust_nation_key[i])];
       year[i] = db::YearOf(l_shipdate[i]);
     }
-    r.baseline_s = BestSeconds(reps, &sink, [&] {
+    r.baseline = RateOf(r.rows, TimeReps(reps, &sink, [&] {
       return BaselineGroupBy(supp_nation, cust_nation, year);
-    });
-    // The Grouper reads the nation names in place through the row-id
-    // candidate lists, as the query code does. Only the year column is
-    // copied per rep, outside the timed region, and moved in at O(1).
-    r.kernel_s = 1e18;
+    }));
+    // The key columns are copied per rep outside the timed region and
+    // moved in at O(1), as the query code moves its key vectors.
+    std::vector<double> kernel_s;
     int64_t first_rep_groups = 0;
     for (int rep = 0; rep < reps; ++rep) {
+      std::vector<int64_t> c1 = supp_nation_key;
+      std::vector<int64_t> c2 = cust_nation_key;
       std::vector<int64_t> c3 = year;
       const auto t0 = std::chrono::steady_clock::now();
       db::Grouper g;
@@ -260,11 +284,11 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
       // (as a repeated query would), which must eliminate every doubling
       // rehash of the group-key table.
       if (rep > 0) g.set_expected_groups(first_rep_groups);
-      g.AddStrKey(n_name, supp_nation_rows);
-      g.AddStrKey(n_name, cust_nation_rows);
+      g.AddI64Key(std::move(c1));
+      g.AddI64Key(std::move(c2));
       g.AddI64Key(std::move(c3));
       g.Finish();
-      const double s = SecondsSince(t0);
+      kernel_s.push_back(SecondsSince(t0));
       if (rep == 0) {
         first_rep_groups = g.num_groups();
         // Same first-occurrence groups as the string-encoding baseline.
@@ -277,8 +301,8 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
       }
       sink ^= static_cast<uint64_t>(g.num_groups()) ^
               static_cast<uint64_t>(g.group_of().back());
-      if (s < r.kernel_s) r.kernel_s = s;
     }
+    r.kernel = RateOf(r.rows, kernel_s);
     results.push_back(r);
   }
 
@@ -288,13 +312,13 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
     KernelResult r;
     r.name = "fused-select";
     r.rows = L.num_rows();
-    r.baseline_s = BestSeconds(reps, &sink, [&] {
+    r.baseline = RateOf(r.rows, TimeReps(reps, &sink, [&] {
       return BaselineSelect3(l_quantity, l_shipdate, l_discount, from, to);
-    });
+    }));
     const double* q = l_quantity.data();
     const int64_t* s = l_shipdate.data();
     const double* d = l_discount.data();
-    r.kernel_s = BestSeconds(reps, &sink, [&] {
+    r.kernel = RateOf(r.rows, TimeReps(reps, &sink, [&] {
       const auto fused = db::kernels::FusedSelect3(
           L.num_rows(), [q](int64_t i) { return q[i] < 24.0; },
           [s, from, to](int64_t i) { return s[i] >= from && s[i] < to; },
@@ -302,17 +326,18 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
             return d[i] >= 0.05 - 1e-9 && d[i] <= 0.07 + 1e-9;
           });
       return static_cast<uint64_t>(fused.sel.size());
-    });
+    }));
     results.push_back(r);
   }
 
-  // ---- Report. ----
-  std::printf("%-14s %12s %18s %18s %9s\n", "kernel", "rows", "baseline rows/s",
-              "kernel rows/s", "speedup");
+  // ---- Report: medians, with quartiles in brackets. ----
+  std::printf("%-14s %12s %30s %30s %9s\n", "kernel", "rows",
+              "baseline rows/s [q1, q3]", "kernel rows/s [q1, q3]", "speedup");
   for (const KernelResult& r : results) {
-    std::printf("%-14s %12lld %18.0f %18.0f %8.2fx\n", r.name.c_str(),
-                static_cast<long long>(r.rows), r.baseline_rows_per_s(),
-                r.kernel_rows_per_s(), r.speedup());
+    std::printf("%-14s %12lld %10.3g [%.3g, %.3g] %10.3g [%.3g, %.3g] %8.2fx\n",
+                r.name.c_str(), static_cast<long long>(r.rows),
+                r.baseline.median, r.baseline.q1, r.baseline.q3,
+                r.kernel.median, r.kernel.q1, r.kernel.q3, r.speedup());
   }
   std::printf("(checksum %llu)\n", static_cast<unsigned long long>(sink));
 
@@ -330,10 +355,16 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
   for (size_t i = 0; i < results.size(); ++i) {
     const KernelResult& r = results[i];
     std::fprintf(json,
-                 "    \"%s\": {\"rows\": %lld, \"baseline_rows_per_s\": %.0f, "
-                 "\"kernel_rows_per_s\": %.0f, \"speedup\": %.3f}%s\n",
+                 "    \"%s\": {\"rows\": %lld, "
+                 "\"baseline_rows_per_s\": %.0f, "
+                 "\"baseline_rows_per_s_q1\": %.0f, "
+                 "\"baseline_rows_per_s_q3\": %.0f, "
+                 "\"kernel_rows_per_s\": %.0f, "
+                 "\"kernel_rows_per_s_q1\": %.0f, "
+                 "\"kernel_rows_per_s_q3\": %.0f, \"speedup\": %.3f}%s\n",
                  r.name.c_str(), static_cast<long long>(r.rows),
-                 r.baseline_rows_per_s(), r.kernel_rows_per_s(), r.speedup(),
+                 r.baseline.median, r.baseline.q1, r.baseline.q3,
+                 r.kernel.median, r.kernel.q1, r.kernel.q3, r.speedup(),
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(json, "  }\n}\n");
@@ -357,6 +388,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--sf") == 0) sf = std::atof(argv[i + 1]);
     if (std::strcmp(argv[i], "--reps") == 0) reps = std::atoi(argv[i + 1]);
   }
+  ELASTIC_CHECK(reps >= 1, "--reps must be at least 1");
   return elastic::bench::Run(
       sf, reps,
       elastic::bench::JsonOutPath(argc, argv,

@@ -34,6 +34,12 @@ const std::vector<std::string>& Table::str(const std::string& column) const {
   return c.str;
 }
 
+const CodedStrings& Table::coded(const std::string& column) const {
+  const Column& c = col(column);
+  ELASTIC_CHECK(c.type == ColType::kCoded, "column is not coded");
+  return c.coded;
+}
+
 const Table& Database::table(const std::string& name) const {
   if (name == "region") return region;
   if (name == "nation") return nation;

@@ -2,35 +2,13 @@
 #define ELASTICORE_DB_KERNELS_HASH_H_
 
 // Hash primitives shared by the batch kernels: a 64-bit finalizer for
-// open-addressing slot indices and a word-granular FNV-1a accumulator used
-// to fold multi-column group keys into a 16-byte hashed key.
+// open-addressing slot indices and a word-granular FNV-1a step used to fold
+// multi-column integer group keys into one hash.
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace elastic::db::kernels {
-
-/// Single 8-byte load; fixed size so the compiler emits one mov, never a
-/// memcpy call.
-inline uint64_t LoadWord(const char* p) {
-  uint64_t w;
-  __builtin_memcpy(&w, p, 8);
-  return w;
-}
-
-/// kTailMask[n] keeps the low n bytes of a word (n in 0..8).
-inline constexpr uint64_t kTailMask[9] = {
-    0x0ULL,
-    0xffULL,
-    0xffffULL,
-    0xffffffULL,
-    0xffffffffULL,
-    0xffffffffffULL,
-    0xffffffffffffULL,
-    0xffffffffffffffULL,
-    0xffffffffffffffffULL,
-};
 
 /// Murmur3 finalizer: full-avalanche mix of a 64-bit value. Used to derive
 /// slot indices so that dense keys (TPC-H surrogate keys, dictionary codes)
@@ -50,72 +28,6 @@ inline constexpr uint64_t kFnvPrime = 1099511628211ULL;
 /// One FNV-1a step at word granularity.
 inline uint64_t Fnv1aWord(uint64_t h, uint64_t word) {
   return (h ^ word) * kFnvPrime;
-}
-
-/// 16-byte hashed key accumulated FNV-1a style, one 64-bit word per update
-/// (word granularity keeps the per-row cost at two multiplies per key
-/// column). The two lanes use independent offset bases, so a 128-bit
-/// collision needs both lanes to collide; group-key equality is still
-/// verified against the representative row, making collisions a slow path
-/// rather than a correctness hazard.
-struct Hash128 {
-  uint64_t lo = kFnvOffset;             // FNV-1a 64-bit offset basis
-  uint64_t hi = 0x9e3779b97f4a7c15ULL;  // golden-ratio basis for lane 2
-
-  void Update(uint64_t word) {
-    // Lane-2 multiplier must be odd (an even multiplier drains one bit of
-    // state per step); murmur's C2 constant avalanches well.
-    constexpr uint64_t kPrime2 = 0xc4ceb9fe1a85ec53ULL;
-    lo = (lo ^ word) * kFnvPrime;
-    hi = (hi ^ word) * kPrime2;
-  }
-
-  /// Folds a byte string in 8-byte words with fixed-size loads only (a
-  /// variable-length tail memcpy costs a libc call per string). Strings
-  /// shorter than 8 bytes are std::string-SSO-resident, so a masked 8-byte
-  /// read stays inside the 16-byte inline buffer; longer strings take an
-  /// overlapping load of their final 8 bytes. Word granularity keeps short
-  /// dictionary-style strings at a couple of multiplies instead of one per
-  /// byte. Hash collisions are allowed (callers verify exactly), so the
-  /// overlap needs no extra canonicalisation beyond the length tag.
-  void UpdateBytes(const char* data, size_t len) {
-    if (len < 8) {
-      Update((LoadWord(data) & kTailMask[len]) |
-             (static_cast<uint64_t>(len + 1) << 56));
-      return;
-    }
-    const char* const end = data + len;
-    while (len >= 8) {
-      Update(LoadWord(data));
-      data += 8;
-      len -= 8;
-    }
-    if (len > 0) Update(LoadWord(end - 8));
-  }
-
-  /// Slot index seed (mask applied by the table).
-  uint64_t Index() const { return Mix64(lo ^ hi); }
-
-  bool operator==(const Hash128& other) const {
-    return lo == other.lo && hi == other.hi;
-  }
-};
-
-/// Packs a string of at most 15 bytes into two canonical words: w0 = bytes
-/// 0..7 zero-padded, w1 = bytes 8..14 zero-padded with the length tagged in
-/// the top byte. Equal packings iff equal strings, so packed words can
-/// stand in for string equality. Returns false for longer strings. Uses a
-/// masked 16-byte read: safe because libstdc++ strings expose either the
-/// 16-byte SSO buffer or a heap allocation of capacity+1 >= 17 bytes.
-inline bool PackString15(const std::string& s, uint64_t* w0, uint64_t* w1) {
-  const size_t len = s.size();
-  if (len > 15) return false;
-  const char* p = s.data();
-  const size_t lo = len < 8 ? len : 8;
-  *w0 = LoadWord(p) & kTailMask[lo];
-  *w1 = (LoadWord(p + 8) & kTailMask[len - lo]) |
-        (static_cast<uint64_t>(len) << 56);
-  return true;
 }
 
 /// Smallest power of two >= n (and >= 16): open-addressing capacities stay

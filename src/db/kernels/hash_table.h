@@ -122,10 +122,10 @@ inline bool operator==(const JoinHashTable::RowSpan& span,
 }
 
 /// Open-addressing map from a hashed group key to a dense group id, growing
-/// by doubling at 3/4 load. Slots hold the fully mixed 64-bit hash (16-byte
-/// Hash128 keys are folded through Index()). Hash equality is a filter, not
-/// the verdict: the caller supplies an exact comparison against the group's
-/// representative row, so results are independent of hash quality.
+/// by doubling at 3/4 load. Slots hold the caller's fully mixed 64-bit hash.
+/// Hash equality is a filter, not the verdict: the caller supplies an exact
+/// comparison against the group's key, so results are independent of hash
+/// quality.
 class GroupKeyTable {
  public:
   explicit GroupKeyTable(size_t expected_groups = 0)
@@ -139,17 +139,10 @@ class GroupKeyTable {
     if (cap > slots_.size()) Rehash(cap);
   }
 
-  /// Returns the group id of `h` if present (per `equals_rep`, called with a
-  /// candidate group id), otherwise inserts it with id `next_gid` and
-  /// returns `next_gid`.
-  template <typename EqRep>
-  int64_t FindOrInsert(const Hash128& h, int64_t next_gid, EqRep&& equals_rep) {
-    return FindOrInsertHashed(h.Index(), next_gid,
-                              std::forward<EqRep>(equals_rep));
-  }
-
-  /// Same, for callers that mix their own 64-bit hash (`hv` must already be
-  /// avalanched, e.g. through Mix64 — the slot index is its low bits).
+  /// Returns the group id of the key hashed to `hv` if present (per
+  /// `equals_rep`, called with a candidate group id), otherwise inserts it
+  /// with id `next_gid` and returns `next_gid`. `hv` must already be
+  /// avalanched, e.g. through Mix64: the slot index is its low bits.
   template <typename EqRep>
   int64_t FindOrInsertHashed(uint64_t hv, int64_t next_gid,
                              EqRep&& equals_rep) {

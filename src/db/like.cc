@@ -16,10 +16,10 @@ bool LikeEndsWith(const std::string& haystack, const std::string& suffix) {
                           suffix) == 0;
 }
 
-bool LikeContainsSeq(const std::string& haystack,
-                     const std::vector<std::string>& needles) {
+bool LikeContainsSeq(std::string_view haystack,
+                     std::initializer_list<std::string_view> needles) {
   size_t pos = 0;
-  for (const std::string& needle : needles) {
+  for (const std::string_view needle : needles) {
     const size_t found = haystack.find(needle, pos);
     if (found == std::string::npos) return false;
     pos = found + needle.size();

@@ -1,8 +1,9 @@
 #ifndef ELASTICORE_DB_LIKE_H_
 #define ELASTICORE_DB_LIKE_H_
 
+#include <initializer_list>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace elastic::db {
 
@@ -19,9 +20,10 @@ bool LikeStartsWith(const std::string& haystack, const std::string& prefix);
 bool LikeEndsWith(const std::string& haystack, const std::string& suffix);
 
 /// '%a%b%...%': the needles must appear in order, non-overlapping
-/// (Q13's '%special%requests%', Q16's '%Customer%Complaints%').
-bool LikeContainsSeq(const std::string& haystack,
-                     const std::vector<std::string>& needles);
+/// (Q13's '%special%requests%', Q16's '%Customer%Complaints%'). The needles
+/// are views, so a call copies no string.
+bool LikeContainsSeq(std::string_view haystack,
+                     std::initializer_list<std::string_view> needles);
 
 /// substring(s, 1, n) — SQL 1-based prefix extraction (Q22 country codes).
 std::string SqlSubstring(const std::string& s, int from1, int len);

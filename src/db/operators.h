@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "db/kernels/hash_table.h"
@@ -83,21 +82,19 @@ class HashJoin {
   kernels::JoinHashTable table_;
 };
 
-/// Multi-column group-by: feed key columns (all aligned to the same row
-/// set), Finish() assigns dense group ids in first-occurrence order.
+/// Multi-column group-by over integer keys: feed key columns (all aligned
+/// to the same row set), Finish() assigns dense group ids in
+/// first-occurrence order.
 ///
-/// Finish() folds each row's keys into a hashed key over fixed-width words
-/// — int64 keys verbatim, strings up to 15 bytes as two packed words
-/// (kernels::PackString15), longer strings word-chunked FNV-1a style — and
-/// groups through an open-addressing table with exact verification,
-/// instead of heap-encoding a std::string per row.
+/// Finish() folds each row's keys into one FNV-1a hash, a word per key, and
+/// groups through an open-addressing table that verifies every match
+/// against the group's representative row, with no per-row allocation. A
+/// string key groups by an integer that stands for it: a dictionary code or
+/// the key of a dimension row (Q7 and Q9 group by nation key and decode the
+/// names per result row).
 class Grouper {
  public:
   void AddI64Key(std::vector<int64_t> values);
-  /// String key read through a candidate list: row r's key is
-  /// column[rows[r]], and no string is copied. The Grouper keeps references
-  /// to both vectors, so they must outlive it.
-  void AddStrKey(const std::vector<std::string>& column, const SelVec& rows);
 
   /// Cardinality hint: Finish() sizes its group-key table for this many
   /// groups up front, so an accurate hint means zero doubling rehashes.
@@ -116,33 +113,12 @@ class Grouper {
   const std::vector<int64_t>& representative_rows() const { return rep_rows_; }
 
   int64_t I64KeyOfGroup(int key_index, int64_t group) const;
-  const std::string& StrKeyOfGroup(int key_index, int64_t group) const;
 
   /// Doubling rehashes the group-key table performed during Finish().
   int64_t table_rehashes() const { return table_rehashes_; }
 
  private:
-  struct KeyCol {
-    std::vector<int64_t> i64;
-    // String keys: column[rows[r]]; null for an int64 key.
-    const std::vector<std::string>* column = nullptr;
-    const SelVec* rows = nullptr;
-
-    bool is_str() const { return column != nullptr; }
-    int64_t size() const {
-      return static_cast<int64_t>(is_str() ? rows->size() : i64.size());
-    }
-    const std::string& str_at(size_t r) const {
-      return (*column)[static_cast<size_t>((*rows)[r])];
-    }
-  };
-
-  /// Packed-words fast path (all strings <= 15 bytes); false when
-  /// inapplicable, with grouping state reset.
-  bool FinishPacked();
-  /// Arbitrary-key fallback; same first-occurrence group ids.
-  void FinishGeneric();
-  std::vector<KeyCol> keys_;
+  std::vector<std::vector<int64_t>> keys_;
   std::vector<int64_t> group_of_;
   std::vector<int64_t> rep_rows_;
   int64_t expected_groups_ = 64;
@@ -157,8 +133,6 @@ class Grouper {
 std::vector<double> SumPerGroup(const std::vector<double>& values,
                                 const std::vector<int64_t>& group_of,
                                 int64_t num_groups);
-std::vector<int64_t> CountPerGroup(const std::vector<int64_t>& group_of,
-                                   int64_t num_groups);
 std::vector<double> MinPerGroup(const std::vector<double>& values,
                                 const std::vector<int64_t>& group_of,
                                 int64_t num_groups);

@@ -21,8 +21,7 @@ QueryOutput Q1(const Database& db) {
 
   // The projections stay in the plan (the simulator replays them), but the
   // executor reads the base columns through `sel` instead of gathering them:
-  // the group keys go to the Grouper as a candidate list, and one fused
-  // pass below computes every aggregate.
+  // one fused pass below computes every aggregate.
   const int64_t n = static_cast<int64_t>(sel.size());
   int last = s_sel;
   for (const char* col :
@@ -31,29 +30,25 @@ QueryOutput Q1(const Database& db) {
     last = RecordProject(&rec, col, n, s_sel, n);
   }
 
-  Grouper grouper;
-  grouper.AddStrKey(L.str("l_returnflag"), sel);
-  grouper.AddStrKey(L.str("l_linestatus"), sel);
-  grouper.Finish();
-  const int64_t groups = grouper.num_groups();
-  RecordGroup(&rec, {PlanRecorder::Inter(last, n)}, n, groups);
-
-  // Each group's sums accumulate in row order from 0.0, exactly as
-  // SumPerGroup does over gathered vectors, so every f64 bit is the same;
-  // each average divides its sum by the group's count.
+  // One aggregate cell per (returnflag, linestatus) code pair. Each cell's
+  // sums accumulate in row order from 0.0, exactly as SumPerGroup does over
+  // gathered vectors, so every f64 bit is the same; each average divides
+  // its sum by the cell's count. A group is a cell that counted a row.
   struct Agg {
     double qty = 0.0, base = 0.0, disc_price = 0.0, charge = 0.0, disc = 0.0;
     int64_t count = 0;
   };
-  std::vector<Agg> aggs(static_cast<size_t>(groups));
+  const CodedStrings& flag = L.coded("l_returnflag");
+  const CodedStrings& status = L.coded("l_linestatus");
+  const size_t statuses = status.dict.size();
+  std::vector<Agg> aggs(flag.dict.size() * statuses);
   const auto& quantity = L.f64("l_quantity");
   const auto& extprice = L.f64("l_extendedprice");
   const auto& discount = L.f64("l_discount");
   const auto& tax = L.f64("l_tax");
-  const auto& gof = grouper.group_of();
-  for (int64_t i = 0; i < n; ++i) {
-    const size_t row = static_cast<size_t>(sel[static_cast<size_t>(i)]);
-    Agg& a = aggs[static_cast<size_t>(gof[static_cast<size_t>(i)])];
+  for (const int64_t selected : sel) {
+    const size_t row = static_cast<size_t>(selected);
+    Agg& a = aggs[flag.codes[row] * statuses + status.codes[row]];
     const double disc_price = extprice[row] * (1.0 - discount[row]);
     a.qty += quantity[row];
     a.base += extprice[row];
@@ -62,17 +57,21 @@ QueryOutput Q1(const Database& db) {
     a.disc += discount[row];
     a.count++;
   }
+  int64_t groups = 0;
+  for (const Agg& a : aggs) groups += a.count > 0 ? 1 : 0;
+  RecordGroup(&rec, {PlanRecorder::Inter(last, n)}, n, groups);
 
   QueryResult result;
   result.query = "Q1";
   result.column_names = {"l_returnflag", "l_linestatus", "sum_qty",
                          "sum_base_price", "sum_disc_price", "sum_charge",
                          "avg_qty", "avg_price", "avg_disc", "count_order"};
-  for (int64_t g = 0; g < groups; ++g) {
-    const Agg& a = aggs[static_cast<size_t>(g)];
+  for (size_t cell = 0; cell < aggs.size(); ++cell) {
+    const Agg& a = aggs[cell];
+    if (a.count == 0) continue;
     const double count = static_cast<double>(a.count);
-    result.rows.push_back({Value::Str(grouper.StrKeyOfGroup(0, g)),
-                           Value::Str(grouper.StrKeyOfGroup(1, g)),
+    result.rows.push_back({Value::Str(flag.dict[cell / statuses]),
+                           Value::Str(status.dict[cell % statuses]),
                            Value::F64(a.qty), Value::F64(a.base),
                            Value::F64(a.disc_price), Value::F64(a.charge),
                            Value::F64(a.qty / count),
@@ -117,10 +116,11 @@ QueryOutput Q2(const Database& db) {
 
   // Parts: p_size = 15 and p_type like '%BRASS'.
   const auto& p_size = P.i64("p_size");
-  const auto& p_type = P.str("p_type");
+  const CodedStrings& p_type = P.coded("p_type");
+  const CodeSet brass = p_type.Match(
+      [](const std::string& t) { return LikeEndsWith(t, "BRASS"); });
   SelVec p_sel = SelectWhere(p_size, [](int64_t s) { return s == 15; });
-  p_sel = Refine(p_type, p_sel,
-                 [](const std::string& t) { return LikeEndsWith(t, "BRASS"); });
+  p_sel = Refine(p_type.codes, p_sel, [&brass](uint8_t c) { return brass[c]; });
   const int st_part = RecordSelect(&rec, "part.p_size",
                                    static_cast<int64_t>(p_size.size()),
                                    static_cast<int64_t>(p_sel.size()));
@@ -145,7 +145,7 @@ QueryOutput Q2(const Database& db) {
   supp_by_key.Build(s_suppkey, nullptr);
 
   const auto& p_partkey = P.i64("p_partkey");
-  const auto& p_mfgr = P.str("p_mfgr");
+  const CodedStrings& p_mfgr = P.coded("p_mfgr");
   const auto& s_acctbal = S.f64("s_acctbal");
   const auto& s_name = S.str("s_name");
   const auto& s_address = S.str("s_address");
@@ -180,7 +180,7 @@ QueryOutput Q2(const Database& db) {
       result.rows.push_back(
           {Value::F64(s_acctbal[sk]), Value::Str(s_name[sk]),
            Value::Str(n_name[static_cast<size_t>(nationkey)]),
-           Value::I64(partkey), Value::Str(p_mfgr[static_cast<size_t>(prow)]),
+           Value::I64(partkey), Value::Str(p_mfgr.at(static_cast<size_t>(prow))),
            Value::Str(s_address[sk]), Value::Str(s_phone[sk]),
            Value::Str(s_comment[sk])});
     }
@@ -203,9 +203,11 @@ QueryOutput Q3(const Database& db) {
   const Table& L = db.lineitem;
   const Date pivot = MakeDate(1995, 3, 15);
 
-  SelVec c_sel = SelectWhere(C.str("c_mktsegment"), [](const std::string& s) {
-    return s == "BUILDING";
-  });
+  const CodedStrings& segment = C.coded("c_mktsegment");
+  const CodeSet building =
+      segment.Match([](const std::string& s) { return s == "BUILDING"; });
+  SelVec c_sel = SelectWhere(segment.codes,
+                             [&building](uint8_t c) { return building[c]; });
   const int st_cust = RecordSelect(&rec, "customer.c_mktsegment",
                                    C.num_rows(), static_cast<int64_t>(c_sel.size()));
 
@@ -316,21 +318,25 @@ QueryOutput Q4(const Database& db) {
                    PlanRecorder::Inter(st_ord, static_cast<int64_t>(o_sel.size()))},
                   static_cast<int64_t>(matched.size()));
 
-  Grouper grouper;
-  grouper.AddStrKey(O.str("o_orderpriority"), matched);
-  grouper.Finish();
-  auto counts = CountPerGroup(grouper.group_of(), grouper.num_groups());
+  // Orders counted per priority code; a group is a priority that counted
+  // an order.
+  const CodedStrings& priority = O.coded("o_orderpriority");
+  std::vector<int64_t> counts(priority.dict.size(), 0);
+  for (int64_t row : matched) counts[priority.codes[static_cast<size_t>(row)]]++;
+  int64_t groups = 0;
+  for (int64_t count : counts) groups += count > 0 ? 1 : 0;
   RecordGroup(&rec,
               {PlanRecorder::Base("orders.o_orderpriority",
                                   static_cast<int64_t>(matched.size()), 8, false)},
-              static_cast<int64_t>(matched.size()), grouper.num_groups());
+              static_cast<int64_t>(matched.size()), groups);
 
   QueryResult result;
   result.query = "Q4";
   result.column_names = {"o_orderpriority", "order_count"};
-  for (int64_t g = 0; g < grouper.num_groups(); ++g) {
-    result.rows.push_back({Value::Str(grouper.StrKeyOfGroup(0, g)),
-                           Value::I64(counts[static_cast<size_t>(g)])});
+  for (size_t code = 0; code < counts.size(); ++code) {
+    if (counts[code] == 0) continue;
+    result.rows.push_back(
+        {Value::Str(priority.dict[code]), Value::I64(counts[code])});
   }
   result.Sort({{0, true}});
   return QueryOutput{std::move(result), rec.Take()};

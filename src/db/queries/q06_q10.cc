@@ -120,9 +120,9 @@ QueryOutput Q7(const Database& db) {
   const auto& ext = L.f64("l_extendedprice");
   const auto& disc = L.f64("l_discount");
 
-  // Nation keys are nation row ids; the Grouper reads the names in place.
-  SelVec supp_nation_rows;
-  SelVec cust_nation_rows;
+  // Grouped by nation key (a nation's row id); names decode per result row.
+  std::vector<int64_t> supp_nation_key;
+  std::vector<int64_t> cust_nation_key;
   std::vector<int64_t> year_key;
   std::vector<double> volume;
   int64_t probed = 0;
@@ -137,8 +137,8 @@ QueryOutput Q7(const Database& db) {
     const bool pair_ok = (sn == france && cn == germany) ||
                          (sn == germany && cn == france);
     if (!pair_ok) continue;
-    supp_nation_rows.push_back(sn);
-    cust_nation_rows.push_back(cn);
+    supp_nation_key.push_back(sn);
+    cust_nation_key.push_back(cn);
     year_key.push_back(YearOf(ship[k]));
     volume.push_back(ext[k] * (1.0 - disc[k]));
   }
@@ -149,9 +149,9 @@ QueryOutput Q7(const Database& db) {
                   probed);
 
   Grouper grouper;
-  grouper.AddStrKey(n_name, supp_nation_rows);
-  grouper.AddStrKey(n_name, cust_nation_rows);
-  grouper.AddI64Key(year_key);
+  grouper.AddI64Key(std::move(supp_nation_key));
+  grouper.AddI64Key(std::move(cust_nation_key));
+  grouper.AddI64Key(std::move(year_key));
   grouper.Finish();
   auto sums = SumPerGroup(volume, grouper.group_of(), grouper.num_groups());
   RecordGroup(&rec,
@@ -163,8 +163,9 @@ QueryOutput Q7(const Database& db) {
   result.query = "Q7";
   result.column_names = {"supp_nation", "cust_nation", "l_year", "revenue"};
   for (int64_t g = 0; g < grouper.num_groups(); ++g) {
-    result.rows.push_back({Value::Str(grouper.StrKeyOfGroup(0, g)),
-                           Value::Str(grouper.StrKeyOfGroup(1, g)),
+    const size_t supp = static_cast<size_t>(grouper.I64KeyOfGroup(0, g));
+    const size_t cust = static_cast<size_t>(grouper.I64KeyOfGroup(1, g));
+    result.rows.push_back({Value::Str(n_name[supp]), Value::Str(n_name[cust]),
                            Value::I64(grouper.I64KeyOfGroup(2, g)),
                            Value::F64(sums[static_cast<size_t>(g)])});
   }
@@ -199,9 +200,11 @@ QueryOutput Q8(const Database& db) {
     if (n_name[static_cast<size_t>(i)] == "BRAZIL") brazil = i;
   }
 
-  SelVec p_sel = SelectWhere(P.str("p_type"), [](const std::string& t) {
-    return t == "ECONOMY ANODIZED STEEL";
-  });
+  const CodedStrings& p_type = P.coded("p_type");
+  const CodeSet wanted = p_type.Match(
+      [](const std::string& t) { return t == "ECONOMY ANODIZED STEEL"; });
+  SelVec p_sel =
+      SelectWhere(p_type.codes, [&wanted](uint8_t c) { return wanted[c]; });
   const int st_part = RecordSelect(&rec, "part.p_type", P.num_rows(),
                                    static_cast<int64_t>(p_sel.size()));
   HashJoin parts;
@@ -304,7 +307,7 @@ QueryOutput Q9(const Database& db) {
   const auto& s_nation = S.i64("s_nationkey");
   const auto& o_date = O.i64("o_orderdate");
 
-  SelVec nation_rows;  // nation row ids; the Grouper reads the names
+  std::vector<int64_t> nation_key;  // names decode per result row
   std::vector<int64_t> year_key;
   std::vector<double> amount;
   for (size_t i = 0; i < pairs.size(); ++i) {
@@ -320,13 +323,13 @@ QueryOutput Q9(const Database& db) {
     }
     const int64_t sn = s_nation[static_cast<size_t>(suppkey - 1)];
     const size_t orow = static_cast<size_t>(l_order[lrow] - 1);
-    nation_rows.push_back(sn);
+    nation_key.push_back(sn);
     year_key.push_back(YearOf(o_date[orow]));
     amount.push_back(ext[lrow] * (1.0 - disc[lrow]) - cost * l_qty[lrow]);
   }
   Grouper grouper;
-  grouper.AddStrKey(N.str("n_name"), nation_rows);
-  grouper.AddI64Key(year_key);
+  grouper.AddI64Key(std::move(nation_key));
+  grouper.AddI64Key(std::move(year_key));
   grouper.Finish();
   auto sums = SumPerGroup(amount, grouper.group_of(), grouper.num_groups());
   RecordGroup(&rec,
@@ -334,11 +337,13 @@ QueryOutput Q9(const Database& db) {
                                   static_cast<int64_t>(amount.size()), 8, false)},
               static_cast<int64_t>(amount.size()), grouper.num_groups());
 
+  const auto& n_name = N.str("n_name");
   QueryResult result;
   result.query = "Q9";
   result.column_names = {"nation", "o_year", "sum_profit"};
   for (int64_t g = 0; g < grouper.num_groups(); ++g) {
-    result.rows.push_back({Value::Str(grouper.StrKeyOfGroup(0, g)),
+    const size_t nation = static_cast<size_t>(grouper.I64KeyOfGroup(0, g));
+    result.rows.push_back({Value::Str(n_name[nation]),
                            Value::I64(grouper.I64KeyOfGroup(1, g)),
                            Value::F64(sums[static_cast<size_t>(g)])});
   }
@@ -366,8 +371,11 @@ QueryOutput Q10(const Database& db) {
   RecordJoinBuild(&rec, {PlanRecorder::Inter(st_ord, static_cast<int64_t>(o_sel.size()))},
                   static_cast<int64_t>(o_sel.size()));
 
-  const auto& flag = L.str("l_returnflag");
-  SelVec l_sel = SelectWhere(flag, [](const std::string& f) { return f == "R"; });
+  const CodedStrings& flag = L.coded("l_returnflag");
+  const CodeSet returned =
+      flag.Match([](const std::string& f) { return f == "R"; });
+  SelVec l_sel =
+      SelectWhere(flag.codes, [&returned](uint8_t c) { return returned[c]; });
   const int st_line = RecordSelect(&rec, "lineitem.l_returnflag", L.num_rows(),
                                    static_cast<int64_t>(l_sel.size()));
   HashJoin::Pairs pairs = orders.Probe(L.i64("l_orderkey"), &l_sel);

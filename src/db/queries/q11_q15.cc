@@ -84,14 +84,15 @@ QueryOutput Q12(const Database& db) {
   const Date from = MakeDate(1994, 1, 1);
   const Date to = AddYears(from, 1);
 
-  const auto& mode = L.str("l_shipmode");
+  const CodedStrings& mode = L.coded("l_shipmode");
   const auto& commit = L.i64("l_commitdate");
   const auto& receipt = L.i64("l_receiptdate");
   const auto& shipd = L.i64("l_shipdate");
 
-  SelVec sel = SelectWhere(mode, [](const std::string& m) {
-    return m == "MAIL" || m == "SHIP";
-  });
+  const CodeSet mail_or_ship = mode.Match(
+      [](const std::string& m) { return m == "MAIL" || m == "SHIP"; });
+  SelVec sel = SelectWhere(
+      mode.codes, [&mail_or_ship](uint8_t c) { return mail_or_ship[c]; });
   const int st_mode = RecordSelect(&rec, "lineitem.l_shipmode", L.num_rows(),
                                    static_cast<int64_t>(sel.size()));
   sel = Refine(receipt, sel, [from, to](int64_t d) { return d >= from && d < to; });
@@ -108,17 +109,18 @@ QueryOutput Q12(const Database& db) {
                                     static_cast<int64_t>(final_sel.size()));
   (void)st_mode;
 
+  // High- and low-priority lines counted per ship mode code; a group is a
+  // mode that counted a line.
   const auto& l_order = L.i64("l_orderkey");
-  const auto& prio = O.str("o_orderpriority");
-  std::vector<double> high;
-  std::vector<double> low;
+  const CodedStrings& prio = O.coded("o_orderpriority");
+  const CodeSet urgent_or_high = prio.Match(
+      [](const std::string& p) { return p == "1-URGENT" || p == "2-HIGH"; });
+  std::vector<int64_t> high(mode.dict.size(), 0);
+  std::vector<int64_t> low(mode.dict.size(), 0);
   for (int64_t row : final_sel) {
     const size_t k = static_cast<size_t>(row);
     const size_t orow = static_cast<size_t>(l_order[k] - 1);
-    const std::string& p = prio[orow];
-    const bool is_high = (p == "1-URGENT" || p == "2-HIGH");
-    high.push_back(is_high ? 1.0 : 0.0);
-    low.push_back(is_high ? 0.0 : 1.0);
+    (urgent_or_high[prio.codes[orow]] ? high : low)[mode.codes[k]]++;
   }
   RecordJoinProbe(&rec,
                   {PlanRecorder::Base("orders.o_orderpriority",
@@ -126,25 +128,22 @@ QueryOutput Q12(const Database& db) {
                    PlanRecorder::Inter(st_dates, static_cast<int64_t>(final_sel.size()))},
                   static_cast<int64_t>(final_sel.size()));
 
-  Grouper grouper;
-  grouper.AddStrKey(mode, final_sel);
-  grouper.Finish();
-  auto high_counts = SumPerGroup(high, grouper.group_of(), grouper.num_groups());
-  auto low_counts = SumPerGroup(low, grouper.group_of(), grouper.num_groups());
+  int64_t groups = 0;
+  for (size_t code = 0; code < high.size(); ++code) {
+    groups += high[code] + low[code] > 0 ? 1 : 0;
+  }
   RecordGroup(&rec,
               {PlanRecorder::Base("lineitem.l_shipmode",
                                   static_cast<int64_t>(final_sel.size()), 8, false)},
-              static_cast<int64_t>(final_sel.size()), grouper.num_groups());
+              static_cast<int64_t>(final_sel.size()), groups);
 
   QueryResult result;
   result.query = "Q12";
   result.column_names = {"l_shipmode", "high_line_count", "low_line_count"};
-  for (int64_t g = 0; g < grouper.num_groups(); ++g) {
-    const size_t k = static_cast<size_t>(g);
-    result.rows.push_back(
-        {Value::Str(grouper.StrKeyOfGroup(0, g)),
-         Value::I64(static_cast<int64_t>(high_counts[k])),
-         Value::I64(static_cast<int64_t>(low_counts[k]))});
+  for (size_t code = 0; code < high.size(); ++code) {
+    if (high[code] + low[code] == 0) continue;
+    result.rows.push_back({Value::Str(mode.dict[code]), Value::I64(high[code]),
+                           Value::I64(low[code])});
   }
   result.Sort({{0, true}});
   return QueryOutput{std::move(result), rec.Take()};
@@ -156,9 +155,12 @@ QueryOutput Q13(const Database& db) {
   const Table& C = db.customer;
   const Table& O = db.orders;
 
+  // NOT LIKE '%special%requests%', with the needles taken once.
+  const std::initializer_list<std::string_view> needles = {"special",
+                                                           "requests"};
   const auto& comment = O.str("o_comment");
-  SelVec o_sel = SelectWhere(comment, [](const std::string& c) {
-    return !LikeContainsSeq(c, {"special", "requests"});
+  SelVec o_sel = SelectWhere(comment, [&needles](const std::string& c) {
+    return !LikeContainsSeq(c, needles);
   });
   const int st_ord = RecordSelect(&rec, "orders.o_comment", O.num_rows(),
                                   static_cast<int64_t>(o_sel.size()));
@@ -210,7 +212,9 @@ QueryOutput Q14(const Database& db) {
                                    static_cast<int64_t>(sel.size()));
 
   const auto& l_part = L.i64("l_partkey");
-  const auto& type = P.str("p_type");
+  const CodedStrings& type = P.coded("p_type");
+  const CodeSet promo_type =
+      type.Match([](const std::string& t) { return LikeStartsWith(t, "PROMO"); });
   const auto& ext = L.f64("l_extendedprice");
   const auto& disc = L.f64("l_discount");
   double promo = 0.0;
@@ -220,7 +224,7 @@ QueryOutput Q14(const Database& db) {
     const size_t prow = static_cast<size_t>(l_part[k] - 1);
     const double v = ext[k] * (1.0 - disc[k]);
     total += v;
-    if (LikeStartsWith(type[prow], "PROMO")) promo += v;
+    if (promo_type[type.codes[prow]]) promo += v;
   }
   RecordJoinProbe(&rec,
                   {PlanRecorder::Base("part.p_type",

@@ -2,7 +2,6 @@
 
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "db/queries/common.h"
 
@@ -16,25 +15,30 @@ QueryOutput Q16(const Database& db) {
   const Table& S = db.supplier;
 
   static const std::set<int64_t> kSizes = {49, 14, 23, 45, 19, 3, 36, 9};
-  const auto& brand = P.str("p_brand");
-  const auto& type = P.str("p_type");
+  const CodedStrings& brand = P.coded("p_brand");
+  const CodedStrings& type = P.coded("p_type");
   const auto& size = P.i64("p_size");
+  const CodeSet other_brand =
+      brand.Match([](const std::string& b) { return b != "Brand#45"; });
+  const CodeSet other_type = type.Match([](const std::string& t) {
+    return !LikeStartsWith(t, "MEDIUM POLISHED");
+  });
   SelVec p_sel = kernels::SelectWhereIdx(P.num_rows(), [&](int64_t i) {
     const size_t k = static_cast<size_t>(i);
-    return brand[k] != "Brand#45" &&
-           !LikeStartsWith(type[k], "MEDIUM POLISHED") &&
+    return other_brand[brand.codes[k]] && other_type[type.codes[k]] &&
            kSizes.find(size[k]) != kSizes.end();
   });
   const int st_part = RecordSelect(&rec, "part.p_type", P.num_rows(),
                                    static_cast<int64_t>(p_sel.size()));
 
-  // Suppliers with complaints are excluded.
+  // Suppliers with complaints ('%Customer%Complaints%') are excluded.
+  const std::initializer_list<std::string_view> complaints = {"Customer",
+                                                               "Complaints"};
   std::vector<bool> bad_supplier(static_cast<size_t>(S.num_rows()) + 1, false);
   const auto& s_comment = S.str("s_comment");
   const auto& s_suppkey = S.i64("s_suppkey");
   for (int64_t i = 0; i < S.num_rows(); ++i) {
-    if (LikeContainsSeq(s_comment[static_cast<size_t>(i)],
-                        {"Customer", "Complaints"})) {
+    if (LikeContainsSeq(s_comment[static_cast<size_t>(i)], complaints)) {
       bad_supplier[static_cast<size_t>(s_suppkey[static_cast<size_t>(i)])] = true;
     }
   }
@@ -45,42 +49,57 @@ QueryOutput Q16(const Database& db) {
   RecordJoinBuild(&rec, {PlanRecorder::Base("partsupp.ps_partkey", PS.num_rows())},
                   PS.num_rows());
 
+  // Each (part, good supplier) pair keyed by the part's brand code, type
+  // code and size; supplier_cnt counts a group's distinct suppliers.
   const auto& ps_supp = PS.i64("ps_suppkey");
   const auto& p_partkey = P.i64("p_partkey");
-  struct GroupData {
-    std::unordered_set<int64_t> suppliers;
-  };
-  std::unordered_map<std::string, GroupData> groups;
+  std::vector<int64_t> brand_key;
+  std::vector<int64_t> type_key;
+  std::vector<int64_t> size_key;
+  std::vector<int64_t> supp_key;
   int64_t pairs = 0;
   for (int64_t prow : p_sel) {
     const size_t k = static_cast<size_t>(prow);
-    const int64_t partkey = p_partkey[k];
-    std::string key = brand[k] + '\x01' + type[k] + '\x01' +
-                      std::to_string(size[k]);
-    for (int64_t ps_row : ps_by_part.RowsOf(partkey)) {
+    for (int64_t ps_row : ps_by_part.RowsOf(p_partkey[k])) {
       pairs++;
       const int64_t suppkey = ps_supp[static_cast<size_t>(ps_row)];
       if (bad_supplier[static_cast<size_t>(suppkey)]) continue;
-      groups[key].suppliers.insert(suppkey);
+      brand_key.push_back(brand.codes[k]);
+      type_key.push_back(type.codes[k]);
+      size_key.push_back(size[k]);
+      supp_key.push_back(suppkey);
     }
+  }
+  Grouper groups;
+  groups.AddI64Key(std::move(brand_key));
+  groups.AddI64Key(std::move(type_key));
+  groups.AddI64Key(std::move(size_key));
+  groups.Finish();
+  Grouper group_suppliers;  // one group per distinct (group, supplier)
+  group_suppliers.AddI64Key(groups.group_of());
+  group_suppliers.AddI64Key(std::move(supp_key));
+  group_suppliers.Finish();
+  std::vector<int64_t> supplier_cnt(static_cast<size_t>(groups.num_groups()), 0);
+  for (int64_t row : group_suppliers.representative_rows()) {
+    const int64_t g = groups.group_of()[static_cast<size_t>(row)];
+    supplier_cnt[static_cast<size_t>(g)]++;
   }
   RecordJoinProbe(&rec,
                   {PlanRecorder::Inter(st_part, static_cast<int64_t>(p_sel.size())),
                    PlanRecorder::Base("partsupp.ps_suppkey", pairs, 8, false)},
                   pairs);
-  RecordGroup(&rec, {PlanRecorder::Inter(3, pairs)}, pairs,
-              static_cast<int64_t>(groups.size()));
+  RecordGroup(&rec, {PlanRecorder::Inter(3, pairs)}, pairs, groups.num_groups());
 
   QueryResult result;
   result.query = "Q16";
   result.column_names = {"p_brand", "p_type", "p_size", "supplier_cnt"};
-  for (const auto& [key, data] : groups) {
-    const size_t b1 = key.find('\x01');
-    const size_t b2 = key.find('\x01', b1 + 1);
-    result.rows.push_back(
-        {Value::Str(key.substr(0, b1)), Value::Str(key.substr(b1 + 1, b2 - b1 - 1)),
-         Value::I64(std::stoll(key.substr(b2 + 1))),
-         Value::I64(static_cast<int64_t>(data.suppliers.size()))});
+  for (int64_t g = 0; g < groups.num_groups(); ++g) {
+    const size_t brand_code = static_cast<size_t>(groups.I64KeyOfGroup(0, g));
+    const size_t type_code = static_cast<size_t>(groups.I64KeyOfGroup(1, g));
+    result.rows.push_back({Value::Str(brand.dict[brand_code]),
+                           Value::Str(type.dict[type_code]),
+                           Value::I64(groups.I64KeyOfGroup(2, g)),
+                           Value::I64(supplier_cnt[static_cast<size_t>(g)])});
   }
   result.Sort({{3, false}, {0, true}, {1, true}, {2, true}});
   return QueryOutput{std::move(result), rec.Take()};
@@ -92,11 +111,15 @@ QueryOutput Q17(const Database& db) {
   const Table& P = db.part;
   const Table& L = db.lineitem;
 
-  const auto& brand = P.str("p_brand");
-  const auto& container = P.str("p_container");
+  const CodedStrings& brand = P.coded("p_brand");
+  const CodedStrings& container = P.coded("p_container");
+  const CodeSet brand23 =
+      brand.Match([](const std::string& b) { return b == "Brand#23"; });
+  const CodeSet med_box =
+      container.Match([](const std::string& c) { return c == "MED BOX"; });
   SelVec p_sel = kernels::SelectWhereIdx(P.num_rows(), [&](int64_t i) {
     const size_t k = static_cast<size_t>(i);
-    return brand[k] == "Brand#23" && container[k] == "MED BOX";
+    return brand23[brand.codes[k]] && med_box[container.codes[k]];
   });
   const int st_part = RecordSelect(&rec, "part.p_brand", P.num_rows(),
                                    static_cast<int64_t>(p_sel.size()));
@@ -198,12 +221,12 @@ QueryOutput Q19(const Database& db) {
 
   const auto& l_part = L.i64("l_partkey");
   const auto& qty = L.f64("l_quantity");
-  const auto& mode = L.str("l_shipmode");
-  const auto& instruct = L.str("l_shipinstruct");
+  const CodedStrings& mode = L.coded("l_shipmode");
+  const CodedStrings& instruct = L.coded("l_shipinstruct");
   const auto& ext = L.f64("l_extendedprice");
   const auto& disc = L.f64("l_discount");
-  const auto& brand = P.str("p_brand");
-  const auto& container = P.str("p_container");
+  const CodedStrings& brand = P.coded("p_brand");
+  const CodedStrings& container = P.coded("p_container");
   const auto& size = P.i64("p_size");
 
   auto container_in = [](const std::string& c,
@@ -214,12 +237,32 @@ QueryOutput Q19(const Database& db) {
     return false;
   };
 
+  // Every string predicate, once per dictionary entry.
+  const CodeSet air = mode.Match(
+      [](const std::string& m) { return m == "AIR" || m == "REG AIR"; });
+  const CodeSet in_person = instruct.Match(
+      [](const std::string& i) { return i == "DELIVER IN PERSON"; });
+  const CodeSet brand12 =
+      brand.Match([](const std::string& b) { return b == "Brand#12"; });
+  const CodeSet brand23 =
+      brand.Match([](const std::string& b) { return b == "Brand#23"; });
+  const CodeSet brand34 =
+      brand.Match([](const std::string& b) { return b == "Brand#34"; });
+  const CodeSet small = container.Match([&](const std::string& c) {
+    return container_in(c, {"SM CASE", "SM BOX", "SM PACK", "SM PKG"});
+  });
+  const CodeSet medium = container.Match([&](const std::string& c) {
+    return container_in(c, {"MED BAG", "MED BOX", "MED PKG", "MED PACK"});
+  });
+  const CodeSet large = container.Match([&](const std::string& c) {
+    return container_in(c, {"LG CASE", "LG BOX", "LG PACK", "LG PKG"});
+  });
+
   // Pre-filter on shipmode/instruct, then evaluate the OR branches against
   // the joined part row.
   SelVec l_sel = kernels::SelectWhereIdx(L.num_rows(), [&](int64_t i) {
     const size_t k = static_cast<size_t>(i);
-    return instruct[k] == "DELIVER IN PERSON" &&
-           (mode[k] == "AIR" || mode[k] == "REG AIR");
+    return in_person[instruct.codes[k]] && air[mode.codes[k]];
   });
   const int st_line = RecordSelect(&rec, "lineitem.l_shipmode", L.num_rows(),
                                    static_cast<int64_t>(l_sel.size()));
@@ -231,18 +274,14 @@ QueryOutput Q19(const Database& db) {
     const size_t prow = static_cast<size_t>(l_part[k] - 1);
     const double q = qty[k];
     const int64_t sz = size[prow];
-    const bool branch1 = brand[prow] == "Brand#12" &&
-                         container_in(container[prow],
-                                      {"SM CASE", "SM BOX", "SM PACK", "SM PKG"}) &&
-                         q >= 1 && q <= 11 && sz >= 1 && sz <= 5;
-    const bool branch2 = brand[prow] == "Brand#23" &&
-                         container_in(container[prow],
-                                      {"MED BAG", "MED BOX", "MED PKG", "MED PACK"}) &&
-                         q >= 10 && q <= 20 && sz >= 1 && sz <= 10;
-    const bool branch3 = brand[prow] == "Brand#34" &&
-                         container_in(container[prow],
-                                      {"LG CASE", "LG BOX", "LG PACK", "LG PKG"}) &&
-                         q >= 20 && q <= 30 && sz >= 1 && sz <= 15;
+    const uint8_t b = brand.codes[prow];
+    const uint8_t c = container.codes[prow];
+    const bool branch1 = brand12[b] && small[c] && q >= 1 && q <= 11 &&
+                         sz >= 1 && sz <= 5;
+    const bool branch2 = brand23[b] && medium[c] && q >= 10 && q <= 20 &&
+                         sz >= 1 && sz <= 10;
+    const bool branch3 = brand34[b] && large[c] && q >= 20 && q <= 30 &&
+                         sz >= 1 && sz <= 15;
     if (branch1 || branch2 || branch3) {
       revenue += ext[k] * (1.0 - disc[k]);
       matches++;

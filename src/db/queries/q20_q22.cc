@@ -158,14 +158,16 @@ QueryOutput Q21(const Database& db) {
                      PlanRecorder::Base("lineitem.l_commitdate", L.num_rows())},
               L.num_rows(), distinct_orders);
 
-  const auto& status = O.str("o_orderstatus");
+  const CodedStrings& status = O.coded("o_orderstatus");
+  const CodeSet finished =
+      status.Match([](const std::string& s) { return s == "F"; });
   const auto& s_nation = S.i64("s_nationkey");
   std::vector<int64_t> waiting_count(static_cast<size_t>(S.num_rows()) + 1, 0);
   int64_t scanned = 0;
   for (int64_t orderkey = 1; orderkey <= O.num_rows(); ++orderkey) {
     const OrderSuppliers& info = orders_info[static_cast<size_t>(orderkey)];
     if (info.first == 0) continue;  // no lineitems
-    if (status[static_cast<size_t>(orderkey - 1)] != "F") continue;
+    if (!finished[status.codes[static_cast<size_t>(orderkey - 1)]]) continue;
     if (!info.second) continue;  // exists another supplier
     if (info.first_late == 0 || info.second_late) continue;  // only one failed
     scanned++;

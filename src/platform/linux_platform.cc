@@ -229,6 +229,9 @@ void LinuxPlatform::RecordOp(std::string op) {
 void LinuxPlatform::RecordFailure(const std::string& what, int err) {
   RecordOp("fail " + what + ": " + std::strerror(err) + " (errno " +
            std::to_string(err) + ")");
+  // The failure trace is bounded like the op log: a daemon whose writes
+  // keep failing would otherwise grow it for as long as it runs.
+  if (trace_.size() >= kMaxOpLog) trace_.DropOldest(kMaxOpLog / 2);
   trace_.Add(Now(), "platform_error", 0, err, what);
 }
 

@@ -78,10 +78,10 @@ class LinuxPlatform : public Platform {
   /// operation additionally appends "fail <op>: <strerror> (errno <n>)" and
   /// emits a "platform_error" trace event, so the audit trail carries the
   /// failure detail an operator needs. Bounded: a long-running daemon keeps
-  /// only the most recent kMaxOpLog entries.
+  /// only the most recent kMaxOpLog entries of each.
   const std::vector<std::string>& op_log() const { return op_log_; }
 
-  /// Audit-trail bound (see op_log()).
+  /// Audit-trail bound of op_log() and of the failure trace.
   static constexpr size_t kMaxOpLog = 4096;
 
   /// cgroup directory of a cpuset.

@@ -1,5 +1,6 @@
 #include "simcore/trace.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace elastic::simcore {
@@ -12,6 +13,11 @@ void Trace::Add(Tick tick, std::string kind, int64_t a, int64_t b, std::string t
   e.b = b;
   e.text = std::move(text);
   events_.push_back(std::move(e));
+}
+
+void Trace::DropOldest(size_t count) {
+  events_.erase(events_.begin(),
+                events_.begin() + static_cast<long>(std::min(count, events_.size())));
 }
 
 std::vector<TraceEvent> Trace::EventsOfKind(const std::string& kind) const {

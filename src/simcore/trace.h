@@ -38,6 +38,9 @@ class Trace {
   /// Drops all recorded events.
   void Clear() { events_.clear(); }
 
+  /// Drops the `count` oldest events (all of them when fewer are recorded).
+  void DropOldest(size_t count);
+
   bool empty() const { return events_.empty(); }
   size_t size() const { return events_.size(); }
 

@@ -45,6 +45,32 @@ std::vector<std::string>& StrCol(Table* t, const char* name, int64_t rows) {
   return values;
 }
 
+/// The codes of a new fixed-domain column over `dict`, reserved for `rows`
+/// codes: code c stands for dict[c].
+std::vector<uint8_t>& CodedCol(Table* t, const char* name,
+                               std::vector<std::string> dict, int64_t rows) {
+  ELASTIC_CHECK(dict.size() <= 256, "a coded column holds one-byte codes");
+  db::CodedStrings& coded = AddColumn(t, name, ColType::kCoded).coded;
+  coded.dict = std::move(dict);
+  coded.codes.reserve(static_cast<size_t>(rows));
+  return coded.codes;
+}
+
+/// Dictionary index `index` as a code.
+uint8_t Code(uint64_t index) { return static_cast<uint8_t>(index); }
+
+/// Every "<a> <b>" with a from `first` and b from `second`, a-major: the
+/// entry of (first[i], second[j]) is at i * second.size() + j.
+std::vector<std::string> Combinations(const std::vector<std::string>& first,
+                                      const std::vector<std::string>& second) {
+  std::vector<std::string> out;
+  out.reserve(first.size() * second.size());
+  for (const std::string& a : first) {
+    for (const std::string& b : second) out.push_back(a + " " + b);
+  }
+  return out;
+}
+
 std::string Format(const char* fmt, int64_t value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), fmt, static_cast<long long>(value));
@@ -119,9 +145,9 @@ void GenCustomer(Database* db, simcore::Rng* rng, int64_t count) {
   auto& c_nationkey = I64Col(&t, "c_nationkey", count);
   auto& c_phone = StrCol(&t, "c_phone", count);
   auto& c_acctbal = F64Col(&t, "c_acctbal", count);
-  auto& c_mktsegment = StrCol(&t, "c_mktsegment", count);
-  auto& c_comment = StrCol(&t, "c_comment", count);
   const auto& segments = TextPools::Segments();
+  auto& c_mktsegment = CodedCol(&t, "c_mktsegment", segments, count);
+  auto& c_comment = StrCol(&t, "c_comment", count);
   for (int64_t k = 1; k <= count; ++k) {
     const int nation = static_cast<int>(rng->NextBounded(25));
     c_custkey.push_back(k);
@@ -130,7 +156,7 @@ void GenCustomer(Database* db, simcore::Rng* rng, int64_t count) {
     c_nationkey.push_back(nation);
     c_phone.push_back(Phone(rng, nation));
     c_acctbal.push_back(Cents(rng->NextInRange(-99999, 999999)));
-    c_mktsegment.push_back(segments[rng->NextBounded(segments.size())]);
+    c_mktsegment.push_back(Code(rng->NextBounded(segments.size())));
     c_comment.push_back(RandomComment(rng, 8));
   }
 }
@@ -140,36 +166,46 @@ void GenPart(Database* db, simcore::Rng* rng, int64_t count) {
   t.name = "part";
   auto& p_partkey = I64Col(&t, "p_partkey", count);
   auto& p_name = StrCol(&t, "p_name", count);
-  auto& p_mfgr = StrCol(&t, "p_mfgr", count);
-  auto& p_brand = StrCol(&t, "p_brand", count);
-  auto& p_type = StrCol(&t, "p_type", count);
-  auto& p_size = I64Col(&t, "p_size", count);
-  auto& p_container = StrCol(&t, "p_container", count);
-  auto& p_retailprice = F64Col(&t, "p_retailprice", count);
-  auto& p_comment = StrCol(&t, "p_comment", count);
   const auto& s1 = TextPools::TypeS1();
   const auto& s2 = TextPools::TypeS2();
   const auto& s3 = TextPools::TypeS3();
   const auto& c1 = TextPools::ContainerS1();
   const auto& c2 = TextPools::ContainerS2();
+  // Manufacturer m is code m - 1, and brand m * 10 + b is code
+  // (m - 1) * 5 + b - 1.
+  std::vector<std::string> mfgrs;
+  std::vector<std::string> brands;
+  for (int64_t mfgr = 1; mfgr <= 5; ++mfgr) {
+    mfgrs.push_back(Format("Manufacturer#%lld", mfgr));
+    for (int64_t b = 1; b <= 5; ++b) {
+      brands.push_back(Format("Brand#%lld", mfgr * 10 + b));
+    }
+  }
+  auto& p_mfgr = CodedCol(&t, "p_mfgr", std::move(mfgrs), count);
+  auto& p_brand = CodedCol(&t, "p_brand", std::move(brands), count);
+  auto& p_type =
+      CodedCol(&t, "p_type", Combinations(Combinations(s1, s2), s3), count);
+  auto& p_size = I64Col(&t, "p_size", count);
+  auto& p_container = CodedCol(&t, "p_container", Combinations(c1, c2), count);
+  auto& p_retailprice = F64Col(&t, "p_retailprice", count);
+  auto& p_comment = StrCol(&t, "p_comment", count);
   for (int64_t k = 1; k <= count; ++k) {
     const int64_t mfgr = rng->NextInRange(1, 5);
-    const int64_t brand = mfgr * 10 + rng->NextInRange(1, 5);
+    const int64_t brand = rng->NextInRange(1, 5);
     p_partkey.push_back(k);
     p_name.push_back(PartName(rng));
-    p_mfgr.push_back(Format("Manufacturer#%lld", mfgr));
-    p_brand.push_back(Format("Brand#%lld", brand));
+    p_mfgr.push_back(Code(mfgr - 1));
+    p_brand.push_back(Code((mfgr - 1) * 5 + brand - 1));
     // One draw per statement, last syllable first: the pinned data
-    // (DbgenTest.ContentDigest) depends on this order, which would be
-    // unspecified within one `+` expression.
-    const std::string& type3 = s3[rng->NextBounded(s3.size())];
-    const std::string& type2 = s2[rng->NextBounded(s2.size())];
-    const std::string& type1 = s1[rng->NextBounded(s1.size())];
-    p_type.push_back(type1 + " " + type2 + " " + type3);
+    // (DbgenTest.ContentDigest) depends on this order.
+    const uint64_t type3 = rng->NextBounded(s3.size());
+    const uint64_t type2 = rng->NextBounded(s2.size());
+    const uint64_t type1 = rng->NextBounded(s1.size());
+    p_type.push_back(Code((type1 * s2.size() + type2) * s3.size() + type3));
     p_size.push_back(rng->NextInRange(1, 50));
-    const std::string& container2 = c2[rng->NextBounded(c2.size())];
-    const std::string& container1 = c1[rng->NextBounded(c1.size())];
-    p_container.push_back(container1 + " " + container2);
+    const uint64_t container2 = rng->NextBounded(c2.size());
+    const uint64_t container1 = rng->NextBounded(c1.size());
+    p_container.push_back(Code(container1 * c2.size() + container2));
     // Spec pricing formula: 90000 + ((k/10) % 20001) + 100*(k % 1000), cents.
     p_retailprice.push_back(Cents(90000 + (k / 10) % 20001 + 100 * (k % 1000)));
     p_comment.push_back(RandomComment(rng, 5));
@@ -217,10 +253,18 @@ void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
   o.name = "orders";
   auto& o_orderkey = I64Col(&o, "o_orderkey", orders);
   auto& o_custkey = I64Col(&o, "o_custkey", orders);
-  auto& o_orderstatus = StrCol(&o, "o_orderstatus", orders);
+  // The one-letter columns list their letters alphabetically: l_linestatus
+  // is {F, O} and o_orderstatus {F, O, P}, so kStatusF and kStatusO are
+  // codes of both.
+  enum : uint8_t { kFlagA, kFlagN, kFlagR };
+  enum : uint8_t { kStatusF, kStatusO, kStatusP };
+  const auto& priorities = TextPools::Priorities();
+  const auto& instructs = TextPools::ShipInstructs();
+  const auto& modes = TextPools::ShipModes();
+  auto& o_orderstatus = CodedCol(&o, "o_orderstatus", {"F", "O", "P"}, orders);
   auto& o_totalprice = F64Col(&o, "o_totalprice", orders);
   auto& o_orderdate = I64Col(&o, "o_orderdate", orders);
-  auto& o_orderpriority = StrCol(&o, "o_orderpriority", orders);
+  auto& o_orderpriority = CodedCol(&o, "o_orderpriority", priorities, orders);
   auto& o_clerk = StrCol(&o, "o_clerk", orders);
   auto& o_shippriority = I64Col(&o, "o_shippriority", orders);
   auto& o_comment = StrCol(&o, "o_comment", orders);
@@ -236,13 +280,13 @@ void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
   auto& l_extendedprice = F64Col(&l, "l_extendedprice", max_lines);
   auto& l_discount = F64Col(&l, "l_discount", max_lines);
   auto& l_tax = F64Col(&l, "l_tax", max_lines);
-  auto& l_returnflag = StrCol(&l, "l_returnflag", max_lines);
-  auto& l_linestatus = StrCol(&l, "l_linestatus", max_lines);
+  auto& l_returnflag = CodedCol(&l, "l_returnflag", {"A", "N", "R"}, max_lines);
+  auto& l_linestatus = CodedCol(&l, "l_linestatus", {"F", "O"}, max_lines);
   auto& l_shipdate = I64Col(&l, "l_shipdate", max_lines);
   auto& l_commitdate = I64Col(&l, "l_commitdate", max_lines);
   auto& l_receiptdate = I64Col(&l, "l_receiptdate", max_lines);
-  auto& l_shipinstruct = StrCol(&l, "l_shipinstruct", max_lines);
-  auto& l_shipmode = StrCol(&l, "l_shipmode", max_lines);
+  auto& l_shipinstruct = CodedCol(&l, "l_shipinstruct", instructs, max_lines);
+  auto& l_shipmode = CodedCol(&l, "l_shipmode", modes, max_lines);
   auto& l_comment = StrCol(&l, "l_comment", max_lines);
 
   OrderDates dates;
@@ -250,9 +294,6 @@ void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
   dates.end = db::AddDays(db::MakeDate(1998, 8, 2), -151);
   dates.cutoff = db::MakeDate(1995, 6, 17);
 
-  const auto& priorities = TextPools::Priorities();
-  const auto& instructs = TextPools::ShipInstructs();
-  const auto& modes = TextPools::ShipModes();
   const auto& retail = db->part.f64("p_retailprice");
 
   for (int64_t k = 1; k <= orders; ++k) {
@@ -280,9 +321,10 @@ void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
       const Date commit = db::AddDays(odate, rng->NextInRange(30, 90));
       const Date receipt = db::AddDays(ship, rng->NextInRange(1, 30));
       const bool shipped = receipt <= dates.cutoff;
-      const char* returnflag = shipped ? (rng->NextBernoulli(0.5) ? "R" : "A") : "N";
-      const char* linestatus = ship > dates.cutoff ? "O" : "F";
-      if (*linestatus == 'F') f_count++; else o_count++;
+      const uint8_t returnflag =
+          shipped ? (rng->NextBernoulli(0.5) ? kFlagR : kFlagA) : kFlagN;
+      const uint8_t linestatus = ship > dates.cutoff ? kStatusO : kStatusF;
+      if (linestatus == kStatusF) f_count++; else o_count++;
 
       l_orderkey.push_back(k);
       l_partkey.push_back(partkey);
@@ -292,24 +334,25 @@ void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
       l_extendedprice.push_back(price);
       l_discount.push_back(discount);
       l_tax.push_back(tax);
-      l_returnflag.emplace_back(returnflag);
-      l_linestatus.emplace_back(linestatus);
+      l_returnflag.push_back(returnflag);
+      l_linestatus.push_back(linestatus);
       l_shipdate.push_back(ship);
       l_commitdate.push_back(commit);
       l_receiptdate.push_back(receipt);
-      l_shipinstruct.push_back(instructs[rng->NextBounded(instructs.size())]);
-      l_shipmode.push_back(modes[rng->NextBounded(modes.size())]);
+      l_shipinstruct.push_back(Code(rng->NextBounded(instructs.size())));
+      l_shipmode.push_back(Code(rng->NextBounded(modes.size())));
       l_comment.push_back(RandomComment(rng, 4));
       total += price * (1.0 + tax) * (1.0 - discount);
     }
 
-    const char* status = (o_count == 0) ? "F" : (f_count == 0 ? "O" : "P");
+    const uint8_t status =
+        (o_count == 0) ? kStatusF : (f_count == 0 ? kStatusO : kStatusP);
     o_orderkey.push_back(k);
     o_custkey.push_back(cust);
-    o_orderstatus.emplace_back(status);
+    o_orderstatus.push_back(status);
     o_totalprice.push_back(total);
     o_orderdate.push_back(odate);
-    o_orderpriority.push_back(priorities[rng->NextBounded(priorities.size())]);
+    o_orderpriority.push_back(Code(rng->NextBounded(priorities.size())));
     o_clerk.push_back(
         Format("Clerk#%09lld", rng->NextInRange(1, std::max<int64_t>(1, orders / 1000))));
     o_shippriority.push_back(0);

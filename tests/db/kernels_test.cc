@@ -20,7 +20,7 @@ namespace {
 
 using kernels::FusedSelect3;
 using kernels::GroupKeyTable;
-using kernels::Hash128;
+using kernels::Mix64;
 using kernels::JoinHashTable;
 
 TEST(JoinHashTableTest, BuildsFlatGroupedPayload) {
@@ -157,41 +157,34 @@ TEST(HashJoinTest, ProbeMatchesScalarReferenceOnRandomData) {
 TEST(GroupKeyTableTest, GrowsFromMinimalCapacityWithoutLosingGroups) {
   GroupKeyTable table(/*expected_groups=*/0);
   const size_t initial_cap = table.capacity();
-  std::vector<Hash128> hashes;
   for (uint64_t i = 0; i < 10000; ++i) {
-    Hash128 h;
-    h.Update(i);
-    hashes.push_back(h);
-  }
-  for (int64_t i = 0; i < 10000; ++i) {
-    const int64_t gid = table.FindOrInsert(
-        hashes[static_cast<size_t>(i)], i, [&](int64_t) { return true; });
-    EXPECT_EQ(gid, i);  // all distinct -> fresh gid each time
+    const int64_t gid = table.FindOrInsertHashed(
+        Mix64(i), static_cast<int64_t>(i), [&](int64_t) { return true; });
+    EXPECT_EQ(gid, static_cast<int64_t>(i));  // all distinct -> fresh gid
   }
   EXPECT_EQ(table.size(), 10000u);
   EXPECT_GT(table.capacity(), initial_cap);  // doubled several times
   // Every key still finds its original gid after the growth rehashes.
-  for (int64_t i = 0; i < 10000; ++i) {
-    EXPECT_EQ(table.FindOrInsert(hashes[static_cast<size_t>(i)], 999999,
-                                 [&](int64_t) { return true; }),
-              i);
+  for (uint64_t i = 0; i < 10000; ++i) {
+    EXPECT_EQ(table.FindOrInsertHashed(Mix64(i), 999999,
+                                       [&](int64_t) { return true; }),
+              static_cast<int64_t>(i));
   }
 }
 
 TEST(GroupKeyTableTest, HashCollisionsResolvedByExactComparison) {
-  // Two logical keys sharing one Hash128: the equals_rep callback must
+  // Two logical keys sharing one hash: the equals_rep callback must
   // separate them into distinct groups.
   GroupKeyTable table;
-  Hash128 h;
-  h.Update(123);
+  const uint64_t h = Mix64(123);
   const std::vector<int64_t> logical_key = {1, 2};
   auto eq_against = [&](int64_t row) {
     return [&, row](int64_t gid) { return logical_key[static_cast<size_t>(gid)] ==
                                           logical_key[static_cast<size_t>(row)]; };
   };
-  EXPECT_EQ(table.FindOrInsert(h, 0, eq_against(0)), 0);
-  EXPECT_EQ(table.FindOrInsert(h, 1, eq_against(1)), 1);  // collides, differs
-  EXPECT_EQ(table.FindOrInsert(h, 2, eq_against(0)), 0);  // matches group 0
+  EXPECT_EQ(table.FindOrInsertHashed(h, 0, eq_against(0)), 0);
+  EXPECT_EQ(table.FindOrInsertHashed(h, 1, eq_against(1)), 1);  // collides, differs
+  EXPECT_EQ(table.FindOrInsertHashed(h, 2, eq_against(0)), 0);  // matches group 0
   EXPECT_EQ(table.size(), 2u);
 }
 
@@ -199,10 +192,9 @@ TEST(GroupKeyTableTest, ExpectedGroupsHintEliminatesRehashes) {
   GroupKeyTable hinted(/*expected_groups=*/5000);
   GroupKeyTable unhinted(/*expected_groups=*/0);
   for (int64_t i = 0; i < 5000; ++i) {
-    Hash128 h;
-    h.Update(static_cast<uint64_t>(i));
-    hinted.FindOrInsert(h, i, [](int64_t) { return true; });
-    unhinted.FindOrInsert(h, i, [](int64_t) { return true; });
+    const uint64_t h = Mix64(static_cast<uint64_t>(i));
+    hinted.FindOrInsertHashed(h, i, [](int64_t) { return true; });
+    unhinted.FindOrInsertHashed(h, i, [](int64_t) { return true; });
   }
   EXPECT_EQ(hinted.rehashes(), 0);
   EXPECT_GT(unhinted.rehashes(), 0);
@@ -252,26 +244,26 @@ TEST(GrouperTest, ManyDistinctKeysMatchUnorderedMapReference) {
   }
 }
 
-TEST(GrouperTest, MixedStrI64KeysMatchStringEncodingReference) {
+TEST(GrouperTest, CodeAndI64KeysMatchStringEncodingReference) {
   std::mt19937_64 rng(11);
   const std::vector<std::string> names = {"ALPHA", "BETA", "GAMMA", "DELTA"};
-  SelVec name_rows(5000);  // the string key is names[name_rows[i]]
+  std::vector<int64_t> name_code(5000);  // the string key is names[code]
   std::vector<int64_t> i64_key(5000);
-  for (size_t i = 0; i < name_rows.size(); ++i) {
-    name_rows[i] = static_cast<int64_t>(rng() % names.size());
+  for (size_t i = 0; i < name_code.size(); ++i) {
+    name_code[i] = static_cast<int64_t>(rng() % names.size());
     i64_key[i] = static_cast<int64_t>(rng() % 7);
   }
   Grouper g;
-  g.AddStrKey(names, name_rows);
+  g.AddI64Key(name_code);
   g.AddI64Key(i64_key);
   g.Finish();
 
   // Reference: the seed executor's per-row string encoding.
   std::unordered_map<std::string, int64_t> ref;
-  std::vector<int64_t> want(name_rows.size());
+  std::vector<int64_t> want(name_code.size());
   int64_t next = 0;
-  for (size_t i = 0; i < name_rows.size(); ++i) {
-    std::string encoded = names[static_cast<size_t>(name_rows[i])] + '\x01' +
+  for (size_t i = 0; i < name_code.size(); ++i) {
+    std::string encoded = names[static_cast<size_t>(name_code[i])] + '\x01' +
                           std::to_string(i64_key[i]);
     auto it = ref.emplace(encoded, next).first;
     if (it->second == next) next++;

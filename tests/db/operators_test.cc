@@ -86,90 +86,45 @@ TEST(GrouperTest, SingleI64Key) {
 }
 
 TEST(GrouperTest, CompositeKeys) {
-  const std::vector<std::string> column = {"A", "A", "B", "A"};
-  const SelVec rows = {0, 1, 2, 3};
+  // The first key is a dictionary code: A = 0, B = 1.
   Grouper g;
-  g.AddStrKey(column, rows);
+  g.AddI64Key({0, 0, 1, 0});
   g.AddI64Key({1, 2, 1, 1});
   g.Finish();
   EXPECT_EQ(g.num_groups(), 3);  // (A,1), (A,2), (B,1)
   EXPECT_EQ(g.group_of()[3], 0);
-  EXPECT_EQ(g.StrKeyOfGroup(0, 2), "B");
+  EXPECT_EQ(g.I64KeyOfGroup(0, 2), 1);  // B
   EXPECT_EQ(g.I64KeyOfGroup(1, 1), 2);
 }
 
-TEST(GrouperTest, StringKeysWithSeparatorCollisionsAreDistinct) {
-  // "a" + "b" vs "ab" + "" must form different groups.
-  const std::vector<std::string> first = {"a", "ab"};
-  const std::vector<std::string> second = {"b", ""};
-  const SelVec rows = {0, 1};
+TEST(GrouperTest, KeysThatConcatenateEquallyAreDistinct) {
+  // (1, 23) and (12, 3) read alike as one decimal string but are two
+  // groups: keys compare column by column.
   Grouper g;
-  g.AddStrKey(first, rows);
-  g.AddStrKey(second, rows);
+  g.AddI64Key({1, 12});
+  g.AddI64Key({23, 3});
   g.Finish();
   EXPECT_EQ(g.num_groups(), 2);
 }
 
-TEST(GrouperTest, StrKeyReadsThroughCandidateListWithRepeats) {
-  // Row r's key is column[rows[r]]: blue, red, blue, green. Reading
-  // column[r] instead would give red, green, blue, blue.
-  const std::vector<std::string> column = {"red", "green", "blue", "blue"};
-  const SelVec rows = {3, 0, 3, 1};
+TEST(GrouperTest, RepeatedKeysKeepFirstOccurrenceGroupsAndRepresentatives) {
+  // Codes of blue, red, blue, green (red = 0, green = 1, blue = 2).
   Grouper g;
-  g.AddStrKey(column, rows);
+  g.AddI64Key({2, 0, 2, 1});
   g.Finish();
   EXPECT_EQ(g.num_rows(), 4);
   EXPECT_EQ(g.num_groups(), 3);
   EXPECT_EQ(g.group_of(), (std::vector<int64_t>{0, 1, 0, 2}));
   EXPECT_EQ(g.representative_rows(), (std::vector<int64_t>{0, 1, 3}));
-  EXPECT_EQ(g.StrKeyOfGroup(0, 0), "blue");
-  EXPECT_EQ(g.StrKeyOfGroup(0, 1), "red");
-  EXPECT_EQ(g.StrKeyOfGroup(0, 2), "green");
+  EXPECT_EQ(g.I64KeyOfGroup(0, 0), 2);  // blue
+  EXPECT_EQ(g.I64KeyOfGroup(0, 1), 0);  // red
+  EXPECT_EQ(g.I64KeyOfGroup(0, 2), 1);  // green
 }
 
-TEST(GrouperTest, LongStrKeysReadThroughCandidateList) {
-  // Keys over 15 bytes take the generic path, which must hash and compare
-  // column[rows[r]] as well.
-  const std::vector<std::string> column = {
-      "short", "a key longer than fifteen bytes", "short",
-      "another key longer than fifteen"};
-  const SelVec rows = {3, 1, 3, 0, 1, 2};
-  const std::vector<int64_t> suffix = {7, 7, 8, 7, 7, 7};
-  Grouper g;
-  g.AddStrKey(column, rows);
-  g.AddI64Key(suffix);
-  g.Finish();
-  // (another, 7), (a key, 7), (another, 8), (short, 7); rows 0 and 2 of the
-  // column are equal strings, so candidates 3 and 5 share a group.
-  EXPECT_EQ(g.num_groups(), 4);
-  EXPECT_EQ(g.group_of(), (std::vector<int64_t>{0, 1, 2, 3, 1, 3}));
-  EXPECT_EQ(g.StrKeyOfGroup(0, 0), "another key longer than fifteen");
-  EXPECT_EQ(g.StrKeyOfGroup(0, 1), "a key longer than fifteen bytes");
-  EXPECT_EQ(g.StrKeyOfGroup(0, 3), "short");
-  EXPECT_EQ(g.I64KeyOfGroup(1, 2), 8);
-}
-
-TEST(GrouperTest, StrKeyOfGroupReturnsColumnEntryOfRepresentative) {
-  const std::vector<std::string> column = {"x", "y", "z", "y"};
-  const SelVec rows = {2, 1, 3, 2, 0};
-  Grouper g;
-  g.AddStrKey(column, rows);
-  g.Finish();
-  ASSERT_EQ(g.num_groups(), 3);  // z, y, x: rows 1 and 3 are equal strings
-  for (int64_t gid = 0; gid < g.num_groups(); ++gid) {
-    const int64_t rep =
-        g.representative_rows()[static_cast<size_t>(gid)];
-    // A reference into the column itself, not a copy.
-    EXPECT_EQ(&g.StrKeyOfGroup(0, gid),
-              &column[static_cast<size_t>(rows[static_cast<size_t>(rep)])]);
-  }
-}
-
-TEST(AggregatesTest, SumCountPerGroup) {
+TEST(AggregatesTest, SumPerGroup) {
   const std::vector<int64_t> group_of = {0, 1, 0, 1, 0};
   const std::vector<double> values = {1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_EQ(SumPerGroup(values, group_of, 2), (std::vector<double>{9.0, 6.0}));
-  EXPECT_EQ(CountPerGroup(group_of, 2), (std::vector<int64_t>{3, 2}));
 }
 
 TEST(AggregatesTest, MinMaxPerGroup) {

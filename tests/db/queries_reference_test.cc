@@ -46,7 +46,8 @@ TEST(QueriesReference, Q1MatchesRowLoop) {
   for (int64_t i = 0; i < L.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
     if (L.i64("l_shipdate")[k] > cutoff) continue;
-    Agg& a = expected[{L.str("l_returnflag")[k], L.str("l_linestatus")[k]}];
+    Agg& a = expected[{L.coded("l_returnflag").at(k),
+                       L.coded("l_linestatus").at(k)}];
     const double ep = L.f64("l_extendedprice")[k];
     const double d = L.f64("l_discount")[k];
     const double t = L.f64("l_tax")[k];
@@ -94,7 +95,7 @@ TEST(QueriesReference, Q2RowsSatisfyAllPredicates) {
     const int64_t partkey = r.at(row, 3).i64();
     const size_t prow = static_cast<size_t>(partkey - 1);
     EXPECT_EQ(db.part.i64("p_size")[prow], 15);
-    EXPECT_TRUE(LikeEndsWith(db.part.str("p_type")[prow], "BRASS"));
+    EXPECT_TRUE(LikeEndsWith(db.part.coded("p_type").at(prow), "BRASS"));
     // Recompute the min European supply cost for the part.
     double min_cost = 1e18;
     for (int64_t i = 0; i < db.partsupp.num_rows(); ++i) {
@@ -141,7 +142,7 @@ TEST(QueriesReference, Q3MatchesRowLoop) {
     const size_t orow = static_cast<size_t>(okey - 1);
     if (O.i64("o_orderdate")[orow] >= pivot) continue;
     const int64_t ckey = O.i64("o_custkey")[orow];
-    if (C.str("c_mktsegment")[static_cast<size_t>(ckey - 1)] != "BUILDING")
+    if (C.coded("c_mktsegment").at(static_cast<size_t>(ckey - 1)) != "BUILDING")
       continue;
     expected[okey] += L.f64("l_extendedprice")[k] *
                       (1.0 - L.f64("l_discount")[k]);
@@ -187,7 +188,7 @@ TEST(QueriesReference, Q4MatchesRowLoop) {
     const Date d = O.i64("o_orderdate")[k];
     if (d < from || d >= to) continue;
     if (!late_orders.count(O.i64("o_orderkey")[k])) continue;
-    expected[O.str("o_orderpriority")[k]]++;
+    expected[O.coded("o_orderpriority").at(k)]++;
   }
   const QueryResult& r = Result(4);
   ASSERT_EQ(r.num_rows(), static_cast<int64_t>(expected.size()));
@@ -318,7 +319,7 @@ TEST(QueriesReference, Q10MatchesRowLoop) {
   const auto& O = db.orders;
   for (int64_t i = 0; i < L.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
-    if (L.str("l_returnflag")[k] != "R") continue;
+    if (L.coded("l_returnflag").at(k) != "R") continue;
     const size_t orow = static_cast<size_t>(L.i64("l_orderkey")[k] - 1);
     const Date d = O.i64("o_orderdate")[orow];
     if (d < from || d >= to) continue;
@@ -343,14 +344,14 @@ TEST(QueriesReference, Q12MatchesRowLoop) {
   const auto& O = db.orders;
   for (int64_t i = 0; i < L.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
-    const std::string& mode = L.str("l_shipmode")[k];
+    const std::string& mode = L.coded("l_shipmode").at(k);
     if (mode != "MAIL" && mode != "SHIP") continue;
     const Date receipt = L.i64("l_receiptdate")[k];
     if (receipt < from || receipt >= to) continue;
     if (L.i64("l_commitdate")[k] >= receipt) continue;
     if (L.i64("l_shipdate")[k] >= L.i64("l_commitdate")[k]) continue;
     const std::string& prio =
-        O.str("o_orderpriority")[static_cast<size_t>(L.i64("l_orderkey")[k] - 1)];
+        O.coded("o_orderpriority").at(static_cast<size_t>(L.i64("l_orderkey")[k] - 1));
     if (prio == "1-URGENT" || prio == "2-HIGH") expected[mode].first++;
     else expected[mode].second++;
   }
@@ -397,8 +398,8 @@ TEST(QueriesReference, Q14MatchesRowLoop) {
     const double v =
         L.f64("l_extendedprice")[k] * (1.0 - L.f64("l_discount")[k]);
     total += v;
-    const std::string& type = db.part.str(
-        "p_type")[static_cast<size_t>(L.i64("l_partkey")[k] - 1)];
+    const std::string& type = db.part.coded("p_type").at(
+        static_cast<size_t>(L.i64("l_partkey")[k] - 1));
     if (LikeStartsWith(type, "PROMO")) promo += v;
   }
   EXPECT_NEAR(Result(14).at(0, 0).f64(), 100.0 * promo / total, 1e-6);
@@ -435,8 +436,8 @@ TEST(QueriesReference, Q17MatchesRowLoop) {
   const auto& P = db.part;
   auto part_matches = [&P](int64_t partkey) {
     const size_t prow = static_cast<size_t>(partkey - 1);
-    return P.str("p_brand")[prow] == "Brand#23" &&
-           P.str("p_container")[prow] == "MED BOX";
+    return P.coded("p_brand").at(prow) == "Brand#23" &&
+           P.coded("p_container").at(prow) == "MED BOX";
   };
   for (int64_t i = 0; i < L.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
@@ -486,12 +487,12 @@ TEST(QueriesReference, Q19MatchesRowLoop) {
   double expected = 0;
   for (int64_t i = 0; i < L.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
-    if (L.str("l_shipinstruct")[k] != "DELIVER IN PERSON") continue;
-    const std::string& mode = L.str("l_shipmode")[k];
+    if (L.coded("l_shipinstruct").at(k) != "DELIVER IN PERSON") continue;
+    const std::string& mode = L.coded("l_shipmode").at(k);
     if (mode != "AIR" && mode != "REG AIR") continue;
     const size_t prow = static_cast<size_t>(L.i64("l_partkey")[k] - 1);
-    const std::string& brand = P.str("p_brand")[prow];
-    const std::string& cont = P.str("p_container")[prow];
+    const std::string& brand = P.coded("p_brand").at(prow);
+    const std::string& cont = P.coded("p_container").at(prow);
     const int64_t size = P.i64("p_size")[prow];
     const double q = L.f64("l_quantity")[k];
     auto in = [&cont](std::initializer_list<const char*> set) {
@@ -649,7 +650,7 @@ TEST(QueriesReference, Q21MatchesRowLoop) {
   std::map<std::string, int64_t> waiting;  // s_name -> numwait
   for (const auto& [orderkey, info] : orders_info) {
     const size_t orow = static_cast<size_t>(orderkey - 1);
-    if (db.orders.str("o_orderstatus")[orow] != "F") continue;
+    if (db.orders.coded("o_orderstatus").at(orow) != "F") continue;
     if (info.suppliers.size() < 2) continue;
     if (info.late_suppliers.size() != 1) continue;
     const size_t srow = static_cast<size_t>(*info.late_suppliers.begin() - 1);

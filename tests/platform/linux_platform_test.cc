@@ -364,6 +364,31 @@ TEST(LinuxPlatformTest, FailedLiveWriteIsRetriedNotSuppressed) {
   EXPECT_EQ(platform.op_log().size(), baseline + 4);
 }
 
+TEST(LinuxPlatformTest, FailureTraceIsBoundedLikeTheOpLog) {
+  // A live daemon whose cgroup writes keep failing: more than kMaxOpLog
+  // failed writes (alternating masks, so each one is attempted) must leave
+  // at most kMaxOpLog platform_error events, the latest failure last.
+  LinuxPlatformOptions options = DryRunOptions();
+  options.dry_run = false;
+  options.cgroup_root = "/nonexistent-elasticore-test";
+  LinuxPlatform platform(options);
+  const CpusetId cpuset = platform.CreateCpuset("t", CpuMask::FirstN(4));
+  const size_t writes = LinuxPlatform::kMaxOpLog + 100;
+  for (size_t i = 0; i < writes; ++i) {
+    ASSERT_FALSE(platform.SetCpusetMask(cpuset, CpuMask::FirstN(1 + i % 2)));
+    ASSERT_LE(platform.trace()->size(), LinuxPlatform::kMaxOpLog);
+  }
+  const simcore::TraceEvent& last = platform.trace()->events().back();
+  EXPECT_EQ(last.kind, "platform_error");
+  EXPECT_EQ(last.b, ENOENT);
+  EXPECT_EQ(last.text,
+            "write /nonexistent-elasticore-test/elasticore/t/cpuset.cpus");
+  EXPECT_LE(platform.op_log().size(), LinuxPlatform::kMaxOpLog);
+  // The mask of the last failed write (i = writes - 1 is odd: two cores).
+  EXPECT_EQ(platform.op_log()[platform.op_log().size() - 2],
+            "write /nonexistent-elasticore-test/elasticore/t/cpuset.cpus = 0-1");
+}
+
 TEST(LinuxPlatformTest, AttachPidLogsCgroupProcsWrite) {
   LinuxPlatform platform(DryRunOptions());
   const CpusetId cpuset = platform.CreateCpuset("db", CpuMask::FirstN(2));

@@ -35,5 +35,16 @@ TEST(TraceTest, ClearEmpties) {
   EXPECT_TRUE(trace.empty());
 }
 
+TEST(TraceTest, DropOldestKeepsTheNewest) {
+  Trace trace;
+  for (int64_t i = 0; i < 5; ++i) trace.Add(i, "x", i, 0);
+  trace.DropOldest(3);
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace.events()[0].a, 3);
+  EXPECT_EQ(trace.events()[1].a, 4);
+  trace.DropOldest(10);  // more than recorded: empties it
+  EXPECT_TRUE(trace.empty());
+}
+
 }  // namespace
 }  // namespace elastic::simcore

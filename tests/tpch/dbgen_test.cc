@@ -4,7 +4,9 @@
 
 #include <cstring>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "db/date.h"
 #include "db/like.h"
@@ -43,21 +45,32 @@ class Fnv1a {
 
 /// Digest of every table and column: the table's name, then per column its
 /// name, type and the size and contents of all three value vectors (each
-/// value's bits, each string's length and bytes).
+/// value's bits, each string's length and bytes). A coded column folds as
+/// the string column it encodes (the kStr type tag and each row's decoded
+/// value), so the digest recorded when these columns were strings still
+/// pins their values.
 uint64_t ContentDigest(const Database& db) {
   Fnv1a digest;
   for (const db::Table* table : db.AllTables()) {
     digest.Add(table->name);
     digest.Add(static_cast<uint64_t>(table->columns.size()));
     for (const auto& [name, column] : table->columns) {
+      const bool coded = column.type == db::ColType::kCoded;
       digest.Add(name);
-      digest.Add(static_cast<uint64_t>(column.type));
+      digest.Add(static_cast<uint64_t>(coded ? db::ColType::kStr : column.type));
       digest.Add(static_cast<uint64_t>(column.i64.size()));
       for (const int64_t v : column.i64) digest.Add(static_cast<uint64_t>(v));
       digest.Add(static_cast<uint64_t>(column.f64.size()));
       for (const double v : column.f64) digest.Add(v);
-      digest.Add(static_cast<uint64_t>(column.str.size()));
-      for (const std::string& v : column.str) digest.Add(v);
+      if (coded) {
+        digest.Add(static_cast<uint64_t>(column.coded.codes.size()));
+        for (size_t row = 0; row < column.coded.codes.size(); ++row) {
+          digest.Add(column.coded.at(row));
+        }
+      } else {
+        digest.Add(static_cast<uint64_t>(column.str.size()));
+        for (const std::string& v : column.str) digest.Add(v);
+      }
     }
   }
   return digest.value();
@@ -79,6 +92,49 @@ TEST(DbgenTest, ContentDigest) {
   options.seed = 20240917;
   const uint64_t other_seed = ContentDigest(Generate(options));
   EXPECT_EQ(other_seed, 0x691DDCE2C8D8A84EULL) << std::hex << other_seed;
+}
+
+/// Every coded column holds codes into its dictionary, whose entries are
+/// distinct and as many as the column's TPC-H domain, and at SF 0.01 every
+/// domain value occurs. No other column is coded.
+TEST(DbgenTest, CodedColumnsSpanTheirDomains) {
+  struct Domain {
+    const char* table;
+    const char* column;
+    size_t size;
+  };
+  const std::vector<Domain> domains = {
+      {"lineitem", "l_returnflag", 3}, {"lineitem", "l_linestatus", 2},
+      {"lineitem", "l_shipinstruct", 4}, {"lineitem", "l_shipmode", 7},
+      {"orders", "o_orderstatus", 3},  {"orders", "o_orderpriority", 5},
+      {"customer", "c_mktsegment", 5}, {"part", "p_mfgr", 5},
+      {"part", "p_brand", 25},         {"part", "p_type", 150},
+      {"part", "p_container", 40}};
+  const Database& db = Db();
+  size_t coded_columns = 0;
+  for (const db::Table* table : db.AllTables()) {
+    for (const auto& [name, column] : table->columns) {
+      if (column.type == db::ColType::kCoded) coded_columns++;
+    }
+  }
+  EXPECT_EQ(coded_columns, domains.size());
+  for (const Domain& domain : domains) {
+    SCOPED_TRACE(domain.column);
+    const db::Table& table = db.table(domain.table);
+    const db::CodedStrings& column = table.coded(domain.column);
+    EXPECT_EQ(column.dict.size(), domain.size);
+    EXPECT_EQ(
+        std::set<std::string>(column.dict.begin(), column.dict.end()).size(),
+        column.dict.size());
+    ASSERT_EQ(static_cast<int64_t>(column.codes.size()), table.num_rows());
+    const std::set<uint8_t> seen(column.codes.begin(), column.codes.end());
+    EXPECT_LT(*seen.rbegin(), column.dict.size());
+    EXPECT_EQ(seen.size(), domain.size);
+  }
+}
+
+TEST(DbgenDeathTest, StrOfCodedColumnAborts) {
+  EXPECT_DEATH(Db().lineitem.str("l_shipmode"), "column is not str");
 }
 
 TEST(DbgenTest, RowCountsMatchScaleFactor) {
@@ -268,17 +324,17 @@ TEST(DbgenTest, PhoneEncodesNation) {
 TEST(DbgenTest, OrderStatusConsistentWithLinestatus) {
   const Database& db = Db();
   const auto& okey = db.lineitem.i64("l_orderkey");
-  const auto& lstat = db.lineitem.str("l_linestatus");
-  const auto& ostat = db.orders.str("o_orderstatus");
+  const auto& lstat = db.lineitem.coded("l_linestatus");
+  const auto& ostat = db.orders.coded("o_orderstatus");
   std::vector<int> f_count(static_cast<size_t>(db.orders.num_rows()) + 1, 0);
   std::vector<int> o_count(static_cast<size_t>(db.orders.num_rows()) + 1, 0);
   for (int64_t i = 0; i < db.lineitem.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
-    if (lstat[k] == "F") f_count[static_cast<size_t>(okey[k])]++;
+    if (lstat.at(k) == "F") f_count[static_cast<size_t>(okey[k])]++;
     else o_count[static_cast<size_t>(okey[k])]++;
   }
   for (int64_t o = 1; o <= db.orders.num_rows(); o += 11) {
-    const std::string& status = ostat[static_cast<size_t>(o - 1)];
+    const std::string& status = ostat.at(static_cast<size_t>(o - 1));
     if (o_count[static_cast<size_t>(o)] == 0) ASSERT_EQ(status, "F");
     else if (f_count[static_cast<size_t>(o)] == 0) ASSERT_EQ(status, "O");
     else ASSERT_EQ(status, "P");
