@@ -1,5 +1,6 @@
 // Micro-kernel benchmark: rows/sec of the batch kernels (open-addressing
-// join build/probe, integer-key group-by, fused 3-predicate select)
+// join build, a dense and a selective join probe, integer-key group-by,
+// fused 3-predicate select)
 // against the seed executor's scalar baselines (node-based
 // std::unordered_map join, per-row std::string group encoding, three
 // separate selection passes) on TPC-H columns at SF 0.15. Each rate is the
@@ -29,12 +30,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "db/date.h"
+#include "db/kernels/hash.h"
 #include "db/kernels/hash_table.h"
 #include "db/kernels/select.h"
 #include "db/operators.h"
@@ -50,15 +53,24 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Wall time of each of `reps` runs of `fn`, with a checksum sink so the
-/// work is not optimised away.
+/// Folds a kernel's result into the printed checksum. FNV-1a, not XOR:
+/// equal results of successive reps must not cancel.
+void Fold(uint64_t* sink, uint64_t result) {
+  *sink = db::kernels::Fnv1aWord(*sink, result);
+}
+
+/// Wall time of each of `reps` runs of `fn`. A kernel's results are folded
+/// into `*sink`; a baseline passes no sink (its case CHECKs that it agrees
+/// with the kernel), and its result is stored to a volatile so the work is
+/// not optimised away.
 template <typename Fn>
 std::vector<double> TimeReps(int reps, uint64_t* sink, Fn&& fn) {
   std::vector<double> seconds;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    *sink ^= fn();
+    const volatile uint64_t result = fn();
     seconds.push_back(SecondsSince(t0));
+    if (sink != nullptr) Fold(sink, result);
   }
   return seconds;
 }
@@ -95,9 +107,18 @@ uint64_t BaselineJoinBuild(const std::vector<int64_t>& keys) {
   return map.size();
 }
 
-uint64_t BaselineJoinProbe(
-    const std::unordered_map<int64_t, std::vector<int64_t>>& map,
-    const std::vector<int64_t>& keys) {
+using BaselineMap = std::unordered_map<int64_t, std::vector<int64_t>>;
+
+/// The seed's build side over the candidate `rows` of `keys`.
+BaselineMap BaselineMapOf(const std::vector<int64_t>& keys,
+                          const SelVec& rows) {
+  BaselineMap map;
+  for (int64_t row : rows) map[keys[static_cast<size_t>(row)]].push_back(row);
+  return map;
+}
+
+uint64_t BaselineJoinProbe(const BaselineMap& map,
+                           const std::vector<int64_t>& keys) {
   SelVec build_rows;
   SelVec probe_rows;
   for (int64_t i = 0; i < static_cast<int64_t>(keys.size()); ++i) {
@@ -187,7 +208,7 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
   const db::Date from = db::MakeDate(1994, 1, 1);
   const db::Date to = db::AddYears(from, 1);
 
-  uint64_t sink = 0;
+  uint64_t sink = db::kernels::kFnvOffset;
   std::vector<KernelResult> results;
 
   // ---- join-build: orders.o_orderkey build side (unique keys), plus the
@@ -196,7 +217,7 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
     KernelResult r;
     r.name = "join-build";
     r.rows = O.num_rows();
-    r.baseline = RateOf(r.rows, TimeReps(reps, &sink, [&] {
+    r.baseline = RateOf(r.rows, TimeReps(reps, nullptr, [&] {
       return BaselineJoinBuild(o_orderkey);
     }));
     // Steady-state discipline: the executor reuses one HashJoin per pipeline
@@ -211,33 +232,48 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
     }));
     ELASTIC_CHECK(join.build_allocations() == after_reserve,
                   "steady-state join rebuild allocated");
+    ELASTIC_CHECK(BaselineJoinBuild(o_orderkey) == join.num_keys(),
+                  "join builds diverge");
     results.push_back(r);
   }
 
   // ---- join-probe: lineitem.l_orderkey against the orders build side
-  // (fanout ~4 lineitems per order). ----
-  {
+  // (fanout ~4 lineitems per order, dense addressing), and
+  // join-probe-selective: lineitem.l_partkey against the parts of one
+  // p_type, the Q8 shape (1 of 150 types, a hashed build with a key
+  // filter). ----
+  const auto probe_case = [&](const char* name,
+                              const std::vector<int64_t>& build_keys,
+                              const SelVec& build_rows,
+                              const std::vector<int64_t>& probe_keys) {
     KernelResult r;
-    r.name = "join-probe";
+    r.name = name;
     r.rows = L.num_rows();
-    std::unordered_map<int64_t, std::vector<int64_t>> baseline_map;
-    for (int64_t i = 0; i < static_cast<int64_t>(o_orderkey.size()); ++i) {
-      baseline_map[o_orderkey[static_cast<size_t>(i)]].push_back(i);
-    }
+    const BaselineMap baseline_map = BaselineMapOf(build_keys, build_rows);
     db::HashJoin join;
-    join.Build(o_orderkey);
-    r.baseline = RateOf(r.rows, TimeReps(reps, &sink, [&] {
-      return BaselineJoinProbe(baseline_map, l_orderkey);
+    join.Build(build_keys, &build_rows);
+    r.baseline = RateOf(r.rows, TimeReps(reps, nullptr, [&] {
+      return BaselineJoinProbe(baseline_map, probe_keys);
     }));
     r.kernel = RateOf(r.rows, TimeReps(reps, &sink, [&] {
-      return static_cast<uint64_t>(join.Probe(l_orderkey).size());
+      return static_cast<uint64_t>(join.Probe(probe_keys).size());
     }));
     // Same pair count on both sides, or the comparison is meaningless.
-    ELASTIC_CHECK(BaselineJoinProbe(baseline_map, l_orderkey) ==
-                      join.Probe(l_orderkey).size(),
+    ELASTIC_CHECK(BaselineJoinProbe(baseline_map, probe_keys) ==
+                      join.Probe(probe_keys).size(),
                   "probe results diverge");
     results.push_back(r);
-  }
+  };
+  SelVec all_orders(o_orderkey.size());
+  std::iota(all_orders.begin(), all_orders.end(), 0);
+  probe_case("join-probe", o_orderkey, all_orders, l_orderkey);
+  const db::CodedStrings& p_type = database.part.coded("p_type");
+  const db::CodeSet wanted = p_type.Match(
+      [](const std::string& t) { return t == "ECONOMY ANODIZED STEEL"; });
+  probe_case("join-probe-selective", database.part.i64("p_partkey"),
+             db::SelectWhere(p_type.codes,
+                             [&wanted](uint8_t c) { return wanted[c]; }),
+             L.i64("l_partkey"));
 
   // ---- group-by: Q7-shaped (supp_nation, cust_nation, year) composite key
   // over the full lineitem table — the motivating case where the scalar
@@ -267,7 +303,7 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
       cust_nation[i] = n_name[static_cast<size_t>(cust_nation_key[i])];
       year[i] = db::YearOf(l_shipdate[i]);
     }
-    r.baseline = RateOf(r.rows, TimeReps(reps, &sink, [&] {
+    r.baseline = RateOf(r.rows, TimeReps(reps, nullptr, [&] {
       return BaselineGroupBy(supp_nation, cust_nation, year);
     }));
     // The key columns are copied per rep outside the timed region and
@@ -299,8 +335,8 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
       } else {
         ELASTIC_CHECK(g.table_rehashes() == 0, "hinted group build rehashed");
       }
-      sink ^= static_cast<uint64_t>(g.num_groups()) ^
-              static_cast<uint64_t>(g.group_of().back());
+      Fold(&sink, static_cast<uint64_t>(g.num_groups()) ^
+                      static_cast<uint64_t>(g.group_of().back()));
     }
     r.kernel = RateOf(r.rows, kernel_s);
     results.push_back(r);
@@ -312,13 +348,13 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
     KernelResult r;
     r.name = "fused-select";
     r.rows = L.num_rows();
-    r.baseline = RateOf(r.rows, TimeReps(reps, &sink, [&] {
+    r.baseline = RateOf(r.rows, TimeReps(reps, nullptr, [&] {
       return BaselineSelect3(l_quantity, l_shipdate, l_discount, from, to);
     }));
     const double* q = l_quantity.data();
     const int64_t* s = l_shipdate.data();
     const double* d = l_discount.data();
-    r.kernel = RateOf(r.rows, TimeReps(reps, &sink, [&] {
+    const auto fused_select = [&] {
       const auto fused = db::kernels::FusedSelect3(
           L.num_rows(), [q](int64_t i) { return q[i] < 24.0; },
           [s, from, to](int64_t i) { return s[i] >= from && s[i] < to; },
@@ -326,15 +362,19 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
             return d[i] >= 0.05 - 1e-9 && d[i] <= 0.07 + 1e-9;
           });
       return static_cast<uint64_t>(fused.sel.size());
-    }));
+    };
+    r.kernel = RateOf(r.rows, TimeReps(reps, &sink, fused_select));
+    ELASTIC_CHECK(BaselineSelect3(l_quantity, l_shipdate, l_discount, from,
+                                  to) == fused_select(),
+                  "select results diverge");
     results.push_back(r);
   }
 
   // ---- Report: medians, with quartiles in brackets. ----
-  std::printf("%-14s %12s %30s %30s %9s\n", "kernel", "rows",
+  std::printf("%-20s %12s %30s %30s %9s\n", "kernel", "rows",
               "baseline rows/s [q1, q3]", "kernel rows/s [q1, q3]", "speedup");
   for (const KernelResult& r : results) {
-    std::printf("%-14s %12lld %10.3g [%.3g, %.3g] %10.3g [%.3g, %.3g] %8.2fx\n",
+    std::printf("%-20s %12lld %10.3g [%.3g, %.3g] %10.3g [%.3g, %.3g] %8.2fx\n",
                 r.name.c_str(), static_cast<long long>(r.rows),
                 r.baseline.median, r.baseline.q1, r.baseline.q3,
                 r.kernel.median, r.kernel.q1, r.kernel.q3, r.speedup());

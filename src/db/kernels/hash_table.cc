@@ -45,12 +45,24 @@ void JoinHashTable::Build(const std::vector<int64_t>& keys,
       n == 0 ? 0 : static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn) + 1;
   // range == 0 can only mean uint64 wrap-around (full int64 span): sparse.
   dense_ = n > 0 && range != 0 && range <= 2 * static_cast<uint64_t>(n) + 16;
+  // A hashed build filters its keys when the filter's words are no more
+  // than the key column's entries.
+  const bool filtered = !dense_ && range != 0 &&
+                        range <= 64 * static_cast<uint64_t>(keys.size());
+  min_key_ = n > 0 ? mn : 0;
+  max_key_ = n > 0 ? mx : -1;
 
   // assign() reuses the existing heap block whenever it is large enough, so
-  // steady-state rebuilds at a stable cardinality allocate nothing.
+  // steady-state rebuilds at a stable cardinality allocate nothing; clear()
+  // keeps the filter's block for the next filtered build.
+  if (filtered) {
+    const size_t words = static_cast<size_t>((range + 63) / 64);
+    if (words > filter_.capacity()) build_allocations_++;
+    filter_.assign(words, 0);
+  } else {
+    filter_.clear();
+  }
   if (dense_) {
-    min_key_ = mn;
-    max_key_ = mx;
     if (static_cast<size_t>(range) > slots_.capacity()) build_allocations_++;
     slots_.assign(static_cast<size_t>(range), Slot{});
     mask_ = 0;
@@ -61,15 +73,19 @@ void JoinHashTable::Build(const std::vector<int64_t>& keys,
       slot.count++;
     }
   } else {
-    min_key_ = 0;
-    max_key_ = -1;
     const size_t cap = NextPow2Capacity(static_cast<size_t>(n) * 2);
     if (cap > slots_.capacity()) build_allocations_++;
     slots_.assign(cap, Slot{});
     mask_ = cap - 1;
-    // Pass 1: claim a slot per distinct key and count its entries.
+    // Pass 1: claim a slot per distinct key, count its entries and set its
+    // filter bit.
     for (int64_t i = 0; i < n; ++i) {
       const int64_t key = keys[static_cast<size_t>(row_at(i))];
+      if (filtered) {
+        const uint64_t offset =
+            static_cast<uint64_t>(key) - static_cast<uint64_t>(mn);
+        filter_[offset >> 6] |= uint64_t{1} << (offset & 63);
+      }
       size_t s = Mix64(static_cast<uint64_t>(key)) & mask_;
       while (slots_[s].count != 0 && slots_[s].key != key) s = (s + 1) & mask_;
       if (slots_[s].count == 0) {

@@ -34,6 +34,14 @@ namespace elastic::db::kernels {
 /// ascending probe keys then stream the slot and payload arrays
 /// sequentially instead of scattering over them. Sparse or adversarial key
 /// sets fall back to linear probing on a Mix64-scattered index.
+///
+/// A hashed build whose key range is small next to the key column it came
+/// from (at most 64 keys per column entry, so the filter is never larger
+/// than that column) also sets one bit per key over [min, max]: a probe
+/// key outside the range or on a clear bit is rejected before any hashing,
+/// which is what a selective build side (a few parts, one quarter's
+/// orders) probed with a whole lineitem column mostly meets. Random 64-bit
+/// keys get no filter and probe as before.
 class JoinHashTable {
  public:
   /// Contiguous, immutable view of the build rows holding one key.
@@ -49,7 +57,10 @@ class JoinHashTable {
   };
 
   /// Pre-reserves storage for a build side of `expected_rows` entries, so
-  /// the following Build() of at most that cardinality allocates nothing.
+  /// the following Build() of at most that cardinality allocates nothing
+  /// for its slots and payload. The key filter's words depend on the key
+  /// range, not the cardinality: they grow on the first filtered build of
+  /// a wider range and are kept after it.
   void Reserve(size_t expected_rows);
 
   /// (Re)builds from `keys`, restricted to the candidate rows when `rows`
@@ -79,8 +90,11 @@ class JoinHashTable {
   size_t capacity() const { return slots_.size(); }
   /// Direct-addressing (dense key range) mode is active.
   bool is_dense() const { return dense_; }
-  /// Times Build()/Reserve() had to grow the slot or payload storage.
-  /// Flat across steady-state rebuilds at a stable cardinality.
+  /// A hashed build carries the one-bit-per-key filter over [min, max].
+  bool has_key_filter() const { return !filter_.empty(); }
+  /// Times Build()/Reserve() had to grow the slot, payload or filter
+  /// storage. Flat across steady-state rebuilds at a stable cardinality
+  /// and key range.
   int64_t build_allocations() const { return build_allocations_; }
 
  private:
@@ -90,14 +104,20 @@ class JoinHashTable {
     int32_t count = 0;  // 0 marks an empty slot
   };
 
-  /// Slot index of `key`, or -1 when absent.
+  /// Slot index of `key`, or -1 when absent. Every build records its key
+  /// range (an empty one rejects every key), so only keys inside it reach
+  /// the slot array, the filter or the hash.
   int64_t FindSlot(int64_t key) const {
+    if (key < min_key_ || key > max_key_) return -1;
+    const uint64_t offset =
+        static_cast<uint64_t>(key) - static_cast<uint64_t>(min_key_);
     if (dense_) {
-      if (key < min_key_ || key > max_key_) return -1;
-      const int64_t i = key - min_key_;
-      return slots_[static_cast<size_t>(i)].count != 0 ? i : -1;
+      return slots_[offset].count != 0 ? static_cast<int64_t>(offset) : -1;
     }
-    if (slots_.empty()) return -1;
+    if (!filter_.empty() &&
+        ((filter_[offset >> 6] >> (offset & 63)) & 1) == 0) {
+      return -1;
+    }
     size_t i = Mix64(static_cast<uint64_t>(key)) & mask_;
     while (slots_[i].count != 0) {
       if (slots_[i].key == key) return static_cast<int64_t>(i);
@@ -108,6 +128,9 @@ class JoinHashTable {
 
   std::vector<Slot> slots_;
   std::vector<int64_t> rows_;
+  /// Bit (key - min_key_) is set for every key of a filtered hashed build;
+  /// empty (capacity kept) when the build has no filter.
+  std::vector<uint64_t> filter_;
   uint64_t mask_ = 0;
   size_t num_keys_ = 0;
   bool dense_ = false;

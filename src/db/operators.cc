@@ -1,7 +1,5 @@
 #include "db/operators.h"
 
-#include <limits>
-
 #include "db/kernels/hash.h"
 
 namespace elastic::db {
@@ -16,9 +14,10 @@ HashJoin::Pairs HashJoin::Probe(const std::vector<int64_t>& keys,
 
   // Exact pre-reservation, two ways. Dense build sides make lookups a
   // bounds check plus a direct index, so counting and then re-resolving is
-  // pure streaming and beats materialising anything. Sparse build sides
-  // pay a linear-probe chain per lookup, so there the pre-pass keeps each
-  // resolved span in a scratch vector and the fill pass does no hashing.
+  // pure streaming and beats materialising anything. Hashed build sides
+  // look each probe key up once and keep only the matches, so the scratch
+  // grows with the matches, not with the probe rows, and the fill pass
+  // does no hashing.
   Pairs pairs;
   if (table_.is_dense()) {
     size_t total = 0;
@@ -38,20 +37,25 @@ HashJoin::Pairs HashJoin::Probe(const std::vector<int64_t>& keys,
     return pairs;
   }
 
-  std::vector<RowSpan> spans(static_cast<size_t>(n));
+  struct Hit {
+    int64_t row;
+    RowSpan span;
+  };
+  std::vector<Hit> hits;
   size_t total = 0;
   for (int64_t i = 0; i < n; ++i) {
-    const RowSpan span = table_.RowsOf(keys[static_cast<size_t>(row_at(i))]);
-    spans[static_cast<size_t>(i)] = span;
+    const int64_t row = row_at(i);
+    const RowSpan span = table_.RowsOf(keys[static_cast<size_t>(row)]);
+    if (span.empty()) continue;
+    hits.push_back(Hit{row, span});
     total += span.size();
   }
   pairs.build_rows.reserve(total);
   pairs.probe_rows.reserve(total);
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t row = row_at(i);
-    for (int64_t build_row : spans[static_cast<size_t>(i)]) {
+  for (const Hit& hit : hits) {
+    for (int64_t build_row : hit.span) {
       pairs.build_rows.push_back(build_row);
-      pairs.probe_rows.push_back(row);
+      pairs.probe_rows.push_back(hit.row);
     }
   }
   return pairs;
@@ -111,30 +115,6 @@ std::vector<double> SumPerGroup(const std::vector<double>& values,
   std::vector<double> out(static_cast<size_t>(num_groups), 0.0);
   for (size_t i = 0; i < values.size(); ++i) {
     out[static_cast<size_t>(group_of[i])] += values[i];
-  }
-  return out;
-}
-
-std::vector<double> MinPerGroup(const std::vector<double>& values,
-                                const std::vector<int64_t>& group_of,
-                                int64_t num_groups) {
-  std::vector<double> out(static_cast<size_t>(num_groups),
-                          std::numeric_limits<double>::infinity());
-  for (size_t i = 0; i < values.size(); ++i) {
-    const size_t g = static_cast<size_t>(group_of[i]);
-    if (values[i] < out[g]) out[g] = values[i];
-  }
-  return out;
-}
-
-std::vector<double> MaxPerGroup(const std::vector<double>& values,
-                                const std::vector<int64_t>& group_of,
-                                int64_t num_groups) {
-  std::vector<double> out(static_cast<size_t>(num_groups),
-                          -std::numeric_limits<double>::infinity());
-  for (size_t i = 0; i < values.size(); ++i) {
-    const size_t g = static_cast<size_t>(group_of[i]);
-    if (values[i] > out[g]) out[g] = values[i];
   }
   return out;
 }

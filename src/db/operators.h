@@ -59,8 +59,9 @@ class HashJoin {
 
   /// Probes with `keys` (optionally restricted to `rows`); every match
   /// contributes one (build_row, probe_row) pair. Output vectors are sized
-  /// exactly from a counting pre-pass over the build-side entry counts, so
-  /// high-fanout probes never reallocate.
+  /// exactly before they are filled, so high-fanout probes never
+  /// reallocate: a dense build side counts its matches in a pre-pass, a
+  /// hashed one looks each key up once and keeps only the matches.
   Pairs Probe(const std::vector<int64_t>& keys, const SelVec* rows = nullptr) const;
 
   /// Semi-join test.
@@ -131,12 +132,6 @@ class Grouper {
 // ---- Per-group aggregates over gathered value vectors. ----
 
 std::vector<double> SumPerGroup(const std::vector<double>& values,
-                                const std::vector<int64_t>& group_of,
-                                int64_t num_groups);
-std::vector<double> MinPerGroup(const std::vector<double>& values,
-                                const std::vector<int64_t>& group_of,
-                                int64_t num_groups);
-std::vector<double> MaxPerGroup(const std::vector<double>& values,
                                 const std::vector<int64_t>& group_of,
                                 int64_t num_groups);
 

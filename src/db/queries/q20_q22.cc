@@ -25,11 +25,8 @@ QueryOutput Q20(const Database& db) {
   });
   const int st_part = RecordSelect(&rec, "part.p_name", P.num_rows(),
                                    static_cast<int64_t>(p_sel.size()));
-  const auto& p_partkey = P.i64("p_partkey");
-  std::unordered_set<int64_t> forest_parts;
-  for (int64_t row : p_sel) {
-    forest_parts.insert(p_partkey[static_cast<size_t>(row)]);
-  }
+  HashJoin forest_parts;
+  forest_parts.Build(P.i64("p_partkey"), &p_sel);
 
   // Shipped quantity per (part, supplier) during 1994.
   const auto& ship = L.i64("l_shipdate");
@@ -44,7 +41,7 @@ QueryOutput Q20(const Database& db) {
   int64_t probed = 0;
   for (int64_t row : l_sel) {
     const size_t k = static_cast<size_t>(row);
-    if (forest_parts.find(l_part[k]) == forest_parts.end()) continue;
+    if (!forest_parts.Contains(l_part[k])) continue;
     probed++;
     shipped[(l_part[k] << 24) | l_supp[k]] += qty[k];
   }
@@ -63,7 +60,7 @@ QueryOutput Q20(const Database& db) {
   int64_t scanned_pairs = 0;
   for (int64_t i = 0; i < PS.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
-    if (forest_parts.find(ps_part[k]) == forest_parts.end()) continue;
+    if (!forest_parts.Contains(ps_part[k])) continue;
     scanned_pairs++;
     auto it = shipped.find((ps_part[k] << 24) | ps_supp[k]);
     const double threshold = it == shipped.end() ? 0.0 : 0.5 * it->second;

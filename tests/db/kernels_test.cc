@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -123,6 +124,155 @@ TEST(JoinHashTableTest, UnreservedGrowthIsCountedThenFlat) {
   EXPECT_GT(first_build, 0);  // cold build had to allocate
   table.Build(keys);
   EXPECT_EQ(table.build_allocations(), first_build);  // warm: storage reused
+}
+
+// Checks every lookup of `table` for `key` against a node-based multimap.
+void ExpectLookupsMatch(const JoinHashTable& table,
+                        const std::unordered_map<int64_t, std::vector<int64_t>>& ref,
+                        int64_t key) {
+  auto it = ref.find(key);
+  const std::vector<int64_t> want =
+      it == ref.end() ? std::vector<int64_t>{} : it->second;
+  EXPECT_EQ(table.Contains(key), !want.empty()) << "key " << key;
+  EXPECT_EQ(table.CountOf(key), static_cast<int64_t>(want.size())) << "key " << key;
+  EXPECT_EQ(table.RowsOf(key), want) << "key " << key;
+}
+
+std::unordered_map<int64_t, std::vector<int64_t>> ReferenceOf(
+    const std::vector<int64_t>& keys, const std::vector<int64_t>& rows) {
+  std::unordered_map<int64_t, std::vector<int64_t>> ref;
+  for (int64_t row : rows) ref[keys[static_cast<size_t>(row)]].push_back(row);
+  return ref;
+}
+
+TEST(JoinHashTableTest, FilteredBuildMatchesScalarReference) {
+  // About 1% of the keys 1..100000, each on two rows of the key column:
+  // too sparse for direct addressing, narrow enough for the key filter.
+  std::vector<int64_t> keys(200000);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = 1 + static_cast<int64_t>((i * 7919) % 100000);
+  }
+  std::vector<int64_t> rows;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (Mix64(static_cast<uint64_t>(keys[i])) % 100 == 0) {
+      rows.push_back(static_cast<int64_t>(i));
+    }
+  }
+  JoinHashTable table;
+  table.Build(keys, &rows);
+  ASSERT_FALSE(table.is_dense());
+  ASSERT_TRUE(table.has_key_filter());
+  const auto ref = ReferenceOf(keys, rows);
+  EXPECT_EQ(table.num_keys(), ref.size());
+
+  int64_t mn = INT64_MAX;
+  int64_t mx = INT64_MIN;
+  for (const auto& [key, unused] : ref) {
+    mn = std::min(mn, key);
+    mx = std::max(mx, key);
+  }
+  int64_t absent_inside = mn + 1;
+  while (ref.count(absent_inside) != 0) absent_inside++;
+  ASSERT_LT(absent_inside, mx);
+  for (int64_t key : {mn - 1, mx + 1, mn, mx, absent_inside, int64_t{-1},
+                      int64_t{-mx}, int64_t{0}, INT64_MIN, INT64_MAX}) {
+    ExpectLookupsMatch(table, ref, key);
+  }
+  for (int64_t key = -5; key <= 100005; ++key) {
+    ASSERT_EQ(table.CountOf(key),
+              ref.count(key) == 0 ? 0 : static_cast<int64_t>(ref.at(key).size()))
+        << "key " << key;
+  }
+}
+
+TEST(JoinHashTableTest, KeyFilterBoundIsSixtyFourKeysPerColumnEntry) {
+  // Two column entries admit a range of 128 keys: [-64, 63] fills both
+  // filter words, and its top key is the last bit of the last word.
+  JoinHashTable table;
+  const std::vector<int64_t> at_bound = {63, -64};
+  table.Build(at_bound);
+  EXPECT_FALSE(table.is_dense());
+  EXPECT_TRUE(table.has_key_filter());
+  const auto ref = ReferenceOf(at_bound, {0, 1});
+  for (int64_t key = -70; key <= 70; ++key) ExpectLookupsMatch(table, ref, key);
+
+  // One key further and the range outgrows the column: plain hashing.
+  const std::vector<int64_t> beyond = {64, -64};
+  table.Build(beyond);
+  EXPECT_FALSE(table.has_key_filter());
+  const auto ref_beyond = ReferenceOf(beyond, {0, 1});
+  for (int64_t key = -70; key <= 70; ++key) {
+    ExpectLookupsMatch(table, ref_beyond, key);
+  }
+}
+
+TEST(JoinHashTableTest, RandomKeysWithExtremesStayExact) {
+  std::mt19937_64 rng(64);
+  std::vector<int64_t> keys(3000);
+  for (auto& k : keys) k = static_cast<int64_t>(rng());
+  keys[10] = INT64_MIN;
+  keys[20] = INT64_MAX;
+  keys[30] = INT64_MIN;  // a duplicate
+  std::vector<int64_t> rows(keys.size());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<int64_t>(i);
+  JoinHashTable table;
+  table.Build(keys);
+  EXPECT_FALSE(table.is_dense());
+  EXPECT_FALSE(table.has_key_filter());
+  const auto ref = ReferenceOf(keys, rows);
+  for (int64_t key : keys) ExpectLookupsMatch(table, ref, key);
+  for (int64_t key : {INT64_MIN + 1, INT64_MAX - 1, int64_t{0}, int64_t{-1}}) {
+    ExpectLookupsMatch(table, ref, key);
+  }
+  for (int i = 0; i < 3000; ++i) {
+    ExpectLookupsMatch(table, ref, static_cast<int64_t>(rng()));
+  }
+
+  // Narrow ranges at either end of int64 are filtered; offsets must not
+  // overflow there.
+  for (const std::vector<int64_t>& edge :
+       {std::vector<int64_t>{INT64_MAX, INT64_MAX - 90, INT64_MAX},
+        std::vector<int64_t>{INT64_MIN, INT64_MIN + 90, INT64_MIN + 3}}) {
+    table.Build(edge);
+    EXPECT_TRUE(table.has_key_filter());
+    const auto edge_ref = ReferenceOf(edge, {0, 1, 2});
+    for (int64_t d = 0; d <= 100; ++d) {
+      ExpectLookupsMatch(table, edge_ref, INT64_MAX - d);
+      ExpectLookupsMatch(table, edge_ref, INT64_MIN + d);
+    }
+  }
+}
+
+TEST(JoinHashTableTest, FilteredRebuildsAtAStableRangeAllocateNothing) {
+  // Alternate two selective builds over the same key range; after the
+  // first, neither the slots, the payload nor the filter words grow, and
+  // each rebuild forgets the other's keys.
+  std::vector<int64_t> keys(10000);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<int64_t>(i);
+  std::vector<int64_t> even;
+  std::vector<int64_t> odd;
+  for (int64_t i = 0; i < 10000; i += 50) {
+    even.push_back(i);
+    odd.push_back(i + 25);
+  }
+  odd.push_back(0);
+  odd.push_back(9999);  // both builds span about the same range
+  JoinHashTable table;
+  table.Build(keys, &odd);
+  ASSERT_TRUE(table.has_key_filter());
+  const int64_t after_first = table.build_allocations();
+  EXPECT_GT(after_first, 0);
+  for (int rep = 0; rep < 6; ++rep) {
+    const std::vector<int64_t>& rows = rep % 2 == 0 ? even : odd;
+    table.Build(keys, &rows);
+    EXPECT_TRUE(table.has_key_filter());
+    EXPECT_EQ(table.build_allocations(), after_first) << "rebuild " << rep;
+    const auto ref = ReferenceOf(keys, rows);
+    for (int64_t key = -1; key <= 10000; ++key) {
+      ASSERT_EQ(table.Contains(key), ref.count(key) != 0)
+          << "rebuild " << rep << " key " << key;
+    }
+  }
 }
 
 TEST(HashJoinTest, ProbeMatchesScalarReferenceOnRandomData) {

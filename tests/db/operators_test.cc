@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <unordered_map>
+
+#include "db/kernels/hash.h"
+
 namespace elastic::db {
 namespace {
 
@@ -75,6 +80,85 @@ TEST(HashJoinTest, CountAndRows) {
   EXPECT_TRUE(join.RowsOf(9).empty());
 }
 
+// Scalar reference for HashJoin::Probe: a node-based multimap of the build
+// rows in insertion order, probed row by row.
+HashJoin::Pairs ReferenceProbe(const std::vector<int64_t>& build_keys,
+                               const SelVec& build_rows,
+                               const std::vector<int64_t>& probe_keys,
+                               const SelVec& probe_rows) {
+  std::unordered_map<int64_t, SelVec> ref;
+  for (int64_t row : build_rows) {
+    ref[build_keys[static_cast<size_t>(row)]].push_back(row);
+  }
+  HashJoin::Pairs pairs;
+  for (int64_t row : probe_rows) {
+    auto it = ref.find(probe_keys[static_cast<size_t>(row)]);
+    if (it == ref.end()) continue;
+    for (int64_t b : it->second) {
+      pairs.build_rows.push_back(b);
+      pairs.probe_rows.push_back(row);
+    }
+  }
+  return pairs;
+}
+
+TEST(HashJoinTest, FilteredProbeMatchesScalarReference) {
+  // The Q17 shape: about 1% of the keys 1..100000, each held by two build
+  // rows, probed with a column that also holds keys outside that range.
+  std::vector<int64_t> build_keys(200000);
+  for (size_t i = 0; i < build_keys.size(); ++i) {
+    build_keys[i] = 1 + static_cast<int64_t>((i * 7919) % 100000);
+  }
+  SelVec build_rows;
+  for (size_t i = 0; i < build_keys.size(); ++i) {
+    if (kernels::Mix64(static_cast<uint64_t>(build_keys[i])) % 100 == 0) {
+      build_rows.push_back(static_cast<int64_t>(i));
+    }
+  }
+  HashJoin join;
+  join.Build(build_keys, &build_rows);
+  ASSERT_GT(join.num_keys(), 500u);
+  ASSERT_LT(join.num_keys(), 1500u);
+
+  std::mt19937_64 rng(28);
+  std::vector<int64_t> probe_keys(300000);
+  for (auto& k : probe_keys) k = static_cast<int64_t>(rng() % 100020) - 10;
+  SelVec all_rows(probe_keys.size());
+  SelVec some_rows;
+  for (size_t i = 0; i < probe_keys.size(); ++i) {
+    all_rows[i] = static_cast<int64_t>(i);
+    if (i % 3 != 1) some_rows.push_back(static_cast<int64_t>(i));
+  }
+
+  const HashJoin::Pairs all = join.Probe(probe_keys);
+  const HashJoin::Pairs want_all =
+      ReferenceProbe(build_keys, build_rows, probe_keys, all_rows);
+  ASSERT_GT(want_all.size(), 0u);
+  EXPECT_EQ(all.build_rows, want_all.build_rows);
+  EXPECT_EQ(all.probe_rows, want_all.probe_rows);
+
+  const HashJoin::Pairs some = join.Probe(probe_keys, &some_rows);
+  const HashJoin::Pairs want_some =
+      ReferenceProbe(build_keys, build_rows, probe_keys, some_rows);
+  EXPECT_EQ(some.build_rows, want_some.build_rows);
+  EXPECT_EQ(some.probe_rows, want_some.probe_rows);
+  EXPECT_LT(some.size(), all.size());
+}
+
+TEST(HashJoinTest, UnfilteredHashedProbeSkipsKeysOutsideTheRange) {
+  // Too sparse for direct addressing and too wide for the key filter
+  // (891 keys over 4 column entries): the plain hashed table.
+  HashJoin join;
+  const std::vector<int64_t> build_keys = {10, 500, 10, 900};
+  join.Build(build_keys);
+  const std::vector<int64_t> probe_keys = {1, 9, 11, 499, 901, -10};
+  EXPECT_EQ(join.Probe(probe_keys).size(), 0u);
+  const std::vector<int64_t> hits = {900, 10, 3};
+  const HashJoin::Pairs pairs = join.Probe(hits);
+  EXPECT_EQ(pairs.build_rows, (SelVec{3, 0, 2}));
+  EXPECT_EQ(pairs.probe_rows, (SelVec{0, 1, 1}));
+}
+
 TEST(GrouperTest, SingleI64Key) {
   Grouper g;
   g.AddI64Key({10, 20, 10, 30, 20});
@@ -125,13 +209,6 @@ TEST(AggregatesTest, SumPerGroup) {
   const std::vector<int64_t> group_of = {0, 1, 0, 1, 0};
   const std::vector<double> values = {1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_EQ(SumPerGroup(values, group_of, 2), (std::vector<double>{9.0, 6.0}));
-}
-
-TEST(AggregatesTest, MinMaxPerGroup) {
-  const std::vector<int64_t> group_of = {0, 0, 1};
-  const std::vector<double> values = {4.0, -2.0, 7.0};
-  EXPECT_EQ(MinPerGroup(values, group_of, 2), (std::vector<double>{-2.0, 7.0}));
-  EXPECT_EQ(MaxPerGroup(values, group_of, 2), (std::vector<double>{4.0, 7.0}));
 }
 
 TEST(AggregatesTest, ScalarSum) {
