@@ -1,9 +1,10 @@
 // Micro-kernel benchmark: rows/sec of the batch kernels (open-addressing
 // join build, a dense and a selective join probe, integer-key group-by,
-// fused 3-predicate select)
+// fused 3-predicate select, the string-heap LIKE sweep)
 // against the seed executor's scalar baselines (node-based
 // std::unordered_map join, per-row std::string group encoding, three
-// separate selection passes) on TPC-H columns at SF 0.15. Each rate is the
+// separate selection passes, a per-row search of one std::string per row)
+// on TPC-H columns at SF 0.15. Each rate is the
 // median of --reps runs, reported with its quartiles: single best runs
 // moved by a third between regenerations.
 //
@@ -36,10 +37,12 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "db/column.h"
 #include "db/date.h"
 #include "db/kernels/hash.h"
 #include "db/kernels/hash_table.h"
 #include "db/kernels/select.h"
+#include "db/like.h"
 #include "db/operators.h"
 #include "simcore/check.h"
 
@@ -153,6 +156,30 @@ uint64_t BaselineGroupBy(const std::vector<std::string>& key1,
     group_of[row] = it->second;
   }
   return static_cast<uint64_t>(num_groups) ^ static_cast<uint64_t>(group_of.back());
+}
+
+/// The matched rows folded into one word, so that a result is its rows.
+uint64_t RowsDigest(const SelVec& rows) {
+  uint64_t digest = db::kernels::kFnvOffset;
+  for (int64_t row : rows) {
+    digest = db::kernels::Fnv1aWord(digest, static_cast<uint64_t>(row));
+  }
+  return digest;
+}
+
+/// '%special%requests%' row by row over one std::string per row, as the
+/// executor held free text before its string heaps.
+SelVec BaselineLikeSeq(const std::vector<std::string>& values) {
+  SelVec rows;
+  for (size_t row = 0; row < values.size(); ++row) {
+    const size_t special = values[row].find("special");
+    if (special == std::string::npos) continue;
+    if (values[row].find("requests", special + 7) == std::string::npos) {
+      continue;
+    }
+    rows.push_back(static_cast<int64_t>(row));
+  }
+  return rows;
 }
 
 uint64_t BaselineSelect3(const std::vector<double>& qty,
@@ -367,6 +394,30 @@ int Run(double scale_factor, int reps, const std::string& json_path) {
     ELASTIC_CHECK(BaselineSelect3(l_quantity, l_shipdate, l_discount, from,
                                   to) == fused_select(),
                   "select results diverge");
+    results.push_back(r);
+  }
+
+  // ---- like-seq: Q13's '%special%requests%' over every o_comment, the
+  // sweep over the column's string heap against a per-row search of a
+  // std::string copy of each value. ----
+  {
+    KernelResult r;
+    r.name = "like-seq";
+    r.rows = O.num_rows();
+    const db::StringHeap& heap = O.str("o_comment");
+    std::vector<std::string> values(heap.size());
+    for (size_t row = 0; row < values.size(); ++row) values[row] = heap[row];
+    r.baseline = RateOf(r.rows, TimeReps(reps, nullptr, [&] {
+      return RowsDigest(BaselineLikeSeq(values));
+    }));
+    const auto sweep = [&] {
+      return db::LikeSeqRows(heap, {"special", "requests"});
+    };
+    r.kernel = RateOf(r.rows, TimeReps(reps, &sink, [&] {
+      return RowsDigest(sweep());
+    }));
+    ELASTIC_CHECK(BaselineLikeSeq(values) == sweep(),
+                  "LIKE results diverge");
     results.push_back(r);
   }
 

@@ -1,8 +1,23 @@
 #include "db/column.h"
 
+#include <limits>
+
 #include "simcore/check.h"
 
 namespace elastic::db {
+
+void StringHeap::Reserve(size_t rows, size_t bytes) {
+  offsets_.reserve(offsets_.size() + rows);
+  heap_.reserve(heap_.size() + bytes);
+}
+
+void StringHeap::Append(std::string_view value) {
+  ELASTIC_CHECK(value.size() <= std::numeric_limits<uint32_t>::max() -
+                                    heap_.size(),
+                "string heap offset would wrap past 4 GiB");
+  heap_.append(value);
+  offsets_.push_back(static_cast<uint32_t>(heap_.size()));
+}
 
 const Column& Table::col(const std::string& column) const {
   auto it = columns.find(column);
@@ -28,7 +43,7 @@ const std::vector<double>& Table::f64(const std::string& column) const {
   return c.f64;
 }
 
-const std::vector<std::string>& Table::str(const std::string& column) const {
+const StringHeap& Table::str(const std::string& column) const {
   const Column& c = col(column);
   ELASTIC_CHECK(c.type == ColType::kStr, "column is not str");
   return c.str;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace elastic::db {
@@ -41,20 +42,56 @@ struct CodedStrings {
   }
 };
 
+/// A free-text column (comments, names, addresses, phones) as MonetDB keeps
+/// strings: one string heap holding every value's bytes back to back, and
+/// an offset per row into it. Row r's value is the heap's bytes
+/// [offsets[r], offsets[r + 1]), read as a view; nothing is allocated per
+/// row. Offsets are 32-bit, so one column holds at most 4 GiB of text, and
+/// Append aborts before an offset would wrap.
+class StringHeap {
+ public:
+  /// Makes room for `rows` more values of `bytes` bytes in all, so that
+  /// appending them never copies the heap. Room that is never written
+  /// costs address space, not resident memory.
+  void Reserve(size_t rows, size_t bytes);
+
+  /// Appends one row holding `value`.
+  void Append(std::string_view value);
+
+  size_t size() const { return offsets_.size() - 1; }
+
+  /// Row `row`'s value, a view into the heap.
+  std::string_view operator[](size_t row) const {
+    return std::string_view(heap_.data() + offsets_[row],
+                            offsets_[row + 1] - offsets_[row]);
+  }
+
+  /// Every row's bytes, back to back, in row order.
+  std::string_view bytes() const { return heap_; }
+
+  /// Row r's value starts at offsets()[r] and ends at offsets()[r + 1];
+  /// size() + 1 entries.
+  const std::vector<uint32_t>& offsets() const { return offsets_; }
+
+ private:
+  std::string heap_;
+  std::vector<uint32_t> offsets_ = {0};
+};
+
 /// One column of a table, MonetDB BAT style: a dense vector addressed by row
-/// id. Only the vector matching `type` is populated.
+/// id. Only the member matching `type` is populated.
 ///
 /// For the machine simulation every column is modelled 8 bytes wide (the
 /// BAT/dictionary-encoded representation MonetDB and SQL Server columnstore
 /// read at scan time); `sim_width_bytes` can widen that for raw string
 /// columns when a workload really scans them. The host executor reads the
-/// fixed-domain string columns the same way, as dictionary codes
-/// (kCoded); free text stays std::string (kStr).
+/// fixed-domain string columns the same way, as dictionary codes (kCoded),
+/// and free text as an offset per row into one string heap (kStr).
 struct Column {
   ColType type = ColType::kI64;
   std::vector<int64_t> i64;
   std::vector<double> f64;
-  std::vector<std::string> str;
+  StringHeap str;
   CodedStrings coded;
   int sim_width_bytes = 8;
 
@@ -89,10 +126,10 @@ struct Table {
   Column& col(const std::string& column);
 
   /// Each accessor aborts unless the column has its type: a coded column
-  /// has no per-row strings, so str() on one aborts.
+  /// has no string heap, so str() on one aborts.
   const std::vector<int64_t>& i64(const std::string& column) const;
   const std::vector<double>& f64(const std::string& column) const;
-  const std::vector<std::string>& str(const std::string& column) const;
+  const StringHeap& str(const std::string& column) const;
   const CodedStrings& coded(const std::string& column) const;
 };
 

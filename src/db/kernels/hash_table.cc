@@ -20,6 +20,12 @@ void JoinHashTable::Reserve(size_t expected_rows) {
   }
 }
 
+void JoinHashTable::ResetFilter(uint64_t range) {
+  const size_t words = static_cast<size_t>((range + 63) / 64);
+  if (words > filter_.capacity()) build_allocations_++;
+  filter_.assign(words, 0);
+}
+
 void JoinHashTable::Build(const std::vector<int64_t>& keys,
                           const std::vector<int64_t>* rows) {
   const int64_t n = rows != nullptr ? static_cast<int64_t>(rows->size())
@@ -45,20 +51,17 @@ void JoinHashTable::Build(const std::vector<int64_t>& keys,
       n == 0 ? 0 : static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn) + 1;
   // range == 0 can only mean uint64 wrap-around (full int64 span): sparse.
   dense_ = n > 0 && range != 0 && range <= 2 * static_cast<uint64_t>(n) + 16;
-  // A hashed build filters its keys when the filter's words are no more
-  // than the key column's entries.
-  const bool filtered = !dense_ && range != 0 &&
-                        range <= 64 * static_cast<uint64_t>(keys.size());
+  const bool filtered = !dense_ && FilterAdmits(range, keys.size());
   min_key_ = n > 0 ? mn : 0;
   max_key_ = n > 0 ? mx : -1;
+  key_set_ = false;
+  bits_only_ = false;
 
   // assign() reuses the existing heap block whenever it is large enough, so
   // steady-state rebuilds at a stable cardinality allocate nothing; clear()
   // keeps the filter's block for the next filtered build.
   if (filtered) {
-    const size_t words = static_cast<size_t>((range + 63) / 64);
-    if (words > filter_.capacity()) build_allocations_++;
-    filter_.assign(words, 0);
+    ResetFilter(range);
   } else {
     filter_.clear();
   }

@@ -14,10 +14,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include "db/kernels/hash.h"
+#include "db/kernels/select.h"
 #include "simcore/check.h"
 
 namespace elastic::db::kernels {
@@ -42,6 +44,11 @@ namespace elastic::db::kernels {
 /// which is what a selective build side (a few parts, one quarter's
 /// orders) probed with a whole lineitem column mostly meets. Random 64-bit
 /// keys get no filter and probe as before.
+///
+/// A semi-join needs less: BuildKeySet keeps a set of keys, which answers
+/// Contains only. Under the same bound the set is the filter's bits alone,
+/// with no slots and no row payload, so Contains is a range test and one
+/// bit.
 class JoinHashTable {
  public:
   /// Contiguous, immutable view of the build rows holding one key.
@@ -69,14 +76,27 @@ class JoinHashTable {
   void Build(const std::vector<int64_t>& keys,
              const std::vector<int64_t>* rows = nullptr);
 
-  bool Contains(int64_t key) const { return FindSlot(key) >= 0; }
+  /// (Re)builds as the set of keys[i] over every row i with keep(i), and
+  /// returns how many rows it kept. A key set answers Contains only;
+  /// CountOf and RowsOf abort on it. When the range of the whole key column
+  /// admits the key filter (at most 64 keys per entry), the set is the
+  /// filter's bits alone, filled in one pass over the rows. A wider range
+  /// falls back to a Build over the kept rows, which stays exact.
+  template <typename Keep>
+  int64_t BuildKeySet(const std::vector<int64_t>& keys, Keep keep);
+
+  bool Contains(int64_t key) const {
+    return bits_only_ ? InFilter(key) : FindSlot(key) >= 0;
+  }
 
   int64_t CountOf(int64_t key) const {
+    ELASTIC_CHECK(!key_set_, "a key set answers Contains only");
     const int64_t slot = FindSlot(key);
     return slot < 0 ? 0 : slots_[static_cast<size_t>(slot)].count;
   }
 
   RowSpan RowsOf(int64_t key) const {
+    ELASTIC_CHECK(!key_set_, "a key set answers Contains only");
     const int64_t slot = FindSlot(key);
     if (slot < 0) return RowSpan{};
     const Slot& s = slots_[static_cast<size_t>(slot)];
@@ -90,8 +110,11 @@ class JoinHashTable {
   size_t capacity() const { return slots_.size(); }
   /// Direct-addressing (dense key range) mode is active.
   bool is_dense() const { return dense_; }
-  /// A hashed build carries the one-bit-per-key filter over [min, max].
+  /// A hashed build or a key set carries the one-bit-per-key filter over
+  /// [min, max].
   bool has_key_filter() const { return !filter_.empty(); }
+  /// The last build was BuildKeySet.
+  bool is_key_set() const { return key_set_; }
   /// Times Build()/Reserve() had to grow the slot, payload or filter
   /// storage. Flat across steady-state rebuilds at a stable cardinality
   /// and key range.
@@ -104,6 +127,29 @@ class JoinHashTable {
     int32_t count = 0;  // 0 marks an empty slot
   };
 
+  /// Whether a key range of `range` keys (0: the full int64 span) admits
+  /// the filter next to a key column of `column_entries` entries: its words
+  /// are then no more than the column's entries.
+  static bool FilterAdmits(uint64_t range, size_t column_entries) {
+    return range != 0 && range <= 64 * static_cast<uint64_t>(column_entries);
+  }
+
+  /// Clears the filter to `range` bits, all zero. Every filtered build
+  /// starts here, so no bit of an earlier build survives.
+  void ResetFilter(uint64_t range);
+
+  /// Offset `offset`'s filter bit, for a key inside [min, max].
+  bool FilterBit(uint64_t offset) const {
+    return ((filter_[offset >> 6] >> (offset & 63)) & 1) != 0;
+  }
+
+  /// A bits-only key set's lookup: the range test, then one bit.
+  bool InFilter(int64_t key) const {
+    if (key < min_key_ || key > max_key_) return false;
+    return FilterBit(static_cast<uint64_t>(key) -
+                     static_cast<uint64_t>(min_key_));
+  }
+
   /// Slot index of `key`, or -1 when absent. Every build records its key
   /// range (an empty one rejects every key), so only keys inside it reach
   /// the slot array, the filter or the hash.
@@ -114,10 +160,7 @@ class JoinHashTable {
     if (dense_) {
       return slots_[offset].count != 0 ? static_cast<int64_t>(offset) : -1;
     }
-    if (!filter_.empty() &&
-        ((filter_[offset >> 6] >> (offset & 63)) & 1) == 0) {
-      return -1;
-    }
+    if (!filter_.empty() && !FilterBit(offset)) return -1;
     size_t i = Mix64(static_cast<uint64_t>(key)) & mask_;
     while (slots_[i].count != 0) {
       if (slots_[i].key == key) return static_cast<int64_t>(i);
@@ -128,16 +171,67 @@ class JoinHashTable {
 
   std::vector<Slot> slots_;
   std::vector<int64_t> rows_;
-  /// Bit (key - min_key_) is set for every key of a filtered hashed build;
-  /// empty (capacity kept) when the build has no filter.
+  /// Bit (key - min_key_) is set for every key of a filtered hashed build
+  /// or a bits-only key set; empty (capacity kept) when the build has no
+  /// filter.
   std::vector<uint64_t> filter_;
   uint64_t mask_ = 0;
   size_t num_keys_ = 0;
   bool dense_ = false;
+  /// Built by BuildKeySet: Contains only.
+  bool key_set_ = false;
+  /// A key set held in the filter's bits alone (no slots, no payload).
+  bool bits_only_ = false;
   int64_t min_key_ = 0;
   int64_t max_key_ = -1;
   int64_t build_allocations_ = 0;
 };
+
+template <typename Keep>
+int64_t JoinHashTable::BuildKeySet(const std::vector<int64_t>& keys,
+                                   Keep keep) {
+  const int64_t n = static_cast<int64_t>(keys.size());
+  int64_t mn = std::numeric_limits<int64_t>::max();
+  int64_t mx = std::numeric_limits<int64_t>::min();
+  for (const int64_t key : keys) {
+    mn = std::min(mn, key);
+    mx = std::max(mx, key);
+  }
+  const uint64_t range =
+      n == 0 ? 0 : static_cast<uint64_t>(mx) - static_cast<uint64_t>(mn) + 1;
+  if (n > 0 && !FilterAdmits(range, keys.size())) {
+    std::vector<int64_t> rows;
+    SelectIdxInto(n, keep, rows);
+    Build(keys, &rows);
+    key_set_ = true;
+    return static_cast<int64_t>(rows.size());
+  }
+  key_set_ = true;
+  bits_only_ = true;
+  dense_ = false;
+  slots_.clear();
+  rows_.clear();
+  mask_ = 0;
+  min_key_ = n > 0 ? mn : 0;
+  max_key_ = n > 0 ? mx : -1;
+  ResetFilter(range);
+  // One pass: every row stores its bit, a kept row's bit is 1. No branch
+  // on `keep`, which a predictor would learn no better than a coin.
+  int64_t kept = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const uint64_t offset =
+        static_cast<uint64_t>(keys[static_cast<size_t>(i)]) -
+        static_cast<uint64_t>(mn);
+    const bool in = keep(i);
+    filter_[offset >> 6] |= uint64_t{in} << (offset & 63);
+    kept += in ? 1 : 0;
+  }
+  num_keys_ = 0;
+  for (const uint64_t word : filter_) {
+    num_keys_ += static_cast<size_t>(__builtin_popcountll(word));
+  }
+  return kept;
+}
 
 inline bool operator==(const JoinHashTable::RowSpan& span,
                        const std::vector<int64_t>& rows) {

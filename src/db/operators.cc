@@ -6,6 +6,7 @@ namespace elastic::db {
 
 HashJoin::Pairs HashJoin::Probe(const std::vector<int64_t>& keys,
                                 const SelVec* rows) const {
+  ELASTIC_CHECK(!table_.is_key_set(), "a key set answers Contains only");
   const int64_t n = rows != nullptr ? static_cast<int64_t>(rows->size())
                                     : static_cast<int64_t>(keys.size());
   auto row_at = [&](int64_t i) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "db/column.h"
 #include "db/kernels/hash_table.h"
 #include "db/kernels/select.h"
 #include "simcore/check.h"
@@ -21,6 +22,15 @@ using SelVec = std::vector<int64_t>;
 template <typename T, typename Pred>
 SelVec SelectWhere(const std::vector<T>& col, Pred pred) {
   return kernels::SelectWhere(col, std::move(pred));
+}
+
+/// Free-text selection: rows of `col` whose value, a view into its heap,
+/// satisfies `pred`. A '%...%' LIKE sweeps the heap instead (LikeSeqRows).
+template <typename Pred>
+SelVec SelectWhere(const StringHeap& col, Pred pred) {
+  return kernels::SelectWhereIdx(
+      static_cast<int64_t>(col.size()),
+      [&col, &pred](int64_t i) { return pred(col[static_cast<size_t>(i)]); });
 }
 
 /// Candidate-list selection: rows of `in` whose `col` value satisfies `pred`.
@@ -48,6 +58,14 @@ class HashJoin {
     table_.Build(keys, rows);
   }
 
+  /// Builds the semi-join side: the set of keys[i] over every row i with
+  /// keep(i), which answers Contains only (see
+  /// JoinHashTable::BuildKeySet). Returns how many rows it kept.
+  template <typename Keep>
+  int64_t BuildKeySet(const std::vector<int64_t>& keys, Keep keep) {
+    return table_.BuildKeySet(keys, std::move(keep));
+  }
+
   /// Pre-reserves the build side for `expected_rows` entries.
   void Reserve(size_t expected_rows) { table_.Reserve(expected_rows); }
 
@@ -61,7 +79,8 @@ class HashJoin {
   /// contributes one (build_row, probe_row) pair. Output vectors are sized
   /// exactly before they are filled, so high-fanout probes never
   /// reallocate: a dense build side counts its matches in a pre-pass, a
-  /// hashed one looks each key up once and keeps only the matches.
+  /// hashed one looks each key up once and keeps only the matches. Aborts
+  /// on a key set, which holds no rows.
   Pairs Probe(const std::vector<int64_t>& keys, const SelVec* rows = nullptr) const;
 
   /// Semi-join test.

@@ -4,6 +4,8 @@
 // Internal helpers shared by the TPC-H query implementations. Not part of
 // the public API.
 
+#include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -62,6 +64,26 @@ int RecordJoinProbe(PlanRecorder* rec, const std::vector<StageInput>& inputs,
 /// Records a group/aggregate stage.
 int RecordGroup(PlanRecorder* rec, const std::vector<StageInput>& inputs,
                 int64_t rows_in, int64_t groups);
+
+/// ORDER BY ... LIMIT `limit` over groups [0, groups), decided before any
+/// result row is built: the first `limit` groups in the order `before`
+/// gives (a strict weak order on the ORDER BY keys), ties in group order.
+/// Those are the rows, in that order, that a stable sort of every group's
+/// row by the same keys followed by the LIMIT keeps.
+template <typename Before>
+std::vector<int64_t> TopGroups(int64_t groups, int64_t limit, Before before) {
+  std::vector<int64_t> order(static_cast<size_t>(groups));
+  std::iota(order.begin(), order.end(), int64_t{0});
+  const auto kept = order.begin() + std::min(groups, limit);
+  std::partial_sort(order.begin(), kept, order.end(),
+                    [&before](int64_t a, int64_t b) {
+                      if (before(a, b)) return true;
+                      if (before(b, a)) return false;
+                      return a < b;
+                    });
+  order.erase(kept, order.end());
+  return order;
+}
 
 }  // namespace elastic::db::queries_internal
 

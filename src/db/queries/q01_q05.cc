@@ -92,8 +92,8 @@ QueryOutput Q2(const Database& db) {
   const Table& R = db.region;
 
   // Region -> nation set.
-  SelVec region_sel = SelectWhere(R.str("r_name"),
-                                  [](const std::string& s) { return s == "EUROPE"; });
+  SelVec region_sel = SelectWhere(
+      R.str("r_name"), [](std::string_view s) { return s == "EUROPE"; });
   const int64_t region_key = R.i64("r_regionkey")[static_cast<size_t>(region_sel[0])];
   SelVec euro_nations = SelectWhere(N.i64("n_regionkey"),
                                     [region_key](int64_t r) { return r == region_key; });
@@ -203,18 +203,18 @@ QueryOutput Q3(const Database& db) {
   const Table& L = db.lineitem;
   const Date pivot = MakeDate(1995, 3, 15);
 
+  // The BUILDING customers as a key set: the selection sets each one's bit.
   const CodedStrings& segment = C.coded("c_mktsegment");
   const CodeSet building =
       segment.Match([](const std::string& s) { return s == "BUILDING"; });
-  SelVec c_sel = SelectWhere(segment.codes,
-                             [&building](uint8_t c) { return building[c]; });
-  const int st_cust = RecordSelect(&rec, "customer.c_mktsegment",
-                                   C.num_rows(), static_cast<int64_t>(c_sel.size()));
-
   HashJoin cust;
-  cust.Build(C.i64("c_custkey"), &c_sel);
-  RecordJoinBuild(&rec, {PlanRecorder::Inter(st_cust, static_cast<int64_t>(c_sel.size()))},
-                  static_cast<int64_t>(c_sel.size()));
+  const int64_t c_rows = cust.BuildKeySet(
+      C.i64("c_custkey"), [&building, &segment](int64_t i) {
+        return building[segment.codes[static_cast<size_t>(i)]];
+      });
+  const int st_cust = RecordSelect(&rec, "customer.c_mktsegment",
+                                   C.num_rows(), c_rows);
+  RecordJoinBuild(&rec, {PlanRecorder::Inter(st_cust, c_rows)}, c_rows);
 
   const auto& o_date = O.i64("o_orderdate");
   SelVec o_sel = SelectWhere(o_date, [pivot](int64_t d) { return d < pivot; });
@@ -261,20 +261,33 @@ QueryOutput Q3(const Database& db) {
   }
   auto rev_per_group = SumPerGroup(revenue, grouper.group_of(), groups);
 
+  // ORDER BY revenue DESC, o_orderdate LIMIT 10, chosen before any row is
+  // built. Dates print as fixed-width YYYY-MM-DD, so they order as the
+  // date values do.
+  const auto order_row = [&](int64_t g) {
+    return static_cast<size_t>(pairs.build_rows[static_cast<size_t>(
+        grouper.representative_rows()[static_cast<size_t>(g)])]);
+  };
+  const std::vector<int64_t> top =
+      TopGroups(groups, 10, [&](int64_t a, int64_t b) {
+        const double ra = rev_per_group[static_cast<size_t>(a)];
+        const double rb = rev_per_group[static_cast<size_t>(b)];
+        if (ra > rb) return true;
+        if (ra < rb) return false;
+        return o_date[order_row(a)] < o_date[order_row(b)];
+      });
+
   const auto& o_shippriority = O.i64("o_shippriority");
   QueryResult result;
   result.query = "Q3";
   result.column_names = {"l_orderkey", "revenue", "o_orderdate", "o_shippriority"};
-  for (int64_t g = 0; g < groups; ++g) {
-    const size_t orow = static_cast<size_t>(
-        pairs.build_rows[static_cast<size_t>(grouper.representative_rows()[static_cast<size_t>(g)])]);
+  for (const int64_t g : top) {
+    const size_t orow = order_row(g);
     result.rows.push_back({Value::I64(grouper.I64KeyOfGroup(0, g)),
                            Value::F64(rev_per_group[static_cast<size_t>(g)]),
                            Value::Str(DateToString(o_date[orow])),
                            Value::I64(o_shippriority[orow])});
   }
-  result.Sort({{1, false}, {2, true}});
-  result.Limit(10);
   return QueryOutput{std::move(result), rec.Take()};
 }
 
@@ -292,21 +305,20 @@ QueryOutput Q4(const Database& db) {
   const int st_ord = RecordSelect(&rec, "orders.o_orderdate", O.num_rows(),
                                   static_cast<int64_t>(o_sel.size()));
 
-  // Lineitems that arrived late (commitdate < receiptdate) — semi-join set.
-  // Correlated two-column predicate, fused via the index-based kernel.
+  // The orders with a late lineitem (commitdate < receiptdate) as a key
+  // set: one pass over lineitem tests the correlated two-column predicate
+  // and sets the line's order bit, so no selection vector of the late
+  // lines is built.
   const int64_t* l_commit = L.i64("l_commitdate").data();
   const int64_t* l_receipt = L.i64("l_receiptdate").data();
-  const auto& l_order = L.i64("l_orderkey");
-  SelVec late = kernels::SelectWhereIdx(
-      L.num_rows(), [l_commit, l_receipt](int64_t i) {
+  HashJoin late_orders;
+  const int64_t late = late_orders.BuildKeySet(
+      L.i64("l_orderkey"), [l_commit, l_receipt](int64_t i) {
         return l_commit[i] < l_receipt[i];
       });
   const int st_late = RecordSelect(&rec, "lineitem.l_commitdate", L.num_rows(),
-                                   static_cast<int64_t>(late.size()));
-  HashJoin late_orders;
-  late_orders.Build(l_order, &late);
-  RecordJoinBuild(&rec, {PlanRecorder::Inter(st_late, static_cast<int64_t>(late.size()))},
-                  static_cast<int64_t>(late.size()));
+                                   late);
+  RecordJoinBuild(&rec, {PlanRecorder::Inter(st_late, late)}, late);
 
   const auto& o_key = O.i64("o_orderkey");
   SelVec matched = Refine(o_key, o_sel, [&late_orders](int64_t k) {
@@ -354,8 +366,8 @@ QueryOutput Q5(const Database& db) {
   const Date from = MakeDate(1994, 1, 1);
   const Date to = AddYears(from, 1);
 
-  SelVec region_sel = SelectWhere(R.str("r_name"),
-                                  [](const std::string& s) { return s == "ASIA"; });
+  SelVec region_sel = SelectWhere(
+      R.str("r_name"), [](std::string_view s) { return s == "ASIA"; });
   const int64_t region_key = R.i64("r_regionkey")[static_cast<size_t>(region_sel[0])];
   const auto& n_regionkey = N.i64("n_regionkey");
   std::vector<bool> nation_in_asia(N.num_rows(), false);

@@ -100,7 +100,7 @@ QueryOutput Q7(const Database& db) {
   int64_t france = -1;
   int64_t germany = -1;
   for (int64_t i = 0; i < N.num_rows(); ++i) {
-    const std::string& nm = n_name[static_cast<size_t>(i)];
+    const std::string_view nm = n_name[static_cast<size_t>(i)];
     if (nm == "FRANCE") france = i;
     if (nm == "GERMANY") germany = i;
   }
@@ -187,7 +187,7 @@ QueryOutput Q8(const Database& db) {
   const Date to = MakeDate(1996, 12, 31);
 
   SelVec region_sel = SelectWhere(
-      R.str("r_name"), [](const std::string& s) { return s == "AMERICA"; });
+      R.str("r_name"), [](std::string_view s) { return s == "AMERICA"; });
   const int64_t region_key = R.i64("r_regionkey")[static_cast<size_t>(region_sel[0])];
   const auto& n_regionkey = N.i64("n_regionkey");
   const auto& n_name = N.str("n_name");
@@ -274,9 +274,8 @@ QueryOutput Q9(const Database& db) {
   const Table& N = db.nation;
   const Table& PS = db.partsupp;
 
-  SelVec p_sel = SelectWhere(P.str("p_name"), [](const std::string& n) {
-    return LikeContains(n, "green");
-  });
+  // p_name LIKE '%green%', one sweep over the name heap.
+  SelVec p_sel = LikeSeqRows(P.str("p_name"), {"green"});
   const int st_part = RecordSelect(&rec, "part.p_name", P.num_rows(),
                                    static_cast<int64_t>(p_sel.size()));
   HashJoin parts;
@@ -405,6 +404,13 @@ QueryOutput Q10(const Database& db) {
                                   static_cast<int64_t>(revenue.size()), 8, false)},
               static_cast<int64_t>(revenue.size()), grouper.num_groups());
 
+  // ORDER BY revenue DESC LIMIT 20, chosen before any row is built: only
+  // the 20 customers kept get their seven values and four strings.
+  const std::vector<int64_t> top =
+      TopGroups(grouper.num_groups(), 20, [&sums](int64_t a, int64_t b) {
+        return sums[static_cast<size_t>(a)] > sums[static_cast<size_t>(b)];
+      });
+
   const auto& c_nationkey = C.i64("c_nationkey");
   const auto& c_name = C.str("c_name");
   const auto& c_acctbal = C.f64("c_acctbal");
@@ -415,7 +421,7 @@ QueryOutput Q10(const Database& db) {
   result.query = "Q10";
   result.column_names = {"c_custkey", "c_name", "revenue", "c_acctbal",
                          "n_name", "c_address", "c_phone"};
-  for (int64_t g = 0; g < grouper.num_groups(); ++g) {
+  for (const int64_t g : top) {
     const int64_t custkey = grouper.I64KeyOfGroup(0, g);
     const size_t crow = static_cast<size_t>(custkey - 1);
     const int64_t nation = c_nationkey[crow];
@@ -425,8 +431,6 @@ QueryOutput Q10(const Database& db) {
          Value::Str(n_name[static_cast<size_t>(nation)]),
          Value::Str(c_address[crow]), Value::Str(c_phone[crow])});
   }
-  result.Sort({{2, false}});
-  result.Limit(20);
   return QueryOutput{std::move(result), rec.Take()};
 }
 

@@ -31,16 +31,14 @@ QueryOutput Q16(const Database& db) {
   const int st_part = RecordSelect(&rec, "part.p_type", P.num_rows(),
                                    static_cast<int64_t>(p_sel.size()));
 
-  // Suppliers with complaints ('%Customer%Complaints%') are excluded.
-  const std::initializer_list<std::string_view> complaints = {"Customer",
-                                                               "Complaints"};
+  // Suppliers with complaints ('%Customer%Complaints%', one sweep over the
+  // comment heap) are excluded.
   std::vector<bool> bad_supplier(static_cast<size_t>(S.num_rows()) + 1, false);
-  const auto& s_comment = S.str("s_comment");
   const auto& s_suppkey = S.i64("s_suppkey");
-  for (int64_t i = 0; i < S.num_rows(); ++i) {
-    if (LikeContainsSeq(s_comment[static_cast<size_t>(i)], complaints)) {
-      bad_supplier[static_cast<size_t>(s_suppkey[static_cast<size_t>(i)])] = true;
-    }
+  for (const int64_t row :
+       LikeSeqRows(S.str("s_comment"), {"Customer", "Complaints"})) {
+    bad_supplier[static_cast<size_t>(s_suppkey[static_cast<size_t>(row)])] =
+        true;
   }
   RecordSelect(&rec, "supplier.s_comment", S.num_rows(), S.num_rows());
 

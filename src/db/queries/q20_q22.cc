@@ -1,6 +1,8 @@
 // TPC-H Q20..Q22.
 
+#include <functional>
 #include <set>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -20,13 +22,14 @@ QueryOutput Q20(const Database& db) {
   const Date from = MakeDate(1994, 1, 1);
   const Date to = AddYears(from, 1);
 
-  SelVec p_sel = SelectWhere(P.str("p_name"), [](const std::string& n) {
-    return LikeStartsWith(n, "forest");
-  });
-  const int st_part = RecordSelect(&rec, "part.p_name", P.num_rows(),
-                                   static_cast<int64_t>(p_sel.size()));
+  // The 'forest%' parts as a key set: the selection sets each one's bit.
+  const StringHeap& p_name = P.str("p_name");
   HashJoin forest_parts;
-  forest_parts.Build(P.i64("p_partkey"), &p_sel);
+  const int64_t forest = forest_parts.BuildKeySet(
+      P.i64("p_partkey"), [&p_name](int64_t i) {
+        return LikeStartsWith(p_name[static_cast<size_t>(i)], "forest");
+      });
+  const int st_part = RecordSelect(&rec, "part.p_name", P.num_rows(), forest);
 
   // Shipped quantity per (part, supplier) during 1994.
   const auto& ship = L.i64("l_shipdate");
@@ -49,7 +52,7 @@ QueryOutput Q20(const Database& db) {
                   {PlanRecorder::Base("lineitem.l_partkey",
                                       static_cast<int64_t>(l_sel.size()), 8, false),
                    PlanRecorder::Inter(st_line, static_cast<int64_t>(l_sel.size())),
-                   PlanRecorder::Inter(st_part, static_cast<int64_t>(p_sel.size()))},
+                   PlanRecorder::Inter(st_part, forest)},
                   probed);
 
   // Suppliers whose availqty > 0.5 * shipped quantity for some forest part.
@@ -200,8 +203,8 @@ QueryOutput Q22(const Database& db) {
   const Table& C = db.customer;
   const Table& O = db.orders;
 
-  static const std::set<std::string> kCodes = {"13", "31", "23", "29",
-                                               "30", "18", "17"};
+  static const std::set<std::string, std::less<>> kCodes = {
+      "13", "31", "23", "29", "30", "18", "17"};
   const auto& phone = C.str("c_phone");
   const auto& acctbal = C.f64("c_acctbal");
 
@@ -233,12 +236,12 @@ QueryOutput Q22(const Database& db) {
   int64_t matched = 0;
   for (int64_t i = 0; i < C.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
-    const std::string code = SqlSubstring(phone[k], 1, 2);
+    const std::string_view code = SqlSubstring(phone[k], 1, 2);
     if (kCodes.find(code) == kCodes.end()) continue;
     if (acctbal[k] <= avg) continue;
     if (has_orders[static_cast<size_t>(c_custkey[k])]) continue;
     matched++;
-    auto& entry = groups[code];
+    auto& entry = groups[std::string(code)];
     entry.first++;
     entry.second += acctbal[k];
   }

@@ -21,10 +21,10 @@ Value Value::F64(double v) {
   return value;
 }
 
-Value Value::Str(std::string v) {
+Value Value::Str(std::string_view v) {
   Value value;
   value.kind_ = Kind::kStr;
-  value.s_ = std::move(v);
+  value.s_ = std::string(v);
   return value;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace elastic::db {
@@ -14,7 +15,9 @@ class Value {
 
   static Value I64(int64_t v);
   static Value F64(double v);
-  static Value Str(std::string v);
+  /// Copies `v`: a result row owns its strings, while columns hand out
+  /// views into their heaps and dictionaries.
+  static Value Str(std::string_view v);
 
   Kind kind() const { return kind_; }
   int64_t i64() const;

@@ -9,7 +9,10 @@ namespace elastic::numasim {
 
 MemorySystem::MemorySystem(const Topology* topology, PageTable* page_table,
                            perf::CounterSet* counters)
-    : topology_(topology), page_table_(page_table), counters_(counters) {
+    : topology_(topology),
+      routes_(*topology),
+      page_table_(page_table),
+      counters_(counters) {
   const MachineConfig& cfg = topology_->config();
   // Access indexes a page's directory entry by the requesting node.
   ELASTIC_CHECK(page_table_->num_nodes() == cfg.num_nodes,
@@ -81,8 +84,7 @@ AccessResult MemorySystem::Access(CoreId core, PageId page, bool is_write,
         result.minor_fault = true;
         counters_->minor_faults++;
       }
-      const std::vector<int>& route = topology_->Route(node, home);
-      for (int link : route) {
+      for (const int link : routes_.Route(node, home)) {
         counters_->ht_link_bytes[link] += cfg.page_bytes;
         counters_->ht_bytes_total += cfg.page_bytes;
         counters_->stream_ht_bytes[stream] += cfg.page_bytes;

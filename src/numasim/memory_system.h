@@ -53,6 +53,8 @@ class MemorySystem {
 
  private:
   const Topology* topology_;
+  /// Built here, where remote fetches read it, and nowhere else.
+  RouteTable routes_;
   PageTable* page_table_;
   perf::CounterSet* counters_;
   std::vector<L3Cache> l3_;

@@ -1,6 +1,6 @@
 #include "numasim/topology.h"
 
-#include <queue>
+#include <algorithm>
 
 #include "simcore/check.h"
 
@@ -10,7 +10,6 @@ Topology::Topology(const MachineConfig& config) : config_(config) {
   ELASTIC_CHECK(config_.num_nodes >= 1, "machine needs at least one node");
   ELASTIC_CHECK(config_.cores_per_node >= 1, "node needs at least one core");
   BuildLinks();
-  BuildRoutes();
 }
 
 std::vector<CoreId> Topology::CoresOfNode(NodeId node) const {
@@ -27,18 +26,6 @@ CoreId Topology::CoreAt(NodeId node, int j) const {
   ELASTIC_CHECK(node >= 0 && node < num_nodes(), "node id out of range");
   ELASTIC_CHECK(j >= 0 && j < config_.cores_per_node, "core index out of range");
   return config_.cores_per_node * node + j;
-}
-
-int Topology::Hops(NodeId from, NodeId to) const {
-  ELASTIC_CHECK(from >= 0 && from < num_nodes(), "node id out of range");
-  ELASTIC_CHECK(to >= 0 && to < num_nodes(), "node id out of range");
-  return hops_[from][to];
-}
-
-const std::vector<int>& Topology::Route(NodeId from, NodeId to) const {
-  ELASTIC_CHECK(from >= 0 && from < num_nodes(), "node id out of range");
-  ELASTIC_CHECK(to >= 0 && to < num_nodes(), "node id out of range");
-  return routes_[from * num_nodes() + to];
 }
 
 void Topology::BuildLinks() {
@@ -79,43 +66,46 @@ int Topology::LinkIndex(NodeId src, NodeId dst) const {
   return index;
 }
 
-void Topology::BuildRoutes() {
-  const int n = num_nodes();
-  hops_.assign(n, std::vector<int>(n, 0));
-  routes_.assign(n * n, {});
+RouteTable::RouteTable(const Topology& topology)
+    : num_nodes_(topology.num_nodes()) {
+  const int n = num_nodes_;
+  const std::vector<Topology::Link>& links = topology.links();
+  // The links leaving node v are links[first_out[v], first_out[v + 1]),
+  // ascending by destination.
+  std::vector<int> first_out(static_cast<size_t>(n) + 1, 0);
+  for (const Topology::Link& link : links) first_out[link.src + 1]++;
+  for (int v = 0; v < n; ++v) first_out[v + 1] += first_out[v];
+
+  offsets_.reserve(static_cast<size_t>(n) * n + 1);
+  offsets_.push_back(0);
+  std::vector<int> parent(static_cast<size_t>(n));
+  std::vector<int> queue;
+  queue.reserve(static_cast<size_t>(n));
   for (int from = 0; from < n; ++from) {
-    // Breadth-first search gives shortest paths; ties are broken towards the
-    // lowest-numbered neighbour, which makes routing deterministic.
-    std::vector<int> parent(n, -1);
-    std::vector<int> dist(n, -1);
-    std::queue<int> queue;
-    queue.push(from);
-    dist[from] = 0;
-    while (!queue.empty()) {
-      const int cur = queue.front();
-      queue.pop();
-      for (int next = 0; next < n; ++next) {
-        if (link_index_[static_cast<size_t>(cur) * n + next] >= 0 &&
-            dist[next] < 0) {
-          dist[next] = dist[cur] + 1;
-          parent[next] = cur;
-          queue.push(next);
-        }
+    // Breadth-first search gives shortest paths; each node's neighbours are
+    // visited in ascending order, so ties break towards the lowest-numbered
+    // neighbour and routing is deterministic.
+    std::fill(parent.begin(), parent.end(), -1);
+    parent[from] = from;
+    queue.assign(1, from);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const int cur = queue[head];
+      for (int l = first_out[cur]; l < first_out[cur + 1]; ++l) {
+        const int next = links[static_cast<size_t>(l)].dst;
+        if (parent[next] >= 0) continue;
+        parent[next] = cur;
+        queue.push_back(next);
       }
     }
+    ELASTIC_CHECK(static_cast<int>(queue.size()) == n,
+                  "link graph must be connected");
+    // Data flows from `to`'s home towards the requester: record the links
+    // of the path from `to` back up to `from`.
     for (int to = 0; to < n; ++to) {
-      ELASTIC_CHECK(dist[to] >= 0, "link graph must be connected");
-      hops_[from][to] = dist[to];
-      if (to == from) continue;
-      // Reconstruct the path and record directed links from `to`'s home
-      // towards the requester (data flows dst -> src of the request).
-      std::vector<int> path_nodes;
-      for (int cur = to; cur != -1; cur = parent[cur]) path_nodes.push_back(cur);
-      // path_nodes = to ... from
-      std::vector<int>& route = routes_[from * n + to];
-      for (size_t k = 0; k + 1 < path_nodes.size(); ++k) {
-        route.push_back(LinkIndex(path_nodes[k], path_nodes[k + 1]));
+      for (int cur = to; cur != from; cur = parent[cur]) {
+        links_.push_back(topology.LinkIndex(cur, parent[cur]));
       }
+      offsets_.push_back(static_cast<int>(links_.size()));
     }
   }
 }

@@ -55,12 +55,10 @@ struct MachineConfig {
   int total_cores() const { return num_nodes * cores_per_node; }
 };
 
-/// Immutable machine topology: core-to-node mapping and inter-node routes.
+/// Immutable machine topology: core-to-node mapping and inter-node links.
 ///
-/// The link graph is the square of Figure 2 in the paper; diagonally opposite
-/// sockets (S0-S3 and S1-S2) are two hops apart and route through the lowest-
-/// numbered common neighbour, so their traffic is accounted on both traversed
-/// links.
+/// The link graph is the square of Figure 2 in the paper; other node counts
+/// get a ring. Routes over it are a RouteTable's.
 class Topology {
  public:
   explicit Topology(const MachineConfig& config);
@@ -83,14 +81,9 @@ class Topology {
   /// This is the allocation-mode indexing function from Section IV-B.
   CoreId CoreAt(NodeId node, int j) const;
 
-  /// Number of HT hops between two nodes (0 when equal).
-  int Hops(NodeId from, NodeId to) const;
-
-  /// Directed links (identified by index into links()) traversed when
-  /// fetching data from `from` to `to`. Empty when from == to.
-  const std::vector<int>& Route(NodeId from, NodeId to) const;
-
-  /// A directed link between two adjacent nodes.
+  /// A directed link between two adjacent nodes. Links are numbered in
+  /// (src, dst) order, so the links leaving a node are contiguous and
+  /// ascend by destination.
   struct Link {
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
@@ -98,19 +91,67 @@ class Topology {
   const std::vector<Link>& links() const { return links_; }
   int num_links() const { return static_cast<int>(links_.size()); }
 
+  /// Index into links() of the directed link src -> dst; aborts when the
+  /// two nodes share no direct link.
+  int LinkIndex(NodeId src, NodeId dst) const;
+
  private:
   void BuildLinks();
-  void BuildRoutes();
-  int LinkIndex(NodeId src, NodeId dst) const;
 
   MachineConfig config_;
   std::vector<Link> links_;
   // link_index_[src * num_nodes + dst] = index into links_ of the directed
   // link src -> dst, or -1 when the nodes share no direct HT link.
   std::vector<int> link_index_;
-  // routes_[from * num_nodes + to] = directed link indices traversed.
-  std::vector<std::vector<int>> routes_;
-  std::vector<std::vector<int>> hops_;
+};
+
+/// Shortest routes between every pair of a topology's nodes, in one flat
+/// table. Diagonally opposite sockets of the paper's square (S0-S3 and
+/// S1-S2) are two hops apart and route through the lowest-numbered common
+/// neighbour, so their traffic is accounted on both traversed links.
+///
+/// MemorySystem, the one reader, builds the table; a topology alone (the
+/// synthetic many-core platforms of the control-plane benches) holds none.
+class RouteTable {
+ public:
+  explicit RouteTable(const Topology& topology);
+
+  /// The directed links (indices into Topology::links()) that data fetched
+  /// from `to` into `from` crosses, in order from `to`. Empty when
+  /// from == to.
+  struct LinkSpan {
+    const int* first = nullptr;
+    const int* last = nullptr;
+
+    const int* begin() const { return first; }
+    const int* end() const { return last; }
+    size_t size() const { return static_cast<size_t>(last - first); }
+  };
+  LinkSpan Route(NodeId from, NodeId to) const {
+    const size_t pair = PairIndex(from, to);
+    return LinkSpan{links_.data() + offsets_[pair],
+                    links_.data() + offsets_[pair + 1]};
+  }
+
+  /// Number of HT hops between two nodes (0 when equal).
+  int Hops(NodeId from, NodeId to) const {
+    const size_t pair = PairIndex(from, to);
+    return offsets_[pair + 1] - offsets_[pair];
+  }
+
+ private:
+  size_t PairIndex(NodeId from, NodeId to) const {
+    ELASTIC_CHECK(from >= 0 && from < num_nodes_, "node id out of range");
+    ELASTIC_CHECK(to >= 0 && to < num_nodes_, "node id out of range");
+    return static_cast<size_t>(from) * static_cast<size_t>(num_nodes_) +
+           static_cast<size_t>(to);
+  }
+
+  int num_nodes_;
+  // Every route's links back to back: route (from, to) is
+  // links_[offsets_[p], offsets_[p + 1]) with p = from * num_nodes + to.
+  std::vector<int> links_;
+  std::vector<int> offsets_;
 };
 
 }  // namespace elastic::numasim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,9 +40,13 @@ std::vector<double>& F64Col(Table* t, const char* name, int64_t rows) {
   values.reserve(static_cast<size_t>(rows));
   return values;
 }
-std::vector<std::string>& StrCol(Table* t, const char* name, int64_t rows) {
-  std::vector<std::string>& values = AddColumn(t, name, ColType::kStr).str;
-  values.reserve(static_cast<size_t>(rows));
+/// The string heap of a new free-text column, reserved for `rows` values of
+/// at most `max_bytes` bytes each: filling it never copies the heap.
+db::StringHeap& StrCol(Table* t, const char* name, int64_t rows,
+                       size_t max_bytes) {
+  db::StringHeap& values = AddColumn(t, name, ColType::kStr).str;
+  values.Reserve(static_cast<size_t>(rows),
+                 static_cast<size_t>(rows) * max_bytes);
   return values;
 }
 
@@ -77,6 +82,22 @@ std::string Format(const char* fmt, int64_t value) {
   return buffer;
 }
 
+/// The formats of the generated key names.
+constexpr const char* kSupplierName = "Supplier#%09lld";
+constexpr const char* kCustomerName = "Customer#%09lld";
+constexpr const char* kClerkName = "Clerk#%09lld";
+
+/// Longest key name `fmt` gives a key in [1, max_key]: the largest key has
+/// the most digits.
+size_t KeyNameBytes(const char* fmt, int64_t max_key) {
+  return Format(fmt, max_key).size();
+}
+
+/// Longest comment of `words` words.
+size_t CommentBytes(int words) {
+  return MaxWordsBytes(TextPools::CommentWords(), words);
+}
+
 /// Money values are generated in cents and stored as doubles with two
 /// decimals, matching dbgen's fixed-point semantics.
 double Cents(int64_t cents) { return static_cast<double>(cents) / 100.0; }
@@ -87,12 +108,12 @@ void GenRegion(Database* db, simcore::Rng* rng) {
   const auto& regions = TextPools::Regions();
   const int64_t rows = static_cast<int64_t>(regions.size());
   auto& r_regionkey = I64Col(&t, "r_regionkey", rows);
-  auto& r_name = StrCol(&t, "r_name", rows);
-  auto& r_comment = StrCol(&t, "r_comment", rows);
+  auto& r_name = StrCol(&t, "r_name", rows, MaxWordsBytes(regions, 1));
+  auto& r_comment = StrCol(&t, "r_comment", rows, CommentBytes(8));
   for (size_t i = 0; i < regions.size(); ++i) {
     r_regionkey.push_back(static_cast<int64_t>(i));
-    r_name.push_back(regions[i]);
-    r_comment.push_back(RandomComment(rng, 8));
+    r_name.Append(regions[i]);
+    r_comment.Append(RandomComment(rng, 8));
   }
 }
 
@@ -102,14 +123,18 @@ void GenNation(Database* db, simcore::Rng* rng) {
   const auto& nations = TextPools::Nations();
   const int64_t rows = static_cast<int64_t>(nations.size());
   auto& n_nationkey = I64Col(&t, "n_nationkey", rows);
-  auto& n_name = StrCol(&t, "n_name", rows);
+  size_t longest_name = 0;
+  for (const TextPools::NationSpec& nation : nations) {
+    longest_name = std::max(longest_name, std::strlen(nation.name));
+  }
+  auto& n_name = StrCol(&t, "n_name", rows, longest_name);
   auto& n_regionkey = I64Col(&t, "n_regionkey", rows);
-  auto& n_comment = StrCol(&t, "n_comment", rows);
+  auto& n_comment = StrCol(&t, "n_comment", rows, CommentBytes(8));
   for (size_t i = 0; i < nations.size(); ++i) {
     n_nationkey.push_back(static_cast<int64_t>(i));
-    n_name.push_back(nations[i].name);
+    n_name.Append(nations[i].name);
     n_regionkey.push_back(nations[i].region);
-    n_comment.push_back(RandomComment(rng, 8));
+    n_comment.Append(RandomComment(rng, 8));
   }
 }
 
@@ -117,22 +142,23 @@ void GenSupplier(Database* db, simcore::Rng* rng, int64_t count) {
   Table& t = db->supplier;
   t.name = "supplier";
   auto& s_suppkey = I64Col(&t, "s_suppkey", count);
-  auto& s_name = StrCol(&t, "s_name", count);
-  auto& s_address = StrCol(&t, "s_address", count);
+  auto& s_name =
+      StrCol(&t, "s_name", count, KeyNameBytes(kSupplierName, count));
+  auto& s_address = StrCol(&t, "s_address", count, kMaxAddressBytes);
   auto& s_nationkey = I64Col(&t, "s_nationkey", count);
-  auto& s_phone = StrCol(&t, "s_phone", count);
+  auto& s_phone = StrCol(&t, "s_phone", count, kPhoneBytes);
   auto& s_acctbal = F64Col(&t, "s_acctbal", count);
-  auto& s_comment = StrCol(&t, "s_comment", count);
+  auto& s_comment = StrCol(&t, "s_comment", count, CommentBytes(6));
   for (int64_t k = 1; k <= count; ++k) {
     const int nation = static_cast<int>(rng->NextBounded(25));
     s_suppkey.push_back(k);
-    s_name.push_back(Format("Supplier#%09lld", k));
-    s_address.push_back(Address(rng));
+    s_name.Append(Format(kSupplierName, k));
+    s_address.Append(Address(rng));
     s_nationkey.push_back(nation);
-    s_phone.push_back(Phone(rng, nation));
+    s_phone.Append(Phone(rng, nation));
     s_acctbal.push_back(Cents(rng->NextInRange(-99999, 999999)));
     // The spec plants 5 "Customer Complaints" suppliers per 10000.
-    s_comment.push_back(SupplierComment(rng, 0.0005 * 10));
+    s_comment.Append(SupplierComment(rng, 0.0005 * 10));
   }
 }
 
@@ -140,24 +166,25 @@ void GenCustomer(Database* db, simcore::Rng* rng, int64_t count) {
   Table& t = db->customer;
   t.name = "customer";
   auto& c_custkey = I64Col(&t, "c_custkey", count);
-  auto& c_name = StrCol(&t, "c_name", count);
-  auto& c_address = StrCol(&t, "c_address", count);
+  auto& c_name =
+      StrCol(&t, "c_name", count, KeyNameBytes(kCustomerName, count));
+  auto& c_address = StrCol(&t, "c_address", count, kMaxAddressBytes);
   auto& c_nationkey = I64Col(&t, "c_nationkey", count);
-  auto& c_phone = StrCol(&t, "c_phone", count);
+  auto& c_phone = StrCol(&t, "c_phone", count, kPhoneBytes);
   auto& c_acctbal = F64Col(&t, "c_acctbal", count);
   const auto& segments = TextPools::Segments();
   auto& c_mktsegment = CodedCol(&t, "c_mktsegment", segments, count);
-  auto& c_comment = StrCol(&t, "c_comment", count);
+  auto& c_comment = StrCol(&t, "c_comment", count, CommentBytes(8));
   for (int64_t k = 1; k <= count; ++k) {
     const int nation = static_cast<int>(rng->NextBounded(25));
     c_custkey.push_back(k);
-    c_name.push_back(Format("Customer#%09lld", k));
-    c_address.push_back(Address(rng));
+    c_name.Append(Format(kCustomerName, k));
+    c_address.Append(Address(rng));
     c_nationkey.push_back(nation);
-    c_phone.push_back(Phone(rng, nation));
+    c_phone.Append(Phone(rng, nation));
     c_acctbal.push_back(Cents(rng->NextInRange(-99999, 999999)));
     c_mktsegment.push_back(Code(rng->NextBounded(segments.size())));
-    c_comment.push_back(RandomComment(rng, 8));
+    c_comment.Append(RandomComment(rng, 8));
   }
 }
 
@@ -165,7 +192,8 @@ void GenPart(Database* db, simcore::Rng* rng, int64_t count) {
   Table& t = db->part;
   t.name = "part";
   auto& p_partkey = I64Col(&t, "p_partkey", count);
-  auto& p_name = StrCol(&t, "p_name", count);
+  auto& p_name =
+      StrCol(&t, "p_name", count, MaxWordsBytes(TextPools::NameWords(), 5));
   const auto& s1 = TextPools::TypeS1();
   const auto& s2 = TextPools::TypeS2();
   const auto& s3 = TextPools::TypeS3();
@@ -188,12 +216,12 @@ void GenPart(Database* db, simcore::Rng* rng, int64_t count) {
   auto& p_size = I64Col(&t, "p_size", count);
   auto& p_container = CodedCol(&t, "p_container", Combinations(c1, c2), count);
   auto& p_retailprice = F64Col(&t, "p_retailprice", count);
-  auto& p_comment = StrCol(&t, "p_comment", count);
+  auto& p_comment = StrCol(&t, "p_comment", count, CommentBytes(5));
   for (int64_t k = 1; k <= count; ++k) {
     const int64_t mfgr = rng->NextInRange(1, 5);
     const int64_t brand = rng->NextInRange(1, 5);
     p_partkey.push_back(k);
-    p_name.push_back(PartName(rng));
+    p_name.Append(PartName(rng));
     p_mfgr.push_back(Code(mfgr - 1));
     p_brand.push_back(Code((mfgr - 1) * 5 + brand - 1));
     // One draw per statement, last syllable first: the pinned data
@@ -208,7 +236,7 @@ void GenPart(Database* db, simcore::Rng* rng, int64_t count) {
     p_container.push_back(Code(container1 * c2.size() + container2));
     // Spec pricing formula: 90000 + ((k/10) % 20001) + 100*(k % 1000), cents.
     p_retailprice.push_back(Cents(90000 + (k / 10) % 20001 + 100 * (k % 1000)));
-    p_comment.push_back(RandomComment(rng, 5));
+    p_comment.Append(RandomComment(rng, 5));
   }
 }
 
@@ -221,7 +249,7 @@ void GenPartsupp(Database* db, simcore::Rng* rng, int64_t parts,
   auto& ps_suppkey = I64Col(&t, "ps_suppkey", rows);
   auto& ps_availqty = I64Col(&t, "ps_availqty", rows);
   auto& ps_supplycost = F64Col(&t, "ps_supplycost", rows);
-  auto& ps_comment = StrCol(&t, "ps_comment", rows);
+  auto& ps_comment = StrCol(&t, "ps_comment", rows, CommentBytes(8));
   for (int64_t p = 1; p <= parts; ++p) {
     for (int64_t i = 0; i < 4; ++i) {
       // Spec association: supplier = (p + i*(S/4 + (p-1)/S)) % S + 1.
@@ -231,7 +259,7 @@ void GenPartsupp(Database* db, simcore::Rng* rng, int64_t parts,
       ps_suppkey.push_back(s);
       ps_availqty.push_back(rng->NextInRange(1, 9999));
       ps_supplycost.push_back(Cents(rng->NextInRange(100, 100000)));
-      ps_comment.push_back(RandomComment(rng, 8));
+      ps_comment.Append(RandomComment(rng, 8));
     }
   }
 }
@@ -265,9 +293,11 @@ void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
   auto& o_totalprice = F64Col(&o, "o_totalprice", orders);
   auto& o_orderdate = I64Col(&o, "o_orderdate", orders);
   auto& o_orderpriority = CodedCol(&o, "o_orderpriority", priorities, orders);
-  auto& o_clerk = StrCol(&o, "o_clerk", orders);
+  const int64_t clerks = std::max<int64_t>(1, orders / 1000);
+  auto& o_clerk =
+      StrCol(&o, "o_clerk", orders, KeyNameBytes(kClerkName, clerks));
   auto& o_shippriority = I64Col(&o, "o_shippriority", orders);
-  auto& o_comment = StrCol(&o, "o_comment", orders);
+  auto& o_comment = StrCol(&o, "o_comment", orders, CommentBytes(7));
 
   Table& l = db->lineitem;
   l.name = "lineitem";
@@ -287,7 +317,7 @@ void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
   auto& l_receiptdate = I64Col(&l, "l_receiptdate", max_lines);
   auto& l_shipinstruct = CodedCol(&l, "l_shipinstruct", instructs, max_lines);
   auto& l_shipmode = CodedCol(&l, "l_shipmode", modes, max_lines);
-  auto& l_comment = StrCol(&l, "l_comment", max_lines);
+  auto& l_comment = StrCol(&l, "l_comment", max_lines, CommentBytes(4));
 
   OrderDates dates;
   dates.start = db::MakeDate(1992, 1, 1);
@@ -341,7 +371,7 @@ void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
       l_receiptdate.push_back(receipt);
       l_shipinstruct.push_back(Code(rng->NextBounded(instructs.size())));
       l_shipmode.push_back(Code(rng->NextBounded(modes.size())));
-      l_comment.push_back(RandomComment(rng, 4));
+      l_comment.Append(RandomComment(rng, 4));
       total += price * (1.0 + tax) * (1.0 - discount);
     }
 
@@ -353,10 +383,9 @@ void GenOrdersAndLineitem(Database* db, simcore::Rng* rng, int64_t orders,
     o_totalprice.push_back(total);
     o_orderdate.push_back(odate);
     o_orderpriority.push_back(Code(rng->NextBounded(priorities.size())));
-    o_clerk.push_back(
-        Format("Clerk#%09lld", rng->NextInRange(1, std::max<int64_t>(1, orders / 1000))));
+    o_clerk.Append(Format(kClerkName, rng->NextInRange(1, clerks)));
     o_shippriority.push_back(0);
-    o_comment.push_back(OrderComment(rng, 0.05));
+    o_comment.Append(OrderComment(rng, 0.05));
   }
 }
 

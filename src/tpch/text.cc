@@ -1,5 +1,6 @@
 #include "tpch/text.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -156,6 +157,13 @@ std::string JoinWords(const WordList& words, int count) {
 
 }  // namespace
 
+size_t MaxWordsBytes(const std::vector<std::string>& pool, int words) {
+  ELASTIC_CHECK(words >= 1, "a generated string has at least one word");
+  size_t longest = 0;
+  for (const std::string& word : pool) longest = std::max(longest, word.size());
+  return static_cast<size_t>(words) * (longest + 1) - 1;
+}
+
 std::string RandomComment(simcore::Rng* rng, int words) {
   WordList list;
   DrawWords(rng, TextPools::CommentWords(), &list, 0, words);
@@ -212,15 +220,20 @@ std::string Phone(simcore::Rng* rng, int nationkey) {
   const int middle = static_cast<int>(rng->NextInRange(100, 999));
   const int first = static_cast<int>(rng->NextInRange(100, 999));
   char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%02d-%03d-%03d-%04d", 10 + nationkey,
-                first, middle, last);
+  const int length =
+      std::snprintf(buffer, sizeof(buffer), "%02d-%03d-%03d-%04d",
+                    10 + nationkey, first, middle, last);
+  ELASTIC_CHECK(length == static_cast<int>(kPhoneBytes),
+                "a phone number is 15 characters");
   return buffer;
 }
 
 std::string Address(simcore::Rng* rng) {
   static const char kAlphabet[] =
       "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ,";
-  std::string out(static_cast<size_t>(rng->NextInRange(10, 30)), ' ');
+  std::string out(static_cast<size_t>(rng->NextInRange(
+                      10, static_cast<int64_t>(kMaxAddressBytes))),
+                  ' ');
   for (char& c : out) c = kAlphabet[rng->NextBounded(sizeof(kAlphabet) - 1)];
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef ELASTICORE_TPCH_TEXT_H_
 #define ELASTICORE_TPCH_TEXT_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,19 @@ class TextPools {
   /// Filler vocabulary for comments.
   static const std::vector<std::string>& CommentWords();
 };
+
+/// Most bytes a string of `words` words drawn from `pool` takes: every word
+/// the pool's longest, one space between each two. The words a planted
+/// comment fixes ("special", "requests", "Customer", "Complaints") are no
+/// longer than the comment pool's longest, so this bounds OrderComment
+/// (7 words) and SupplierComment (6) too. The generator reserves each
+/// string heap by it.
+size_t MaxWordsBytes(const std::vector<std::string>& pool, int words);
+
+/// Length of every Phone().
+inline constexpr size_t kPhoneBytes = 15;
+/// Longest Address().
+inline constexpr size_t kMaxAddressBytes = 30;
 
 /// Random sentence of `words` words from the comment vocabulary.
 std::string RandomComment(simcore::Rng* rng, int words);

@@ -275,6 +275,150 @@ TEST(JoinHashTableTest, FilteredRebuildsAtAStableRangeAllocateNothing) {
   }
 }
 
+// ---- Key sets (BuildKeySet): Contains only. ----
+
+const auto kKeepAll = [](int64_t) { return true; };
+
+/// Contains of every key in [lo, hi] says whether the key is in `kept`.
+void ExpectSetIs(const JoinHashTable& table, const std::vector<int64_t>& kept,
+                 int64_t lo, int64_t hi) {
+  for (int64_t key = lo; key <= hi; ++key) {
+    ASSERT_EQ(table.Contains(key),
+              std::find(kept.begin(), kept.end(), key) != kept.end())
+        << "key " << key;
+  }
+}
+
+TEST(JoinHashTableKeySetTest, BitsAloneAtTheFilterBoundExactBeyondIt) {
+  // Two column entries admit a range of 128 keys: [-64, 63] is held in the
+  // filter's two words alone, with no slots and no payload.
+  JoinHashTable table;
+  const std::vector<int64_t> at_bound = {63, -64};
+  EXPECT_EQ(table.BuildKeySet(at_bound, kKeepAll), 2);
+  EXPECT_TRUE(table.is_key_set());
+  EXPECT_TRUE(table.has_key_filter());
+  EXPECT_EQ(table.capacity(), 0u);
+  EXPECT_EQ(table.num_entries(), 0u);
+  EXPECT_EQ(table.num_keys(), 2u);
+  ExpectSetIs(table, at_bound, -70, 70);
+
+  // One key further and the range outgrows the column: the set falls back
+  // to an ordinary hashed table over the kept rows, and stays exact.
+  const std::vector<int64_t> beyond = {64, -64};
+  EXPECT_EQ(table.BuildKeySet(beyond, kKeepAll), 2);
+  EXPECT_TRUE(table.is_key_set());
+  EXPECT_FALSE(table.has_key_filter());
+  EXPECT_FALSE(table.is_dense());
+  EXPECT_GT(table.capacity(), 0u);
+  EXPECT_EQ(table.num_keys(), 2u);
+  ExpectSetIs(table, beyond, -70, 70);
+
+  // A kept subset, both ways.
+  std::vector<int64_t> keys(1000);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<int64_t>(i);
+  keys[999] = 64 * 1000 - 1;  // [0, 63999]: the range exactly at the bound
+  const auto every_third = [](int64_t i) { return i % 3 == 0; };
+  std::vector<int64_t> kept;
+  for (size_t i = 0; i < keys.size(); i += 3) kept.push_back(keys[i]);
+  EXPECT_EQ(table.BuildKeySet(keys, every_third), 334);
+  EXPECT_EQ(table.capacity(), 0u);
+  ExpectSetIs(table, kept, -2, 64 * 1000 + 2);
+  keys[999] = 64 * 1000;
+  kept.back() = keys[999];
+  EXPECT_EQ(table.BuildKeySet(keys, every_third), 334);
+  EXPECT_GT(table.capacity(), 0u);
+  ExpectSetIs(table, kept, -2, 64 * 1000 + 2);
+
+  // A Build after a key set answers every lookup again.
+  table.Build(keys);
+  EXPECT_FALSE(table.is_key_set());
+  EXPECT_EQ(table.CountOf(5), 1);
+}
+
+TEST(JoinHashTableKeySetTest, ExtremeKeysAndEmptySets) {
+  JoinHashTable table;
+  // The full int64 span wraps the range: an ordinary table, exact.
+  const std::vector<int64_t> extremes = {INT64_MIN, INT64_MAX, 0, INT64_MIN};
+  EXPECT_EQ(table.BuildKeySet(extremes, kKeepAll), 4);
+  EXPECT_FALSE(table.has_key_filter());
+  EXPECT_EQ(table.num_keys(), 3u);
+  for (int64_t key : {INT64_MIN, INT64_MAX, int64_t{0}}) {
+    EXPECT_TRUE(table.Contains(key)) << key;
+  }
+  for (int64_t key : {INT64_MIN + 1, INT64_MAX - 1, int64_t{1}, int64_t{-1}}) {
+    EXPECT_FALSE(table.Contains(key)) << key;
+  }
+
+  // Narrow ranges at either end of int64 are bits alone; offsets must not
+  // overflow there.
+  for (const std::vector<int64_t>& edge :
+       {std::vector<int64_t>{INT64_MAX, INT64_MAX - 90, INT64_MAX},
+        std::vector<int64_t>{INT64_MIN, INT64_MIN + 90, INT64_MIN + 3}}) {
+    EXPECT_EQ(table.BuildKeySet(edge, kKeepAll), 3);
+    EXPECT_TRUE(table.has_key_filter());
+    EXPECT_EQ(table.capacity(), 0u);
+    for (int64_t d = 0; d <= 100; ++d) {
+      for (int64_t key : {INT64_MAX - d, INT64_MIN + d}) {
+        EXPECT_EQ(table.Contains(key),
+                  std::find(edge.begin(), edge.end(), key) != edge.end())
+            << key;
+      }
+    }
+  }
+
+  // No keys, and keys of which none is kept: nothing is contained.
+  EXPECT_EQ(table.BuildKeySet(std::vector<int64_t>{}, kKeepAll), 0);
+  EXPECT_EQ(table.num_keys(), 0u);
+  for (int64_t key : {INT64_MIN, int64_t{-1}, int64_t{0}, INT64_MAX}) {
+    EXPECT_FALSE(table.Contains(key)) << key;
+  }
+  const std::vector<int64_t> some = {3, 4, 5};
+  EXPECT_EQ(table.BuildKeySet(some, [](int64_t) { return false; }), 0);
+  EXPECT_EQ(table.num_keys(), 0u);
+  ExpectSetIs(table, {}, -1, 10);
+}
+
+TEST(JoinHashTableKeySetTest, RebuildOverDisjointKeysForgetsTheOldOnes) {
+  // Alternate the even and the odd keys of one column: the same range, so
+  // the same filter words, and after each rebuild none of the other half.
+  std::vector<int64_t> keys(10000);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<int64_t>(i);
+  JoinHashTable table;
+  EXPECT_EQ(table.BuildKeySet(keys, [](int64_t i) { return i % 2 == 0; }),
+            5000);
+  const int64_t after_first = table.build_allocations();
+  for (int rep = 0; rep < 4; ++rep) {
+    const int64_t parity = rep % 2 == 0 ? 1 : 0;
+    EXPECT_EQ(table.BuildKeySet(
+                  keys, [parity](int64_t i) { return i % 2 == parity; }),
+              5000);
+    EXPECT_EQ(table.build_allocations(), after_first) << "rebuild " << rep;
+    EXPECT_EQ(table.num_keys(), 5000u);
+    for (int64_t key = -1; key <= 10000; ++key) {
+      ASSERT_EQ(table.Contains(key), key >= 0 && key < 10000 &&
+                                         key % 2 == parity)
+          << "rebuild " << rep << " key " << key;
+    }
+  }
+}
+
+TEST(JoinHashTableKeySetDeathTest, RowLookupsAndProbeAbort) {
+  const std::vector<int64_t> keys = {1, 2, 3};
+  JoinHashTable table;
+  table.BuildKeySet(keys, kKeepAll);
+  EXPECT_DEATH(table.CountOf(1), "a key set answers Contains only");
+  EXPECT_DEATH(table.RowsOf(1), "a key set answers Contains only");
+  HashJoin join;
+  join.BuildKeySet(keys, kKeepAll);
+  EXPECT_DEATH(join.Probe(keys), "a key set answers Contains only");
+  // The same on a set that fell back to an ordinary table.
+  const std::vector<int64_t> wide = {INT64_MIN, INT64_MAX};
+  table.BuildKeySet(wide, kKeepAll);
+  EXPECT_DEATH(table.CountOf(INT64_MIN), "a key set answers Contains only");
+  join.BuildKeySet(wide, kKeepAll);
+  EXPECT_DEATH(join.Probe(wide), "a key set answers Contains only");
+}
+
 TEST(HashJoinTest, ProbeMatchesScalarReferenceOnRandomData) {
   std::mt19937_64 rng(42);
   std::vector<int64_t> build_keys(2000);

@@ -223,7 +223,7 @@ TEST(QueriesReference, Q5MatchesRowLoop) {
     const int64_t sn = S.i64(
         "s_nationkey")[static_cast<size_t>(L.i64("l_suppkey")[k] - 1)];
     if (cn != sn || !asia.count(cn)) continue;
-    expected[N.str("n_name")[static_cast<size_t>(cn)]] +=
+    expected[std::string(N.str("n_name")[static_cast<size_t>(cn)])] +=
         L.f64("l_extendedprice")[k] * (1.0 - L.f64("l_discount")[k]);
   }
   const QueryResult& r = Result(5);
@@ -292,8 +292,8 @@ TEST(QueriesReference, Q7MatchesRowLoop) {
     const size_t orow = static_cast<size_t>(L.i64("l_orderkey")[k] - 1);
     const int64_t cn = db.customer.i64(
         "c_nationkey")[static_cast<size_t>(O.i64("o_custkey")[orow] - 1)];
-    const std::string& sname = db.nation.str("n_name")[static_cast<size_t>(sn)];
-    const std::string& cname = db.nation.str("n_name")[static_cast<size_t>(cn)];
+    const std::string sname(db.nation.str("n_name")[static_cast<size_t>(sn)]);
+    const std::string cname(db.nation.str("n_name")[static_cast<size_t>(cn)]);
     const bool ok = (sname == "FRANCE" && cname == "GERMANY") ||
                     (sname == "GERMANY" && cname == "FRANCE");
     if (!ok) continue;
@@ -527,7 +527,7 @@ TEST(QueriesReference, Q22MatchesRowLoop) {
   for (int64_t i = 0; i < C.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
     if (C.f64("c_acctbal")[k] <= 0) continue;
-    if (!kCodes.count(C.str("c_phone")[k].substr(0, 2))) continue;
+    if (!kCodes.count(std::string(C.str("c_phone")[k].substr(0, 2)))) continue;
     sum += C.f64("c_acctbal")[k];
     count++;
   }
@@ -537,7 +537,7 @@ TEST(QueriesReference, Q22MatchesRowLoop) {
   std::map<std::string, std::pair<int64_t, double>> expected;
   for (int64_t i = 0; i < C.num_rows(); ++i) {
     const size_t k = static_cast<size_t>(i);
-    const std::string code = C.str("c_phone")[k].substr(0, 2);
+    const std::string code(C.str("c_phone")[k].substr(0, 2));
     if (!kCodes.count(code)) continue;
     if (C.f64("c_acctbal")[k] <= avg) continue;
     if (with_orders.count(C.i64("c_custkey")[k])) continue;
@@ -572,7 +572,7 @@ TEST(QueriesReference, Q9CoversOnlyGreenPartsNations) {
   ASSERT_GE(r.num_rows(), 1);
   std::set<std::string> nations;
   for (int64_t i = 0; i < db.nation.num_rows(); ++i) {
-    nations.insert(db.nation.str("n_name")[static_cast<size_t>(i)]);
+    nations.emplace(db.nation.str("n_name")[static_cast<size_t>(i)]);
   }
   for (int64_t row = 0; row < r.num_rows(); ++row) {
     EXPECT_TRUE(nations.count(r.at(row, 0).str()));
@@ -655,7 +655,7 @@ TEST(QueriesReference, Q21MatchesRowLoop) {
     if (info.late_suppliers.size() != 1) continue;
     const size_t srow = static_cast<size_t>(*info.late_suppliers.begin() - 1);
     if (db.supplier.i64("s_nationkey")[srow] != saudi) continue;
-    waiting[db.supplier.str("s_name")[srow]]++;
+    waiting[std::string(db.supplier.str("s_name")[srow])]++;
   }
   // numwait descending, s_name ascending, first 100.
   std::vector<std::pair<std::string, int64_t>> expected(waiting.begin(),

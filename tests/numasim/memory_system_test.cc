@@ -239,6 +239,7 @@ TEST_F(MemorySystemTest, AccessTraceDigest) {
   constexpr uint64_t kMeanTickAccesses = 16'384;
   constexpr uint64_t kRecordedDigest = 0x5f752f158fdcdefaULL;
   const MachineConfig& cfg = topo_.config();
+  const RouteTable routes(topo_);
   const int64_t l3 = cfg.l3_pages_per_node;
 
   std::vector<BufferId> buffers;
@@ -299,7 +300,7 @@ TEST_F(MemorySystemTest, AccessTraceDigest) {
     if (r.l3_hit) hits++;
     const int64_t uncongested =
         cfg.local_dram_cycles +
-        topo_.Hops(node, pt_.HomeOf(page)) * cfg.remote_hop_cycles;
+        routes.Hops(node, pt_.HomeOf(page)) * cfg.remote_hop_cycles;
     if (r.remote && r.cycles > uncongested) congested++;
   }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -29,7 +30,7 @@ class Fnv1a {
     std::memcpy(&bits, &value, sizeof(bits));
     Add(bits);
   }
-  void Add(const std::string& text) {
+  void Add(std::string_view text) {
     Add(static_cast<uint64_t>(text.size()));
     for (const char c : text) AddByte(static_cast<unsigned char>(c));
   }
@@ -47,8 +48,8 @@ class Fnv1a {
 /// name, type and the size and contents of all three value vectors (each
 /// value's bits, each string's length and bytes). A coded column folds as
 /// the string column it encodes (the kStr type tag and each row's decoded
-/// value), so the digest recorded when these columns were strings still
-/// pins their values.
+/// value), and a free-text column row by row from its heap, so the digest
+/// recorded when both were vectors of std::string still pins their values.
 uint64_t ContentDigest(const Database& db) {
   Fnv1a digest;
   for (const db::Table* table : db.AllTables()) {
@@ -69,7 +70,9 @@ uint64_t ContentDigest(const Database& db) {
         }
       } else {
         digest.Add(static_cast<uint64_t>(column.str.size()));
-        for (const std::string& v : column.str) digest.Add(v);
+        for (size_t row = 0; row < column.str.size(); ++row) {
+          digest.Add(column.str[row]);
+        }
       }
     }
   }
@@ -160,7 +163,10 @@ TEST(DbgenTest, DeterministicForSameSeed) {
   EXPECT_EQ(a.lineitem.num_rows(), b.lineitem.num_rows());
   EXPECT_EQ(a.lineitem.f64("l_extendedprice"),
             b.lineitem.f64("l_extendedprice"));
-  EXPECT_EQ(a.orders.str("o_comment"), b.orders.str("o_comment"));
+  EXPECT_EQ(a.orders.str("o_comment").bytes(),
+            b.orders.str("o_comment").bytes());
+  EXPECT_EQ(a.orders.str("o_comment").offsets(),
+            b.orders.str("o_comment").offsets());
 }
 
 TEST(DbgenTest, KeysAreDense) {
@@ -295,16 +301,18 @@ TEST(DbgenTest, QueryPredicatesHaveNonEmptySupport) {
   // Q9 needs parts with 'green' in the name, Q20 needs 'forest%'.
   int green = 0;
   int forest = 0;
-  for (const std::string& name : db.part.str("p_name")) {
-    if (db::LikeContains(name, "green")) green++;
-    if (db::LikeStartsWith(name, "forest")) forest++;
+  const db::StringHeap& names = db.part.str("p_name");
+  for (size_t row = 0; row < names.size(); ++row) {
+    if (db::LikeContainsSeq(names[row], {"green"})) green++;
+    if (db::LikeStartsWith(names[row], "forest")) forest++;
   }
   EXPECT_GT(green, 0);
   EXPECT_GT(forest, 0);
   // Q13 needs some orders with special requests.
   int special = 0;
-  for (const std::string& c : db.orders.str("o_comment")) {
-    if (db::LikeContainsSeq(c, {"special", "requests"})) special++;
+  const db::StringHeap& comments = db.orders.str("o_comment");
+  for (size_t row = 0; row < comments.size(); ++row) {
+    if (db::LikeContainsSeq(comments[row], {"special", "requests"})) special++;
   }
   EXPECT_GT(special, 0);
   EXPECT_LT(special, db.orders.num_rows() / 4);
@@ -316,7 +324,7 @@ TEST(DbgenTest, PhoneEncodesNation) {
   const auto& nation = db.customer.i64("c_nationkey");
   for (int64_t i = 0; i < db.customer.num_rows(); i += 17) {
     const size_t k = static_cast<size_t>(i);
-    const int code = std::stoi(phone[k].substr(0, 2));
+    const int code = std::stoi(std::string(phone[k].substr(0, 2)));
     ASSERT_EQ(code, 10 + nation[k]);
   }
 }

@@ -96,5 +96,29 @@ TEST(TextGenTest, RandomCommentWordCount) {
   EXPECT_EQ(spaces, 4);
 }
 
+/// The generator reserves each string heap by these bounds, so no value
+/// may exceed them.
+TEST(TextGenTest, GeneratedStringsFitTheirReservedBounds) {
+  simcore::Rng rng(7);
+  const auto& comment_words = TextPools::CommentWords();
+  for (int i = 0; i < 2000; ++i) {
+    for (int words : {4, 5, 8}) {
+      ASSERT_LE(RandomComment(&rng, words).size(),
+                MaxWordsBytes(comment_words, words));
+    }
+    ASSERT_LE(OrderComment(&rng, 0.5).size(), MaxWordsBytes(comment_words, 7));
+    ASSERT_LE(SupplierComment(&rng, 0.5).size(),
+              MaxWordsBytes(comment_words, 6));
+    ASSERT_LE(PartName(&rng).size(), MaxWordsBytes(TextPools::NameWords(), 5));
+    ASSERT_LE(Address(&rng).size(), kMaxAddressBytes);
+    ASSERT_EQ(Phone(&rng, i % 25).size(), kPhoneBytes);
+  }
+  // The planted words are no longer than the pool's longest.
+  for (const std::string planted :
+       {"special", "requests", "Customer", "Complaints"}) {
+    EXPECT_LE(planted.size(), MaxWordsBytes(comment_words, 1));
+  }
+}
+
 }  // namespace
 }  // namespace elastic::tpch
