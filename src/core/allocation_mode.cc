@@ -54,19 +54,9 @@ numasim::CoreId SparseMode::NextToRelease(const platform::CpuMask& current) {
   return LastIn(order_, current);
 }
 
-DenseMode::DenseMode(const numasim::Topology* topology) {
-  const int d = topology->config().cores_per_node;
-  const int n = topology->num_nodes();
-  // i outer, j inner: fill a node before moving on.
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < d; ++j) {
-      order_.push_back(topology->CoreAt(i, j));
-    }
-  }
-}
-
 numasim::CoreId DenseMode::NextToRelease(const platform::CpuMask& current) {
-  return LastIn(order_, current);
+  if (current.Count() <= 1) return numasim::kInvalidCore;
+  return current.Last();
 }
 
 AdaptivePriorityMode::AdaptivePriorityMode(const numasim::Topology* topology,
@@ -117,7 +107,7 @@ numasim::CoreId AdaptivePriorityMode::NextToRelease(const platform::CpuMask& cur
 std::unique_ptr<AllocationMode> MakeMode(const std::string& name,
                                          const numasim::Topology* topology) {
   if (name == "sparse") return std::make_unique<SparseMode>(topology);
-  if (name == "dense") return std::make_unique<DenseMode>(topology);
+  if (name == "dense") return std::make_unique<DenseMode>();
   if (name == "adaptive") return std::make_unique<AdaptivePriorityMode>(topology);
   ELASTIC_CHECK(false, "unknown allocation mode name");
   return nullptr;

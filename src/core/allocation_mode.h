@@ -55,16 +55,16 @@ class SparseMode : public AllocationMode {
 /// keeps no grow order of its own: the arbiter's handout (PickCoreFor)
 /// clusters grows on the node where the tenant holds the most cores, which
 /// for a lone tenant is the order 0, 1, 2, 3, 4, 5, ..., and carries the
-/// island-affinity score. Releases walk that order backwards.
+/// island-affinity score. Releases walk the node-major order backwards:
+/// core(i, j) = d*i + j makes that ascending core id, so a release takes
+/// the mask's highest core.
 class DenseMode : public AllocationMode {
  public:
-  explicit DenseMode(const numasim::Topology* topology);
   const std::string& name() const override { return name_; }
   numasim::CoreId NextToRelease(const platform::CpuMask& current) override;
 
  private:
   std::string name_ = "dense";
-  std::vector<numasim::CoreId> order_;
 };
 
 /// Adaptive priority mode (Section IV-B-2): a priority queue tracks how much

@@ -240,7 +240,8 @@ void CoreArbiter::Poll(simcore::Tick now) {
 
   ArbiterRound round;
   round.tick = now;
-  round.tenants.resize(static_cast<size_t>(count));
+  // Per-tenant entries exist only for the log to keep.
+  if (config_.log_rounds) round.tenants.resize(static_cast<size_t>(count));
 
   // Phase 1: shrinks release one core each into the free pool. A tenant
   // collapsing towards its floor frees capacity in the very round another
@@ -279,7 +280,13 @@ void CoreArbiter::Poll(simcore::Tick now) {
   // rounds within the TTL change nothing. A tenant above its ceiling walks
   // down towards it, and at its ceiling it does not grow, whatever its
   // utilization-driven demand says.
-  std::vector<int> growers;
+  struct Grower {
+    /// Entitlement minus held cores, plus the island-affinity bonus.
+    double deficit;
+    int held;
+    int index;
+  };
+  std::vector<Grower> growers;
   for (int i = 0; i < count; ++i) {
     Tenant& tenant = tenants_[static_cast<size_t>(i)];
     const Claim& claim = claims[static_cast<size_t>(i)];
@@ -299,54 +306,55 @@ void CoreArbiter::Poll(simcore::Tick now) {
       ReleaseOne(tenant.mechanism->mode(), tenant.mask);
       round.handoffs++;
     }
-    if (d.desired > d.current && tenant.mask.Count() < claim.ceiling) {
-      growers.push_back(i);
+    if (d.desired <= d.current) continue;
+    const int held = tenant.mask.Count();
+    if (held < claim.ceiling) {
+      growers.push_back(Grower{claim.entitlement - held, held, i});
     }
   }
   platform::CpuMask pool = FreePool();
   // Island-affinity bonus on the grant ordering: the locality a tenant can
   // realize from the current pool (the largest resident-page share among
-  // nodes with a free core). Identically 0.0 at affinity weight 0, so the
+  // nodes with a free core). Nothing is added at affinity weight 0, so the
   // legacy deficit ordering is reproduced exactly.
-  auto pool_affinity = [&](const Tenant& tenant) {
-    if (config_.numa_affinity_weight <= 0.0 || tenant.mem_fraction.empty()) {
-      return 0.0;
-    }
+  if (config_.numa_affinity_weight > 0.0) {
     const numasim::Topology& topo = platform_->topology();
-    double best = 0.0;
+    std::vector<bool> node_has_free(static_cast<size_t>(topo.num_nodes()));
     for (numasim::NodeId node = 0; node < topo.num_nodes(); ++node) {
-      if (node >= static_cast<numasim::NodeId>(tenant.mem_fraction.size())) {
-        break;
-      }
-      for (numasim::CoreId core : topo.CoresOfNode(node)) {
-        if (pool.Has(core)) {
-          best = std::max(best,
-                          tenant.mem_fraction[static_cast<size_t>(node)]);
+      for (int j = 0; j < topo.config().cores_per_node; ++j) {
+        if (pool.Has(topo.CoreAt(node, j))) {
+          node_has_free[static_cast<size_t>(node)] = true;
           break;
         }
       }
     }
-    return config_.numa_affinity_weight * best;
-  };
-  std::sort(growers.begin(), growers.end(), [&](int a, int b) {
-    const double da = claims[static_cast<size_t>(a)].entitlement -
-                      tenants_[static_cast<size_t>(a)].mask.Count() +
-                      pool_affinity(tenants_[static_cast<size_t>(a)]);
-    const double db = claims[static_cast<size_t>(b)].entitlement -
-                      tenants_[static_cast<size_t>(b)].mask.Count() +
-                      pool_affinity(tenants_[static_cast<size_t>(b)]);
-    if (da != db) return da > db;
-    const int na = tenants_[static_cast<size_t>(a)].mask.Count();
-    const int nb = tenants_[static_cast<size_t>(b)].mask.Count();
-    if (na != nb) return na < nb;
-    return a < b;
-  });
+    for (Grower& grower : growers) {
+      const Tenant& tenant = tenants_[static_cast<size_t>(grower.index)];
+      if (tenant.mem_fraction.empty()) continue;
+      const size_t nodes =
+          std::min(node_has_free.size(), tenant.mem_fraction.size());
+      double best = 0.0;
+      for (size_t node = 0; node < nodes; ++node) {
+        if (node_has_free[node]) {
+          best = std::max(best, tenant.mem_fraction[node]);
+        }
+      }
+      grower.deficit += config_.numa_affinity_weight * best;
+    }
+  }
+  // Larger deficit first, then fewer held cores, then the lower index.
+  std::sort(growers.begin(), growers.end(),
+            [](const Grower& a, const Grower& b) {
+              if (a.deficit != b.deficit) return a.deficit > b.deficit;
+              if (a.held != b.held) return a.held < b.held;
+              return a.index < b.index;
+            });
 
   std::vector<int> unmet;
-  for (int grower : growers) {
-    Tenant& tenant = tenants_[static_cast<size_t>(grower)];
+  for (const Grower& grower : growers) {
+    Tenant& tenant = tenants_[static_cast<size_t>(grower.index)];
     if (pool.Empty()) {
-      unmet.push_back(grower);
+      unmet.push_back(grower.index);
       continue;
     }
     // The tenant's mode places the core when it has a grow order of its own
@@ -431,13 +439,18 @@ void CoreArbiter::Poll(simcore::Tick now) {
   // (TryInstall) while the remaining tenants keep arbitrating normally.
   for (int i = 0; i < count; ++i) {
     Tenant& tenant = tenants_[static_cast<size_t>(i)];
-    TenantRound& tr = round.tenants[static_cast<size_t>(i)];
     if (!tenant.active) {
-      tr.detached = true;
+      if (config_.log_rounds) {
+        round.tenants[static_cast<size_t>(i)].detached = true;
+      }
       continue;
     }
-    TryInstall(tenant, tr);
+    const InstallResult install = TryInstall(tenant);
     tenant.mechanism->CommitGrant(tenant.mask);
+    if (!config_.log_rounds) continue;
+    TenantRound& tr = round.tenants[static_cast<size_t>(i)];
+    tr.install_failed = install.failed;
+    tr.quarantined = install.quarantined;
     tr.decision = std::move(decisions[static_cast<size_t>(i)]);
     tr.granted = tenant.mask.Count();
   }
@@ -449,38 +462,39 @@ void CoreArbiter::Poll(simcore::Tick now) {
   round_counter_++;
 }
 
-void CoreArbiter::TryInstall(Tenant& tenant, TenantRound& tr) {
+CoreArbiter::InstallResult CoreArbiter::TryInstall(Tenant& tenant) {
+  InstallResult result;
   if (tenant.quarantined) {
     stats_.quarantined_rounds++;
-    tr.quarantined = true;
-    if (round_counter_ < tenant.probe_round) return;
+    result.quarantined = true;
+    if (round_counter_ < tenant.probe_round) return result;
     // Periodic probe write: one attempt per quarantine_probe_rounds. On
     // success the cpuset rejoins normal arbitration next round.
     if (platform_->SetCpusetMask(tenant.cpuset, tenant.mask)) {
       tenant.quarantined = false;
       tenant.install_failures = 0;
-      return;
+      return result;
     }
     stats_.failed_installs++;
-    tr.install_failed = true;
+    result.failed = true;
     tenant.probe_round = round_counter_ + config_.quarantine_probe_rounds;
-    return;
+    return result;
   }
   if (tenant.install_failures > 0 && round_counter_ < tenant.next_retry_round) {
-    return;  // mid-backoff: the mask is frozen, nothing to write yet
+    return result;  // mid-backoff: the mask is frozen, nothing to write yet
   }
   if (platform_->SetCpusetMask(tenant.cpuset, tenant.mask)) {
     tenant.install_failures = 0;
-    return;
+    return result;
   }
   stats_.failed_installs++;
-  tr.install_failed = true;
+  result.failed = true;
   tenant.install_failures++;
   if (tenant.install_failures >= config_.quarantine_after_failures) {
     tenant.quarantined = true;
     stats_.quarantine_entries++;
     tenant.probe_round = round_counter_ + config_.quarantine_probe_rounds;
-    return;
+    return result;
   }
   // Exponential backoff with seeded jitter; capped so a flapping cgroup
   // never pushes the retry horizon past kInstallMaxBackoffRounds + jitter.
@@ -490,6 +504,7 @@ void CoreArbiter::TryInstall(Tenant& tenant, TenantRound& tr) {
   backoff += static_cast<int64_t>(
       jitter_rng_.NextBounded(static_cast<uint64_t>(base) + 1));
   tenant.next_retry_round = round_counter_ + backoff;
+  return result;
 }
 
 void CoreArbiter::DetachTenant(int tenant) {

@@ -292,9 +292,15 @@ class CoreArbiter {
     return tenant.quarantined || tenant.install_failures > 0;
   }
 
+  /// The round flags of one install attempt (TenantRound's).
+  struct InstallResult {
+    bool failed = false;
+    bool quarantined = false;
+  };
+
   /// Phase 4 helper: one SetCpusetMask attempt with failure bookkeeping
   /// (backoff scheduling, quarantine entry/exit).
-  void TryInstall(Tenant& tenant, TenantRound& tr);
+  InstallResult TryInstall(Tenant& tenant);
 
   /// Evaluates every active tenant's TelemetrySource once for this round
   /// (only when the policy reads telemetry or the island-affinity term

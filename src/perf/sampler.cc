@@ -118,19 +118,32 @@ const std::shared_ptr<const CounterSnapshot>& SnapshotCache::Latest() {
   return latest_;
 }
 
+TickReading::TickReading(TickFn now, Reader read)
+    : now_(std::move(now)), read_(std::move(read)) {}
+
+const std::shared_ptr<const CounterSnapshot>& TickReading::Latest() {
+  const simcore::Tick now = now_();
+  if (latest_ == nullptr || latest_->tick != now) {
+    latest_ = read_(now);
+    ELASTIC_CHECK(latest_ != nullptr && latest_->tick == now,
+                  "a tick's reading must carry that tick");
+  }
+  return latest_;
+}
+
 Sampler::Sampler(const CounterSet* counters, const simcore::Clock* clock)
     : Sampler(std::make_shared<SnapshotCache>(counters, clock)) {}
 
-Sampler::Sampler(std::shared_ptr<SnapshotCache> cache)
-    : cache_(std::move(cache)), baseline_(cache_->Latest()) {}
+Sampler::Sampler(std::shared_ptr<SnapshotSource> source)
+    : source_(std::move(source)), baseline_(source_->Latest()) {}
 
 WindowStats Sampler::Sample() {
-  const std::shared_ptr<const CounterSnapshot>& end = cache_->Latest();
+  const std::shared_ptr<const CounterSnapshot>& end = source_->Latest();
   WindowStats window(std::move(baseline_), end);
   baseline_ = end;
   return window;
 }
 
-void Sampler::Reset() { baseline_ = cache_->Latest(); }
+void Sampler::Reset() { baseline_ = source_->Latest(); }
 
 }  // namespace elastic::perf

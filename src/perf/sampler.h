@@ -2,6 +2,7 @@
 #define ELASTICORE_PERF_SAMPLER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -142,20 +143,30 @@ class UtilizationSampler {
   virtual void Reset() = 0;
 };
 
-/// The snapshots every Sampler of one CounterSet shares. A monitoring
-/// round polls many tenants at one tick; through the cache they take one
-/// snapshot between them, and each window is that snapshot paired with
-/// the sampler's previous one. The platform owning the counters owns one
-/// cache.
-class SnapshotCache {
+/// Where the samplers of one backend get their readings: a snapshot equal
+/// to the backend's counters now. The samplers of a backend share its
+/// source, so a round that polls many tenants at one tick takes one
+/// snapshot between them, and each window is that snapshot paired with the
+/// sampler's previous one.
+class SnapshotSource {
+ public:
+  virtual ~SnapshotSource() = default;
+
+  /// A snapshot equal to the live counters now.
+  virtual const std::shared_ptr<const CounterSnapshot>& Latest() = 0;
+};
+
+/// The source of a CounterSet that may move within a tick: SimPlatform's,
+/// whose tick hooks and scheduler quantum write counters at one tick value,
+/// and a sampler's over bare counters.
+class SnapshotCache final : public SnapshotSource {
  public:
   SnapshotCache(const CounterSet* counters, const simcore::Clock* clock);
 
-  /// A snapshot equal to the live counters now. The latest snapshot is
-  /// reused only when both its tick and the counters it holds still match:
-  /// a window-read counter bumped within the tick gets a fresh snapshot,
-  /// any other counter does not.
-  const std::shared_ptr<const CounterSnapshot>& Latest();
+  /// The latest snapshot is reused only when both its tick and the
+  /// counters it holds still match: a window-read counter bumped within
+  /// the tick gets a fresh snapshot, any other counter does not.
+  const std::shared_ptr<const CounterSnapshot>& Latest() override;
 
  private:
   const CounterSet* counters_;
@@ -163,20 +174,41 @@ class SnapshotCache {
   std::shared_ptr<const CounterSnapshot> latest_;
 };
 
-/// Yields the deltas of a CounterSet since its baseline snapshot (the
-/// simulator-backed UtilizationSampler).
+/// The source of a backend whose counters hold still through a tick:
+/// SyntheticPlatform's move only as its clock advances, and LinuxPlatform
+/// reads /proc/stat once per tick. The first Latest() of a tick takes the
+/// reading; every later one in that tick returns it without a check.
+class TickReading final : public SnapshotSource {
+ public:
+  using TickFn = std::function<simcore::Tick()>;
+  using Reader =
+      std::function<std::shared_ptr<const CounterSnapshot>(simcore::Tick)>;
+
+  /// `now` yields the current tick, `read` the reading at a tick.
+  TickReading(TickFn now, Reader read);
+
+  const std::shared_ptr<const CounterSnapshot>& Latest() override;
+
+ private:
+  TickFn now_;
+  Reader read_;
+  std::shared_ptr<const CounterSnapshot> latest_;
+};
+
+/// Yields the deltas of a backend's counters since the sampler's baseline
+/// snapshot: the one UtilizationSampler over a SnapshotSource.
 class Sampler : public UtilizationSampler {
  public:
-  /// A sampler with a private cache.
+  /// A sampler over bare counters, with a private cache.
   Sampler(const CounterSet* counters, const simcore::Clock* clock);
-  /// A sampler sharing `cache` with the other samplers of its CounterSet.
-  explicit Sampler(std::shared_ptr<SnapshotCache> cache);
+  /// A sampler sharing `source` with the other samplers of its backend.
+  explicit Sampler(std::shared_ptr<SnapshotSource> source);
 
   WindowStats Sample() override;
   void Reset() override;
 
  private:
-  std::shared_ptr<SnapshotCache> cache_;
+  std::shared_ptr<SnapshotSource> source_;
   std::shared_ptr<const CounterSnapshot> baseline_;
 };
 

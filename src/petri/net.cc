@@ -13,21 +13,8 @@ void Binding::Bind(std::string_view name, double value) {
   size_++;
 }
 
-double Binding::Get(std::string_view name) const {
-  for (int i = 0; i < size_; ++i) {
-    if (names_[static_cast<size_t>(i)] == name) {
-      return values_[static_cast<size_t>(i)];
-    }
-  }
+void Binding::Unbound() {
   ELASTIC_CHECK(false, "unbound variable in guard/expression");
-  return 0.0;
-}
-
-bool Binding::Has(std::string_view name) const {
-  for (int i = 0; i < size_; ++i) {
-    if (names_[static_cast<size_t>(i)] == name) return true;
-  }
-  return false;
 }
 
 PlaceId Net::AddPlace(std::string name) {
@@ -122,8 +109,9 @@ bool Net::Fire(TransitionId transition) {
 }
 
 std::optional<TransitionId> Net::StepOnce() {
+  Binding binding;
   for (TransitionId t = 0; t < num_transitions(); ++t) {
-    Binding binding;
+    binding.Reset();
     if (Enabled(transitions_[t], binding)) {
       FireBound(transitions_[t], binding);
       return t;

@@ -26,13 +26,29 @@ class Binding {
   /// may have.
   static constexpr int kMaxVars = 4;
 
-  /// Value of a bound variable; aborts when the name is unknown.
-  double Get(std::string_view name) const;
-  bool Has(std::string_view name) const;
+  /// Value of a bound variable; aborts when the name is unknown. Inline,
+  /// so a guard's literal name compiles to a length-and-byte compare.
+  double Get(std::string_view name) const {
+    for (int i = 0; i < size_; ++i) {
+      if (names_[static_cast<size_t>(i)] == name) {
+        return values_[static_cast<size_t>(i)];
+      }
+    }
+    Unbound();
+  }
+  bool Has(std::string_view name) const {
+    for (int i = 0; i < size_; ++i) {
+      if (names_[static_cast<size_t>(i)] == name) return true;
+    }
+    return false;
+  }
 
  private:
   friend class Net;
   void Bind(std::string_view name, double value);
+  /// Forgets every variable, so one binding serves each candidate in turn.
+  void Reset() { size_ = 0; }
+  [[noreturn]] static void Unbound();
 
   std::array<std::string_view, kMaxVars> names_{};
   std::array<double, kMaxVars> values_{};
@@ -99,8 +115,8 @@ class Net {
   bool Fire(TransitionId transition);
 
   /// Fires the first enabled transition (in creation order); returns its id
-  /// or nullopt when the net is quiescent. Each candidate is bound once,
-  /// and the one that fires fires with that binding.
+  /// or nullopt when the net is quiescent. One binding is reset and bound
+  /// for each candidate in turn, and the one that fires fires with it.
   std::optional<TransitionId> StepOnce();
 
   /// Fires transitions until quiescence or `max_steps`. Returns the fired

@@ -77,6 +77,16 @@ numasim::CoreId CpuMask::First() const {
   return numasim::kInvalidCore;
 }
 
+numasim::CoreId CpuMask::Last() const {
+  for (size_t w = words_.size(); w-- > 0;) {
+    // Leading zeros of a zero word are undefined; only non-empty ones count.
+    if (words_[w] != 0) {
+      return static_cast<int>(w) * 64 + 63 - __builtin_clzll(words_[w]);
+    }
+  }
+  return numasim::kInvalidCore;
+}
+
 std::string CpuMask::ToString() const {
   std::string out = "{";
   bool first = true;

@@ -138,6 +138,8 @@ class CpuMask {
 
   /// Lowest core id in the mask (kInvalidCore when empty).
   numasim::CoreId First() const;
+  /// Highest core id in the mask (kInvalidCore when empty).
+  numasim::CoreId Last() const;
 
   /// Human-readable form, e.g. "{0,1,4}".
   std::string ToString() const;

@@ -144,32 +144,6 @@ void ReadBusyJiffies(const std::string& proc_root, std::vector<int64_t>& busy) {
 
 }  // namespace
 
-/// /proc/stat-backed utilization: per-cpu busy jiffies land in
-/// core_busy_cycles, the real-hardware equivalent of the simulator's cycle
-/// counters. The other counter groups have no cheap unprivileged source
-/// and stay zero — the kCpuLoad strategy (the paper's default on real
-/// hardware) never reads them. Every sampler of one platform reads the
-/// platform's shared per-tick snapshot.
-class LinuxPlatform::ProcStatSampler : public perf::UtilizationSampler {
- public:
-  explicit ProcStatSampler(LinuxPlatform* platform)
-      : platform_(platform), baseline_(platform->BusySnapshot()) {}
-
-  perf::WindowStats Sample() override {
-    const std::shared_ptr<const perf::CounterSnapshot>& end =
-        platform_->BusySnapshot();
-    perf::WindowStats window(std::move(baseline_), end);
-    baseline_ = end;
-    return window;
-  }
-
-  void Reset() override { baseline_ = platform_->BusySnapshot(); }
-
- private:
-  LinuxPlatform* platform_;
-  std::shared_ptr<const perf::CounterSnapshot> baseline_;
-};
-
 LinuxPlatform::LinuxPlatform(const LinuxPlatformOptions& options)
     : options_(options), epoch_(std::chrono::steady_clock::now()) {
   ELASTIC_CHECK(options_.seconds_per_tick > 0.0,
@@ -196,6 +170,10 @@ LinuxPlatform::LinuxPlatform(const LinuxPlatformOptions& options)
     auto end = std::make_shared<perf::CounterSnapshot>(*start);
     end->tick = 1;
     idle_window_ = perf::WindowStats(std::move(start), std::move(end));
+  } else {
+    busy_ = std::make_shared<perf::TickReading>(
+        [this] { return Now(); },
+        [this](simcore::Tick tick) { return ReadBusySnapshot(tick); });
   }
 }
 
@@ -332,21 +310,21 @@ CpuMask LinuxPlatform::cpuset_mask(CpusetId cpuset) const {
 
 std::unique_ptr<perf::UtilizationSampler> LinuxPlatform::CreateSampler() {
   if (options_.dry_run) return std::make_unique<ZeroSampler>(idle_window_);
-  return std::make_unique<ProcStatSampler>(this);
+  return std::make_unique<perf::Sampler>(busy_);
 }
 
-const std::shared_ptr<const perf::CounterSnapshot>&
-LinuxPlatform::BusySnapshot() {
-  const simcore::Tick now = Now();
-  if (busy_snapshot_ == nullptr || busy_snapshot_->tick != now) {
-    auto snapshot = std::make_shared<perf::CounterSnapshot>(
-        topology_->num_nodes(), topology_->total_cores());
-    snapshot->tick = now;
-    snapshot->seconds_per_tick = options_.seconds_per_tick;
-    ReadBusyJiffies(options_.proc_root, snapshot->core_busy_cycles);
-    busy_snapshot_ = std::move(snapshot);
-  }
-  return busy_snapshot_;
+/// Per-cpu busy jiffies land in core_busy_cycles, the real-hardware
+/// equivalent of the simulator's cycle counters. The other counter groups
+/// have no cheap unprivileged source and stay zero: the kCpuLoad strategy
+/// (the paper's default on real hardware) never reads them.
+std::shared_ptr<const perf::CounterSnapshot> LinuxPlatform::ReadBusySnapshot(
+    simcore::Tick tick) const {
+  auto snapshot = std::make_shared<perf::CounterSnapshot>(
+      topology_->num_nodes(), topology_->total_cores());
+  snapshot->tick = tick;
+  snapshot->seconds_per_tick = options_.seconds_per_tick;
+  ReadBusyJiffies(options_.proc_root, snapshot->core_busy_cycles);
+  return snapshot;
 }
 
 void LinuxPlatform::AddTickHook(std::function<void(simcore::Tick)> hook) {

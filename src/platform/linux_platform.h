@@ -36,11 +36,12 @@ struct LinuxPlatformOptions {
 /// Platform backend over a real Linux machine: cpusets are cgroup-v2
 /// directories whose `cpuset.cpus` files the arbiter rewrites, utilization
 /// is windowed per-cpu busy time from /proc/stat (read at most once per
-/// tick and shared by every sampler), and time is the monotonic clock
-/// quantised to seconds_per_tick. Attach a DBMS to a tenant cpuset
-/// with AttachPid() and the same CoreArbiter that drives the simulator
-/// elastically resizes the real process's core set — the deployment story
-/// of the paper's prototype (tools/elasticored is the driving loop).
+/// tick, through one perf::TickReading every sampler shares), and time is
+/// the monotonic clock quantised to seconds_per_tick. Attach a DBMS to a
+/// tenant cpuset with AttachPid() and the same CoreArbiter that drives the
+/// simulator elastically resizes the real process's core set — the
+/// deployment story of the paper's prototype (tools/elasticored is the
+/// driving loop).
 ///
 /// Every intended mkdir/write is appended to op_log() (and, outside
 /// dry-run, performed); the log is both the dry-run test surface and a
@@ -90,7 +91,6 @@ class LinuxPlatform : public Platform {
   const LinuxPlatformOptions& options() const { return options_; }
 
  private:
-  class ProcStatSampler;
   struct Cpuset {
     std::string path;
     CpuMask mask;
@@ -114,9 +114,9 @@ class LinuxPlatform : public Platform {
   bool OpWrite(const std::string& file, const std::string& value);
   /// Directory name for a tenant cpuset: sanitised, uniquified.
   std::string CpusetDirName(const std::string& name) const;
-  /// Busy jiffies of every CPU at the current tick. /proc/stat is parsed on
-  /// the first call of a tick; later calls in that tick share the reading.
-  const std::shared_ptr<const perf::CounterSnapshot>& BusySnapshot();
+  /// Busy jiffies of every CPU from /proc/stat at `tick`.
+  std::shared_ptr<const perf::CounterSnapshot> ReadBusySnapshot(
+      simcore::Tick tick) const;
 
   LinuxPlatformOptions options_;
   std::unique_ptr<numasim::Topology> topology_;
@@ -127,8 +127,8 @@ class LinuxPlatform : public Platform {
   bool parent_ready_ = false;
   int64_t clk_tck_ = 100;
   std::chrono::steady_clock::time_point epoch_;
-  /// The latest BusySnapshot() reading.
-  std::shared_ptr<const perf::CounterSnapshot> busy_snapshot_;
+  /// The tick's /proc/stat reading, shared by every live sampler.
+  std::shared_ptr<perf::TickReading> busy_;
   /// The one window every dry-run sampler returns.
   perf::WindowStats idle_window_;
 };

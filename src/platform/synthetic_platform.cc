@@ -10,7 +10,12 @@ SyntheticPlatform::SyntheticPlatform(const numasim::MachineConfig& config)
     : topology_(config),
       counters_(topology_.num_nodes(), topology_.num_links(),
                 topology_.total_cores()),
-      snapshots_(std::make_shared<perf::SnapshotCache>(&counters_, &clock_)),
+      reading_(std::make_shared<perf::TickReading>(
+          [this] { return clock_.now(); },
+          [this](simcore::Tick tick) {
+            return std::make_shared<const perf::CounterSnapshot>(counters_,
+                                                                 tick);
+          })),
       cycles_per_tick_(static_cast<int64_t>(config.cycles_per_second *
                                             simcore::Clock::kSecondsPerTick)),
       busy_fraction_(static_cast<size_t>(topology_.total_cores()), 0.0) {}
@@ -36,7 +41,7 @@ CpuMask SyntheticPlatform::cpuset_mask(CpusetId cpuset) const {
 }
 
 std::unique_ptr<perf::UtilizationSampler> SyntheticPlatform::CreateSampler() {
-  return std::make_unique<perf::Sampler>(snapshots_);
+  return std::make_unique<perf::Sampler>(reading_);
 }
 
 void SyntheticPlatform::AddTickHook(

@@ -26,9 +26,18 @@ namespace elastic::platform {
 /// makes each subsequent tick credit f * cycles_per_tick busy cycles to the
 /// core, so a bench scripts per-tenant demand directly. Cpusets are plain
 /// stored masks (writes never fail), matching the simulator's semantics.
+///
+/// The counters are private and move only inside AdvanceTicks, after the
+/// clock advances and before that tick's hooks fire, so one reading per
+/// tick (perf::TickReading) equals the live counters for the whole tick:
+/// every sampler of a round ends its window at it without comparing the
+/// counters again.
 class SyntheticPlatform : public Platform {
  public:
   explicit SyntheticPlatform(const numasim::MachineConfig& config);
+
+  SyntheticPlatform(const SyntheticPlatform&) = delete;
+  SyntheticPlatform& operator=(const SyntheticPlatform&) = delete;
 
   const numasim::Topology& topology() const override { return topology_; }
   simcore::Tick Now() const override { return clock_.now(); }
@@ -52,8 +61,8 @@ class SyntheticPlatform : public Platform {
   numasim::Topology topology_;
   simcore::Clock clock_;
   perf::CounterSet counters_;
-  /// Shared by every sampler this platform creates.
-  std::shared_ptr<perf::SnapshotCache> snapshots_;
+  /// The tick's reading, shared by every sampler this platform creates.
+  std::shared_ptr<perf::TickReading> reading_;
   simcore::Trace trace_;
   int64_t cycles_per_tick_;
 

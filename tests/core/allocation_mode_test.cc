@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "simcore/rng.h"
+
 namespace elastic::core {
 namespace {
 
@@ -33,13 +35,13 @@ TEST_F(ModeTest, SparseAllocationOrderIteratesNodesFirst) {
 TEST_F(ModeTest, DenseLeavesGrowsToTheArbiter) {
   // Dense keeps no grow order of its own: the arbiter's handout fills a node
   // before the next (ArbiterTest.DenseTenantFillsANodeBeforeTheNext).
-  DenseMode mode(&topo_);
+  DenseMode mode;
   EXPECT_EQ(mode.NextToAllocate(CpuMask()), numasim::kInvalidCore);
   EXPECT_EQ(mode.NextToAllocate(CpuMask::Of({0, 1})), numasim::kInvalidCore);
 }
 
 TEST_F(ModeTest, ReleaseIsReverseOfAllocation) {
-  DenseMode mode(&topo_);
+  DenseMode mode;
   CpuMask mask = CpuMask::Of({0, 1, 2});
   EXPECT_EQ(mode.NextToRelease(mask), 2);
   SparseMode sparse(&topo_);
@@ -48,13 +50,69 @@ TEST_F(ModeTest, ReleaseIsReverseOfAllocation) {
 }
 
 TEST_F(ModeTest, NeverReleasesTheLastCore) {
-  DenseMode dense(&topo_);
+  DenseMode dense;
   SparseMode sparse(&topo_);
   AdaptivePriorityMode adaptive(&topo_);
   const CpuMask one = CpuMask::Of({5});
   EXPECT_EQ(dense.NextToRelease(one), numasim::kInvalidCore);
   EXPECT_EQ(sparse.NextToRelease(one), numasim::kInvalidCore);
   EXPECT_EQ(adaptive.NextToRelease(one), numasim::kInvalidCore);
+}
+
+/// The release DenseMode made while it kept the node-major order vector:
+/// the last core of that order the mask holds, none at one core.
+numasim::CoreId OrderVectorRelease(const numasim::Topology& topo,
+                                   const CpuMask& mask) {
+  std::vector<numasim::CoreId> order;
+  for (int i = 0; i < topo.num_nodes(); ++i) {
+    for (int j = 0; j < topo.config().cores_per_node; ++j) {
+      order.push_back(topo.CoreAt(i, j));
+    }
+  }
+  if (mask.Count() <= 1) return numasim::kInvalidCore;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    if (mask.Has(*it)) return *it;
+  }
+  return numasim::kInvalidCore;
+}
+
+TEST(DenseReleaseTest, HighestCoreMatchesTheOrderVectorScan) {
+  numasim::MachineConfig config;
+  config.num_nodes = 256;
+  config.cores_per_node = 4;
+  const numasim::Topology topo(config);
+  const int cores = topo.total_cores();
+  DenseMode dense;
+  EXPECT_EQ(dense.NextToRelease(CpuMask()), numasim::kInvalidCore);
+  simcore::Rng rng(20261020);
+  for (int trial = 0; trial < 4000; ++trial) {
+    CpuMask mask;
+    switch (trial % 4) {
+      case 0:  // one core
+        mask.Set(static_cast<numasim::CoreId>(rng.NextBounded(cores)));
+        break;
+      case 1: {  // two to eight scattered cores
+        const int n = 2 + static_cast<int>(rng.NextBounded(7));
+        while (mask.Count() < n) {
+          mask.Set(static_cast<numasim::CoreId>(rng.NextBounded(cores)));
+        }
+        break;
+      }
+      case 2: {  // a contiguous run, up to the whole machine
+        const int first = static_cast<int>(rng.NextBounded(cores));
+        const int length =
+            1 + static_cast<int>(rng.NextBounded(cores - first));
+        for (int core = first; core < first + length; ++core) mask.Set(core);
+        break;
+      }
+      default:  // wide: each core held with probability one half
+        for (int core = 0; core < cores; ++core) {
+          if (rng.NextBernoulli(0.5)) mask.Set(core);
+        }
+    }
+    ASSERT_EQ(dense.NextToRelease(mask), OrderVectorRelease(topo, mask))
+        << mask.ToString();
+  }
 }
 
 TEST_F(ModeTest, FullMaskCannotAllocate) {

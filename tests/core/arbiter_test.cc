@@ -1013,6 +1013,56 @@ TEST(ArbiterTest, AffinityMultiRoundTraceMatchesAtWeightZero) {
   EXPECT_EQ(traces[0], traces[1]);
 }
 
+TEST(ArbiterTest, ShortPoolGrantsByDeficitThenHeldCoresThenIndex) {
+  // priority_weighted on 64 cores with weights summing to 64: each
+  // entitlement is the tenant's weight exactly. Every tenant is overloaded
+  // (so shielded from preemption) and asks for one more core; 7 are free.
+  //   tenant 0       weight 3, holds 2: deficit 1
+  //   tenants 1-24   weight 2, hold 1:  deficit 1, fewer held than tenant 0
+  //   tenants 25-31  weight 1, hold 4:  deficit -3
+  //   tenant 32      weight 6, holds 3: deficit 3, the largest, held most
+  // Grant order: 32, then 1-24 by index, then 0, then 25-31; the pool runs
+  // out after tenant 6.
+  platform::SyntheticPlatform platform{[] {
+    numasim::MachineConfig machine;
+    machine.num_nodes = 16;
+    machine.cores_per_node = 4;
+    return machine;
+  }()};
+  ArbiterConfig config;
+  config.policy = ArbitrationPolicy::kPriorityWeighted;
+  config.register_tick_hook = false;
+  CoreArbiter arbiter(&platform, config);
+  std::vector<int> initial;
+  auto add = [&](const std::string& name, int cores, double weight) {
+    arbiter.AddTenant(Tenant(name, cores, weight));
+    initial.push_back(cores);
+  };
+  add("short", 2, 3.0);
+  for (int i = 1; i <= 24; ++i) add("tie", 1, 2.0);
+  for (int i = 25; i <= 31; ++i) add("sated", 4, 1.0);
+  add("owed", 3, 6.0);
+  arbiter.Install();
+  ASSERT_EQ(arbiter.FreePool().Count(), 7);
+  for (int core = 0; core < platform.topology().total_cores(); ++core) {
+    platform.SetCoreBusyFraction(core, 0.95);
+  }
+  platform.AdvanceTicks(config.monitor_period_ticks);
+  arbiter.Poll(platform.Now());
+
+  std::vector<int> grown;
+  for (int t = 0; t < arbiter.num_tenants(); ++t) {
+    const int held = initial[static_cast<size_t>(t)];
+    if (arbiter.nalloc(t) > held) grown.push_back(t);
+    EXPECT_GE(arbiter.nalloc(t), held) << "tenant " << t;
+    EXPECT_LE(arbiter.nalloc(t), held + 1) << "tenant " << t;
+  }
+  EXPECT_EQ(grown, (std::vector<int>{1, 2, 3, 4, 5, 6, 32}));
+  EXPECT_TRUE(arbiter.FreePool().Empty());
+  EXPECT_EQ(arbiter.preemptions(), 0);
+  EXPECT_EQ(arbiter.starved_rounds(), 1);
+}
+
 // ---- The allocation mode decides where a tenant's grows land ----
 
 /// The masks a lone fair_share tenant of `mode` holds after Install and

@@ -121,6 +121,21 @@ TEST(CpuMaskTest, FirstOfEmptyIsInvalid) {
   EXPECT_EQ(CpuMask::Of({7, 9}).First(), 7);
 }
 
+TEST(CpuMaskTest, LastIsTheHighestCore) {
+  EXPECT_EQ(CpuMask::None().Last(), numasim::kInvalidCore);
+  EXPECT_EQ(CpuMask::Of({0}).Last(), 0);
+  EXPECT_EQ(CpuMask::Of({63}).Last(), 63);
+  EXPECT_EQ(CpuMask::Of({64}).Last(), 64);
+  EXPECT_EQ(CpuMask::Of({63, 64}).Last(), 64);
+  EXPECT_EQ(CpuMask::Of({1023}).Last(), 1023);
+  EXPECT_EQ(CpuMask::Of({0, 1023}).Last(), 1023);
+  // Several words set: the highest non-empty word decides.
+  EXPECT_EQ(CpuMask::Of({5, 70, 200, 511}).Last(), 511);
+  EXPECT_EQ(CpuMask::Of({5, 70, 200, 512}).Last(), 512);
+  EXPECT_EQ(CpuMask::FirstN(CpuMask::kMaxCores).Last(), 1023);
+  EXPECT_EQ(CpuMask::FirstN(130).Last(), 129);
+}
+
 TEST(CpuMaskTest, ToStringIsReadable) {
   EXPECT_EQ(CpuMask::Of({0, 3}).ToString(), "{0,3}");
   EXPECT_EQ(CpuMask::None().ToString(), "{}");
